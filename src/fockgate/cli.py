@@ -10,6 +10,7 @@ configurations produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from pathlib import Path
@@ -48,6 +49,17 @@ class ConfigError(Exception):
     """Bad invocation or unreadable input; maps to exit status 2."""
 
 
+def finite_float(text: str) -> float:
+    """A finite float; argparse type for --phi and --step."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number must be finite, got {text!r}")
+    return value
+
+
 def parse_qubit(text: str) -> tuple[complex, complex]:
     """Parse 're,im:re,im' into (alpha, beta)."""
     try:
@@ -58,17 +70,22 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
         for part in parts:
             re_s, im_s = part.split(",")
             amps.append(complex(float(re_s), float(im_s)))
-        return amps[0], amps[1]
     except ValueError as exc:
         raise ConfigError(f"cannot parse qubit amplitudes {text!r}: {exc}") from exc
+    if not all(cmath.isfinite(a) for a in amps):
+        raise ConfigError(f"qubit amplitudes must be finite, got {text!r}")
+    return amps[0], amps[1]
 
 
 def parse_range(text: str) -> tuple[float, float]:
     try:
         lo_s, hi_s = text.split(":")
-        return float(lo_s), float(hi_s)
+        lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise ConfigError(f"cannot parse range {text!r} (expected LO:HI)") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range bounds must be finite, got {text!r}")
+    return lo, hi
 
 
 def _load_netlist(path: str | None) -> Netlist:
@@ -315,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one heralded gate simulation")
-    sim.add_argument("--phi", type=float, required=True, help="program phase (radians)")
+    sim.add_argument("--phi", type=finite_float, required=True, help="program phase (radians)")
     sim.add_argument("--target", required=True, help="target qubit 're,im:re,im'")
     sim.add_argument("--control", required=True, help="control qubit 're,im:re,im'")
     sim.add_argument("--netlist", help="netlist JSON (default: shipped circuit)")
@@ -323,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     tt = sub.add_parser("truth-table", help="extract the heralded 4x4 operator")
-    tt.add_argument("--phi", type=float, required=True)
+    tt.add_argument("--phi", type=finite_float, required=True)
     tt.add_argument("--netlist")
     tt.add_argument("--output", help="write per-input rows CSV")
     tt.set_defaults(func=cmd_truth_table)
@@ -343,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--physics", help="physics JSON with nonzero sensitivities")
     sw.add_argument("--netlist")
     sw.add_argument("--range", help="deviation range LO:HI in nm (default -10:10)")
-    sw.add_argument("--step", type=float, default=1.0, help="grid step in nm")
-    sw.add_argument("--phi", type=float, default=math.pi, help="program phase (radians)")
+    sw.add_argument("--step", type=finite_float, default=1.0, help="grid step in nm")
+    sw.add_argument("--phi", type=finite_float, default=math.pi, help="program phase (radians)")
     sw.add_argument("--output", help="write sweep table CSV")
     sw.add_argument("--plot", help="write SVG line plot")
     sw.set_defaults(func=cmd_sweep)
@@ -358,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

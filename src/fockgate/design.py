@@ -17,7 +17,6 @@ configured explicitly before running tolerance studies.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .fock import H, V, Polarization
@@ -391,13 +390,12 @@ def tolerance_sweep(
     delta_range_nm: tuple[float, float] = (-10.0, 10.0),
     step_nm: float = 1.0,
     phi: float = math.pi,
-    max_workers: int | None = None,
 ) -> list[SweepRow]:
     """Gate performance across a geometry-deviation grid.
 
-    One row per grid point in ascending delta order; points are evaluated
-    concurrently (each on its own netlist copy) and re-assembled in input
-    order, so the output is deterministic.
+    One row per grid point in ascending delta order; each point is a
+    perturbed copy of the netlist, evaluated in turn, so the output is
+    deterministic.
     """
     if step_nm <= 0:
         raise ValueError(f"step must be positive, got {step_nm}")
@@ -420,6 +418,4 @@ def tolerance_sweep(
         probs = tuple(result.herald_probability[k] for k in ("00", "01", "10", "11"))
         return SweepRow(delta, tuple(bars), probs, result.fidelity)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(evaluate, deltas))
-    return rows
+    return [evaluate(delta) for delta in deltas]

@@ -350,6 +350,24 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex(total)
 
 
+def permanent3(matrices: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of 3x3 matrices, shape (..., 3, 3) -> (...).
+
+    Closed-form expansion along the first row, evaluated with array
+    arithmetic over the whole stack; it shares no code with `permanent`,
+    which stays the permutation-sum reference.
+    """
+    a = np.asarray(matrices)
+    if a.shape[-2:] != (3, 3):
+        raise ValueError(f"permanent3 requires (..., 3, 3) matrices, got {a.shape}")
+    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    return (
+        r0[..., 0] * (r1[..., 1] * r2[..., 2] + r1[..., 2] * r2[..., 1])
+        + r0[..., 1] * (r1[..., 0] * r2[..., 2] + r1[..., 2] * r2[..., 0])
+        + r0[..., 2] * (r1[..., 0] * r2[..., 1] + r1[..., 1] * r2[..., 0])
+    )
+
+
 def amplitude_via_permanent(
     unitary: np.ndarray, input_vec: FockVector, output_vec: FockVector
 ) -> complex:
@@ -380,21 +398,20 @@ def embed(element: ElementMatrix, modes: Sequence[Mode]) -> np.ndarray:
     Requires the element to be square (unitary); filters already are, by
     construction, so any circuit element embeds exactly.
     """
+    return _embed(element, {m: i for i, m in enumerate(modes)}, len(modes))
+
+
+def _embed(element: ElementMatrix, pos: dict[Mode, int], n: int) -> np.ndarray:
     if not element.square:
         raise ValueError("only square (unitary) elements can be embedded")
-    modes = list(modes)
-    n = len(modes)
     for m in element.ports_in + element.ports_out:
-        if m not in modes:
+        if m not in pos:
             raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
     full = np.eye(n, dtype=complex)
-    in_idx = [modes.index(m) for m in element.ports_in]
-    out_idx = [modes.index(m) for m in element.ports_out]
-    for i in in_idx:
-        full[i, :] = 0.0
-    for a, i in enumerate(in_idx):
-        for b, j in enumerate(out_idx):
-            full[i, j] = element.matrix[a, b]
+    in_idx = [pos[m] for m in element.ports_in]
+    out_idx = [pos[m] for m in element.ports_out]
+    full[in_idx, :] = 0.0
+    full[np.ix_(in_idx, out_idx)] = element.matrix
     return full
 
 
@@ -406,10 +423,12 @@ def compose_circuit_matrix(
     Elements are given in application order; in transfer orientation the
     composite is M1 @ M2 @ ... @ Mk.  The result is unitary within 1e-12.
     """
-    full = np.eye(len(modes), dtype=complex)
+    n = len(modes)
+    pos = {m: i for i, m in enumerate(modes)}
+    full = np.eye(n, dtype=complex)
     for el in elements:
-        full = full @ embed(el, modes)
-    dev = np.max(np.abs(full @ full.conj().T - np.eye(len(modes))))
+        full = full @ _embed(el, pos, n)
+    dev = np.max(np.abs(full @ full.conj().T - np.eye(n)))
     if dev > 1e-12:
         raise ValueError(f"composed circuit matrix is not unitary: {dev:.3g}")
     return full

@@ -34,6 +34,7 @@ from .fock import (
     Polarization,
     PureState,
     modes_for_ports,
+    norm_squared,
     program_state,
     project_herald,
     qubit_state,
@@ -47,6 +48,7 @@ from .elements import (
     beam_splitter,
     compose_circuit_matrix,
     partially_polarizing_beam_splitter,
+    permanent3,
     perturbed_pbs,
     phase_shift,
     polarizing_beam_splitter,
@@ -57,16 +59,18 @@ SQ3 = math.sqrt(3.0)
 
 PORT_ROLES = ("input", "output", "io", "internal", "loss", "detector", "program")
 
-ELEMENT_KINDS = (
-    "pbs",
-    "ppbs",
-    "beamsplitter",
-    "filter",
-    "waveplate",
-    "phaseshift",
-    "detector",
-    "dump",
-)
+# Element kinds and the number of ports each wires; a dump takes any number.
+ELEMENT_ARITY = {
+    "pbs": 2,
+    "ppbs": 2,
+    "beamsplitter": 2,
+    "filter": 2,
+    "waveplate": 1,
+    "phaseshift": 1,
+    "detector": 1,
+    "dump": None,
+}
+ELEMENT_KINDS = tuple(ELEMENT_ARITY)
 
 
 class NetlistError(ValueError):
@@ -164,6 +168,12 @@ class Netlist:
             seen.add(el.name)
             if len(set(el.ports)) != len(el.ports):
                 raise NetlistError(f"element {el.name!r} wires a port twice")
+            arity = ELEMENT_ARITY.get(el.kind)
+            if arity is not None and len(el.ports) != arity:
+                raise NetlistError(
+                    f"element {el.name!r} of kind {el.kind!r} needs {arity} "
+                    f"port(s), got {len(el.ports)}"
+                )
             for p in el.ports:
                 if p not in names:
                     raise NetlistError(
@@ -388,10 +398,6 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
 
 
 BASIS_LABELS = ("00", "01", "10", "11")
-_BASIS_AMPLITUDES = {
-    "0": (1.0 + 0.0j, 0.0 + 0.0j),
-    "1": (0.0 + 0.0j, 1.0 + 0.0j),
-}
 
 
 @dataclass(frozen=True)
@@ -465,22 +471,63 @@ def _detector_pol(netlist: Netlist) -> Polarization:
 
 
 def extract_gate(netlist: Netlist, phi: float) -> GateResult:
-    """Run the four computational-basis inputs and assemble the 4x4 operator.
+    """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
 
-    The simulation is linear in the input state, so the basis columns
-    determine the heralded map completely.
+    A basis input puts one photon on each of the target, control and
+    program ports, so its amplitude into a three-photon output m is
+    perm(U[input modes, output modes]) / sqrt(prod m_j!) (Aaronson and
+    Arkhipov 2011).  The program photon (|H> + e^{i phi}|V>)/sqrt(2)
+    enters linearly: each column is (A_H + e^{i phi} A_V)/sqrt(2) over
+    the outputs the herald accepts.  As in `run_heralded`, amplitudes
+    below PRUNE_THRESHOLD are dropped and the herald probability is the
+    branch's squared norm.  The sequential Fock engine (`prepare_input`,
+    `run_heralded`, `heralded_output_amplitudes`) computes the same map
+    independently and is the reference for this one.
     """
+    unitary = circuit_matrix(netlist)
+    modes = netlist.modes
+    enc = netlist.encoding
+    pos = {m: i for i, m in enumerate(modes)}
+    outputs = _heralded_outputs(netlist.herald_pattern(), len(modes))
+    inputs = np.array(
+        [
+            [pos[Mode(enc.target, t)], pos[Mode(enc.control, c)], pos[Mode(enc.program, p)]]
+            for t in (H, V)
+            for c in (H, V)
+            for p in (H, V)
+        ]
+    )
+    sub = unitary[inputs[:, None, :, None], outputs[None, :, None, :]]
+    i, j, k = outputs.T
+    occupancy_factorials = np.where(i == k, 6.0, np.where((i == j) | (j == k), 2.0, 1.0))
+    # rows: basis input 2 t + c; middle axis: program photon H, V
+    amps = (permanent3(sub) / np.sqrt(occupancy_factorials)).reshape(4, 2, len(outputs))
+    w_h = 1 / math.sqrt(2)
+    w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
+    columns = (w_h * amps[:, 0] + w_v * amps[:, 1]).tolist()
+
+    occupations = np.zeros((len(outputs), len(modes)), dtype=int)
+    np.add.at(occupations, (np.arange(len(outputs))[:, None], outputs), 1)
+    vecs = [tuple(row) for row in occupations.tolist()]
     op = np.zeros((4, 4), dtype=complex)
     probs: dict[str, float] = {}
     for col, label in enumerate(BASIS_LABELS):
-        target = _BASIS_AMPLITUDES[label[0]]
-        control = _BASIS_AMPLITUDES[label[1]]
-        state = prepare_input(netlist, target, control, ProgramState(phi))
-        branch, prob = run_heralded(netlist, state)
-        probs[label] = prob
+        branch = PureState(modes, dict(zip(vecs, columns[col])), subnormalized=True)
+        probs[label] = norm_squared(branch)
         op[:, col] = heralded_output_amplitudes(netlist, branch)
     fidelity = process_fidelity(op, ideal_cphase(phi))
     return GateResult(op, probs, phi, fidelity)
+
+
+def _heralded_outputs(pattern: HeraldPattern, n_modes: int) -> np.ndarray:
+    """Mode-index triples i <= j <= k of the three-photon outputs `pattern` accepts."""
+    grid = np.indices((n_modes,) * 3).reshape(3, -1).T
+    triples = grid[(grid[:, 0] <= grid[:, 1]) & (grid[:, 1] <= grid[:, 2])]
+    keep = np.ones(len(triples), dtype=bool)
+    for cond in pattern.conditions:
+        weight = np.bincount(np.asarray(cond.mode_indices, dtype=int), minlength=n_modes)
+        keep &= weight[triples].sum(axis=1) == cond.count
+    return triples[keep]
 
 
 def ideal_cphase(phi: float) -> np.ndarray:

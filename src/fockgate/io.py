@@ -37,11 +37,19 @@ SIG_DIGITS = 12
 
 
 def format_number(value: float) -> str:
-    """Fixed 12-significant-digit rendering used in every table."""
-    if value == int(value) and abs(value) < 1e15:
-        # keep integers clean but unambiguous
-        return f"{value:.1f}" if isinstance(value, float) else str(value)
-    return f"{value:.{SIG_DIGITS}g}"
+    """Fixed 12-significant-digit rendering used in every table.
+
+    A float whose 12-digit form reads as an integer gets a ".0" suffix,
+    so 1.0 and 0.9999999999999998 both render as "1.0".
+    """
+    if not isinstance(value, float):
+        if value == int(value) and abs(value) < 1e15:
+            return str(value)
+        return f"{value:.{SIG_DIGITS}g}"
+    text = f"{value:.{SIG_DIGITS}g}"
+    if not any(ch in text for ch in ".en"):  # "inf" and "nan" contain "n"
+        text += ".0"
+    return text
 
 
 def format_complex(value: complex) -> str:

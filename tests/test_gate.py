@@ -210,7 +210,7 @@ def test_hwp1_completion_is_irrelevant(netlist):
             ) < 1e-10
 
 
-def test_h_filter_placement_on_control_path_is_forced(netlist):
+def test_h_filter_placement_on_control_path_is_forced(moved_f2_netlist):
     """Moving the H filter onto the program arm breaks herald uniformity.
 
     The control photon's V component pays the 1/sqrt3 splitter bar
@@ -218,18 +218,7 @@ def test_h_filter_placement_on_control_path_is_forced(netlist):
     control-side output can equalize them, which the uniform-1/48
     criterion requires.  This pins the filter placement choice.
     """
-    elements = []
-    for el in netlist.elements:
-        if el.name == "F2":
-            continue
-        elements.append(el)
-        if el.name == "PBS3":
-            # program arm now carries the H filter instead
-            elements.insert(
-                -1, spec("F2", "filter", ("P", "F2_LOSS"), t_h=1 / math.sqrt(3), t_v=1.0)
-            )
-    moved = Netlist(netlist.ports, tuple(elements), netlist.herald, netlist.encoding)
-    result = extract_gate(moved, 0.0)
+    result = extract_gate(moved_f2_netlist, 0.0)
     probs = list(result.herald_probability.values())
     assert max(probs) / min(probs) > 1.5  # far from uniform
 

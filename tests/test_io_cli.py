@@ -3,7 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from fockgate.cli import main, parse_qubit
+from fockgate.gate import NetlistError
 from fockgate.design import CouplerPhysics
 from fockgate.gate import default_netlist, extract_gate
 from fockgate.io import (
@@ -65,6 +68,9 @@ def test_format_number_12_significant_digits():
     assert format_number(1 / 48) == "0.0208333333333"
     assert format_number(70.72) == "70.72"
     assert format_number(1.0) == "1.0"
+    # equal at 12 digits, so rendered alike
+    assert format_number(0.9999999999999998) == "1.0"
+    assert format_number(-1.0000000000001) == "-1.0"
 
 
 def test_render_csv_lf_and_header():
@@ -114,6 +120,45 @@ def test_simulate_unreadable_netlist_exits_2(capsys):
 def test_simulate_bad_amplitudes_exit_2(capsys):
     code = main(["simulate", "--phi", "0", "--target", "nope", "--control", "1,0:0,0"])
     assert code == 2
+
+
+NON_FINITE_ARGS = [
+    ["truth-table", "--phi", "inf"],
+    ["truth-table", "--phi", "nan"],
+    ["simulate", "--phi", "nan", "--target=1,0:0,0", "--control=1,0:0,0"],
+    ["simulate", "--phi", "0", "--target=nan,0:0,0", "--control=1,0:0,0"],
+    ["simulate", "--phi", "0", "--target=1,0:0,0", "--control=1,0:0,inf"],
+    ["sweep", "--dimension", "width", "--phi", "nan"],
+    ["sweep", "--dimension", "width", "--step", "nan"],
+    ["sweep", "--dimension", "width", "--range=-inf:10"],
+    ["design", "--element", "pbs", "--range", "60:nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGS, ids=lambda a: " ".join(a))
+def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--physics", str(_physics_with_sensitivity(tmp_path))]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "finite" in err
+
+
+def test_element_arity_checked_on_load(tmp_path, capsys):
+    data = netlist_to_dict(default_netlist())
+    for el in data["elements"]:
+        if el["name"] == "PBS1":
+            el["ports"] = ["T"]
+    path = tmp_path / "one_port_pbs.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(NetlistError, match="PBS1"):
+        load_netlist(path)
+    code = main(["truth-table", "--phi", "0", "--netlist", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "needs 2 port(s), got 1" in err
 
 
 def test_invalid_netlist_contents_exit_3(tmp_path, capsys):

@@ -1,12 +1,31 @@
-"""Full-circuit equivalence of sequential simulation and the permanent oracle."""
+"""Full-circuit equivalence of sequential simulation and the permanent engines."""
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 
+from fockgate.design import DIMENSIONS, CouplerPhysics, synthesize_imperfect_elements
 from fockgate.fock import H, V, Mode, PureState
 from fockgate.elements import amplitude_via_permanent
-from fockgate.gate import circuit_matrix, default_netlist, run_elements
+from fockgate.gate import (
+    BASIS_LABELS,
+    ElementSpec,
+    HeraldTerm,
+    Netlist,
+    ProgramState,
+    circuit_matrix,
+    default_netlist,
+    extract_gate,
+    heralded_output_amplitudes,
+    ideal_cphase,
+    prepare_input,
+    process_fidelity,
+    run_elements,
+    run_heralded,
+    spec,
+)
 
 
 def all_occupations(n_modes, n_photons):
@@ -50,3 +69,98 @@ def test_circuit_matrix_is_unitary():
     unitary = circuit_matrix(default_netlist())
     dev = np.max(np.abs(unitary @ unitary.conj().T - np.eye(unitary.shape[0])))
     assert dev < 1e-12
+
+
+# -- extract_gate against the sequential Fock engine ----------------------------
+
+BASIS = {"0": (1.0, 0.0), "1": (0.0, 1.0)}
+GATE_PHIS = (0.0, 1.0, math.pi, 5.5)
+ENGINE_TOL = 1e-12
+
+
+def fock_engine_gate(netlist, phi):
+    """Operator and herald probabilities from four sequential Fock runs."""
+    op = np.zeros((4, 4), dtype=complex)
+    probs = {}
+    for col, label in enumerate(BASIS_LABELS):
+        state = prepare_input(
+            netlist, BASIS[label[0]], BASIS[label[1]], ProgramState(phi)
+        )
+        branch, prob = run_heralded(netlist, state)
+        probs[label] = prob
+        op[:, col] = heralded_output_amplitudes(netlist, branch)
+    return op, probs
+
+
+def _perturbed(dimension, delta):
+    netlist = default_netlist()
+    physics = CouplerPhysics().with_sensitivities(dimension, 0.004, -0.003)
+    return netlist.with_overrides(
+        synthesize_imperfect_elements(netlist, physics, dimension, delta)
+    )
+
+
+def _hwp1_override():
+    phase = complex(math.cos(0.3), math.sin(0.3))
+    alt = np.array(
+        [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]],
+        dtype=complex,
+    )
+    return default_netlist().with_overrides(
+        {"HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", alt),))}
+    )
+
+
+def _balanced_pbs3():
+    # cancellations leave amplitudes of ~1e-17 that both engines must prune
+    return default_netlist().with_overrides(
+        {"PBS3": spec("PBS3", "pbs", ("L", "P"), theta_h=math.pi / 4, theta_v=math.pi / 4)}
+    )
+
+
+def _with_herald(*terms):
+    netlist = default_netlist()
+    return Netlist(netlist.ports, netlist.elements, terms, netlist.encoding)
+
+
+ENGINE_CASES = {
+    "nominal": default_netlist,
+    "hwp1_matrix": _hwp1_override,
+    "pbs3_balanced": _balanced_pbs3,
+    # the third photon may land anywhere, so outputs with two photons in
+    # one mode herald too
+    "herald_two_at_t_c": lambda: _with_herald(HeraldTerm(("T", "C"), (H, V), 2)),
+    "herald_three_at_t_c_p": lambda: _with_herald(HeraldTerm(("T", "C", "P"), (H, V), 3)),
+}
+for _dim in DIMENSIONS:
+    for _delta in (-10.0, -3.0, 3.0, 10.0):
+        ENGINE_CASES[f"{_dim}{_delta:+g}nm"] = (
+            lambda d=_dim, x=_delta: _perturbed(d, x)
+        )
+
+
+def _assert_engines_agree(netlist, phi):
+    want_op, want_probs = fock_engine_gate(netlist, phi)
+    if not want_op.any():
+        # everything cancels, so no fidelity exists; both engines must say so
+        with pytest.raises(ValueError, match="zero operator"):
+            extract_gate(netlist, phi)
+        return
+    got = extract_gate(netlist, phi)
+    assert np.max(np.abs(got.operator - want_op)) <= ENGINE_TOL
+    assert np.array_equal(got.operator == 0, want_op == 0)
+    for label in BASIS_LABELS:
+        assert abs(got.herald_probability[label] - want_probs[label]) <= ENGINE_TOL
+    want_fid = process_fidelity(want_op, ideal_cphase(phi))
+    assert abs(got.fidelity - want_fid) <= ENGINE_TOL
+
+
+@pytest.mark.parametrize("phi", GATE_PHIS)
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_extract_gate_matches_fock_engine(case, phi):
+    _assert_engines_agree(ENGINE_CASES[case](), phi)
+
+
+@pytest.mark.parametrize("phi", GATE_PHIS)
+def test_extract_gate_matches_fock_engine_moved_f2(moved_f2_netlist, phi):
+    _assert_engines_agree(moved_f2_netlist, phi)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,13 @@ from fockgate.fock import (
     project_herald,
     tensor,
 )
-from fockgate.elements import apply_element, beam_splitter, wave_plate
+from fockgate.elements import (
+    apply_element,
+    beam_splitter,
+    permanent,
+    permanent3,
+    wave_plate,
+)
 
 MODES = modes_for_ports(["a", "b"])
 
@@ -82,3 +89,21 @@ def test_tensor_norm_multiplicative(a, b):
     assert abs(
         norm_squared(joint) - norm_squared(sa) * norm_squared(sb)
     ) < 1e-12
+
+
+complex_entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+matrix3 = st.lists(complex_entry, min_size=9, max_size=9).map(
+    lambda xs: np.array(xs, dtype=complex).reshape(3, 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=st.lists(matrix3, min_size=1, max_size=4))
+def test_batched_permanent3_matches_permutation_sum(stack):
+    batch = np.stack(stack)
+    got = permanent3(batch)
+    assert got.shape == (len(stack),)
+    for value, m in zip(got, stack):
+        # rounding scale: the permanent of |m| bounds every partial sum
+        scale = permanent(np.abs(m)).real
+        assert abs(value - permanent(m)) <= 1e-12 * scale
