@@ -190,12 +190,23 @@ DESIGN_PRESETS = {
 NOMINAL_LENGTHS = {"pbs": 70.72, "ppbs": 35.90, "f1": 12.00, "f2": 83.20}
 
 
+def _design_range(args: argparse.Namespace, default: tuple[float, float]) -> tuple[float, float]:
+    if not args.range:
+        return default
+    lo, hi = parse_range(args.range)
+    if not 0 <= lo < hi:
+        raise ConfigError(f"--range needs 0 <= LO < HI, got {args.range!r}")
+    return lo, hi
+
+
 def cmd_design(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     physics = _load_physics(args.physics)
     nominal = NOMINAL_LENGTHS[args.element]
     rows = []
     if args.element == "f2":
-        length_range = parse_range(args.range) if args.range else (80.0, 90.0)
+        length_range = _design_range(args, (80.0, 90.0))
         candidates = enumerate_v_perfect_lengths(physics, length_range)
         print(f"V-preserving filter lengths in [{length_range[0]}, {length_range[1]}] um "
               f"(bar_H target 1/3):")
@@ -212,7 +223,7 @@ def cmd_design(args: argparse.Namespace) -> int:
             )
     else:
         t_h, t_v, w_h, w_v, default_range = DESIGN_PRESETS[args.element]
-        length_range = parse_range(args.range) if args.range else default_range
+        length_range = _design_range(args, default_range)
         solutions = solve_coupler_length(
             physics,
             targets=(t_h, t_v),
@@ -255,6 +266,11 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.step <= 0:
+        raise ConfigError(f"--step must be positive, got {format_number(args.step)}")
+    delta_range = parse_range(args.range) if args.range else (-10.0, 10.0)
+    if delta_range[0] > delta_range[1]:
+        raise ConfigError(f"--range needs LO <= HI, got {args.range!r}")
     netlist = _load_netlist(args.netlist)
     physics = _load_physics(args.physics)
     if not physics.configured(args.dimension):
@@ -265,7 +281,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    delta_range = parse_range(args.range) if args.range else (-10.0, 10.0)
     rows = tolerance_sweep(
         netlist, physics, args.dimension, delta_range, args.step, phi=args.phi
     )

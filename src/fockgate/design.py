@@ -204,6 +204,8 @@ def solve_coupler_length(
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
+    if count < 1:
+        raise ValueError(f"solution count must be at least 1, got {count}")
     for t in targets:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"bar-power target {t} outside [0, 1]")

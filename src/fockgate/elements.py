@@ -350,22 +350,32 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex(total)
 
 
-def permanent3(matrices: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of 3x3 matrices, shape (..., 3, 3) -> (...).
+def permanents(matrices: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of n x n matrices, shape (..., n, n) -> (...).
 
-    Closed-form expansion along the first row, evaluated with array
-    arithmetic over the whole stack; it shares no code with `permanent`,
-    which stays the permutation-sum reference.
+    Expansion by minors, from the last row up and shared across column
+    subsets: after row k, `minors[..., s]` holds the permanent of rows
+    k..n-1 on the columns of subset s, the sum over j in s of A[k, j]
+    times the minor of s without j.  That is O(n 2^n) products per
+    matrix, evaluated with array arithmetic over the whole stack; n = 0
+    gives 1.  Every partial sum is a sum of products of entries, so the
+    rounding error stays relative to perm(|A|), which the signed sums of
+    Glynn's and Ryser's formulas do not guarantee.  It shares no code with
+    `permanent`, which stays the permutation-sum reference.
     """
     a = np.asarray(matrices)
-    if a.shape[-2:] != (3, 3):
-        raise ValueError(f"permanent3 requires (..., 3, 3) matrices, got {a.shape}")
-    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    return (
-        r0[..., 0] * (r1[..., 1] * r2[..., 2] + r1[..., 2] * r2[..., 1])
-        + r0[..., 1] * (r1[..., 0] * r2[..., 2] + r1[..., 2] * r2[..., 0])
-        + r0[..., 2] * (r1[..., 0] * r2[..., 1] + r1[..., 1] * r2[..., 0])
-    )
+    n = a.shape[-1] if a.ndim >= 2 else -1
+    if n < 0 or a.shape[-2] != n:
+        raise ValueError(f"permanents requires (..., n, n) matrices, got {a.shape}")
+    minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
+    position = {(): 0}
+    for k in reversed(range(n)):
+        subsets = list(itertools.combinations(range(n), n - k))
+        smaller = [[position[s[:i] + s[i + 1 :]] for i in range(n - k)] for s in subsets]
+        row = a[..., k, :][..., np.array(subsets)]
+        minors = (row * minors[..., np.array(smaller)]).sum(axis=-1)
+        position = {s: i for i, s in enumerate(subsets)}
+    return minors[..., 0]
 
 
 def amplitude_via_permanent(
@@ -392,42 +402,30 @@ def amplitude_via_permanent(
     return permanent(sub) / norm
 
 
-def embed(element: ElementMatrix, modes: Sequence[Mode]) -> np.ndarray:
-    """Embed an element into the full mode set (identity on untouched modes).
-
-    Requires the element to be square (unitary); filters already are, by
-    construction, so any circuit element embeds exactly.
-    """
-    return _embed(element, {m: i for i, m in enumerate(modes)}, len(modes))
-
-
-def _embed(element: ElementMatrix, pos: dict[Mode, int], n: int) -> np.ndarray:
-    if not element.square:
-        raise ValueError("only square (unitary) elements can be embedded")
-    for m in element.ports_in + element.ports_out:
-        if m not in pos:
-            raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
-    full = np.eye(n, dtype=complex)
-    in_idx = [pos[m] for m in element.ports_in]
-    out_idx = [pos[m] for m in element.ports_out]
-    full[in_idx, :] = 0.0
-    full[np.ix_(in_idx, out_idx)] = element.matrix
-    return full
-
-
 def compose_circuit_matrix(
     elements: Sequence[ElementMatrix], modes: Sequence[Mode]
 ) -> np.ndarray:
-    """Product of embedded element matrices over the full mode set.
+    """Product of the elements, each acting on its own modes of the full set.
 
     Elements are given in application order; in transfer orientation the
-    composite is M1 @ M2 @ ... @ Mk.  The result is unitary within 1e-12.
+    composite is M1 @ M2 @ ... @ Mk, with each Mi the identity outside its
+    element's modes.  An element maps its modes onto themselves, so each
+    step rewrites only the columns of those modes.  Elements must be
+    square (unitary; filters already are, by construction) and act on
+    modes of `modes`.  The result is unitary within 1e-12.
     """
     n = len(modes)
     pos = {m: i for i, m in enumerate(modes)}
     full = np.eye(n, dtype=complex)
     for el in elements:
-        full = full @ _embed(el, pos, n)
+        if not el.square:
+            raise ValueError("only square (unitary) elements can be composed")
+        for m in el.ports_in + el.ports_out:
+            if m not in pos:
+                raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
+        in_idx = [pos[m] for m in el.ports_in]
+        out_idx = [pos[m] for m in el.ports_out]
+        full[:, out_idx] = full[:, in_idx] @ el.matrix
     dev = np.max(np.abs(full @ full.conj().T - np.eye(n)))
     if dev > 1e-12:
         raise ValueError(f"composed circuit matrix is not unitary: {dev:.3g}")

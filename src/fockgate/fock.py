@@ -7,6 +7,7 @@ circuit.  Everything here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -204,8 +205,11 @@ def qubit_state(
 ) -> PureState:
     """Single polarization-encoded photon alpha|H> + beta|V> on `port`.
 
-    Amplitudes must be normalized: |alpha|^2 + |beta|^2 = 1 within `tol`.
+    Amplitudes must be finite and normalized: |alpha|^2 + |beta|^2 = 1
+    within `tol`.
     """
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"qubit amplitudes must be finite, got ({alpha}, {beta})")
     dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
     if dev > tol:
         raise ValueError(

@@ -15,11 +15,18 @@ PBS3 side arm in the rotated (+-45 degree) basis.
 A successful run heralds on one photon at T_OUT, one at C_OUT and one
 detector click; each computational-basis input then heralds with
 probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
+
+`extract_gate` and `run_heralded` read heralded amplitudes from
+permanents of the composed circuit matrix (`heralded_transfer`).  The
+sequential Fock engine, `run_elements` followed by `project_herald`,
+computes the same branches element by element; it is the reference the
+tests and the acceptance checks hold the permanent engine to.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
@@ -29,6 +36,7 @@ import numpy as np
 from .fock import (
     H,
     V,
+    FockVector,
     HeraldPattern,
     Mode,
     Polarization,
@@ -36,7 +44,6 @@ from .fock import (
     modes_for_ports,
     norm_squared,
     program_state,
-    project_herald,
     qubit_state,
     tensor,
 )
@@ -48,7 +55,7 @@ from .elements import (
     beam_splitter,
     compose_circuit_matrix,
     partially_polarizing_beam_splitter,
-    permanent3,
+    permanents,
     perturbed_pbs,
     phase_shift,
     polarizing_beam_splitter,
@@ -196,10 +203,22 @@ class Netlist:
     # -- realization -------------------------------------------------------
 
     def build_matrices(self) -> list[ElementMatrix]:
-        """Element matrices in application order (detector basis rotation included)."""
+        """Element matrices in application order (detector basis rotation included).
+
+        An element whose parameters cannot be realized (missing, of the
+        wrong type or out of range) raises NetlistError naming it.
+        """
         out = []
         for el in self.elements:
-            m = build_element(el)
+            try:
+                m = build_element(el)
+            except KeyError as exc:
+                raise NetlistError(
+                    f"element {el.name!r} of kind {el.kind!r} lacks parameter "
+                    f"{exc.args[0]!r}"
+                ) from exc
+            except (ValueError, TypeError) as exc:
+                raise NetlistError(f"element {el.name!r}: {exc}") from exc
             if m is not None:
                 out.append(m)
         return out
@@ -389,12 +408,78 @@ def run_elements(netlist: Netlist, state: PureState) -> PureState:
 
 
 def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
-    """Apply all elements in order, then project onto the herald pattern.
+    """Heralded branch of `state` sent through the netlist, from permanents.
 
-    Returns the sub-normalized heralded branch and the herald probability.
+    The state is first laid out on `netlist.modes` (vacuum elsewhere), the
+    order the herald pattern refers to.  Its terms are grouped by photon
+    number; each group's amplitudes are contracted with the heralded
+    transfer of the circuit matrix (see `heralded_transfer`), so any
+    number of photons, vacuum and mixed-number superpositions all work.
+    Amplitudes below PRUNE_THRESHOLD are dropped.  Returns the
+    sub-normalized heralded branch and the herald probability, its
+    squared norm.  `run_elements` followed by `project_herald` computes
+    the same branch independently and is the reference for this one.
     """
-    out = run_elements(netlist, state)
-    return project_herald(out, netlist.herald_pattern())
+    modes = netlist.modes
+    state = extend_state(state, modes)
+    unitary = circuit_matrix(netlist)
+    pattern = netlist.herald_pattern()
+    groups: dict[int, list[tuple[FockVector, complex]]] = {}
+    for vec, amp in state.items():
+        groups.setdefault(sum(vec), []).append((vec, amp))
+    terms: dict[FockVector, complex] = {}
+    for group in groups.values():
+        vecs, amps = zip(*group)
+        outputs, transfer = heralded_transfer(unitary, pattern, np.array(vecs))
+        branch_amps = np.array(amps) @ transfer
+        terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
+    branch = PureState(modes, terms, subnormalized=True)
+    return branch, norm_squared(branch)
+
+
+def heralded_transfer(
+    unitary: np.ndarray, pattern: HeraldPattern, inputs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes from n-photon input occupations into the outputs `pattern` accepts.
+
+    `inputs` has one row of occupation numbers per input, over the modes
+    of `unitary`, and every row holds the same number n of photons.
+    Returns the accepted n-photon output occupations, one row each, and
+    the (inputs x outputs) amplitude matrix.  The amplitude from n to m is
+    perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
+    sqrt(prod n_i! prod m_j!) (Aaronson and Arkhipov 2011).
+    """
+    inputs = np.asarray(inputs, dtype=int)
+    n_modes = unitary.shape[0]
+    n = int(inputs[0].sum())
+    if np.any(inputs.sum(axis=1) != n):
+        raise ValueError("heralded transfer inputs must hold the same photon number")
+    cols = _sorted_mode_tuples(n_modes, n)
+    keep = np.ones(len(cols), dtype=bool)
+    for cond in pattern.conditions:
+        weight = np.bincount(np.asarray(cond.mode_indices, dtype=int), minlength=n_modes)
+        keep &= weight[cols].sum(axis=1) == cond.count
+    cols = cols[keep]
+    outputs = (cols[:, :, None] == np.arange(n_modes)).sum(axis=1)
+    rows = np.repeat(np.tile(np.arange(n_modes), len(inputs)), inputs.ravel())
+    rows = rows.reshape(len(inputs), n)
+    sub = unitary[rows[:, None, :, None], cols[None, :, None, :]]
+    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    norm = np.sqrt(
+        factorial[inputs].prod(axis=1)[:, None] * factorial[outputs].prod(axis=1)[None, :]
+    )
+    return outputs, permanents(sub) / norm
+
+
+def _sorted_mode_tuples(n_modes: int, n: int) -> np.ndarray:
+    """All mode-index n-tuples i_1 <= ... <= i_n, in lexicographic order."""
+    tuples = np.zeros((1, 0), dtype=int)
+    modes = np.arange(n_modes)
+    for _ in range(n):
+        last = tuples[:, -1] if tuples.shape[1] else np.zeros(1, dtype=int)
+        src, new = np.nonzero(modes >= last[:, None])
+        tuples = np.column_stack([tuples[src], new])
+    return tuples
 
 
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -474,41 +559,32 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
 
     A basis input puts one photon on each of the target, control and
-    program ports, so its amplitude into a three-photon output m is
-    perm(U[input modes, output modes]) / sqrt(prod m_j!) (Aaronson and
-    Arkhipov 2011).  The program photon (|H> + e^{i phi}|V>)/sqrt(2)
-    enters linearly: each column is (A_H + e^{i phi} A_V)/sqrt(2) over
-    the outputs the herald accepts.  As in `run_heralded`, amplitudes
-    below PRUNE_THRESHOLD are dropped and the herald probability is the
-    branch's squared norm.  The sequential Fock engine (`prepare_input`,
-    `run_heralded`, `heralded_output_amplitudes`) computes the same map
+    program ports; `heralded_transfer` gives its amplitudes into the
+    three-photon outputs the herald accepts.  The program photon
+    (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each column is
+    (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves every
+    phase.  As in `run_heralded`, amplitudes below PRUNE_THRESHOLD are
+    dropped and the herald probability is the branch's squared norm.  The
+    sequential Fock engine (`prepare_input`, `run_elements`,
+    `project_herald`, `heralded_output_amplitudes`) computes the same map
     independently and is the reference for this one.
     """
     unitary = circuit_matrix(netlist)
     modes = netlist.modes
     enc = netlist.encoding
     pos = {m: i for i, m in enumerate(modes)}
-    outputs = _heralded_outputs(netlist.herald_pattern(), len(modes))
-    inputs = np.array(
-        [
-            [pos[Mode(enc.target, t)], pos[Mode(enc.control, c)], pos[Mode(enc.program, p)]]
-            for t in (H, V)
-            for c in (H, V)
-            for p in (H, V)
-        ]
-    )
-    sub = unitary[inputs[:, None, :, None], outputs[None, :, None, :]]
-    i, j, k = outputs.T
-    occupancy_factorials = np.where(i == k, 6.0, np.where((i == j) | (j == k), 2.0, 1.0))
-    # rows: basis input 2 t + c; middle axis: program photon H, V
-    amps = (permanent3(sub) / np.sqrt(occupancy_factorials)).reshape(4, 2, len(outputs))
+    # rows: basis input 4 t + 2 c + program polarization
+    inputs = np.zeros((8, len(modes)), dtype=int)
+    for row, (t, c, p) in enumerate(itertools.product((H, V), repeat=3)):
+        for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
+            inputs[row, pos[Mode(port, pol)]] = 1
+    outputs, amps = heralded_transfer(unitary, netlist.herald_pattern(), inputs)
+    amps = amps.reshape(4, 2, len(outputs))
     w_h = 1 / math.sqrt(2)
     w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
     columns = (w_h * amps[:, 0] + w_v * amps[:, 1]).tolist()
 
-    occupations = np.zeros((len(outputs), len(modes)), dtype=int)
-    np.add.at(occupations, (np.arange(len(outputs))[:, None], outputs), 1)
-    vecs = [tuple(row) for row in occupations.tolist()]
+    vecs = [tuple(row) for row in outputs.tolist()]
     op = np.zeros((4, 4), dtype=complex)
     probs: dict[str, float] = {}
     for col, label in enumerate(BASIS_LABELS):
@@ -517,17 +593,6 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
         op[:, col] = heralded_output_amplitudes(netlist, branch)
     fidelity = process_fidelity(op, ideal_cphase(phi))
     return GateResult(op, probs, phi, fidelity)
-
-
-def _heralded_outputs(pattern: HeraldPattern, n_modes: int) -> np.ndarray:
-    """Mode-index triples i <= j <= k of the three-photon outputs `pattern` accepts."""
-    grid = np.indices((n_modes,) * 3).reshape(3, -1).T
-    triples = grid[(grid[:, 0] <= grid[:, 1]) & (grid[:, 1] <= grid[:, 2])]
-    keep = np.ones(len(triples), dtype=bool)
-    for cond in pattern.conditions:
-        weight = np.bincount(np.asarray(cond.mode_indices, dtype=int), minlength=n_modes)
-        keep &= weight[triples].sum(axis=1) == cond.count
-    return triples[keep]
 
 
 def ideal_cphase(phi: float) -> np.ndarray:
@@ -548,5 +613,13 @@ def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def circuit_matrix(netlist: Netlist) -> np.ndarray:
-    """Full single-photon mode matrix of the netlist (for the permanent oracle)."""
-    return compose_circuit_matrix(netlist.build_matrices(), netlist.modes)
+    """Full single-photon mode matrix of the netlist, in transfer orientation.
+
+    Raises NetlistError when an element cannot be realized or the
+    elements do not compose to a unitary within 1e-12.
+    """
+    matrices = netlist.build_matrices()
+    try:
+        return compose_circuit_matrix(matrices, netlist.modes)
+    except (ValueError, KeyError) as exc:
+        raise NetlistError(exc.args[0]) from exc

@@ -31,6 +31,7 @@ from .gate import (
     NetlistError,
     PortDecl,
     QubitEncoding,
+    circuit_matrix,
 )
 
 SIG_DIGITS = 12
@@ -147,12 +148,19 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
 
 
 def load_netlist(path: str | Path) -> Netlist:
+    """Read a netlist JSON and check that its circuit can be realized.
+
+    Composing the circuit matrix once makes a bad element parameter or a
+    non-unitary circuit fail here, with NetlistError, before any work.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetlistError(f"netlist file {path} is not valid JSON: {exc}") from exc
-    return netlist_from_dict(data)
+    netlist = netlist_from_dict(data)
+    circuit_matrix(netlist)
+    return netlist
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:

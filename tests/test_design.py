@@ -91,6 +91,12 @@ def test_solver_rejects_empty_range():
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (10.0, 10.0))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_solver_rejects_count_below_one(count):
+    with pytest.raises(ValueError, match="count"):
+        solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (60.0, 80.0), count=count)
+
+
 def test_solver_local_minimum_certificate():
     # every returned solution beats all grid points within one step of it
     step = 0.01

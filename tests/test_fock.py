@@ -141,6 +141,21 @@ def test_qubit_state_rejects_unnormalized():
         qubit_state(modes, "q", 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(math.nan, 0.0), (1.0, complex(0.0, math.inf)), (math.inf, math.nan)]
+)
+def test_qubit_state_rejects_non_finite(alpha, beta):
+    # NaN fails every comparison, so the normalization test alone lets it through
+    modes = modes_for_ports(["q"])
+    with pytest.raises(ValueError, match="finite"):
+        qubit_state(modes, "q", alpha, beta)
+
+
+def test_program_state_rejects_non_finite_phase():
+    with pytest.raises(ValueError, match="finite"):
+        program_state(modes_for_ports(["p"]), "p", math.nan)
+
+
 def test_program_state_form():
     modes = modes_for_ports(["p"])
     phi = 0.7

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fockgate
 from fockgate.cli import main, parse_qubit
 from fockgate.gate import NetlistError
 from fockgate.design import CouplerPhysics
@@ -144,6 +147,89 @@ def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "finite" in err
+
+
+BAD_RANGE_ARGS = [
+    ["sweep", "--dimension", "width", "--step", "0"],
+    ["sweep", "--dimension", "width", "--step", "-1"],
+    ["sweep", "--dimension", "width", "--range=5:-5"],
+    ["design", "--element", "pbs", "--range", "80:60"],
+    ["design", "--element", "pbs", "--range=-5:60"],
+    ["design", "--element", "f2", "--range", "90:80"],
+    ["design", "--element", "pbs", "--count", "0"],
+    ["design", "--element", "pbs", "--count=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_RANGE_ARGS, ids=lambda a: " ".join(a))
+def test_bad_ranges_and_counts_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--physics", str(_physics_with_sensitivity(tmp_path))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def _netlist_json(tmp_path, edit):
+    data = netlist_to_dict(default_netlist())
+    for el in data["elements"]:
+        edit(el)
+    path = tmp_path / "netlist.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _drop_f1_t_h(el):
+    if el["name"] == "F1":
+        del el["params"]["t_h"]
+
+
+def _f1_t_h_above_one(el):
+    if el["name"] == "F1":
+        el["params"]["t_h"] = 1.5
+
+
+def _f1_t_h_string(el):
+    if el["name"] == "F1":
+        el["params"]["t_h"] = "half"
+
+
+def _near_unitary_hadamards(el):
+    # each plate passes the per-element 1e-12 check on its own, but
+    # perturbed circuits built from both are not unitary within 1e-12
+    if el["name"] in ("HWP2", "HWP3"):
+        a = (1 + 4.9e-13) / math.sqrt(2)
+        del el["params"]["preset"]
+        el["params"]["matrix"] = [[[a, 0.0], [a, 0.0]], [[a, 0.0], [-a, 0.0]]]
+
+
+UNREALIZABLE_NETLISTS = {
+    "missing_t_h": (_drop_f1_t_h, ["truth-table", "--phi", "0"], "'F1'"),
+    "t_h_above_one": (_f1_t_h_above_one, ["truth-table", "--phi", "0"], "'F1'"),
+    "t_h_string": (_f1_t_h_string, ["truth-table", "--phi", "0"], "'F1'"),
+    "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, argv, message",
+    UNREALIZABLE_NETLISTS.values(),
+    ids=UNREALIZABLE_NETLISTS.keys(),
+)
+def test_unrealizable_netlist_exits_3(edit, argv, message, tmp_path, capsys):
+    path = _netlist_json(tmp_path, edit)
+    code = main(argv + ["--netlist", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validation error:")
+    assert message in err
+
+
+def test_unrealizable_netlist_fails_on_load(tmp_path):
+    with pytest.raises(NetlistError, match="F1.*t_h"):
+        load_netlist(_netlist_json(tmp_path, _drop_f1_t_h))
 
 
 def test_element_arity_checked_on_load(tmp_path, capsys):
@@ -292,10 +378,14 @@ def test_check_fails_on_detuned_netlist(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same fockgate as this process, installed or not
+    src = str(Path(fockgate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fockgate.cli", "truth-table", "--phi", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "fidelity" in proc.stdout

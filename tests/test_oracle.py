@@ -1,13 +1,25 @@
 """Full-circuit equivalence of sequential simulation and the permanent engines."""
 
+import cmath
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fockgate.design import DIMENSIONS, CouplerPhysics, synthesize_imperfect_elements
-from fockgate.fock import H, V, Mode, PureState
+from fockgate.fock import (
+    H,
+    V,
+    Mode,
+    PureState,
+    modes_for_ports,
+    program_state,
+    project_herald,
+    qubit_state,
+    tensor,
+)
 from fockgate.elements import amplitude_via_permanent
 from fockgate.gate import (
     BASIS_LABELS,
@@ -78,6 +90,11 @@ GATE_PHIS = (0.0, 1.0, math.pi, 5.5)
 ENGINE_TOL = 1e-12
 
 
+def fock_engine_heralded(netlist, state):
+    """Heralded branch and probability from the sequential Fock engine."""
+    return project_herald(run_elements(netlist, state), netlist.herald_pattern())
+
+
 def fock_engine_gate(netlist, phi):
     """Operator and herald probabilities from four sequential Fock runs."""
     op = np.zeros((4, 4), dtype=complex)
@@ -86,7 +103,7 @@ def fock_engine_gate(netlist, phi):
         state = prepare_input(
             netlist, BASIS[label[0]], BASIS[label[1]], ProgramState(phi)
         )
-        branch, prob = run_heralded(netlist, state)
+        branch, prob = fock_engine_heralded(netlist, state)
         probs[label] = prob
         op[:, col] = heralded_output_amplitudes(netlist, branch)
     return op, probs
@@ -164,3 +181,99 @@ def test_extract_gate_matches_fock_engine(case, phi):
 @pytest.mark.parametrize("phi", GATE_PHIS)
 def test_extract_gate_matches_fock_engine_moved_f2(moved_f2_netlist, phi):
     _assert_engines_agree(moved_f2_netlist, phi)
+
+
+# -- run_heralded against the sequential Fock engine ----------------------------
+
+
+def _assert_branches_agree(netlist, state):
+    want, want_prob = fock_engine_heralded(netlist, state)
+    got, got_prob = run_heralded(netlist, state)
+    assert got.modes == want.modes == netlist.modes
+    want_terms, got_terms = dict(want.items()), dict(got.items())
+    assert got_terms.keys() == want_terms.keys()
+    for vec, amp in want_terms.items():
+        assert abs(got_terms[vec] - amp) <= ENGINE_TOL
+    assert abs(got_prob - want_prob) <= ENGINE_TOL
+
+
+def _random_qubit(rng):
+    alpha = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    beta = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    norm = math.hypot(abs(alpha), abs(beta))
+    return alpha / norm, beta / norm
+
+
+def _check_random_inputs(netlist, phi, seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        state = prepare_input(
+            netlist, _random_qubit(rng), _random_qubit(rng), ProgramState(phi)
+        )
+        _assert_branches_agree(netlist, state)
+
+
+@pytest.mark.parametrize("phi", GATE_PHIS)
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_run_heralded_matches_fock_engine(case, phi):
+    _check_random_inputs(ENGINE_CASES[case](), phi, f"{case}-{phi}")
+
+
+@pytest.mark.parametrize("phi", GATE_PHIS)
+def test_run_heralded_matches_fock_engine_moved_f2(moved_f2_netlist, phi):
+    _check_random_inputs(moved_f2_netlist, phi, f"moved_f2-{phi}")
+
+
+def _fock_state(netlist, *occupied):
+    modes = list(netlist.modes)
+    vec = [0] * len(modes)
+    for port, pol in occupied:
+        vec[modes.index(Mode(port, pol))] += 1
+    return tuple(vec)
+
+
+def _four_photon_terms(netlist):
+    return {
+        _fock_state(netlist, ("T", H), ("C", V), ("P", H), ("P", V)): 0.6,
+        _fock_state(netlist, ("T", V), ("T", V), ("C", H), ("P", H)): 0.8j,
+    }
+
+
+def test_run_heralded_matches_fock_engine_four_photons():
+    netlist = default_netlist()
+    state = PureState(netlist.modes, _four_photon_terms(netlist))
+    _assert_branches_agree(netlist, state)
+    assert run_heralded(netlist, state)[1] > 0
+
+
+def test_run_heralded_matches_fock_engine_vacuum():
+    netlist = default_netlist()
+    state = PureState.vacuum(netlist.modes)
+    _assert_branches_agree(netlist, state)
+    assert run_heralded(netlist, state)[1] == 0
+
+
+def test_run_heralded_matches_fock_engine_mixed_photon_numbers():
+    netlist = default_netlist()
+    terms = {k: v / math.sqrt(2) for k, v in _four_photon_terms(netlist).items()}
+    three = _fock_state(netlist, ("T", V), ("C", V), ("P", V))
+    terms[three] = cmath.exp(0.4j) / math.sqrt(2)
+    state = PureState(netlist.modes, terms)
+    _assert_branches_agree(netlist, state)
+    branch, _ = run_heralded(netlist, state)
+    assert {sum(vec) for vec, _ in branch.items()} == {3, 4}
+
+
+def test_run_heralded_lays_state_out_on_netlist_modes():
+    # tensor() orders modes T, C, P, not the netlist's T, L, C, P, ...
+    netlist = default_netlist()
+    state = tensor(
+        tensor(
+            qubit_state(modes_for_ports(["T"]), "T", 1, 0),
+            qubit_state(modes_for_ports(["C"]), "C", 0, 1),
+        ),
+        program_state(modes_for_ports(["P"]), "P", 0.3),
+    )
+    branch, prob = run_heralded(netlist, state)
+    assert abs(prob - 1 / 48) < 1e-12
+    assert branch.modes == netlist.modes

@@ -21,7 +21,7 @@ from fockgate.elements import (
     apply_element,
     beam_splitter,
     permanent,
-    permanent3,
+    permanents,
     wave_plate,
 )
 
@@ -92,16 +92,20 @@ def test_tensor_norm_multiplicative(a, b):
 
 
 complex_entry = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-matrix3 = st.lists(complex_entry, min_size=9, max_size=9).map(
-    lambda xs: np.array(xs, dtype=complex).reshape(3, 3)
-)
+
+
+def square_stacks(n):
+    matrix = st.lists(complex_entry, min_size=n * n, max_size=n * n).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(n, n)
+    )
+    return st.lists(matrix, min_size=1, max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(stack=st.lists(matrix3, min_size=1, max_size=4))
-def test_batched_permanent3_matches_permutation_sum(stack):
+@given(stack=st.integers(0, 4).flatmap(square_stacks))
+def test_batched_permanents_match_permutation_sum(stack):
     batch = np.stack(stack)
-    got = permanent3(batch)
+    got = permanents(batch)
     assert got.shape == (len(stack),)
     for value, m in zip(got, stack):
         # rounding scale: the permanent of |m| bounds every partial sum
