@@ -29,6 +29,7 @@ from .elements import (
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
+    coupler,
     partially_polarizing_beam_splitter,
     permanent,
     phase_shift,
@@ -62,7 +63,6 @@ from .design import (
     bar_power,
     cross_power,
     enumerate_v_perfect_lengths,
-    notch_conversion,
     solve_coupler_length,
     synthesize_imperfect_elements,
     tolerance_sweep,

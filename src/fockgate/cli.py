@@ -207,7 +207,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     rows = []
     if args.element == "f2":
         length_range = _design_range(args, (80.0, 90.0))
-        candidates = enumerate_v_perfect_lengths(physics, length_range)
+        candidates = enumerate_v_perfect_lengths(physics, length_range)[: args.count]
         print(f"V-preserving filter lengths in [{length_range[0]}, {length_range[1]}] um "
               f"(bar_H target 1/3):")
         for rank, sol in enumerate(candidates, start=1):

@@ -12,6 +12,11 @@ synthesizes imperfect element matrices for fabrication-tolerance sweeps
 of the gate circuit.  Beat lengths are calibrated inputs; their
 sensitivities to geometry changes default to zero and must be
 configured explicitly before running tolerance studies.
+
+A tolerance sweep is evaluated as one batch: the coupling angles of the
+whole deviation grid are arrays, so the perturbed netlist builds stacks
+of element matrices, one circuit matrix per grid point, and the gate is
+read off the whole stack at once.
 """
 
 from __future__ import annotations
@@ -19,8 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .fock import H, V, Polarization
-from .gate import ElementSpec, Netlist, extract_gate
+from .gate import (
+    ElementSpec,
+    Netlist,
+    circuit_matrix,
+    extract_gate,  # perfbench traces and restores design.extract_gate by name
+    heralded_operators,
+    ideal_cphase,
+    process_fidelity,
+)
 
 DIMENSIONS = ("width", "height", "gap")
 
@@ -35,8 +50,6 @@ DEFAULT_COUPLER_LENGTHS = {
     "F1": 12.00,
     "F2": 83.20,
 }
-
-RING_TRANSFER_LENGTH_UM = 108.20
 
 
 @dataclass(frozen=True)
@@ -97,12 +110,6 @@ class NotchCalibration:
                 f = (notch_length_um - a.length_um) / (b.length_um - a.length_um)
                 return a.conversion + f * (b.conversion - a.conversion)
         return pts[-1].conversion
-
-
-def notch_conversion(
-    calibration: NotchCalibration, notch_length_um: float, input_pol: Polarization
-) -> float:
-    return calibration.conversion(notch_length_um, input_pol)
 
 
 @dataclass(frozen=True)
@@ -291,20 +298,15 @@ def enumerate_v_perfect_lengths(
 
 # -- fabrication-tolerance synthesis ----------------------------------------
 
-# Ideal coupler angles (radians) per element kind; bar amplitude is
-# cos(theta).  The PBS V block uses reflection form (swap at pi/2), the
-# PPBS and filters use rotation form, matching the gate's conventions.
-_IDEAL_ANGLES = {
-    "pbs": (0.0, math.pi / 2.0),
-    "ppbs": None,  # from bar_v parameter
-    "filter": None,  # from transmission parameters
-}
-
-
 def _ideal_thetas(el: ElementSpec) -> tuple[float, float] | None:
+    """Ideal coupler angles (radians) of a coupler-based element; bar amplitude is cos(theta).
+
+    The PBS V block uses reflection form (swap at pi/2), the PPBS and
+    filters use rotation form, matching the gate's conventions.
+    """
     p = el.param_dict
     if el.kind == "pbs":
-        return _IDEAL_ANGLES["pbs"]
+        return (0.0, math.pi / 2.0)
     if el.kind == "ppbs":
         return (
             math.acos(min(1.0, p.get("bar_h", 1.0))),
@@ -316,48 +318,62 @@ def _ideal_thetas(el: ElementSpec) -> tuple[float, float] | None:
 
 
 def delta_theta(
-    length_um: float, beat_um: float, sensitivity_um_per_nm: float, delta_nm: float
-) -> float:
+    length_um: float,
+    beat_um: float,
+    sensitivity_um_per_nm: float,
+    delta_nm: float | np.ndarray,
+) -> float | np.ndarray:
     """Coupling-angle drift when the beat length shifts linearly with geometry.
 
     theta(L) = pi L / beat; a beat shift of s * delta changes the angle by
-    pi L (1/(beat + s d) - 1/beat) at the fixed fabricated length.
+    pi L (1/(beat + s d) - 1/beat) at the fixed fabricated length.  A float
+    delta gives a float, an array of deltas an array of drifts; any
+    non-positive perturbed beat raises ValueError.
     """
-    shifted = beat_um + sensitivity_um_per_nm * delta_nm
-    if shifted <= 0:
+    shifted = beat_um + sensitivity_um_per_nm * np.asarray(delta_nm, dtype=float)
+    bad = shifted <= 0
+    if bad.any():
         raise ValueError(
-            f"perturbed beat length {shifted} um is non-positive; "
+            f"perturbed beat length {float(shifted[bad][0])} um is non-positive; "
             "sensitivity model out of validity"
         )
-    return math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
+    drift = math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
+    return drift if np.ndim(delta_nm) else float(drift)
 
 
 def synthesize_imperfect_elements(
     netlist: Netlist,
     physics: CouplerPhysics,
     dimension: str,
-    delta_nm: float,
+    delta_nm: float | np.ndarray,
 ) -> dict[str, ElementSpec]:
     """Element overrides for a geometry deviation of `delta_nm` nanometers.
 
     Every coupler-based element with a configured design length gets its
-    bar/cross amplitudes recomputed from the angle drift at its fixed
-    fabricated length; at delta = 0 the overrides equal the ideal
-    elements.  Requires nonzero sensitivities for nonzero delta.
+    coupling angles `theta_h`/`theta_v` recomputed from the angle drift at
+    its fixed fabricated length; at delta = 0 the overrides equal the
+    ideal elements.  `delta_nm` may be an array of deviations: the angles
+    are then arrays of its shape, and the overridden netlist builds stacks
+    of element and circuit matrices, one per deviation.  Each deviation is
+    checked: a nonzero one needs nonzero sensitivities (ValueError), one
+    that makes a beat length non-positive raises ValueError, and one
+    beyond 10 nm warns.
     """
     if dimension not in DIMENSIONS:
         raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
-    if delta_nm != 0.0 and not physics.configured(dimension):
+    deltas = np.asarray(delta_nm, dtype=float)
+    if np.any(deltas != 0.0) and not physics.configured(dimension):
         raise ValueError(
             f"sensitivities for {dimension!r} are all zero; configure "
             "CouplerPhysics.sensitivities (um per nm) before running a "
             "nonzero tolerance study"
         )
-    if abs(delta_nm) > 10.0:
+    widest = float(np.max(np.abs(deltas), initial=0.0))
+    if widest > 10.0:
         import warnings
 
         warnings.warn(
-            f"|delta| = {abs(delta_nm)} nm exceeds the 10 nm envelope the "
+            f"|delta| = {widest} nm exceeds the 10 nm envelope the "
             "linear sensitivity model was specified for",
             stacklevel=2,
         )
@@ -395,9 +411,13 @@ def tolerance_sweep(
 ) -> list[SweepRow]:
     """Gate performance across a geometry-deviation grid.
 
-    One row per grid point in ascending delta order; each point is a
-    perturbed copy of the netlist, evaluated in turn, so the output is
-    deterministic.
+    One row per grid point in ascending delta order.  The whole grid is
+    evaluated as one batch: one `synthesize_imperfect_elements` call on the
+    array of deltas, one overridden netlist whose circuit matrix is a
+    stack with one matrix per point, and one `heralded_operators` call on
+    that stack.  Each row equals `extract_gate` on the netlist perturbed
+    by its own delta; the bars are cos^2 of the override angles, by
+    element name.
     """
     if step_nm <= 0:
         raise ValueError(f"step must be positive, got {step_nm}")
@@ -407,17 +427,24 @@ def tolerance_sweep(
     n = int(round((hi - lo) / step_nm))
     deltas = [lo + i * step_nm for i in range(n + 1)]
 
-    def evaluate(delta: float) -> SweepRow:
-        overrides = synthesize_imperfect_elements(netlist, physics, dimension, delta)
-        perturbed = netlist.with_overrides(overrides)
-        result = extract_gate(perturbed, phi)
-        bars = []
-        for name in sorted(overrides):
-            p = overrides[name].param_dict
-            bars.append(
-                (name, math.cos(p["theta_h"]) ** 2, math.cos(p["theta_v"]) ** 2)
-            )
-        probs = tuple(result.herald_probability[k] for k in ("00", "01", "10", "11"))
-        return SweepRow(delta, tuple(bars), probs, result.fidelity)
+    overrides = synthesize_imperfect_elements(netlist, physics, dimension, np.array(deltas))
+    perturbed = netlist.with_overrides(overrides)
+    unitary = circuit_matrix(perturbed)
+    # a netlist without overridden couplers has one circuit for every point
+    unitary = np.broadcast_to(unitary, (len(deltas),) + unitary.shape[-2:])
+    operators, probs = heralded_operators(perturbed, unitary, phi)
+    ideal = ideal_cphase(phi)
 
-    return [evaluate(delta) for delta in deltas]
+    def bars(name: str, key: str) -> list[float]:
+        return [math.cos(t) ** 2 for t in overrides[name].param_dict[key].tolist()]
+
+    columns = [(name, bars(name, "theta_h"), bars(name, "theta_v")) for name in sorted(overrides)]
+    return [
+        SweepRow(
+            delta,
+            tuple((name, bar_h[i], bar_v[i]) for name, bar_h, bar_v in columns),
+            tuple(probs[i].tolist()),
+            process_fidelity(operators[i], ideal),
+        )
+        for i, delta in enumerate(deltas)
+    ]

@@ -15,6 +15,8 @@ Conventions (fixed circuit-wide):
   * BeamSplitter per polarization: rotation [[t, r], [-r, t]].
   * PBS: routing unitary; H passes straight, V swaps ports with
     amplitude +1 on both crossings.
+  * Coupler from angles (`coupler`): bar amplitude cos(theta); H block in
+    rotation form, V block in rotation or (PBS) reflection form.
   * PPBS: rotation form on the V modes, [[t, r], [-r, t]] with
     t = 1/sqrt(3) by default; H modes untouched.
 """
@@ -54,9 +56,10 @@ class ElementMatrix:
     """Isometry attached to named modes.
 
     ports_in: modes consumed; ports_out: modes produced.  matrix has
-    shape (len(ports_in), len(ports_out)) in transfer orientation; its
-    rows are orthonormal (each input maps to a unit-norm output
-    combination) within 1e-12.
+    shape (..., len(ports_in), len(ports_out)) in transfer orientation: a
+    leading batch shape makes it a stack of matrices, one per point of a
+    sweep.  The rows of every matrix in the stack are orthonormal (each
+    input maps to a unit-norm output combination) within 1e-12.
     """
 
     ports_in: tuple[Mode, ...]
@@ -65,20 +68,30 @@ class ElementMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.ports_in), len(self.ports_out)):
+        if m.shape[-2:] != (len(self.ports_in), len(self.ports_out)):
             raise ValueError(
                 f"matrix shape {m.shape} does not match "
                 f"{len(self.ports_in)} inputs x {len(self.ports_out)} outputs"
             )
-        gram = m @ m.conj().T
-        dev = np.max(np.abs(gram - np.eye(len(self.ports_in))))
-        if dev > 1e-12:
-            raise ValueError(f"element is not an isometry: deviation {dev:.3g}")
+        _check_isometry(m, "element is not an isometry: deviation {:.3g}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def square(self) -> bool:
         return len(self.ports_in) == len(self.ports_out)
+
+
+def _check_isometry(m: np.ndarray, message: str) -> None:
+    """Raise ValueError unless every matrix of the stack `m` has orthonormal rows.
+
+    The bound is 1e-12 on each entry of m m^dag - 1; a NaN entry fails it.
+    `message` is formatted with the deviation of the first failing matrix.
+    """
+    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-2]))
+    if dev.max() <= 1e-12:
+        return
+    worst = dev.max(axis=(-2, -1))
+    raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
 def _check_amp(value: float, what: str) -> float:
@@ -129,23 +142,32 @@ def polarizing_beam_splitter(port_a: str, port_b: str) -> ElementMatrix:
     return ElementMatrix(modes, modes, m)
 
 
-def perturbed_pbs(
-    port_a: str, port_b: str, theta_h: float, theta_v: float
+def coupler(
+    port_a: str,
+    port_b: str,
+    theta_h: float | np.ndarray,
+    theta_v: float | np.ndarray,
+    v_reflect: bool = False,
 ) -> ElementMatrix:
-    """PBS realized as a coupler with drifted coupling angles.
+    """Two-port coupler given by its coupling angles; the bar amplitude is cos(theta).
 
-    The H block is rotation form (identity at theta_h = 0); the V block is
-    reflection form (symmetric swap at theta_v = pi/2), so the ideal
-    routing PBS is recovered exactly at the nominal angles.
+    The H block is in rotation form [[c, s], [-s, c]] (identity at
+    theta_h = 0).  The V block is in rotation form too, or with `v_reflect`
+    in reflection form [[c, s], [s, -c]], the symmetric swap at
+    theta_v = pi/2 that makes the routing PBS.  The angles are floats or
+    arrays of one shape S, which give a stack of shape S + (4, 4).
     """
+    theta_h, theta_v = np.broadcast_arrays(
+        np.asarray(theta_h, dtype=float), np.asarray(theta_v, dtype=float)
+    )
+    ch, sh = np.cos(theta_h), np.sin(theta_h)
+    cv, sv = np.cos(theta_v), np.sin(theta_v)
     modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    ch, sh = math.cos(theta_h), math.sin(theta_h)
-    cv, sv = math.cos(theta_v), math.sin(theta_v)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[0, 2] = ch, sh
-    m[2, 0], m[2, 2] = -sh, ch
-    m[1, 1], m[1, 3] = cv, sv
-    m[3, 1], m[3, 3] = sv, -cv
+    m = np.zeros(theta_h.shape + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 0, 2] = ch, sh
+    m[..., 2, 0], m[..., 2, 2] = -sh, ch
+    m[..., 1, 1], m[..., 1, 3] = cv, sv
+    m[..., 3, 1], m[..., 3, 3] = (sv, -cv) if v_reflect else (-sv, cv)
     return ElementMatrix(modes, modes, m)
 
 
@@ -412,11 +434,15 @@ def compose_circuit_matrix(
     element's modes.  An element maps its modes onto themselves, so each
     step rewrites only the columns of those modes.  Elements must be
     square (unitary; filters already are, by construction) and act on
-    modes of `modes`.  The result is unitary within 1e-12.
+    modes of `modes`.  Stacked element matrices broadcast: the result has
+    shape B + (n, n), with B the common batch shape of the elements (empty
+    when none is stacked), and every matrix in it is unitary within 1e-12.
     """
     n = len(modes)
     pos = {m: i for i, m in enumerate(modes)}
-    full = np.eye(n, dtype=complex)
+    batch = np.broadcast_shapes(*{el.matrix.shape[:-2] for el in elements})
+    # the identity, broadcast to the batch shape
+    full = np.eye(n, dtype=complex) + np.zeros(batch + (n, n), dtype=complex)
     for el in elements:
         if not el.square:
             raise ValueError("only square (unitary) elements can be composed")
@@ -425,8 +451,6 @@ def compose_circuit_matrix(
                 raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
         in_idx = [pos[m] for m in el.ports_in]
         out_idx = [pos[m] for m in el.ports_out]
-        full[:, out_idx] = full[:, in_idx] @ el.matrix
-    dev = np.max(np.abs(full @ full.conj().T - np.eye(n)))
-    if dev > 1e-12:
-        raise ValueError(f"composed circuit matrix is not unitary: {dev:.3g}")
+        full[..., out_idx] = full[..., in_idx] @ el.matrix
+    _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
     return full

@@ -59,7 +59,8 @@ class PureState:
     """Sparse superposition of Fock basis vectors with complex amplitudes.
 
     Amplitudes below PRUNE_THRESHOLD are dropped at construction, so a
-    zero state has no stored terms.  `subnormalized` flags states whose
+    zero state has no stored terms; a NaN or infinite amplitude raises
+    ValueError.  `subnormalized` flags states whose
     squared norm is intentionally below one (heralded branches); such
     states are never silently renormalized.
     """
@@ -83,6 +84,8 @@ class PureState:
                 )
             if any(k < 0 for k in vec):
                 raise ValueError(f"negative occupation in {vec}")
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude {amp} of {vec} is not finite")
             if abs(amp) >= PRUNE_THRESHOLD:
                 kept[vec] = complex(amp)
         # canonical order: lexicographic over occupation vectors
@@ -121,10 +124,6 @@ class PureState:
 def norm_squared(state: PureState) -> float:
     """Total probability of the state: sum of |amplitude|^2 over all terms."""
     return sum(abs(a) ** 2 for _, a in state.items())
-
-
-def total_photons(vec: FockVector) -> int:
-    return sum(vec)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

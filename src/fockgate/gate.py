@@ -17,8 +17,10 @@ detector click; each computational-basis input then heralds with
 probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 
 `extract_gate` and `run_heralded` read heralded amplitudes from
-permanents of the composed circuit matrix (`heralded_transfer`).  The
-sequential Fock engine, `run_elements` followed by `project_herald`,
+permanents of the composed circuit matrix (`heralded_transfer`).  Circuit
+matrices may come as a stack, one per point of a parameter sweep, and
+`heralded_operators` reads the gate off every matrix of a stack at once.
+The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
 """
@@ -36,6 +38,7 @@ import numpy as np
 from .fock import (
     H,
     V,
+    PRUNE_THRESHOLD,
     FockVector,
     HeraldPattern,
     Mode,
@@ -54,9 +57,9 @@ from .elements import (
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
+    coupler,
     partially_polarizing_beam_splitter,
     permanents,
-    perturbed_pbs,
     phase_shift,
     polarizing_beam_splitter,
     wave_plate,
@@ -78,6 +81,18 @@ ELEMENT_ARITY = {
     "dump": None,
 }
 ELEMENT_KINDS = tuple(ELEMENT_ARITY)
+
+# Parameters each element kind accepts; any other key is a validation error.
+ELEMENT_PARAMS = {
+    "pbs": ("theta_h", "theta_v"),
+    "ppbs": ("bar_h", "bar_v", "theta_h", "theta_v"),
+    "beamsplitter": ("t_h", "r_h", "t_v", "r_v"),
+    "filter": ("t_h", "t_v", "theta_h", "theta_v"),
+    "waveplate": ("preset", "matrix"),
+    "phaseshift": ("phase_h", "phase_v"),
+    "detector": ("rotated",),
+    "dump": (),
+}
 
 
 class NetlistError(ValueError):
@@ -186,6 +201,12 @@ class Netlist:
                     raise NetlistError(
                         f"element {el.name!r} wired to undeclared port {p!r}"
                     )
+            for key, _ in el.params:
+                if key not in ELEMENT_PARAMS[el.kind]:
+                    raise NetlistError(
+                        f"element {el.name!r} of kind {el.kind!r} has unknown "
+                        f"parameter {key!r}"
+                    )
         if not self.herald:
             raise NetlistError("herald pattern is empty")
         for term in self.herald:
@@ -254,22 +275,19 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
     p = el.param_dict
     if el.kind == "pbs":
         if "theta_h" in p or "theta_v" in p:
-            return perturbed_pbs(
+            return coupler(
                 *el.ports,
                 theta_h=p.get("theta_h", 0.0),
                 theta_v=p.get("theta_v", math.pi / 2.0),
+                v_reflect=True,
             )
         return polarizing_beam_splitter(*el.ports)
     if el.kind == "ppbs":
         if "theta_h" in p or "theta_v" in p:
-            th = p.get("theta_h", 0.0)
-            tv = p.get("theta_v", math.acos(p.get("bar_v", 1.0 / SQ3)))
-            return beam_splitter(
+            return coupler(
                 *el.ports,
-                t_h=math.cos(th),
-                r_h=math.sin(th),
-                t_v=math.cos(tv),
-                r_v=math.sin(tv),
+                theta_h=p.get("theta_h", 0.0),
+                theta_v=p.get("theta_v", math.acos(p.get("bar_v", 1.0 / SQ3))),
             )
         return partially_polarizing_beam_splitter(
             *el.ports,
@@ -286,15 +304,11 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
         )
     if el.kind == "filter":
         if "theta_h" in p or "theta_v" in p:
-            th = p.get("theta_h", math.acos(p["t_h"]))
-            tv = p.get("theta_v", math.acos(p["t_v"]))
-            return beam_splitter(
+            return coupler(
                 el.ports[0],
                 el.ports[1],
-                t_h=math.cos(th),
-                r_h=math.sin(th),
-                t_v=math.cos(tv),
-                r_v=math.sin(tv),
+                theta_h=p.get("theta_h", math.acos(p["t_h"])),
+                theta_v=p.get("theta_v", math.acos(p["t_v"])),
             )
         return attenuating_filter(
             el.ports[0], el.ports[1], t_h=p["t_h"], t_v=p["t_v"]
@@ -442,15 +456,18 @@ def heralded_transfer(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes from n-photon input occupations into the outputs `pattern` accepts.
 
-    `inputs` has one row of occupation numbers per input, over the modes
-    of `unitary`, and every row holds the same number n of photons.
-    Returns the accepted n-photon output occupations, one row each, and
-    the (inputs x outputs) amplitude matrix.  The amplitude from n to m is
+    `unitary` is one circuit matrix (n_modes, n_modes) or a stack of them
+    (..., n_modes, n_modes).  `inputs` has one row of occupation numbers
+    per input, over the modes of `unitary`, and every row holds the same
+    number n of photons.  Returns the accepted n-photon output
+    occupations, one row each in ascending lexicographic order (the order
+    `PureState` keeps its terms in), and the (..., inputs, outputs)
+    amplitude array.  The amplitude from n to m is
     perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
     sqrt(prod n_i! prod m_j!) (Aaronson and Arkhipov 2011).
     """
     inputs = np.asarray(inputs, dtype=int)
-    n_modes = unitary.shape[0]
+    n_modes = unitary.shape[-1]
     n = int(inputs[0].sum())
     if np.any(inputs.sum(axis=1) != n):
         raise ValueError("heralded transfer inputs must hold the same photon number")
@@ -459,11 +476,12 @@ def heralded_transfer(
     for cond in pattern.conditions:
         weight = np.bincount(np.asarray(cond.mode_indices, dtype=int), minlength=n_modes)
         keep &= weight[cols].sum(axis=1) == cond.count
-    cols = cols[keep]
+    # ascending mode-index tuples are descending occupation vectors
+    cols = cols[keep][::-1]
     outputs = (cols[:, :, None] == np.arange(n_modes)).sum(axis=1)
     rows = np.repeat(np.tile(np.arange(n_modes), len(inputs)), inputs.ravel())
     rows = rows.reshape(len(inputs), n)
-    sub = unitary[rows[:, None, :, None], cols[None, :, None, :]]
+    sub = unitary[..., rows[:, None, :, None], cols[None, :, None, :]]
     factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
     norm = np.sqrt(
         factorial[inputs].prod(axis=1)[:, None] * factorial[outputs].prod(axis=1)[None, :]
@@ -555,21 +573,26 @@ def _detector_pol(netlist: Netlist) -> Polarization:
     return V
 
 
-def extract_gate(netlist: Netlist, phi: float) -> GateResult:
-    """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
+def heralded_operators(
+    netlist: Netlist, unitary: np.ndarray, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded 4x4 operators and herald probabilities of circuit matrices.
 
-    A basis input puts one photon on each of the target, control and
-    program ports; `heralded_transfer` gives its amplitudes into the
-    three-photon outputs the herald accepts.  The program photon
+    `unitary` is `circuit_matrix(netlist)`: one matrix, or a stack of shape
+    (..., n, n) of the netlist's circuit at several parameter points.  A
+    basis input puts one photon on each of the target, control and program
+    ports; `heralded_transfer` gives its amplitudes into the three-photon
+    outputs the herald accepts.  The program photon
     (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each column is
     (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves every
-    phase.  As in `run_heralded`, amplitudes below PRUNE_THRESHOLD are
-    dropped and the herald probability is the branch's squared norm.  The
-    sequential Fock engine (`prepare_input`, `run_elements`,
-    `project_herald`, `heralded_output_amplitudes`) computes the same map
-    independently and is the reference for this one.
+    phase.  Amplitudes below PRUNE_THRESHOLD are dropped, a non-finite
+    amplitude raises ValueError, and each herald probability is the
+    squared norm of its column, summed in the heralded branch's term order.
+    The logical outputs are read with `heralded_output_amplitudes`'s rule,
+    here as one (outputs x 4) 0/1 matrix.  Returns the operators
+    (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
+    probabilities (..., 4) in the same order.
     """
-    unitary = circuit_matrix(netlist)
     modes = netlist.modes
     enc = netlist.encoding
     pos = {m: i for i, m in enumerate(modes)}
@@ -579,20 +602,58 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
         for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
             inputs[row, pos[Mode(port, pol)]] = 1
     outputs, amps = heralded_transfer(unitary, netlist.herald_pattern(), inputs)
-    amps = amps.reshape(4, 2, len(outputs))
+    amps = amps.reshape(amps.shape[:-2] + (4, 2, len(outputs)))
     w_h = 1 / math.sqrt(2)
     w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
-    columns = (w_h * amps[:, 0] + w_v * amps[:, 1]).tolist()
+    columns = w_h * amps[..., 0, :] + w_v * amps[..., 1, :]
+    if not np.isfinite(columns).all():
+        raise ValueError("heralded amplitudes are not finite")
+    columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
+    readout = _logical_readout(netlist, outputs)
+    operators = np.ascontiguousarray((columns @ readout).swapaxes(-1, -2))
+    # summed as `norm_squared` sums a branch: numpy's complex abs and
+    # square can differ from Python's in the last bit
+    flat = columns.reshape(-1, len(outputs)).tolist()
+    probs = [sum(abs(a) ** 2 for a in col) for col in flat]
+    return operators, np.array(probs).reshape(columns.shape[:-1])
 
-    vecs = [tuple(row) for row in outputs.tolist()]
-    op = np.zeros((4, 4), dtype=complex)
-    probs: dict[str, float] = {}
-    for col, label in enumerate(BASIS_LABELS):
-        branch = PureState(modes, dict(zip(vecs, columns[col])), subnormalized=True)
-        probs[label] = norm_squared(branch)
-        op[:, col] = heralded_output_amplitudes(netlist, branch)
+
+def _logical_readout(netlist: Netlist, outputs: np.ndarray) -> np.ndarray:
+    """(outputs x 4) 0/1 matrix mapping heralded outputs to logical |tc>.
+
+    As in `heralded_output_amplitudes`: an output reads as |tc> when it
+    holds exactly one photon on the target port (t = its polarization),
+    exactly one on the control port and one in the detector mode.
+    """
+    enc = netlist.encoding
+    modes = list(netlist.modes)
+
+    def count(port: str, pol: Polarization) -> np.ndarray:
+        return outputs[:, modes.index(Mode(port, pol))]
+
+    t_v, c_v = count(enc.target, V), count(enc.control, V)
+    ok = (
+        (count(enc.target, H) + t_v == 1)
+        & (count(enc.control, H) + c_v == 1)
+        & (count(enc.program, _detector_pol(netlist)) == 1)
+    )
+    readout = np.zeros((len(outputs), 4))
+    readout[ok, (2 * t_v + c_v)[ok]] = 1.0
+    return readout
+
+
+def extract_gate(netlist: Netlist, phi: float) -> GateResult:
+    """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
+
+    The single-matrix case of `heralded_operators`, plus the process
+    fidelity against diag(1, 1, 1, e^{i phi}).  The sequential Fock engine
+    (`prepare_input`, `run_elements`, `project_herald`,
+    `heralded_output_amplitudes`) computes the same map independently and
+    is the reference for this one.
+    """
+    op, probs = heralded_operators(netlist, circuit_matrix(netlist), phi)
     fidelity = process_fidelity(op, ideal_cphase(phi))
-    return GateResult(op, probs, phi, fidelity)
+    return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
 
 
 def ideal_cphase(phi: float) -> np.ndarray:

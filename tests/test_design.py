@@ -12,12 +12,18 @@ from fockgate.design import (
     cross_power,
     delta_theta,
     enumerate_v_perfect_lengths,
-    notch_conversion,
     solve_coupler_length,
     synthesize_imperfect_elements,
     tolerance_sweep,
 )
-from fockgate.gate import build_element, default_netlist
+from fockgate.gate import (
+    ElementSpec,
+    NetlistError,
+    build_element,
+    circuit_matrix,
+    default_netlist,
+    extract_gate,
+)
 
 PHYS = CouplerPhysics()
 
@@ -152,14 +158,14 @@ def test_v_perfect_lengths_first_multiple():
 
 def test_notch_anchors_reproduced_exactly():
     cal = NotchCalibration()
-    assert notch_conversion(cal, 0.75, V) == 0.25
-    assert notch_conversion(cal, 2.75, V) == 0.50
-    assert notch_conversion(cal, 2.90, H) == 0.50
+    assert cal.conversion(0.75, V) == 0.25
+    assert cal.conversion(2.75, V) == 0.50
+    assert cal.conversion(2.90, H) == 0.50
 
 
 def test_notch_interpolation_between_anchors():
     cal = NotchCalibration()
-    mid = notch_conversion(cal, (0.75 + 2.75) / 2, V)
+    mid = cal.conversion((0.75 + 2.75) / 2, V)
     assert abs(mid - (0.25 + 0.50) / 2) < 1e-15
 
 
@@ -167,7 +173,7 @@ def test_notch_rejects_out_of_span():
     cal = NotchCalibration()
     for length, pol in ((0.5, V), (3.0, V), (2.8, H), (3.0, H)):
         with pytest.raises(ValueError, match="span"):
-            notch_conversion(cal, length, pol)
+            cal.conversion(length, pol)
 
 
 def test_notch_custom_anchor_table():
@@ -178,9 +184,9 @@ def test_notch_custom_anchor_table():
             NotchAnchor(3.0, H, 0.9),
         )
     )
-    assert notch_conversion(cal, 1.0, H) == 0.1
-    assert abs(notch_conversion(cal, 1.5, H) - 0.2) < 1e-15
-    assert abs(notch_conversion(cal, 2.5, H) - 0.6) < 1e-15
+    assert cal.conversion(1.0, H) == 0.1
+    assert abs(cal.conversion(1.5, H) - 0.2) < 1e-15
+    assert abs(cal.conversion(2.5, H) - 0.6) < 1e-15
 
 
 # -- imperfect element synthesis --------------------------------------------------------
@@ -222,6 +228,51 @@ def test_synthesized_pbs_bar_drops_under_width_increase():
     # positive beat shift at fixed length reduces both coupling angles
     assert math.cos(p["theta_h"]) ** 2 < 1.0
     assert math.sin(p["theta_v"]) ** 2 < 1.0  # cross_V below unity
+
+
+def test_delta_theta_float_gives_float_and_array_gives_array():
+    deltas = np.array([-10.0, -0.5, 0.0, 3.0, 10.0])
+    drifts = delta_theta(70.72, 8.32, 0.004, deltas)
+    assert isinstance(drifts, np.ndarray) and drifts.shape == deltas.shape
+    for d, drift in zip(deltas.tolist(), drifts.tolist()):
+        scalar = delta_theta(70.72, 8.32, 0.004, d)
+        assert type(scalar) is float
+        assert scalar == drift
+
+
+def test_delta_theta_rejects_any_non_positive_beat():
+    # only the last delta pushes the V beat (8.32 um) through zero
+    deltas = np.arange(-10.0, 11.0)
+    delta_theta(70.72, 8.32, -0.9, deltas[:-1])
+    with pytest.raises(ValueError, match="non-positive"):
+        delta_theta(70.72, 8.32, -0.9, deltas)
+
+
+def test_synthesize_on_delta_array_matches_per_delta():
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("height", -0.003, 0.005)
+    deltas = np.array([-6.0, 0.0, 2.5])
+    stacked = synthesize_imperfect_elements(netlist, physics, "height", deltas)
+    for k, d in enumerate(deltas.tolist()):
+        single = synthesize_imperfect_elements(netlist, physics, "height", d)
+        assert stacked.keys() == single.keys()
+        for name, el in single.items():
+            for key in ("theta_h", "theta_v"):
+                assert type(el.param_dict[key]) is float
+                assert stacked[name].param_dict[key][k] == el.param_dict[key]
+
+
+def test_synthesize_array_requires_sensitivities_for_any_nonzero_delta():
+    netlist = default_netlist()
+    synthesize_imperfect_elements(netlist, PHYS, "width", np.zeros(3))
+    with pytest.raises(ValueError, match="sensitivities"):
+        synthesize_imperfect_elements(netlist, PHYS, "width", np.array([0.0, 0.0, 1.0]))
+
+
+def test_synthesize_array_warns_beyond_envelope():
+    physics = PHYS.with_sensitivities("gap", 0.002, 0.002)
+    with pytest.warns(UserWarning, match="10 nm"):
+        synthesize_imperfect_elements(default_netlist(), physics, "gap", np.array([0.0, -10.5]))
 
 
 # -- tolerance sweep ------------------------------------------------------------------------
@@ -268,3 +319,45 @@ def test_sweep_not_symmetric_in_general(sweep_rows):
 def test_sweep_rejects_bad_step():
     with pytest.raises(ValueError):
         tolerance_sweep(default_netlist(), PHYS, "width", (-1.0, 1.0), 0.0)
+
+
+def test_sweep_rejects_grid_whose_last_point_breaks_the_beat():
+    physics = PHYS.with_sensitivities("width", 0.004, -0.9)
+    tolerance_sweep(default_netlist(), physics, "width", (-10.0, 9.0), 1.0)
+    with pytest.raises(ValueError, match="non-positive"):
+        tolerance_sweep(default_netlist(), physics, "width", (-10.0, 10.0), 1.0)
+
+
+def test_sweep_warns_beyond_envelope():
+    physics = PHYS.with_sensitivities("gap", 0.002, 0.002)
+    with pytest.warns(UserWarning, match="10 nm"):
+        rows = tolerance_sweep(default_netlist(), physics, "gap", (-12.0, 12.0), 4.0)
+    assert [r.delta_nm for r in rows] == [-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0]
+
+
+def test_sweep_of_near_unitary_netlist_raises_netlist_error():
+    # each Hadamard plate passes the per-element 1e-12 check and the nominal
+    # circuit composes, but the perturbed circuits are not unitary within 1e-12
+    a = (1 + 4.9e-13) / math.sqrt(2)
+    plate = np.array([[a, a], [a, -a]], dtype=complex)
+    netlist = default_netlist()
+    netlist = netlist.with_overrides(
+        {name: ElementSpec(name, "waveplate", ("L",), (("matrix", plate),))
+         for name in ("HWP2", "HWP3")}
+    )
+    circuit_matrix(netlist)
+    physics = PHYS.with_sensitivities("width", 0.004, 0.004)
+    with pytest.raises(NetlistError, match="not unitary"):
+        tolerance_sweep(netlist, physics, "width", (-10.0, 10.0), 1.0)
+
+
+def test_sweep_without_coupler_lengths_repeats_the_nominal_gate():
+    # nothing is perturbed, so one circuit matrix serves every grid point
+    physics = CouplerPhysics(coupler_lengths=()).with_sensitivities("width", 0.004, 0.004)
+    rows = tolerance_sweep(default_netlist(), physics, "width", (-2.0, 2.0), 1.0, phi=1.0)
+    nominal = extract_gate(default_netlist(), 1.0)
+    assert len(rows) == 5
+    for row in rows:
+        assert row.element_bars == ()
+        assert list(row.herald_probabilities) == list(nominal.herald_probability.values())
+        assert row.fidelity == nominal.fidelity

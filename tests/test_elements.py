@@ -6,15 +6,16 @@ import pytest
 from fockgate.fock import H, V, Mode, PureState, modes_for_ports, norm_squared
 from fockgate.elements import (
     HADAMARD_MATRIX,
+    ElementMatrix,
     HWP1_MATRIX,
     amplitude_via_permanent,
     apply_element,
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
+    coupler,
     partially_polarizing_beam_splitter,
     permanent,
-    perturbed_pbs,
     phase_shift,
     polarizing_beam_splitter,
     rotator_from_conversion,
@@ -101,9 +102,9 @@ def test_rotator_from_conversion_matches_presets():
     assert np.allclose(half.matrix, HADAMARD_MATRIX)
 
 
-def test_perturbed_pbs_reduces_to_routing_pbs_at_nominal():
+def test_reflection_coupler_reduces_to_routing_pbs_at_nominal():
     ideal = polarizing_beam_splitter("a", "b")
-    nominal = perturbed_pbs("a", "b", theta_h=0.0, theta_v=math.pi / 2)
+    nominal = coupler("a", "b", theta_h=0.0, theta_v=math.pi / 2, v_reflect=True)
     assert np.allclose(ideal.matrix, nominal.matrix, atol=1e-15)
 
 
@@ -211,6 +212,70 @@ def test_compose_unresolved_port_rejected():
     pbs = polarizing_beam_splitter("a", "zz")
     with pytest.raises(KeyError, match="zz"):
         compose_circuit_matrix([pbs], AB)
+
+
+# -- stacked (batched) element matrices -----------------------------------------
+
+ANGLES_H = np.array([0.0, 0.3, -1.1])
+ANGLES_V = np.array([math.pi / 2, 1.2, 0.4])
+
+
+def test_rotation_coupler_is_beam_splitter_of_cos_and_sin():
+    rot = coupler("a", "b", theta_h=0.3, theta_v=1.2)
+    bs = beam_splitter("a", "b", t_h=math.cos(0.3), r_h=math.sin(0.3),
+                       t_v=math.cos(1.2), r_v=math.sin(1.2))
+    assert np.array_equal(rot.matrix, bs.matrix)
+
+
+@pytest.mark.parametrize("v_reflect", [False, True])
+def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
+    stack = coupler("a", "b", ANGLES_H, ANGLES_V, v_reflect=v_reflect)
+    assert stack.matrix.shape == (3, 4, 4)
+    for k in range(3):
+        single = coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=v_reflect)
+        assert np.array_equal(stack.matrix[k], single.matrix)
+
+
+def test_stacked_element_with_one_bad_slice_rejected():
+    good = coupler("a", "b", ANGLES_H, ANGLES_V).matrix
+    ElementMatrix(AB, AB, good)
+    bad = good.copy()
+    bad[2, 0, 0] *= 1 + 1e-9
+    with pytest.raises(ValueError, match="not an isometry"):
+        ElementMatrix(AB, AB, bad)
+    bad[2, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="not an isometry"):
+        ElementMatrix(AB, AB, bad)
+
+
+def test_compose_stack_equals_per_slice_composition():
+    modes = modes_for_ports(["a", "b", "c"])
+    stacked = [
+        coupler("a", "b", ANGLES_H, ANGLES_V, v_reflect=True),
+        wave_plate("b", "hadamard"),
+        coupler("b", "c", ANGLES_V, ANGLES_H),
+        partially_polarizing_beam_splitter("a", "c"),
+    ]
+    full = compose_circuit_matrix(stacked, modes)
+    assert full.shape == (3, 6, 6)
+    for k in range(3):
+        single = [
+            coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=True),
+            stacked[1],
+            coupler("b", "c", float(ANGLES_V[k]), float(ANGLES_H[k])),
+            stacked[3],
+        ]
+        assert np.array_equal(full[k], compose_circuit_matrix(single, modes))
+
+
+def test_compose_stack_rejects_one_non_unitary_slice():
+    # slice 1 is a plate that passes the 1e-12 isometry check; its square does not
+    a = (1 + 4.9e-13) / math.sqrt(2)
+    matrices = np.stack([np.eye(2), [[a, a], [a, -a]], np.eye(2)]).astype(complex)
+    plate = ElementMatrix(modes_for_ports(["a"]), modes_for_ports(["a"]), matrices)
+    assert compose_circuit_matrix([plate], AB).shape == (3, 4, 4)
+    with pytest.raises(ValueError, match="not unitary"):
+        compose_circuit_matrix([plate, plate], AB)
 
 
 # -- conservation ---------------------------------------------------------------

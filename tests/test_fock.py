@@ -164,3 +164,12 @@ def test_program_state_form():
     amp_v = state.amplitude((0, 1))
     assert abs(amp_h - 1 / math.sqrt(2)) < 1e-15
     assert abs(amp_v - complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "amp", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)]
+)
+def test_pure_state_rejects_non_finite_amplitude(amp):
+    # a NaN amplitude fails the pruning comparison too, so it must not be dropped silently
+    with pytest.raises(ValueError, match="not finite"):
+        PureState(modes_for_ports(["a"]), {(1, 0): amp, (0, 1): 1.0})

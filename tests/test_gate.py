@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
 from fockgate.fock import H, V, norm_squared
 from fockgate.gate import (
     BASIS_LABELS,
+    ELEMENT_ARITY,
+    ELEMENT_PARAMS,
     ElementSpec,
     HeraldTerm,
     Netlist,
@@ -14,9 +17,12 @@ from fockgate.gate import (
     PortDecl,
     ProgramState,
     QubitEncoding,
+    circuit_matrix,
     default_netlist,
     extract_gate,
+    heralded_operators,
     heralded_output_amplitudes,
+    heralded_transfer,
     ideal_cphase,
     prepare_input,
     process_fidelity,
@@ -244,3 +250,66 @@ def test_process_fidelity_properties():
 def test_process_fidelity_rejects_zero():
     with pytest.raises(ValueError):
         process_fidelity(np.zeros((4, 4)), np.eye(4))
+
+
+# -- stacked circuit matrices ----------------------------------------------------
+
+
+def _perturbed_stack(netlist, deltas):
+    physics = CouplerPhysics().with_sensitivities("gap", 0.005, -0.004)
+    return netlist.with_overrides(
+        synthesize_imperfect_elements(netlist, physics, "gap", deltas)
+    )
+
+
+def test_heralded_transfer_on_stack_equals_per_slice(netlist):
+    perturbed = _perturbed_stack(netlist, np.array([[-4.0, 0.0], [2.5, 9.0]]))
+    stack = circuit_matrix(perturbed)
+    assert stack.shape == (2, 2, 12, 12)
+    pattern = netlist.herald_pattern()
+    inputs = np.zeros((3, 12), dtype=int)
+    for row, occupied in enumerate([(0, 4, 6), (1, 5, 7), (1, 3, 7)]):
+        inputs[row, occupied] = 1
+    outputs, amps = heralded_transfer(stack, pattern, inputs)
+    assert amps.shape == (2, 2, 3, len(outputs))
+    for i, j in np.ndindex(2, 2):
+        single_outputs, single = heralded_transfer(stack[i, j], pattern, inputs)
+        assert np.array_equal(single_outputs, outputs)
+        assert np.array_equal(single, amps[i, j])
+
+
+def test_heralded_operators_on_stack_equal_extract_gate(netlist):
+    deltas = np.array([-7.0, 0.0, 3.0])
+    perturbed = _perturbed_stack(netlist, deltas)
+    ops, probs = heralded_operators(perturbed, circuit_matrix(perturbed), 1.3)
+    assert ops.shape == (3, 4, 4) and probs.shape == (3, 4)
+    for k, delta in enumerate(deltas.tolist()):
+        single = extract_gate(_perturbed_stack(netlist, delta), 1.3)
+        assert np.array_equal(ops[k], single.operator)
+        assert probs[k].tolist() == [single.herald_probability[b] for b in BASIS_LABELS]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_heralded_operators_reject_non_finite_amplitudes(netlist, bad):
+    # NaN fails the pruning comparison, so it would otherwise read as zero
+    unitary = np.stack([circuit_matrix(netlist)] * 2)
+    unitary[1, 0, 0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        heralded_operators(netlist, unitary, 0.0)
+
+
+# -- element parameters ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["bogus", "t_hh"])
+def test_netlist_rejects_unknown_parameter(key):
+    base = default_netlist()
+    f1 = base.element("F1").with_params(**{key: 0.5})
+    with pytest.raises(NetlistError, match=f"'F1'.*'{key}'"):
+        Netlist(base.ports, tuple(f1 if el.name == "F1" else el for el in base.elements),
+                base.herald, base.encoding)
+
+
+def test_every_kind_has_a_parameter_table():
+    assert set(ELEMENT_PARAMS) == set(ELEMENT_ARITY)

@@ -196,6 +196,16 @@ def _f1_t_h_string(el):
         el["params"]["t_h"] = "half"
 
 
+def _f1_bogus_key(el):
+    if el["name"] == "F1":
+        el["params"]["bogus"] = 1.0
+
+
+def _f1_typo_t_hh(el):
+    if el["name"] == "F1":
+        el["params"]["t_hh"] = 0.5
+
+
 def _near_unitary_hadamards(el):
     # each plate passes the per-element 1e-12 check on its own, but
     # perturbed circuits built from both are not unitary within 1e-12
@@ -210,6 +220,8 @@ UNREALIZABLE_NETLISTS = {
     "t_h_above_one": (_f1_t_h_above_one, ["truth-table", "--phi", "0"], "'F1'"),
     "t_h_string": (_f1_t_h_string, ["truth-table", "--phi", "0"], "'F1'"),
     "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
+    "unknown_key_bogus": (_f1_bogus_key, ["truth-table", "--phi", "0"], "'bogus'"),
+    "unknown_key_t_hh": (_f1_typo_t_hh, ["truth-table", "--phi", "0"], "'t_hh'"),
 }
 
 
@@ -307,6 +319,16 @@ def test_design_f2_lists_83_20(capsys):
     assert code == 0
     assert "83.2" in out
     assert "residual vs 1/3" in out
+
+
+def test_design_f2_honours_count(capsys):
+    code = main(["design", "--element", "f2", "--range", "0:60", "--count", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    ranked = [line for line in out.splitlines() if line.startswith("  #")]
+    assert len(ranked) == 2
+    assert ranked[0].startswith("  #1  L = 8.32 um")
+    assert ranked[1].startswith("  #2  L = 16.64 um")
 
 
 def test_sweep_requires_sensitivities(capsys):

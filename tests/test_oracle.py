@@ -8,7 +8,12 @@ import random
 import numpy as np
 import pytest
 
-from fockgate.design import DIMENSIONS, CouplerPhysics, synthesize_imperfect_elements
+from fockgate.design import (
+    DIMENSIONS,
+    CouplerPhysics,
+    synthesize_imperfect_elements,
+    tolerance_sweep,
+)
 from fockgate.fock import (
     H,
     V,
@@ -277,3 +282,51 @@ def test_run_heralded_lays_state_out_on_netlist_modes():
     branch, prob = run_heralded(netlist, state)
     assert abs(prob - 1 / 48) < 1e-12
     assert branch.modes == netlist.modes
+
+
+# -- the batched tolerance sweep against per-point evaluation --------------------
+
+SWEEP_SENSITIVITIES = ((0.004, -0.003), (-0.0025, 0.006))
+
+
+def _sweep_case(dimension, sensitivities):
+    physics = CouplerPhysics().with_sensitivities(dimension, *sensitivities)
+    return default_netlist(), physics
+
+
+def _assert_row_equals(row, probs, fidelity):
+    for got, want in zip(row.herald_probabilities, probs):
+        assert abs(got - want) <= ENGINE_TOL
+    assert abs(row.fidelity - fidelity) <= ENGINE_TOL
+
+
+@pytest.mark.parametrize("step", (1.0, 0.5))
+@pytest.mark.parametrize("phi", GATE_PHIS)
+@pytest.mark.parametrize("sensitivities", SWEEP_SENSITIVITIES, ids=("s1", "s2"))
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+def test_sweep_rows_match_per_point_evaluation(dimension, sensitivities, phi, step):
+    """Every row against extract_gate on its own perturbed netlist; three rows
+    also against the sequential Fock engine."""
+    netlist, physics = _sweep_case(dimension, sensitivities)
+    rows = tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), step, phi=phi)
+    assert len(rows) == int(round(20 / step)) + 1
+    fock_rows = {0, len(rows) // 2 + 3, len(rows) - 1}
+    for k, row in enumerate(rows):
+        overrides = synthesize_imperfect_elements(netlist, physics, dimension, row.delta_nm)
+        perturbed = netlist.with_overrides(overrides)
+        want = extract_gate(perturbed, phi)
+        _assert_row_equals(
+            row, [want.herald_probability[label] for label in BASIS_LABELS], want.fidelity
+        )
+        if k in fock_rows:
+            op, probs = fock_engine_gate(perturbed, phi)
+            _assert_row_equals(
+                row,
+                [probs[label] for label in BASIS_LABELS],
+                process_fidelity(op, ideal_cphase(phi)),
+            )
+        assert [name for name, _, _ in row.element_bars] == sorted(overrides)
+        for name, bar_h, bar_v in row.element_bars:
+            p = overrides[name].param_dict
+            assert abs(bar_h - math.cos(p["theta_h"]) ** 2) <= 1e-15
+            assert abs(bar_v - math.cos(p["theta_v"]) ** 2) <= 1e-15
