@@ -56,7 +56,6 @@ from .gate import (
 )
 from .design import (
     CouplerPhysics,
-    Geometry,
     LengthSolution,
     NotchAnchor,
     NotchCalibration,

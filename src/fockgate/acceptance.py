@@ -39,6 +39,7 @@ from .gate import (
     run_elements,
 )
 from .design import (
+    COUPLER_DESIGNS,
     CouplerPhysics,
     enumerate_v_perfect_lengths,
     solve_coupler_length,
@@ -166,12 +167,14 @@ def check_design_lengths(physics: CouplerPhysics | None = None) -> CheckResult:
     msgs = []
     ok = True
 
-    pbs = solve_coupler_length(
-        phys, targets=(1.0, 0.0), weights=(1.0, 1e6), length_range=(60.0, 80.0)
-    )[0]
+    def best(element: str):
+        d = COUPLER_DESIGNS[element]
+        return solve_coupler_length(phys, d.targets, d.weights, d.search_range_um)[0], d.reference_um
+
+    pbs, reference = best("pbs")
     cross_v = 1.0 - pbs.bar_v
     pbs_ok = (
-        abs(pbs.length_um - 70.72) <= 0.8
+        abs(pbs.length_um - reference) <= 0.8
         and pbs.bar_h >= 0.99
         and cross_v >= 1.0 - 1e-6
     )
@@ -180,28 +183,21 @@ def check_design_lengths(physics: CouplerPhysics | None = None) -> CheckResult:
         f"PBS {pbs.length_um:.4f} um (bar_H {pbs.bar_h:.4f}, cross_V {cross_v:.9f})"
     )
 
-    ppbs = solve_coupler_length(
-        phys, targets=(1.0, 1.0 / 3.0), weights=(1.0, 1.0), length_range=(30.0, 40.0)
-    )[0]
-    ppbs_ok = abs(ppbs.length_um - 35.90) / 35.90 <= 0.01
-    ok &= ppbs_ok
-    msgs.append(f"PPBS {ppbs.length_um:.4f} um (|delta| {abs(ppbs.length_um-35.90)/35.90:.2%})")
+    for element in ("ppbs", "f1"):
+        sol, reference = best(element)
+        rel = abs(sol.length_um - reference) / reference
+        ok &= rel <= 0.01
+        msgs.append(f"{element.upper()} {sol.length_um:.4f} um (|delta| {rel:.2%})")
 
-    f1 = solve_coupler_length(
-        phys, targets=(0.25, 0.0), weights=(1.0, 0.0), length_range=(5.0, 20.0)
-    )[0]
-    f1_ok = abs(f1.length_um - 12.00) / 12.00 <= 0.01
-    ok &= f1_ok
-    msgs.append(f"F1 {f1.length_um:.4f} um (|delta| {abs(f1.length_um-12.00)/12.00:.2%})")
-
-    candidates = enumerate_v_perfect_lengths(phys, (80.0, 90.0))
-    f2_ok = len(candidates) == 1 and abs(candidates[0].length_um - 83.20) < 1e-9
+    f2 = COUPLER_DESIGNS["f2"]
+    candidates = enumerate_v_perfect_lengths(phys, f2.search_range_um)
+    f2_ok = len(candidates) == 1 and abs(candidates[0].length_um - f2.reference_um) < 1e-9
     ok &= f2_ok
     if candidates:
         bar_h = candidates[0].bar_h
         msgs.append(
             f"F2 {candidates[0].length_um:.2f} um, bar_H {bar_h:.4f} "
-            f"(residual vs 1/3 target: {bar_h - 1/3:+.4f})"
+            f"(residual vs 1/3 target: {bar_h - f2.targets[0]:+.4f})"
         )
     else:
         msgs.append("F2: no V-perfect candidate found")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import acceptance
 from .design import (
+    COUPLER_DESIGNS,
     DIMENSIONS,
     CouplerPhysics,
     enumerate_v_perfect_lengths,
@@ -180,16 +181,6 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
     return 0
 
 
-DESIGN_PRESETS = {
-    # element: (bar_h target, bar_v target, weight_h, weight_v, default range)
-    "pbs": (1.0, 0.0, 1.0, 1e6, (60.0, 80.0)),
-    "ppbs": (1.0, 1.0 / 3.0, 1.0, 1.0, (30.0, 40.0)),
-    "f1": (0.25, 0.0, 1.0, 0.0, (5.0, 20.0)),
-}
-
-NOMINAL_LENGTHS = {"pbs": 70.72, "ppbs": 35.90, "f1": 12.00, "f2": 83.20}
-
-
 def _design_range(args: argparse.Namespace, default: tuple[float, float]) -> tuple[float, float]:
     if not args.range:
         return default
@@ -203,10 +194,11 @@ def cmd_design(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     physics = _load_physics(args.physics)
-    nominal = NOMINAL_LENGTHS[args.element]
+    design = COUPLER_DESIGNS[args.element]
+    nominal = design.reference_um
+    length_range = _design_range(args, design.search_range_um)
     rows = []
     if args.element == "f2":
-        length_range = _design_range(args, (80.0, 90.0))
         candidates = enumerate_v_perfect_lengths(physics, length_range)[: args.count]
         print(f"V-preserving filter lengths in [{length_range[0]}, {length_range[1]}] um "
               f"(bar_H target 1/3):")
@@ -214,7 +206,7 @@ def cmd_design(args: argparse.Namespace) -> int:
             print(
                 f"  #{rank}  L = {format_number(sol.length_um)} um, "
                 f"bar_H = {format_number(sol.bar_h)} "
-                f"(residual vs 1/3: {format_number(sol.bar_h - 1/3)}), "
+                f"(residual vs 1/3: {format_number(sol.bar_h - design.targets[0])}), "
                 f"bar_V = {format_number(sol.bar_v)}"
             )
             rows.append(
@@ -222,12 +214,11 @@ def cmd_design(args: argparse.Namespace) -> int:
                  nominal, sol.length_um - nominal]
             )
     else:
-        t_h, t_v, w_h, w_v, default_range = DESIGN_PRESETS[args.element]
-        length_range = _design_range(args, default_range)
+        t_h, t_v = design.targets
         solutions = solve_coupler_length(
             physics,
-            targets=(t_h, t_v),
-            weights=(w_h, w_v),
+            targets=design.targets,
+            weights=design.weights,
             length_range=length_range,
             count=args.count,
         )
@@ -281,9 +272,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    rows = tolerance_sweep(
-        netlist, physics, args.dimension, delta_range, args.step, phi=args.phi
-    )
+    try:
+        rows = tolerance_sweep(
+            netlist, physics, args.dimension, delta_range, args.step, phi=args.phi
+        )
+    except NetlistError:
+        raise
+    except ValueError as exc:  # sensitivities that make a beat length non-positive
+        raise PhysicsError(str(exc)) from exc
     element_names = [name for name, _, _ in rows[0].element_bars]
     header = ["delta_nm"]
     for name in element_names:
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     de = sub.add_parser("design", help="solve coupler lengths for an element")
     de.add_argument(
-        "--element", required=True, choices=("pbs", "ppbs", "f1", "f2")
+        "--element", required=True, choices=tuple(COUPLER_DESIGNS)
     )
     de.add_argument("--physics", help="physics JSON (default: shipped values)")
     de.add_argument("--range", help="length range LO:HI in um")
@@ -374,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--dimension", required=True, choices=DIMENSIONS)
     sw.add_argument("--physics", help="physics JSON with nonzero sensitivities")
     sw.add_argument("--netlist")
-    sw.add_argument("--range", help="deviation range LO:HI in nm (default -10:10)")
+    sw.add_argument(
+        "--range",
+        help="deviation range LO:HI in nm (default -10:10); give a negative LO as --range=-3:7",
+    )
     sw.add_argument("--step", type=finite_float, default=1.0, help="grid step in nm")
     sw.add_argument("--phi", type=finite_float, default=math.pi, help="program phase (radians)")
     sw.add_argument("--output", help="write sweep table CSV")

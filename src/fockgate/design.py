@@ -28,9 +28,11 @@ import numpy as np
 
 from .fock import H, V, Polarization
 from .gate import (
+    COUPLER_KINDS,
     ElementSpec,
     Netlist,
     circuit_matrix,
+    coupler_angles,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
     ideal_cphase,
@@ -39,27 +41,33 @@ from .gate import (
 
 DIMENSIONS = ("width", "height", "gap")
 
-# Nominal design lengths (um) for the default netlist's coupler-based
-# elements; the r-prefixed entries are the ring-transfer couplers of the
-# wave-plate assemblies, carried for documentation.
-DEFAULT_COUPLER_LENGTHS = {
-    "PBS1": 70.72,
-    "PBS2": 70.72,
-    "PBS3": 70.72,
-    "PPBS": 35.90,
-    "F1": 12.00,
-    "F2": 83.20,
-}
-
 
 @dataclass(frozen=True)
-class Geometry:
-    """Waveguide cross-section and coupler gap, in nm; wavelength in um."""
+class CouplerDesign:
+    """Reference design of one coupler type, fabricated as `elements`.
 
-    width_nm: float = 350.0
-    height_nm: float = 350.0
-    gap_nm: float = 250.0
-    wavelength_um: float = 1.55
+    `targets` and `weights` are the (H, V) bar powers the length solver
+    aims for and their weights in its residual; `search_range_um` is the
+    default length range searched and `reference_um` the reference
+    working-point length.
+    """
+
+    elements: tuple[str, ...]
+    targets: tuple[float, float]
+    weights: tuple[float, float]
+    search_range_um: tuple[float, float]
+    reference_um: float
+
+
+# The reference designs of the default netlist's couplers.  The V-preserving
+# filter f2 is not solved but enumerated at whole V beats, with its residual
+# the squared miss of the H bar-power target.
+COUPLER_DESIGNS = {
+    "pbs": CouplerDesign(("PBS1", "PBS2", "PBS3"), (1.0, 0.0), (1.0, 1e6), (60.0, 80.0), 70.72),
+    "ppbs": CouplerDesign(("PPBS",), (1.0, 1.0 / 3.0), (1.0, 1.0), (30.0, 40.0), 35.90),
+    "f1": CouplerDesign(("F1",), (0.25, 0.0), (1.0, 0.0), (5.0, 20.0), 12.00),
+    "f2": CouplerDesign(("F2",), (1.0 / 3.0, 1.0), (1.0, 0.0), (80.0, 90.0), 83.20),
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,12 @@ class NotchAnchor:
     length_um: float
     input_pol: Polarization
     conversion: float  # power fraction converted to the orthogonal polarization
+
+    def __post_init__(self):
+        if not (math.isfinite(self.length_um) and self.length_um >= 0):
+            raise ValueError(f"notch length must be finite and non-negative, got {self.length_um}")
+        if not (0.0 <= self.conversion <= 1.0):
+            raise ValueError(f"notch conversion {self.conversion} outside [0, 1]")
 
 
 DEFAULT_NOTCH_ANCHORS = (
@@ -114,32 +128,41 @@ class NotchCalibration:
 
 @dataclass(frozen=True)
 class CouplerPhysics:
-    """Calibrated coupler behavior: beat lengths, geometry, sensitivities.
+    """Calibrated coupler behavior: beat lengths, sensitivities, design lengths.
 
-    beat_h / beat_v are full power-exchange cycle lengths in um.
-    sensitivities[dimension][pol] is the beat-length shift in um per nm
-    of the given geometric deviation; all default to zero.
+    beat_h / beat_v are full power-exchange cycle lengths in um, finite and
+    positive.  sensitivities[dimension][pol] is the beat-length shift in um
+    per nm of the given geometric deviation; all default to zero.
+    coupler_lengths are the fabricated lengths by element name, the
+    reference lengths of COUPLER_DESIGNS by default.
     """
 
     beat_h: float = 35.80
     beat_v: float = 8.32
-    geometry: Geometry = Geometry()
-    sensitivities: tuple[tuple[str, tuple[float, float]], ...] = (
-        ("width", (0.0, 0.0)),
-        ("height", (0.0, 0.0)),
-        ("gap", (0.0, 0.0)),
+    sensitivities: tuple[tuple[str, tuple[float, float]], ...] = tuple(
+        (dim, (0.0, 0.0)) for dim in DIMENSIONS
     )
     coupler_lengths: tuple[tuple[str, float], ...] = tuple(
-        sorted(DEFAULT_COUPLER_LENGTHS.items())
+        sorted(
+            (name, design.reference_um)
+            for design in COUPLER_DESIGNS.values()
+            for name in design.elements
+        )
     )
     notch: NotchCalibration = NotchCalibration()
-    ring_radius_um: float = 8.00
-    notch_width_nm: float = 175.0
-    notch_height_nm: float = 175.0
 
     def __post_init__(self):
-        if self.beat_h <= 0 or self.beat_v <= 0:
-            raise ValueError("beat lengths must be positive")
+        for beat in (self.beat_h, self.beat_v):
+            if not (math.isfinite(beat) and beat > 0):
+                raise ValueError(f"beat lengths must be finite and positive, got {beat}")
+        for dim, pair in self.sensitivities:
+            if not all(math.isfinite(s) for s in pair):
+                raise ValueError(f"sensitivities for {dim!r} must be finite, got {pair}")
+        for name, length in self.coupler_lengths:
+            if not (math.isfinite(length) and length >= 0):
+                raise ValueError(
+                    f"coupler length of {name!r} must be finite and non-negative, got {length}"
+                )
 
     def beat(self, pol: Polarization) -> float:
         return self.beat_h if pol is H else self.beat_v
@@ -278,11 +301,12 @@ def enumerate_v_perfect_lengths(
 
     These are the integer multiples of beat_v inside the range, in
     ascending order, each annotated with its bar_h power (residual is the
-    squared H deviation from the 1/3 bar-power goal the filter needs).
+    squared H deviation from the 1/3 bar-power goal of COUPLER_DESIGNS["f2"]).
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
+    target_h = COUPLER_DESIGNS["f2"].targets[0]
     out = []
     k = max(1, int(math.ceil(lo / physics.beat_v - 1e-12)))
     while k * physics.beat_v <= hi + 1e-12:
@@ -290,32 +314,13 @@ def enumerate_v_perfect_lengths(
         if L >= lo - 1e-12:
             bh = bar_power(L, physics.beat_h)
             out.append(
-                LengthSolution(L, bh, bar_power(L, physics.beat_v), (bh - 1.0 / 3.0) ** 2)
+                LengthSolution(L, bh, bar_power(L, physics.beat_v), (bh - target_h) ** 2)
             )
         k += 1
     return out
 
 
 # -- fabrication-tolerance synthesis ----------------------------------------
-
-def _ideal_thetas(el: ElementSpec) -> tuple[float, float] | None:
-    """Ideal coupler angles (radians) of a coupler-based element; bar amplitude is cos(theta).
-
-    The PBS V block uses reflection form (swap at pi/2), the PPBS and
-    filters use rotation form, matching the gate's conventions.
-    """
-    p = el.param_dict
-    if el.kind == "pbs":
-        return (0.0, math.pi / 2.0)
-    if el.kind == "ppbs":
-        return (
-            math.acos(min(1.0, p.get("bar_h", 1.0))),
-            math.acos(min(1.0, p.get("bar_v", 1.0 / math.sqrt(3.0)))),
-        )
-    if el.kind == "filter":
-        return (math.acos(p["t_h"]), math.acos(p["t_v"]))
-    return None
-
 
 def delta_theta(
     length_um: float,
@@ -350,9 +355,9 @@ def synthesize_imperfect_elements(
     """Element overrides for a geometry deviation of `delta_nm` nanometers.
 
     Every coupler-based element with a configured design length gets its
-    coupling angles `theta_h`/`theta_v` recomputed from the angle drift at
-    its fixed fabricated length; at delta = 0 the overrides equal the
-    ideal elements.  `delta_nm` may be an array of deviations: the angles
+    coupling angles `theta_h`/`theta_v`: its own (`gate.coupler_angles`)
+    plus the angle drift at its fixed fabricated length, so at delta = 0
+    the overrides equal the elements as given.  `delta_nm` may be an array of deviations: the angles
     are then arrays of its shape, and the overridden netlist builds stacks
     of element and circuit matrices, one per deviation.  Each deviation is
     checked: a nonzero one needs nonzero sensitivities (ValueError), one
@@ -379,10 +384,10 @@ def synthesize_imperfect_elements(
         )
     overrides: dict[str, ElementSpec] = {}
     for el in netlist.elements:
-        thetas = _ideal_thetas(el)
         length = physics.length_of(el.name)
-        if thetas is None or length is None:
+        if el.kind not in COUPLER_KINDS or length is None:
             continue
+        thetas = coupler_angles(el)
         th_h = thetas[0] + delta_theta(
             length, physics.beat_h, physics.sensitivity(dimension, H), delta_nm
         )

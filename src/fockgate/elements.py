@@ -94,10 +94,20 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
-def _check_amp(value: float, what: str) -> float:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{what} amplitude {value} outside [0, 1]")
-    return float(value)
+def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
+    """Two-port element on the modes (aH, aV, bH, bV) from its H and V 2x2 blocks.
+
+    The H block acts on modes 0 and 2, the V block on modes 1 and 3.  The
+    block entries are all floats, or all arrays of one shape S, which give
+    a stack of shape S + (4, 4).
+    """
+    shape = np.shape(h_block[0][0])
+    m = np.zeros(shape + (4, 4), dtype=complex)
+    blocks = m.transpose(len(shape), len(shape) + 1, *range(len(shape)))  # a view of m
+    blocks[::2, ::2] = h_block
+    blocks[1::2, 1::2] = v_block
+    modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
+    return ElementMatrix(modes, modes, m)
 
 
 def beam_splitter(
@@ -120,26 +130,12 @@ def beam_splitter(
     for t, r, pol in ((t_h, r_h, "H"), (t_v, r_v, "V")):
         if abs(t * t + r * r - 1.0) > 1e-12:
             raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
-    modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    m = np.zeros((4, 4), dtype=complex)
-    # H block
-    m[0, 0], m[0, 2] = t_h, r_h
-    m[2, 0], m[2, 2] = -r_h, t_h
-    # V block
-    m[1, 1], m[1, 3] = t_v, r_v
-    m[3, 1], m[3, 3] = -r_v, t_v
-    return ElementMatrix(modes, modes, m)
+    return _two_port(port_a, port_b, ((t_h, r_h), (-r_h, t_h)), ((t_v, r_v), (-r_v, t_v)))
 
 
 def polarizing_beam_splitter(port_a: str, port_b: str) -> ElementMatrix:
     """Ideal PBS routing unitary: H bar-passes, V cross-passes (amplitude +1)."""
-    modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0  # a-H stays
-    m[2, 2] = 1.0  # b-H stays
-    m[1, 3] = 1.0  # a-V crosses to b
-    m[3, 1] = 1.0  # b-V crosses to a
-    return ElementMatrix(modes, modes, m)
+    return _two_port(port_a, port_b, ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)))
 
 
 def coupler(
@@ -162,13 +158,18 @@ def coupler(
     )
     ch, sh = np.cos(theta_h), np.sin(theta_h)
     cv, sv = np.cos(theta_v), np.sin(theta_v)
-    modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    m = np.zeros(theta_h.shape + (4, 4), dtype=complex)
-    m[..., 0, 0], m[..., 0, 2] = ch, sh
-    m[..., 2, 0], m[..., 2, 2] = -sh, ch
-    m[..., 1, 1], m[..., 1, 3] = cv, sv
-    m[..., 3, 1], m[..., 3, 3] = (sv, -cv) if v_reflect else (-sv, cv)
-    return ElementMatrix(modes, modes, m)
+    v_block = ((cv, sv), (sv, -cv)) if v_reflect else ((cv, sv), (-sv, cv))
+    return _two_port(port_a, port_b, ((ch, sh), (-sh, ch)), v_block)
+
+
+def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
+    """Rotation-form coupler from bar amplitudes in [0, 1]; `what` names them in errors."""
+    for bar, pol in ((bar_h, "H"), (bar_v, "V")):
+        if not (0.0 <= bar <= 1.0):
+            raise ValueError(f"{what.format(pol)} amplitude {bar} outside [0, 1]")
+    cross_h = math.sqrt(max(0.0, 1.0 - bar_h * bar_h))
+    cross_v = math.sqrt(max(0.0, 1.0 - bar_v * bar_v))
+    return beam_splitter(port_a, port_b, t_h=bar_h, r_h=cross_h, t_v=bar_v, r_v=cross_v)
 
 
 def partially_polarizing_beam_splitter(
@@ -179,11 +180,7 @@ def partially_polarizing_beam_splitter(
     Default is the unit-H / 1-over-sqrt3-V splitter whose two-V-photon
     coincidence amplitude is t^2 - r^2 = -1/3.
     """
-    _check_amp(bar_h, "PPBS bar H")
-    _check_amp(bar_v, "PPBS bar V")
-    cross_h = math.sqrt(max(0.0, 1.0 - bar_h * bar_h))
-    cross_v = math.sqrt(max(0.0, 1.0 - bar_v * bar_v))
-    return beam_splitter(port_a, port_b, t_h=bar_h, r_h=cross_h, t_v=bar_v, r_v=cross_v)
+    return _bar_coupler(port_a, port_b, bar_h, bar_v, "PPBS bar {}")
 
 
 def attenuating_filter(
@@ -194,16 +191,7 @@ def attenuating_filter(
     Implemented as a coupler into the loss port, so the element is a full
     unitary and photon number stays exact with losses explicit.
     """
-    _check_amp(t_h, "filter H transmission")
-    _check_amp(t_v, "filter V transmission")
-    return beam_splitter(
-        port,
-        loss_port,
-        t_h=t_h,
-        r_h=math.sqrt(max(0.0, 1.0 - t_h * t_h)),
-        t_v=t_v,
-        r_v=math.sqrt(max(0.0, 1.0 - t_v * t_v)),
-    )
+    return _bar_coupler(port, loss_port, t_h, t_v, "filter {} transmission")
 
 
 def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:

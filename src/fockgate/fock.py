@@ -96,13 +96,6 @@ class PureState:
     def vacuum(cls, modes: Sequence[Mode]) -> "PureState":
         return cls(modes, {tuple([0] * len(modes)): 1.0})
 
-    @classmethod
-    def single_photon(cls, modes: Sequence[Mode], mode: Mode, amp: complex = 1.0) -> "PureState":
-        idx = list(modes).index(mode)
-        vec = [0] * len(modes)
-        vec[idx] = 1
-        return cls(modes, {tuple(vec): amp})
-
     def items(self) -> Iterator[tuple[FockVector, complex]]:
         return iter(self._terms.items())
 

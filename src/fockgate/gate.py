@@ -82,6 +82,9 @@ ELEMENT_ARITY = {
 }
 ELEMENT_KINDS = tuple(ELEMENT_ARITY)
 
+# Two-port couplers given by coupling angles or by bar amplitudes.
+COUPLER_KINDS = ("pbs", "ppbs", "filter")
+
 # Parameters each element kind accepts; any other key is a validation error.
 ELEMENT_PARAMS = {
     "pbs": ("theta_h", "theta_v"),
@@ -270,30 +273,44 @@ class Netlist:
         return counts
 
 
+def coupler_angles(el: ElementSpec) -> tuple[Any, Any]:
+    """Coupling angles (theta_h, theta_v) of a pbs, ppbs or filter; bar amplitude cos(theta).
+
+    Each angle is the element's own `theta_h`/`theta_v` where it sets one,
+    otherwise the arccosine of its bar amplitude: a filter's `t_h`/`t_v`
+    (required), a PPBS's `bar_h`/`bar_v` (default 1 and 1/sqrt3).  A PBS
+    without angles is the routing PBS, (0, pi/2) in reflection form.  A bar
+    amplitude outside [0, 1] raises ValueError.
+    """
+    p = el.param_dict
+    if el.kind == "pbs":
+        return p.get("theta_h", 0.0), p.get("theta_v", math.pi / 2.0)
+    if el.kind == "ppbs":
+        bar_keys, bars = ("bar_h", "bar_v"), {"bar_h": 1.0, "bar_v": 1.0 / SQ3, **p}
+    elif el.kind == "filter":
+        bar_keys, bars = ("t_h", "t_v"), p
+    else:
+        raise ValueError(f"element kind {el.kind!r} is not a coupler")
+    angles = []
+    for key, bar_key in zip(("theta_h", "theta_v"), bar_keys):
+        if key in p:
+            angles.append(p[key])
+        elif 0.0 <= bars[bar_key] <= 1.0:
+            angles.append(math.acos(bars[bar_key]))
+        else:
+            raise ValueError(f"bar amplitude {bar_key} = {bars[bar_key]} outside [0, 1]")
+    return tuple(angles)
+
+
 def build_element(el: ElementSpec) -> ElementMatrix | None:
     """Realize one ElementSpec as an ElementMatrix (None for pure markers)."""
     p = el.param_dict
+    if el.kind in COUPLER_KINDS and ("theta_h" in p or "theta_v" in p):
+        return coupler(*el.ports, *coupler_angles(el), v_reflect=el.kind == "pbs")
     if el.kind == "pbs":
-        if "theta_h" in p or "theta_v" in p:
-            return coupler(
-                *el.ports,
-                theta_h=p.get("theta_h", 0.0),
-                theta_v=p.get("theta_v", math.pi / 2.0),
-                v_reflect=True,
-            )
         return polarizing_beam_splitter(*el.ports)
     if el.kind == "ppbs":
-        if "theta_h" in p or "theta_v" in p:
-            return coupler(
-                *el.ports,
-                theta_h=p.get("theta_h", 0.0),
-                theta_v=p.get("theta_v", math.acos(p.get("bar_v", 1.0 / SQ3))),
-            )
-        return partially_polarizing_beam_splitter(
-            *el.ports,
-            bar_h=p.get("bar_h", 1.0),
-            bar_v=p.get("bar_v", 1.0 / SQ3),
-        )
+        return partially_polarizing_beam_splitter(*el.ports, **p)  # bar_h/bar_v at most
     if el.kind == "beamsplitter":
         return beam_splitter(
             *el.ports,
@@ -303,16 +320,7 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
             r_v=p.get("r_v"),
         )
     if el.kind == "filter":
-        if "theta_h" in p or "theta_v" in p:
-            return coupler(
-                el.ports[0],
-                el.ports[1],
-                theta_h=p.get("theta_h", math.acos(p["t_h"])),
-                theta_v=p.get("theta_v", math.acos(p["t_v"])),
-            )
-        return attenuating_filter(
-            el.ports[0], el.ports[1], t_h=p["t_h"], t_v=p["t_v"]
-        )
+        return attenuating_filter(*el.ports, t_h=p["t_h"], t_v=p["t_v"])
     if el.kind == "waveplate":
         matrix = p.get("matrix")
         if matrix is None:

@@ -11,7 +11,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import replace as dc_replace
+import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -20,7 +20,6 @@ import numpy as np
 from .fock import H, V, Polarization
 from .design import (
     CouplerPhysics,
-    Geometry,
     NotchAnchor,
     NotchCalibration,
 )
@@ -67,26 +66,40 @@ def _pol_from_str(s: str) -> Polarization:
         raise NetlistError(f"unknown polarization {s!r}; expected 'H' or 'V'") from None
 
 
-def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
+def _params_to_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, value in params.items():
         if key == "matrix":
             m = np.asarray(value, dtype=complex)
             out[key] = [[[float(c.real), float(c.imag)] for c in row] for row in m]
+        elif isinstance(value, np.ndarray):
+            raise NetlistError(
+                f"element {name!r} parameter {key!r} holds an array of shape "
+                f"{value.shape}; a netlist file holds one circuit"
+            )
         else:
             out[key] = value
     return out
 
 
-def _params_from_json(params: Mapping[str, Any]) -> dict[str, Any]:
+def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Element parameters from JSON: one finite number each, a bool `rotated`,
+    a `preset` name or a `matrix` of [re, im] pairs."""
+    if not isinstance(params, Mapping):
+        raise NetlistError(f"element {name!r} parameters must be an object, got {params!r}")
     out: dict[str, Any] = {}
     for key, value in params.items():
         if key == "matrix":
-            out[key] = [
-                [complex(c[0], c[1]) for c in row] for row in value
-            ]
-        else:
-            out[key] = value
+            value = [[complex(*pair) for pair in row] for row in value]
+        elif key == "rotated" and not isinstance(value, bool):
+            raise NetlistError(f"element {name!r} parameter 'rotated' must be true or false")
+        elif key not in ("preset", "rotated") and (
+            isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+        ):
+            raise NetlistError(
+                f"element {name!r} parameter {key!r} must be a finite number, got {value!r}"
+            )
+        out[key] = value
     return out
 
 
@@ -98,7 +111,7 @@ def netlist_to_dict(netlist: Netlist) -> dict[str, Any]:
                 "name": el.name,
                 "kind": el.kind,
                 "ports": list(el.ports),
-                "params": _params_to_json(el.param_dict),
+                "params": _params_to_json(el.name, el.param_dict),
             }
             for el in netlist.elements
         ],
@@ -128,7 +141,7 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
                 el["name"],
                 el["kind"],
                 tuple(el["ports"]),
-                tuple(sorted(_params_from_json(el.get("params", {})).items())),
+                tuple(sorted(_params_from_json(el["name"], el.get("params", {})).items())),
             )
             for el in data["elements"]
         )
@@ -136,15 +149,23 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
             HeraldTerm(
                 tuple(t["ports"]),
                 tuple(_pol_from_str(p) for p in t["pols"]),
-                int(t["count"]),
+                _count(t["count"]),
             )
             for t in data["herald"]
         )
         enc = data["encoding"]
         encoding = QubitEncoding(enc["target"], enc["control"], enc["program"])
-    except (KeyError, TypeError) as exc:
+        return Netlist(ports, elements, herald, encoding)
+    except NetlistError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(f"malformed netlist document: {exc}") from exc
-    return Netlist(ports, elements, herald, encoding)
+
+
+def _count(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NetlistError(f"herald count must be an integer, got {value!r}")
+    return value
 
 
 def load_netlist(path: str | Path) -> Netlist:
@@ -179,17 +200,6 @@ class PhysicsError(ValueError):
 def physics_to_dict(physics: CouplerPhysics) -> dict[str, Any]:
     return {
         "beat_um": {"H": physics.beat_h, "V": physics.beat_v},
-        "geometry_nm": {
-            "width": physics.geometry.width_nm,
-            "height": physics.geometry.height_nm,
-            "gap": physics.geometry.gap_nm,
-        },
-        "wavelength_um": physics.geometry.wavelength_um,
-        "ring_radius_um": physics.ring_radius_um,
-        "notch_nm": {
-            "width": physics.notch_width_nm,
-            "height": physics.notch_height_nm,
-        },
         "coupler_lengths_um": dict(physics.coupler_lengths),
         "sensitivities_um_per_nm": {
             dim: {"H": vals[0], "V": vals[1]} for dim, vals in physics.sensitivities
@@ -205,64 +215,60 @@ def physics_to_dict(physics: CouplerPhysics) -> dict[str, Any]:
     }
 
 
-def physics_from_dict(data: Mapping[str, Any]) -> CouplerPhysics:
+def _object(value: Any, keys: Iterable[str] | None, where: str) -> Mapping[str, Any]:
+    """`value` as a JSON object whose keys are among `keys` (any key when None)."""
+    if not isinstance(value, Mapping):
+        raise PhysicsError(f"{where} must be an object, got {value!r}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise PhysicsError(f"unknown key {unknown[0]!r} in {where}")
+    return value
+
+
+def physics_from_dict(data: Any) -> CouplerPhysics:
+    """Physics from the document `physics_to_dict` writes; a key left out keeps its default.
+
+    Objects take only the keys `physics_to_dict` writes, at every level;
+    `coupler_lengths_um` (keyed by element name) and `notch_anchors`, when
+    given, replace the defaults as a whole, and each anchor needs all its
+    keys.  Anything else, and any value `CouplerPhysics` or `NotchAnchor`
+    rejects, raises PhysicsError.
+    """
+    defaults = physics_to_dict(CouplerPhysics())
+    doc = {**defaults, **_object(data, defaults, "physics document")}
+    beat = {**defaults["beat_um"], **_object(doc["beat_um"], defaults["beat_um"], "beat_um")}
+    sens_defaults = defaults["sensitivities_um_per_nm"]
+    given = _object(doc["sensitivities_um_per_nm"], sens_defaults, "sensitivities_um_per_nm")
+    sens = {
+        dim: {**pols, **_object(given.get(dim, pols), pols, f"sensitivities_um_per_nm.{dim}")}
+        for dim, pols in sens_defaults.items()
+    }
+    lengths = _object(doc["coupler_lengths_um"], None, "coupler_lengths_um")
+    if not isinstance(doc["notch_anchors"], list):
+        raise PhysicsError(f"notch_anchors must be a list, got {doc['notch_anchors']!r}")
+    anchor_keys = defaults["notch_anchors"][0]
+    anchors = [_object(a, anchor_keys, "notch anchor") for a in doc["notch_anchors"]]
     try:
-        beat = data.get("beat_um", {})
-        geo = data.get("geometry_nm", {})
-        anchors = tuple(
-            NotchAnchor(
-                float(a["length_um"]),
-                _pol_from_str(a["input_pol"]),
-                float(a["conversion"]),
-            )
-            for a in data.get(
-                "notch_anchors",
-                [
-                    {"length_um": 0.75, "input_pol": "V", "conversion": 0.25},
-                    {"length_um": 2.90, "input_pol": "H", "conversion": 0.50},
-                    {"length_um": 2.75, "input_pol": "V", "conversion": 0.50},
-                ],
-            )
-        )
-        sens = data.get("sensitivities_um_per_nm", {})
-        sens_tuple = tuple(
-            (
-                dim,
-                (
-                    float(sens.get(dim, {}).get("H", 0.0)),
-                    float(sens.get(dim, {}).get("V", 0.0)),
-                ),
-            )
-            for dim in ("width", "height", "gap")
-        )
-        lengths = data.get("coupler_lengths_um")
-        physics = CouplerPhysics(
-            beat_h=float(beat.get("H", 35.80)),
-            beat_v=float(beat.get("V", 8.32)),
-            geometry=Geometry(
-                width_nm=float(geo.get("width", 350.0)),
-                height_nm=float(geo.get("height", 350.0)),
-                gap_nm=float(geo.get("gap", 250.0)),
-                wavelength_um=float(data.get("wavelength_um", 1.55)),
+        return CouplerPhysics(
+            beat_h=float(beat["H"]),
+            beat_v=float(beat["V"]),
+            sensitivities=tuple(
+                (dim, (float(pols["H"]), float(pols["V"]))) for dim, pols in sens.items()
             ),
-            sensitivities=sens_tuple,
-            notch=NotchCalibration(anchors),
-            ring_radius_um=float(data.get("ring_radius_um", 8.00)),
-            notch_width_nm=float(data.get("notch_nm", {}).get("width", 175.0)),
-            notch_height_nm=float(data.get("notch_nm", {}).get("height", 175.0)),
+            coupler_lengths=tuple(sorted((str(k), float(v)) for k, v in lengths.items())),
+            notch=NotchCalibration(
+                tuple(
+                    NotchAnchor(
+                        float(a["length_um"]),
+                        _pol_from_str(a["input_pol"]),
+                        float(a["conversion"]),
+                    )
+                    for a in anchors
+                )
+            ),
         )
-        if lengths is not None:
-            physics = dc_replace(
-                physics,
-                coupler_lengths=tuple(
-                    sorted((str(k), float(v)) for k, v in lengths.items())
-                ),
-            )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, PhysicsError):
-            raise
         raise PhysicsError(f"malformed physics document: {exc}") from exc
-    return physics
 
 
 def load_physics(path: str | Path) -> CouplerPhysics:

@@ -5,6 +5,7 @@ import pytest
 
 from fockgate.fock import H, V
 from fockgate.design import (
+    COUPLER_DESIGNS,
     CouplerPhysics,
     NotchAnchor,
     NotchCalibration,
@@ -17,6 +18,7 @@ from fockgate.design import (
     tolerance_sweep,
 )
 from fockgate.gate import (
+    COUPLER_KINDS,
     ElementSpec,
     NetlistError,
     build_element,
@@ -26,6 +28,42 @@ from fockgate.gate import (
 )
 
 PHYS = CouplerPhysics()
+
+
+# -- reference designs and physics validation ---------------------------------------
+
+
+def test_coupler_designs_name_the_default_couplers_and_their_lengths():
+    netlist = default_netlist()
+    table = {
+        name: design.reference_um
+        for design in COUPLER_DESIGNS.values()
+        for name in design.elements
+    }
+    for name in table:
+        assert netlist.element(name).kind in COUPLER_KINDS
+    assert dict(CouplerPhysics().coupler_lengths) == table
+    assert {key: d.reference_um for key, d in COUPLER_DESIGNS.items()} == {
+        "pbs": 70.72, "ppbs": 35.90, "f1": 12.00, "f2": 83.20
+    }
+
+
+INVALID_PHYSICS = {
+    "nan_beat": lambda: CouplerPhysics(beat_h=math.nan),
+    "infinite_beat": lambda: CouplerPhysics(beat_v=math.inf),
+    "negative_beat": lambda: CouplerPhysics(beat_v=-8.32),
+    "nan_sensitivity": lambda: PHYS.with_sensitivities("width", math.nan, 0.0),
+    "negative_coupler_length": lambda: CouplerPhysics(coupler_lengths=(("PBS1", -70.72),)),
+    "nan_coupler_length": lambda: CouplerPhysics(coupler_lengths=(("F1", math.nan),)),
+    "notch_conversion_above_one": lambda: NotchAnchor(0.75, V, 7.0),
+    "negative_notch_length": lambda: NotchAnchor(-0.75, V, 0.25),
+}
+
+
+@pytest.mark.parametrize("make", INVALID_PHYSICS.values(), ids=INVALID_PHYSICS.keys())
+def test_physics_construction_rejects_invalid_values(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 # -- power exchange model --------------------------------------------------------
@@ -361,3 +399,24 @@ def test_sweep_without_coupler_lengths_repeats_the_nominal_gate():
         assert row.element_bars == ()
         assert list(row.herald_probabilities) == list(nominal.herald_probability.values())
         assert row.fidelity == nominal.fidelity
+
+
+OWN_ANGLE_OVERRIDES = {
+    "PPBS": {"theta_h": 0.2},
+    "PBS3": {"theta_h": 0.1},
+    "F1": {"theta_h": 0.9},
+}
+
+
+@pytest.mark.parametrize("name", OWN_ANGLE_OVERRIDES)
+def test_sweep_at_zero_delta_keeps_an_elements_own_angles(name):
+    netlist = default_netlist()
+    el = netlist.element(name).with_params(**OWN_ANGLE_OVERRIDES[name])
+    netlist = netlist.with_overrides({name: el})
+    physics = PHYS.with_sensitivities("width", 0.004, 0.004)
+    (row,) = tolerance_sweep(netlist, physics, "width", (0.0, 0.0), 1.0, phi=1.0)
+    gate = extract_gate(netlist, 1.0)
+    assert gate.fidelity < 1 - 1e-3
+    assert abs(row.fidelity - gate.fidelity) <= 1e-12
+    for p, q in zip(row.herald_probabilities, gate.herald_probability.values()):
+        assert abs(p - q) <= 1e-12

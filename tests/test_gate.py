@@ -6,6 +6,7 @@ import pytest
 
 from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
 from fockgate.fock import H, V, norm_squared
+from fockgate.elements import attenuating_filter
 from fockgate.gate import (
     BASIS_LABELS,
     ELEMENT_ARITY,
@@ -17,7 +18,9 @@ from fockgate.gate import (
     PortDecl,
     ProgramState,
     QubitEncoding,
+    build_element,
     circuit_matrix,
+    coupler_angles,
     default_netlist,
     extract_gate,
     heralded_operators,
@@ -313,3 +316,38 @@ def test_netlist_rejects_unknown_parameter(key):
 
 def test_every_kind_has_a_parameter_table():
     assert set(ELEMENT_PARAMS) == set(ELEMENT_ARITY)
+
+
+# -- coupler angles ------------------------------------------------------------------
+
+
+def test_filter_given_by_angles_alone_equals_attenuating_filter():
+    theta_h, theta_v = 1.1, 0.4
+    built = build_element(spec("F", "filter", ("a", "b"), theta_h=theta_h, theta_v=theta_v))
+    expected = attenuating_filter("a", "b", t_h=math.cos(theta_h), t_v=math.cos(theta_v))
+    assert built.ports_in == expected.ports_in
+    assert np.max(np.abs(built.matrix - expected.matrix)) < 1e-15
+
+
+COUPLER_ANGLE_CASES = [
+    (spec("X", "pbs", ("a", "b")), (0.0, math.pi / 2)),
+    (spec("X", "pbs", ("a", "b"), theta_v=1.0), (0.0, 1.0)),
+    (spec("X", "ppbs", ("a", "b")), (0.0, math.acos(1 / math.sqrt(3)))),
+    (spec("X", "ppbs", ("a", "b"), bar_h=0.6, theta_v=0.3), (math.acos(0.6), 0.3)),
+    (spec("X", "filter", ("a", "b"), t_h=0.5, t_v=1.0, theta_h=0.2), (0.2, 0.0)),
+    (spec("X", "filter", ("a", "b"), t_h=0.5, t_v=1.0), (math.acos(0.5), 0.0)),
+]
+
+
+@pytest.mark.parametrize("el, angles", COUPLER_ANGLE_CASES)
+def test_coupler_angles_take_own_angles_then_bars_then_defaults(el, angles):
+    assert coupler_angles(el) == angles
+
+
+def test_coupler_angles_check_bar_amplitudes():
+    with pytest.raises(KeyError, match="t_v"):
+        coupler_angles(spec("X", "filter", ("a", "b"), theta_h=0.2))
+    with pytest.raises(ValueError, match="outside"):
+        coupler_angles(spec("X", "ppbs", ("a", "b"), bar_v=1.5, theta_h=0.0))
+    with pytest.raises(ValueError, match="not a coupler"):
+        coupler_angles(spec("X", "waveplate", ("a",), preset="hwp1"))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockgate
 from fockgate.cli import main, parse_qubit
 from fockgate.gate import NetlistError
-from fockgate.design import CouplerPhysics
+from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
 from fockgate.gate import default_netlist, extract_gate
 from fockgate.io import (
     format_number,
@@ -18,6 +23,7 @@ from fockgate.io import (
     netlist_from_dict,
     netlist_to_dict,
     physics_from_dict,
+    physics_to_dict,
     render_csv,
     save_netlist,
     save_physics,
@@ -62,6 +68,50 @@ def test_physics_json_round_trip(tmp_path):
     assert data["sensitivities_um_per_nm"]["height"]["V"] == 0.001
     loaded = physics_from_dict(data)
     assert loaded == physics
+    assert set(data) == {
+        "beat_um", "coupler_lengths_um", "sensitivities_um_per_nm", "notch_anchors"
+    }
+
+
+def test_physics_keys_left_out_keep_their_defaults():
+    partial = {"beat_um": {"V": 8.0}, "sensitivities_um_per_nm": {"gap": {"H": 0.002}}}
+    expected = CouplerPhysics(beat_v=8.0).with_sensitivities("gap", 0.002, 0.0)
+    assert physics_from_dict(partial) == expected
+    assert physics_from_dict({}) == CouplerPhysics()
+
+
+BAD_PHYSICS = {
+    "document_not_object": [1, 2],
+    "section_not_object": {"beat_um": 5},
+    "unknown_polarization_key": {"beat_um": {"h": 30}},
+    "unknown_dimension": {"sensitivities_um_per_nm": {"length": {"H": 0.1}}},
+    "nan_beat": {"beat_um": {"H": math.nan}},
+    "nan_sensitivity": {"sensitivities_um_per_nm": {"width": {"H": math.nan, "V": 0.004}}},
+    "negative_coupler_length": {"coupler_lengths_um": {"PBS1": -70.72}},
+    "notch_conversion_7": {
+        "notch_anchors": [{"length_um": 0.75, "input_pol": "V", "conversion": 7.0}]
+    },
+    "unknown_anchor_key": {
+        "notch_anchors": [{"length_um": 0.75, "input_pol": "V", "conversion": 0.25, "q": 1}]
+    },
+    "anchors_not_list": {"notch_anchors": {"length_um": 0.75}},
+    "removed_geometry_nm": {"geometry_nm": {"width": 350.0, "height": 350.0, "gap": 250.0}},
+    "removed_wavelength_um": {"wavelength_um": 1.55},
+    "removed_ring_radius_um": {"ring_radius_um": 8.0},
+    "removed_notch_nm": {"notch_nm": {"width": 175.0, "height": 175.0}},
+}
+
+
+@pytest.mark.parametrize("doc", BAD_PHYSICS.values(), ids=BAD_PHYSICS.keys())
+@pytest.mark.parametrize("command", [["design", "--element", "pbs"], ["sweep", "--dimension", "width"]])
+def test_bad_physics_exits_3(doc, command, tmp_path, capsys):
+    path = tmp_path / "physics.json"
+    path.write_text(json.dumps(doc))
+    code = main(command + ["--physics", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("validation error:")
+    assert captured.out == ""
 
 
 # -- formatting -------------------------------------------------------------------
@@ -206,6 +256,22 @@ def _f1_typo_t_hh(el):
         el["params"]["t_hh"] = 0.5
 
 
+def _f1_t_h_nan(el):
+    if el["name"] == "F1":
+        el["params"]["t_h"] = math.nan
+
+
+def _f1_theta_h_list(el):
+    # a list would load as a two-point batch of circuits
+    if el["name"] == "F1":
+        el["params"]["theta_h"] = [0.0, 0.1]
+
+
+def _det_rotated_string(el):
+    if el["name"] == "DET":
+        el["params"]["rotated"] = "no"
+
+
 def _near_unitary_hadamards(el):
     # each plate passes the per-element 1e-12 check on its own, but
     # perturbed circuits built from both are not unitary within 1e-12
@@ -219,6 +285,9 @@ UNREALIZABLE_NETLISTS = {
     "missing_t_h": (_drop_f1_t_h, ["truth-table", "--phi", "0"], "'F1'"),
     "t_h_above_one": (_f1_t_h_above_one, ["truth-table", "--phi", "0"], "'F1'"),
     "t_h_string": (_f1_t_h_string, ["truth-table", "--phi", "0"], "'F1'"),
+    "t_h_nan": (_f1_t_h_nan, ["truth-table", "--phi", "0"], "'F1'"),
+    "theta_h_list": (_f1_theta_h_list, ["truth-table", "--phi", "0"], "'theta_h'"),
+    "rotated_string": (_det_rotated_string, ["truth-table", "--phi", "0"], "'rotated'"),
     "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
     "unknown_key_bogus": (_f1_bogus_key, ["truth-table", "--phi", "0"], "'bogus'"),
     "unknown_key_t_hh": (_f1_typo_t_hh, ["truth-table", "--phi", "0"], "'t_hh'"),
@@ -242,6 +311,26 @@ def test_unrealizable_netlist_exits_3(edit, argv, message, tmp_path, capsys):
 def test_unrealizable_netlist_fails_on_load(tmp_path):
     with pytest.raises(NetlistError, match="F1.*t_h"):
         load_netlist(_netlist_json(tmp_path, _drop_f1_t_h))
+
+
+@pytest.mark.parametrize("count", [1.5, "1", math.nan, True])
+def test_herald_count_must_be_an_integer(count):
+    data = netlist_to_dict(default_netlist())
+    data["herald"][0]["count"] = count
+    with pytest.raises(NetlistError, match="count"):
+        netlist_from_dict(data)
+
+
+def test_save_netlist_rejects_batched_parameters(tmp_path):
+    netlist = default_netlist()
+    physics = CouplerPhysics().with_sensitivities("width", 0.004, 0.004)
+    batched = netlist.with_overrides(
+        synthesize_imperfect_elements(netlist, physics, "width", np.array([0.0, 1.0]))
+    )
+    path = tmp_path / "batched.json"
+    with pytest.raises(NetlistError, match="'PBS1' parameter 'theta_h'"):
+        save_netlist(batched, path)
+    assert not path.exists()
 
 
 def test_element_arity_checked_on_load(tmp_path, capsys):
@@ -345,6 +434,17 @@ def _physics_with_sensitivity(tmp_path):
     return path
 
 
+def test_sweep_beyond_sensitivity_validity_exits_3(tmp_path, capsys):
+    # the V beat (8.32 um) reaches zero within the default -10:10 nm range
+    path = tmp_path / "phys.json"
+    save_physics(CouplerPhysics().with_sensitivities("width", 0.004, -0.9), path)
+    code = main(["sweep", "--dimension", "width", "--physics", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "non-positive" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_default_grid_and_plot_flag(tmp_path, capsys):
     phys = _physics_with_sensitivity(tmp_path)
     out_csv = tmp_path / "sweep.csv"
@@ -411,3 +511,66 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "fidelity" in proc.stdout
+
+
+# -- fuzz of the file boundary ------------------------------------------------------
+
+FUZZ_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0, 2.0]]) | st.floats(
+    min_value=-1e3, max_value=-1e-3
+)
+
+
+def _locations(doc, path=()):
+    """(path, is_number) of every value in a JSON document below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        yield path + (key,), number
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one to three keys dropped or renamed, or numbers replaced."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        choices = [(path, "replace") for path, number in _locations(doc) if number]
+        choices += [(path, edit) for path, _ in _locations(doc) if isinstance(path[-1], str)
+                    for edit in ("drop", "rename")]
+        path, edit = draw(st.sampled_from(choices))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if edit == "replace":
+            parent[path[-1]] = draw(FUZZ_VALUES)
+        elif edit == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1] + "_x"] = parent.pop(path[-1])
+    return doc
+
+
+FUZZ_PHYSICS = physics_to_dict(CouplerPhysics().with_sensitivities("width", 0.004, 0.003))
+FUZZ_NETLIST = netlist_to_dict(default_netlist())
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(physics=mutated(FUZZ_PHYSICS), netlist=mutated(FUZZ_NETLIST))
+def test_mutated_files_exit_0_2_or_3(physics, netlist, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    physics_path, netlist_path = folder / "physics.json", folder / "netlist.json"
+    physics_path.write_text(json.dumps(physics))
+    netlist_path.write_text(json.dumps(netlist))
+    for argv in (
+        ["design", "--element", "ppbs", "--physics", str(physics_path)],
+        ["sweep", "--dimension", "width", "--step", "5", "--physics", str(physics_path)],
+        ["sweep", "--dimension", "width", "--step", "5", "--netlist", str(netlist_path)]
+        + ["--physics", str(physics_path)],
+        ["truth-table", "--phi", "0.5", "--netlist", str(netlist_path)],
+    ):
+        assert _run_quietly(argv) in (0, 2, 3), argv
