@@ -62,7 +62,8 @@ def check_cphase_correctness(netlist: Netlist | None = None) -> CheckResult:
         res = extract_gate(nl, phi)
         worst_off = max(worst_off, res.max_offdiagonal)
         err = abs((res.measured_phase - phi + math.pi) % (2 * math.pi) - math.pi)
-        worst_phase = max(worst_phase, err)
+        # np.maximum keeps a NaN error (undefined phase); max() may drop it
+        worst_phase = float(np.maximum(worst_phase, err))
         worst_fid = min(worst_fid, res.fidelity)
     elapsed = time.perf_counter() - start
     ok = worst_off < 1e-10 and worst_phase <= 1e-9 and worst_fid >= 1 - 1e-9 and elapsed < 1.0
@@ -111,16 +112,15 @@ def check_ppbs_interference() -> CheckResult:
 
 def _computational_inputs(netlist: Netlist):
     """One photon or vacuum on each encoded input port, <= 3 photons total."""
-    modes = list(netlist.modes)
     enc = netlist.encoding
     choices = (None, H, V)
     for t in choices:
         for c in choices:
             for p in choices:
-                vec = [0] * len(modes)
+                vec = [0] * len(netlist.modes)
                 for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
                     if pol is not None:
-                        vec[modes.index(Mode(port, pol))] = 1
+                        vec[netlist.columns[Mode(port, pol)]] = 1
                 yield tuple(vec)
 
 

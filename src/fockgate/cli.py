@@ -89,26 +89,35 @@ def parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _input_file(path: str, kind: str) -> Path:
+    """`path` as a Path; ConfigError naming the `kind` of file unless it is a regular file."""
+    p = Path(path)
+    try:
+        readable = p.is_file()
+    except OSError:  # e.g. a name too long for the file system
+        readable = False
+    if not readable:
+        raise ConfigError(f"{kind} file not readable: {path}")
+    return p
+
+
 def _load_netlist(path: str | None) -> Netlist:
     if path is None:
         return default_netlist()
-    p = Path(path)
-    try:
-        text_exists = p.is_file()
-    except OSError:
-        text_exists = False
-    if not text_exists:
-        raise ConfigError(f"netlist file not readable: {path}")
-    return load_netlist(p)
+    return load_netlist(_input_file(path, "netlist"))
 
 
 def _load_physics(path: str | None) -> CouplerPhysics:
     if path is None:
         return CouplerPhysics()
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"physics file not readable: {path}")
-    return load_physics(p)
+    return load_physics(_input_file(path, "physics"))
+
+
+def _phase_text(phase: float) -> str:
+    """A measured controlled phase for display; NaN means |00> never heralds."""
+    if math.isnan(phase):
+        return "undefined (|00> never heralds)"
+    return f"{format_number(phase)} rad"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -134,7 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         label = " ".join(occupied) if occupied else "vacuum"
         print(f"  {format_complex(amp):>32}  |{label}>")
-    print(f"extracted controlled phase = {format_number(result.measured_phase)} rad")
+    print(f"extracted controlled phase = {_phase_text(result.measured_phase)}")
     print(f"process fidelity vs ideal = {format_number(result.fidelity)}")
 
     if args.output:
@@ -165,7 +174,7 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
     diag_ok = result.max_offdiagonal < 1e-10
     print(f"off-diagonal magnitudes < 1e-10: {'pass' if diag_ok else 'FAIL'} "
           f"(max {result.max_offdiagonal:.3e})")
-    print(f"measured controlled phase = {format_number(result.measured_phase)} rad")
+    print(f"measured controlled phase = {_phase_text(result.measured_phase)}")
     print(f"process fidelity vs ideal = {format_number(result.fidelity)}")
     if args.output:
         header = [

@@ -1,10 +1,10 @@
 """Optical elements as single-photon mode transformations.
 
-An element is an isometry from a set of input modes to a set of output
-modes, stored in transfer orientation: matrix[i, j] is the amplitude
-from input mode i to output mode j, so a creation operator maps as
+An element is unitary on its modes, stored in transfer orientation:
+matrix[i, j] is the amplitude from mode i to mode j, so a creation
+operator maps as
 
-    a_in,i  ->  sum_j matrix[i, j] a_out,j
+    a_i  ->  sum_j matrix[i, j] a_j
 
 Losses are never silent: filters are completed into full couplers that
 route rejected amplitude into dedicated loss modes, so every element in
@@ -53,32 +53,23 @@ WAVEPLATE_PRESETS = {
 
 @dataclass(frozen=True)
 class ElementMatrix:
-    """Isometry attached to named modes.
+    """Unitary on its modes.
 
-    ports_in: modes consumed; ports_out: modes produced.  matrix has
-    shape (..., len(ports_in), len(ports_out)) in transfer orientation: a
-    leading batch shape makes it a stack of matrices, one per point of a
-    sweep.  The rows of every matrix in the stack are orthonormal (each
-    input maps to a unit-norm output combination) within 1e-12.
+    matrix has shape (..., len(modes), len(modes)) in transfer
+    orientation, mapping the modes onto themselves: a leading batch shape
+    makes it a stack of matrices, one per point of a sweep.  The rows of
+    every matrix in the stack are orthonormal within 1e-12.
     """
 
-    ports_in: tuple[Mode, ...]
-    ports_out: tuple[Mode, ...]
+    modes: tuple[Mode, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape[-2:] != (len(self.ports_in), len(self.ports_out)):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match "
-                f"{len(self.ports_in)} inputs x {len(self.ports_out)} outputs"
-            )
+        if m.shape[-2:] != (len(self.modes),) * 2:
+            raise ValueError(f"matrix shape {m.shape} does not match {len(self.modes)} modes")
         _check_isometry(m, "element is not an isometry: deviation {:.3g}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def square(self) -> bool:
-        return len(self.ports_in) == len(self.ports_out)
 
 
 def _check_isometry(m: np.ndarray, message: str) -> None:
@@ -107,7 +98,7 @@ def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
     blocks[::2, ::2] = h_block
     blocks[1::2, 1::2] = v_block
     modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    return ElementMatrix(modes, modes, m)
+    return ElementMatrix(modes, m)
 
 
 def beam_splitter(
@@ -209,18 +200,15 @@ def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:
         m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"wave plate matrix must be 2x2, got {m.shape}")
-    dev = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-    if dev > 1e-12:
-        raise ValueError(f"wave plate matrix is not unitary: deviation {dev:.3g}")
     modes = (Mode(port, H), Mode(port, V))
-    return ElementMatrix(modes, modes, m)
+    return ElementMatrix(modes, m)
 
 
 def phase_shift(port: str, phase_h: float = 0.0, phase_v: float = 0.0) -> ElementMatrix:
     """Diagonal phase on the (H, V) modes of one port."""
     modes = (Mode(port, H), Mode(port, V))
     m = np.diag([np.exp(1j * phase_h), np.exp(1j * phase_v)]).astype(complex)
-    return ElementMatrix(modes, modes, m)
+    return ElementMatrix(modes, m)
 
 
 def rotator_from_conversion(
@@ -248,7 +236,7 @@ def rotator_from_conversion(
 
 
 def apply_element(state: PureState, element: ElementMatrix) -> PureState:
-    """Apply the exact bosonic substitution a_in,i -> sum_j M[i,j] a_out,j.
+    """Apply the exact bosonic substitution a_i -> sum_j M[i,j] a_j on the element's modes.
 
     Element modes not yet present in the state are appended in vacuum
     (this is how filter loss modes enter).  The expansion is the exact
@@ -256,15 +244,8 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
     preserved for unitary elements.
     """
     modes = list(state.modes)
-    new_modes = modes + [
-        m
-        for m in element.ports_in + element.ports_out
-        if m not in modes
-    ]
-    new_modes = list(dict.fromkeys(new_modes))
-    in_idx = [new_modes.index(m) for m in element.ports_in]
-    out_idx = [new_modes.index(m) for m in element.ports_out]
-    in_set = set(in_idx)
+    new_modes = modes + [m for m in element.modes if m not in modes]
+    idx = [new_modes.index(m) for m in element.modes]
     pad = len(new_modes) - len(modes)
 
     terms: dict[FockVector, complex] = {}
@@ -272,23 +253,19 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
         vec = orig_vec + (0,) * pad
         base = list(vec)
         ns = []
-        for i in in_idx:
+        for i in idx:
             ns.append(base[i])
             base[i] = 0
         prefactor = amp / math.sqrt(_prod_fact(ns))
-        stale = _prod_fact(
-            vec[j] for j in out_idx if j not in in_set
-        )
         expansions: list[tuple[FockVector, complex]] = [(tuple(base), prefactor)]
         for row_pos, n in enumerate(ns):
             if n == 0:
                 continue
             expansions = _expand_power(
-                expansions, element.matrix[row_pos], out_idx, n
+                expansions, element.matrix[row_pos], idx, n
             )
         for out_vec, coeff in expansions:
-            extra = _prod_fact(out_vec[j] for j in out_idx)
-            total = coeff * math.sqrt(extra / stale)
+            total = coeff * math.sqrt(_prod_fact(out_vec[j] for j in idx))
             terms[out_vec] = terms.get(out_vec, 0.0) + total
     kept = {k: v for k, v in terms.items() if abs(v) >= PRUNE_THRESHOLD}
     return PureState(new_modes, kept, subnormalized=state.subnormalized)
@@ -420,8 +397,7 @@ def compose_circuit_matrix(
     Elements are given in application order; in transfer orientation the
     composite is M1 @ M2 @ ... @ Mk, with each Mi the identity outside its
     element's modes.  An element maps its modes onto themselves, so each
-    step rewrites only the columns of those modes.  Elements must be
-    square (unitary; filters already are, by construction) and act on
+    step rewrites only the columns of those modes.  Elements must act on
     modes of `modes`.  Stacked element matrices broadcast: the result has
     shape B + (n, n), with B the common batch shape of the elements (empty
     when none is stacked), and every matrix in it is unitary within 1e-12.
@@ -432,13 +408,10 @@ def compose_circuit_matrix(
     # the identity, broadcast to the batch shape
     full = np.eye(n, dtype=complex) + np.zeros(batch + (n, n), dtype=complex)
     for el in elements:
-        if not el.square:
-            raise ValueError("only square (unitary) elements can be composed")
-        for m in el.ports_in + el.ports_out:
+        for m in el.modes:
             if m not in pos:
                 raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
-        in_idx = [pos[m] for m in el.ports_in]
-        out_idx = [pos[m] for m in el.ports_out]
-        full[..., out_idx] = full[..., in_idx] @ el.matrix
+        idx = [pos[m] for m in el.modes]
+        full[..., idx] = full[..., idx] @ el.matrix
     _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
     return full

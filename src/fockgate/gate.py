@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .fock import (
     V,
     PRUNE_THRESHOLD,
     FockVector,
+    HeraldCondition,
     HeraldPattern,
     Mode,
     Polarization,
@@ -157,24 +158,31 @@ class QubitEncoding:
 
 @dataclass(frozen=True)
 class Netlist:
+    """A validated circuit with its mode layout fixed at construction.
+
+    `modes` is the canonical mode order (declared port order, H before V)
+    of circuit matrices and states; `columns` maps each mode to its index
+    there.  Neither takes part in equality or hashing.
+    """
+
     ports: tuple[PortDecl, ...]
     elements: tuple[ElementSpec, ...]
     herald: tuple[HeraldTerm, ...]
     encoding: QubitEncoding
+    modes: tuple[Mode, ...] = field(init=False, compare=False, repr=False)
+    columns: dict[Mode, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
+        modes = modes_for_ports(self.port_names)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "columns", {m: i for i, m in enumerate(modes)})
 
     # -- structure ---------------------------------------------------------
 
     @property
     def port_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.ports)
-
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        """Canonical mode ordering: declared port order, H before V."""
-        return modes_for_ports(self.port_names)
 
     def element(self, name: str) -> ElementSpec:
         for el in self.elements:
@@ -248,14 +256,14 @@ class Netlist:
         return out
 
     def herald_pattern(self) -> HeraldPattern:
-        modes = self.modes
-        constraints = []
-        for term in self.herald:
-            subset = [
-                Mode(p, pol) for p in term.ports for pol in term.pols
-            ]
-            constraints.append((subset, term.count))
-        return HeraldPattern.on_modes(modes, constraints)
+        """The herald terms as exact-count conditions on the columns of `modes`."""
+        return HeraldPattern(tuple(
+            HeraldCondition(
+                tuple(self.columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
+                term.count,
+            )
+            for term in self.herald
+        ))
 
     def with_overrides(self, overrides: Mapping[str, ElementSpec]) -> "Netlist":
         """Replace named elements (used to inject imperfect devices)."""
@@ -403,24 +411,26 @@ def prepare_input(
         ),
         program_state(p_modes, enc.program, program.phi),
     )
-    return extend_state(st, netlist.modes)
+    return extend_state(st, netlist)
 
 
-def extend_state(state: PureState, modes: Sequence[Mode]) -> PureState:
-    """Re-express a state on a superset mode list (vacuum elsewhere)."""
-    modes = list(modes)
+def extend_state(state: PureState, netlist: Netlist) -> PureState:
+    """Re-express a state on `netlist.modes` (vacuum elsewhere).
+
+    Raises KeyError for a state mode the netlist does not declare.
+    """
     mapping = []
     for m in state.modes:
-        if m not in modes:
-            raise KeyError(f"mode {m!r} not present in target mode list")
-        mapping.append(modes.index(m))
+        if m not in netlist.columns:
+            raise KeyError(f"mode {m!r} is not a mode of the netlist")
+        mapping.append(netlist.columns[m])
     terms = {}
     for vec, amp in state.items():
-        new = [0] * len(modes)
+        new = [0] * len(netlist.modes)
         for src, dst in enumerate(mapping):
             new[dst] = vec[src]
         terms[tuple(new)] = amp
-    return PureState(modes, terms, subnormalized=state.subnormalized)
+    return PureState(netlist.modes, terms, subnormalized=state.subnormalized)
 
 
 def run_elements(netlist: Netlist, state: PureState) -> PureState:
@@ -442,8 +452,7 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     squared norm.  `run_elements` followed by `project_herald` computes
     the same branch independently and is the reference for this one.
     """
-    modes = netlist.modes
-    state = extend_state(state, modes)
+    state = extend_state(state, netlist)
     unitary = circuit_matrix(netlist)
     pattern = netlist.herald_pattern()
     groups: dict[int, list[tuple[FockVector, complex]]] = {}
@@ -455,7 +464,7 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
         outputs, transfer = heralded_transfer(unitary, pattern, np.array(vecs))
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
-    branch = PureState(modes, terms, subnormalized=True)
+    branch = PureState(netlist.modes, terms, subnormalized=True)
     return branch, norm_squared(branch)
 
 
@@ -527,7 +536,13 @@ class GateResult:
 
     @property
     def measured_phase(self) -> float:
-        """arg(d33 / d00), the realized controlled phase, in [0, 2pi)."""
+        """arg(d33 / d00), the realized controlled phase, in [0, 2pi).
+
+        NaN when d00 is zero: an operator under which |00> never heralds
+        defines no controlled phase.
+        """
+        if self.operator[0, 0] == 0:
+            return math.nan
         ratio = self.operator[3, 3] / self.operator[0, 0]
         return cmath.phase(ratio) % (2 * math.pi)
 
@@ -601,14 +616,12 @@ def heralded_operators(
     (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
     probabilities (..., 4) in the same order.
     """
-    modes = netlist.modes
     enc = netlist.encoding
-    pos = {m: i for i, m in enumerate(modes)}
     # rows: basis input 4 t + 2 c + program polarization
-    inputs = np.zeros((8, len(modes)), dtype=int)
+    inputs = np.zeros((8, len(netlist.modes)), dtype=int)
     for row, (t, c, p) in enumerate(itertools.product((H, V), repeat=3)):
         for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
-            inputs[row, pos[Mode(port, pol)]] = 1
+            inputs[row, netlist.columns[Mode(port, pol)]] = 1
     outputs, amps = heralded_transfer(unitary, netlist.herald_pattern(), inputs)
     amps = amps.reshape(amps.shape[:-2] + (4, 2, len(outputs)))
     w_h = 1 / math.sqrt(2)
@@ -634,10 +647,9 @@ def _logical_readout(netlist: Netlist, outputs: np.ndarray) -> np.ndarray:
     exactly one on the control port and one in the detector mode.
     """
     enc = netlist.encoding
-    modes = list(netlist.modes)
 
     def count(port: str, pol: Polarization) -> np.ndarray:
-        return outputs[:, modes.index(Mode(port, pol))]
+        return outputs[:, netlist.columns[Mode(port, pol)]]
 
     t_v, c_v = count(enc.target, V), count(enc.control, V)
     ok = (

@@ -41,14 +41,14 @@ def test_ppbs_default_block():
     el = partially_polarizing_beam_splitter("a", "b")
     # V block in transfer orientation: [[t, r], [-r, t]] with t = 1/sqrt3
     t, r = 1 / math.sqrt(3), math.sqrt(2.0 / 3.0)
-    idx_av = el.ports_in.index(Mode("a", V))
-    idx_bv = el.ports_in.index(Mode("b", V))
+    idx_av = el.modes.index(Mode("a", V))
+    idx_bv = el.modes.index(Mode("b", V))
     assert abs(el.matrix[idx_av, idx_av] - t) < 1e-15
     assert abs(el.matrix[idx_av, idx_bv] - r) < 1e-15
     assert abs(el.matrix[idx_bv, idx_av] + r) < 1e-15
     assert abs(el.matrix[idx_bv, idx_bv] - t) < 1e-15
     # H modes untouched
-    idx_ah = el.ports_in.index(Mode("a", H))
+    idx_ah = el.modes.index(Mode("a", H))
     assert el.matrix[idx_ah, idx_ah] == 1.0
 
 
@@ -65,6 +65,16 @@ def test_filter_amplitude_range_checked():
 def test_waveplate_rejects_nonunitary():
     with pytest.raises(ValueError, match="deviation"):
         wave_plate("a", np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.1], [0.0, 1.0]]],
+    ids=["nan", "non_unitary"],
+)
+def test_waveplate_matrix_checked_as_an_element(matrix):
+    with pytest.raises(ValueError, match="not an isometry"):
+        wave_plate("a", np.array(matrix))
 
 
 def test_full_transmission_filter_is_identity_plus_unreachable_loss():
@@ -238,14 +248,14 @@ def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
 
 def test_stacked_element_with_one_bad_slice_rejected():
     good = coupler("a", "b", ANGLES_H, ANGLES_V).matrix
-    ElementMatrix(AB, AB, good)
+    ElementMatrix(AB, good)
     bad = good.copy()
     bad[2, 0, 0] *= 1 + 1e-9
     with pytest.raises(ValueError, match="not an isometry"):
-        ElementMatrix(AB, AB, bad)
+        ElementMatrix(AB, bad)
     bad[2, 0, 0] = math.nan
     with pytest.raises(ValueError, match="not an isometry"):
-        ElementMatrix(AB, AB, bad)
+        ElementMatrix(AB, bad)
 
 
 def test_compose_stack_equals_per_slice_composition():
@@ -272,7 +282,7 @@ def test_compose_stack_rejects_one_non_unitary_slice():
     # slice 1 is a plate that passes the 1e-12 isometry check; its square does not
     a = (1 + 4.9e-13) / math.sqrt(2)
     matrices = np.stack([np.eye(2), [[a, a], [a, -a]], np.eye(2)]).astype(complex)
-    plate = ElementMatrix(modes_for_ports(["a"]), modes_for_ports(["a"]), matrices)
+    plate = ElementMatrix(modes_for_ports(["a"]), matrices)
     assert compose_circuit_matrix([plate], AB).shape == (3, 4, 4)
     with pytest.raises(ValueError, match="not unitary"):
         compose_circuit_matrix([plate, plate], AB)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
-from fockgate.fock import H, V, norm_squared
+from fockgate.fock import H, V, HeraldPattern, Mode, norm_squared
 from fockgate.elements import attenuating_filter
+from fockgate.io import netlist_from_dict, netlist_to_dict
 from fockgate.gate import (
     BASIS_LABELS,
     ELEMENT_ARITY,
@@ -81,6 +82,38 @@ def test_netlist_rejects_duplicate_elements():
             (HeraldTerm(("a",), (H, V), 1),),
             QubitEncoding("a", "b", "c"),
         )
+
+
+def _reordered_netlist():
+    data = netlist_to_dict(default_netlist())
+    data["ports"] = data["ports"][::-1]
+    return netlist_from_dict(data)
+
+
+@pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
+def test_columns_index_modes_and_place_the_herald(make):
+    nl = make()
+    assert nl.columns == {m: list(nl.modes).index(m) for m in nl.modes}
+    constraints = [
+        ([Mode(p, pol) for p in term.ports for pol in term.pols], term.count)
+        for term in nl.herald
+    ]
+    assert nl.herald_pattern() == HeraldPattern.on_modes(nl.modes, constraints)
+
+
+def test_reordered_ports_reorder_the_columns():
+    assert _reordered_netlist().columns[Mode("F2_LOSS", H)] == 0
+
+
+def test_with_overrides_keeps_modes_and_columns(netlist):
+    tuned = netlist.with_overrides({"F1": netlist.element("F1").with_params(t_h=0.4)})
+    assert tuned.modes == netlist.modes
+    assert tuned.columns == netlist.columns
+
+
+def test_netlists_compare_and_hash_by_their_fields():
+    a, b = default_netlist(), default_netlist()
+    assert a == b and hash(a) == hash(b)
 
 
 def test_with_overrides_unknown_name_rejected(netlist):
@@ -235,6 +268,14 @@ def test_h_filter_placement_on_control_path_is_forced(moved_f2_netlist):
 # -- operator utilities ----------------------------------------------------------
 
 
+def test_measured_phase_undefined_when_00_never_heralds(netlist):
+    det = netlist.element("DET")
+    unrotated = netlist.with_overrides({"DET": ElementSpec(det.name, det.kind, det.ports)})
+    result = extract_gate(unrotated, 0.5)
+    assert result.operator[0, 0] == 0
+    assert math.isnan(result.measured_phase)
+
+
 def test_ideal_cphase_values():
     assert np.allclose(ideal_cphase(0.0), np.eye(4))
     assert np.allclose(ideal_cphase(math.pi), np.diag([1, 1, 1, -1]))
@@ -325,7 +366,7 @@ def test_filter_given_by_angles_alone_equals_attenuating_filter():
     theta_h, theta_v = 1.1, 0.4
     built = build_element(spec("F", "filter", ("a", "b"), theta_h=theta_h, theta_v=theta_v))
     expected = attenuating_filter("a", "b", t_h=math.cos(theta_h), t_v=math.cos(theta_v))
-    assert built.ports_in == expected.ports_in
+    assert built.modes == expected.modes
     assert np.max(np.abs(built.matrix - expected.matrix)) < 1e-15
 
 

@@ -170,6 +170,22 @@ def test_simulate_unreadable_netlist_exits_2(capsys):
     assert "/no/such/file.json" in err
 
 
+FILE_FLAG_ARGS = {
+    "netlist": ["truth-table", "--phi", "0", "--netlist"],
+    "physics": ["design", "--element", "pbs", "--physics"],
+}
+
+
+@pytest.mark.parametrize("path", ["/no/such/file.json", "x" * 300], ids=["missing", "over_long"])
+@pytest.mark.parametrize("kind", FILE_FLAG_ARGS)
+def test_unreadable_input_file_exits_2(kind, path, capsys):
+    code = main(FILE_FLAG_ARGS[kind] + [path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {kind} file not readable: {path}\n"
+    assert captured.out == ""
+
+
 def test_simulate_bad_amplitudes_exit_2(capsys):
     code = main(["simulate", "--phi", "0", "--target", "nope", "--control", "1,0:0,0"])
     assert code == 2
@@ -484,6 +500,41 @@ def test_check_passes_on_default_netlist(capsys):
     assert code == 0
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+
+
+def _unrotated_detector_netlist(tmp_path):
+    # DET measures its port unrotated, so the |00> input never heralds
+    data = netlist_to_dict(default_netlist())
+    for el in data["elements"]:
+        if el["name"] == "DET":
+            del el["params"]["rotated"]
+    path = tmp_path / "unrotated.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truth-table", "--phi", "0.5"],
+        ["simulate", "--phi", "0.5", "--target", "1,0:0,0", "--control", "1,0:0,0"],
+    ],
+    ids=["truth-table", "simulate"],
+)
+def test_undefined_phase_is_reported_quietly(argv, tmp_path, capsys):
+    code = main(argv + ["--netlist", _unrotated_detector_netlist(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "controlled phase = undefined (|00> never heralds)" in captured.out
+    assert captured.err == ""
+
+
+def test_check_fails_cphase_correctness_when_00_never_heralds(tmp_path, capsys):
+    code = main(["check", "--netlist", _unrotated_detector_netlist(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "FAIL  cphase_correctness: " in captured.out
+    assert captured.err == ""
 
 
 def test_check_fails_on_detuned_netlist(tmp_path, capsys):
