@@ -7,6 +7,7 @@ the same functions so there is a single source of truth for tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -110,20 +111,6 @@ def check_ppbs_interference() -> CheckResult:
     )
 
 
-def _computational_inputs(netlist: Netlist):
-    """One photon or vacuum on each encoded input port, <= 3 photons total."""
-    enc = netlist.encoding
-    choices = (None, H, V)
-    for t in choices:
-        for c in choices:
-            for p in choices:
-                vec = [0] * len(netlist.modes)
-                for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
-                    if pol is not None:
-                        vec[netlist.columns[Mode(port, pol)]] = 1
-                yield tuple(vec)
-
-
 def check_oracle_equivalence(netlist: Netlist | None = None) -> CheckResult:
     """Criterion 4: sequential application matches the permanent oracle."""
     nl = netlist or default_netlist()
@@ -132,7 +119,9 @@ def check_oracle_equivalence(netlist: Netlist | None = None) -> CheckResult:
     modes = nl.modes
     worst = 0.0
     compared = 0
-    for in_vec in _computational_inputs(nl):
+    # one photon or vacuum on each encoded input port, <= 3 photons total
+    for pols in itertools.product((None, H, V), repeat=3):
+        in_vec = nl.input_occupation(*pols)
         state = PureState(modes, {in_vec: 1.0})
         out = run_elements(nl, state)
         seq = {vec: amp for vec, amp in out.items()}

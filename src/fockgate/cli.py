@@ -22,6 +22,7 @@ from .design import (
     CouplerPhysics,
     enumerate_v_perfect_lengths,
     solve_coupler_length,
+    sweep_deltas,
     tolerance_sweep,
 )
 from .gate import (
@@ -62,7 +63,12 @@ def finite_float(text: str) -> float:
 
 
 def parse_qubit(text: str) -> tuple[complex, complex]:
-    """Parse 're,im:re,im' into (alpha, beta)."""
+    """Parse 're,im:re,im' into (alpha, beta).
+
+    A pair whose |alpha|^2 + |beta|^2 is within 1e-6 of 1 but not within
+    the 1e-12 `qubit_state` requires (amplitudes written to about 8
+    digits) is divided by its norm; any other pair is returned unchanged.
+    """
     try:
         parts = text.split(":")
         if len(parts) != 2:
@@ -75,7 +81,12 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
         raise ConfigError(f"cannot parse qubit amplitudes {text!r}: {exc}") from exc
     if not all(cmath.isfinite(a) for a in amps):
         raise ConfigError(f"qubit amplitudes must be finite, got {text!r}")
-    return amps[0], amps[1]
+    alpha, beta = amps
+    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    if 1e-12 < abs(norm_sq - 1.0) <= 1e-6:
+        norm = math.sqrt(norm_sq)
+        alpha, beta = alpha / norm, beta / norm
+    return alpha, beta
 
 
 def parse_range(text: str) -> tuple[float, float]:
@@ -206,12 +217,24 @@ def cmd_design(args: argparse.Namespace) -> int:
     design = COUPLER_DESIGNS[args.element]
     nominal = design.reference_um
     length_range = _design_range(args, design.search_range_um)
+    try:
+        if args.element == "f2":
+            solutions = enumerate_v_perfect_lengths(physics, length_range)[: args.count]
+        else:
+            solutions = solve_coupler_length(
+                physics,
+                targets=design.targets,
+                weights=design.weights,
+                length_range=length_range,
+                count=args.count,
+            )
+    except ValueError as exc:  # a range too long to scan
+        raise ConfigError(str(exc)) from exc
     rows = []
     if args.element == "f2":
-        candidates = enumerate_v_perfect_lengths(physics, length_range)[: args.count]
         print(f"V-preserving filter lengths in [{length_range[0]}, {length_range[1]}] um "
               f"(bar_H target 1/3):")
-        for rank, sol in enumerate(candidates, start=1):
+        for rank, sol in enumerate(solutions, start=1):
             print(
                 f"  #{rank}  L = {format_number(sol.length_um)} um, "
                 f"bar_H = {format_number(sol.bar_h)} "
@@ -224,13 +247,6 @@ def cmd_design(args: argparse.Namespace) -> int:
             )
     else:
         t_h, t_v = design.targets
-        solutions = solve_coupler_length(
-            physics,
-            targets=design.targets,
-            weights=design.weights,
-            length_range=length_range,
-            count=args.count,
-        )
         print(
             f"ranked coupler lengths for {args.element} "
             f"(targets bar_H={format_number(t_h)}, bar_V={format_number(t_v)}, "
@@ -271,6 +287,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     delta_range = parse_range(args.range) if args.range else (-10.0, 10.0)
     if delta_range[0] > delta_range[1]:
         raise ConfigError(f"--range needs LO <= HI, got {args.range!r}")
+    try:
+        sweep_deltas(delta_range, args.step)
+    except ValueError as exc:  # a grid too large to evaluate
+        raise ConfigError(str(exc)) from exc
     netlist = _load_netlist(args.netlist)
     physics = _load_physics(args.physics)
     if not physics.configured(args.dimension):
@@ -327,6 +347,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     netlist = _load_netlist(args.netlist)
     results = acceptance.run_all(netlist, seed=args.seed)
     failed = 0

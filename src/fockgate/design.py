@@ -41,6 +41,13 @@ from .gate import (
 
 DIMENSIONS = ("width", "height", "gap")
 
+# Grid sizes beyond which the solvers and the sweep refuse to allocate.  A
+# length scan point or whole-beat candidate costs a few floats, a sweep
+# point a 12x12 circuit and its permanents: a 10,001-point sweep of the
+# shipped netlist peaks at about 234 MB.
+MAX_SCAN_POINTS = 10**6
+MAX_SWEEP_POINTS = 10_001
+
 
 @dataclass(frozen=True)
 class CouplerDesign:
@@ -230,6 +237,7 @@ def solve_coupler_length(
     Scans a dense grid (step <= 0.01 um) over `length_range`, refines each
     local minimum by golden-section search to `refine_tol` um, and returns
     the `count` lowest-residual solutions; ties break toward shorter length.
+    A range needing more than MAX_SCAN_POINTS scan points raises ValueError.
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
@@ -247,7 +255,13 @@ def solve_coupler_length(
         dv = bar_power(L, physics.beat_v) - t_v
         return w_h * dh * dh + w_v * dv * dv
 
-    n = max(2, int(math.ceil((hi - lo) / grid_step)) + 1)
+    span = (hi - lo) / grid_step
+    if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 scan points
+        raise ValueError(
+            f"length range [{lo}, {hi}] um needs more than {MAX_SCAN_POINTS} "
+            f"scan points at step {grid_step} um"
+        )
+    n = max(2, int(math.ceil(span)) + 1)
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     values = [residual(L) for L in grid]
 
@@ -302,10 +316,16 @@ def enumerate_v_perfect_lengths(
     These are the integer multiples of beat_v inside the range, in
     ascending order, each annotated with its bar_h power (residual is the
     squared H deviation from the 1/3 bar-power goal of COUPLER_DESIGNS["f2"]).
+    A range of MAX_SCAN_POINTS V beats or more, which can hold more than
+    that many candidates, raises ValueError.
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
+    if not (hi - lo) / physics.beat_v < MAX_SCAN_POINTS:
+        raise ValueError(
+            f"length range [{lo}, {hi}] um spans {MAX_SCAN_POINTS} or more V beats"
+        )
     target_h = COUPLER_DESIGNS["f2"].targets[0]
     out = []
     k = max(1, int(math.ceil(lo / physics.beat_v - 1e-12)))
@@ -398,6 +418,27 @@ def synthesize_imperfect_elements(
     return overrides
 
 
+def sweep_deltas(delta_range_nm: tuple[float, float], step_nm: float) -> list[float]:
+    """The deltas LO + n step of a tolerance sweep, for n = 0, 1, ... while not above HI.
+
+    A slack of 1e-9 step keeps HI itself when the step divides the range.
+    A step that is not positive, HI < LO, or a grid of more than
+    MAX_SWEEP_POINTS points raises ValueError.
+    """
+    if step_nm <= 0:
+        raise ValueError(f"step must be positive, got {step_nm}")
+    lo, hi = delta_range_nm
+    if hi < lo:
+        raise ValueError(f"invalid delta range [{lo}, {hi}]")
+    last = (hi - lo) / step_nm + 1e-9
+    if not last < MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"a sweep of [{lo}, {hi}] nm at step {step_nm} nm has more than "
+            f"{MAX_SWEEP_POINTS} points"
+        )
+    return [lo + i * step_nm for i in range(math.floor(last) + 1)]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     delta_nm: float
@@ -416,21 +457,15 @@ def tolerance_sweep(
 ) -> list[SweepRow]:
     """Gate performance across a geometry-deviation grid.
 
-    One row per grid point in ascending delta order.  The whole grid is
-    evaluated as one batch: one `synthesize_imperfect_elements` call on the
-    array of deltas, one overridden netlist whose circuit matrix is a
-    stack with one matrix per point, and one `heralded_operators` call on
-    that stack.  Each row equals `extract_gate` on the netlist perturbed
-    by its own delta; the bars are cos^2 of the override angles, by
-    element name.
+    One row per grid point of `sweep_deltas`, in ascending delta order.
+    The whole grid is evaluated as one batch: one
+    `synthesize_imperfect_elements` call on the array of deltas, one
+    overridden netlist whose circuit matrix is a stack with one matrix per
+    point, and one `heralded_operators` call on that stack.  Each row
+    equals `extract_gate` on the netlist perturbed by its own delta; the
+    bars are cos^2 of the override angles, by element name.
     """
-    if step_nm <= 0:
-        raise ValueError(f"step must be positive, got {step_nm}")
-    lo, hi = delta_range_nm
-    if hi < lo:
-        raise ValueError(f"invalid delta range [{lo}, {hi}]")
-    n = int(round((hi - lo) / step_nm))
-    deltas = [lo + i * step_nm for i in range(n + 1)]
+    deltas = sweep_deltas(delta_range_nm, step_nm)
 
     overrides = synthesize_imperfect_elements(netlist, physics, dimension, np.array(deltas))
     perturbed = netlist.with_overrides(overrides)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import H, V, Mode, Polarization, PureState, FockVector, PRUNE_THRESHOLD
+from .fock import V, Mode, Polarization, PureState, FockVector, PRUNE_THRESHOLD, modes_for_ports
 
 SQ3 = math.sqrt(3.0)
 
@@ -44,6 +44,10 @@ HWP1_MATRIX = np.array(
 HADAMARD_MATRIX = np.array(
     [[1, 1], [1, -1]], dtype=complex
 ) / math.sqrt(2.0)
+
+# (bar_h, bar_v) of the default PPBS: unit H and 1/sqrt3 V, whose
+# two-V-photon coincidence amplitude is t^2 - r^2 = -1/3.
+PPBS_BARS = (1.0, 1.0 / SQ3)
 
 WAVEPLATE_PRESETS = {
     "hwp1": HWP1_MATRIX,
@@ -97,8 +101,7 @@ def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
     blocks = m.transpose(len(shape), len(shape) + 1, *range(len(shape)))  # a view of m
     blocks[::2, ::2] = h_block
     blocks[1::2, 1::2] = v_block
-    modes = (Mode(port_a, H), Mode(port_a, V), Mode(port_b, H), Mode(port_b, V))
-    return ElementMatrix(modes, m)
+    return ElementMatrix(modes_for_ports((port_a, port_b)), m)
 
 
 def beam_splitter(
@@ -164,12 +167,12 @@ def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str
 
 
 def partially_polarizing_beam_splitter(
-    port_a: str, port_b: str, bar_h: float = 1.0, bar_v: float = 1.0 / SQ3
+    port_a: str, port_b: str, bar_h: float = PPBS_BARS[0], bar_v: float = PPBS_BARS[1]
 ) -> ElementMatrix:
     """PPBS: per-polarization rotation with bar amplitudes (bar_h, bar_v).
 
-    Default is the unit-H / 1-over-sqrt3-V splitter whose two-V-photon
-    coincidence amplitude is t^2 - r^2 = -1/3.
+    The default is `PPBS_BARS`, whose two-V-photon coincidence amplitude
+    is -1/3.
     """
     return _bar_coupler(port_a, port_b, bar_h, bar_v, "PPBS bar {}")
 
@@ -200,15 +203,13 @@ def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:
         m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"wave plate matrix must be 2x2, got {m.shape}")
-    modes = (Mode(port, H), Mode(port, V))
-    return ElementMatrix(modes, m)
+    return ElementMatrix(modes_for_ports((port,)), m)
 
 
 def phase_shift(port: str, phase_h: float = 0.0, phase_v: float = 0.0) -> ElementMatrix:
     """Diagonal phase on the (H, V) modes of one port."""
-    modes = (Mode(port, H), Mode(port, V))
     m = np.diag([np.exp(1j * phase_h), np.exp(1j * phase_v)]).astype(complex)
-    return ElementMatrix(modes, m)
+    return ElementMatrix(modes_for_ports((port,)), m)
 
 
 def rotator_from_conversion(

@@ -49,10 +49,10 @@ from .fock import (
     norm_squared,
     program_state,
     qubit_state,
-    tensor,
 )
 from .elements import (
     HADAMARD_MATRIX,
+    PPBS_BARS,
     ElementMatrix,
     apply_element,
     attenuating_filter,
@@ -70,33 +70,21 @@ SQ3 = math.sqrt(3.0)
 
 PORT_ROLES = ("input", "output", "io", "internal", "loss", "detector", "program")
 
-# Element kinds and the number of ports each wires; a dump takes any number.
-ELEMENT_ARITY = {
-    "pbs": 2,
-    "ppbs": 2,
-    "beamsplitter": 2,
-    "filter": 2,
-    "waveplate": 1,
-    "phaseshift": 1,
-    "detector": 1,
-    "dump": None,
+# Element kinds: the number of ports each wires (a dump takes any number)
+# and the parameters it accepts; any other key is a validation error.
+ELEMENT_KINDS = {
+    "pbs": (2, ("theta_h", "theta_v")),
+    "ppbs": (2, ("bar_h", "bar_v", "theta_h", "theta_v")),
+    "beamsplitter": (2, ("t_h", "r_h", "t_v", "r_v")),
+    "filter": (2, ("t_h", "t_v", "theta_h", "theta_v")),
+    "waveplate": (1, ("preset", "matrix")),
+    "phaseshift": (1, ("phase_h", "phase_v")),
+    "detector": (1, ("rotated",)),
+    "dump": (None, ()),
 }
-ELEMENT_KINDS = tuple(ELEMENT_ARITY)
 
 # Two-port couplers given by coupling angles or by bar amplitudes.
 COUPLER_KINDS = ("pbs", "ppbs", "filter")
-
-# Parameters each element kind accepts; any other key is a validation error.
-ELEMENT_PARAMS = {
-    "pbs": ("theta_h", "theta_v"),
-    "ppbs": ("bar_h", "bar_v", "theta_h", "theta_v"),
-    "beamsplitter": ("t_h", "r_h", "t_v", "r_v"),
-    "filter": ("t_h", "t_v", "theta_h", "theta_v"),
-    "waveplate": ("preset", "matrix"),
-    "phaseshift": ("phase_h", "phase_v"),
-    "detector": ("rotated",),
-    "dump": (),
-}
 
 
 class NetlistError(ValueError):
@@ -201,7 +189,7 @@ class Netlist:
             seen.add(el.name)
             if len(set(el.ports)) != len(el.ports):
                 raise NetlistError(f"element {el.name!r} wires a port twice")
-            arity = ELEMENT_ARITY.get(el.kind)
+            arity, accepted = ELEMENT_KINDS[el.kind]
             if arity is not None and len(el.ports) != arity:
                 raise NetlistError(
                     f"element {el.name!r} of kind {el.kind!r} needs {arity} "
@@ -213,7 +201,7 @@ class Netlist:
                         f"element {el.name!r} wired to undeclared port {p!r}"
                     )
             for key, _ in el.params:
-                if key not in ELEMENT_PARAMS[el.kind]:
+                if key not in accepted:
                     raise NetlistError(
                         f"element {el.name!r} of kind {el.kind!r} has unknown "
                         f"parameter {key!r}"
@@ -255,6 +243,23 @@ class Netlist:
                 out.append(m)
         return out
 
+    def input_occupation(
+        self,
+        target: Polarization | None,
+        control: Polarization | None,
+        program: Polarization | None,
+    ) -> FockVector:
+        """Occupations over `modes` with one photon on each encoded port given a polarization.
+
+        None leaves that port in vacuum.
+        """
+        vec = [0] * len(self.modes)
+        enc = self.encoding
+        for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
+            if pol is not None:
+                vec[self.columns[Mode(port, pol)]] = 1
+        return tuple(vec)
+
     def herald_pattern(self) -> HeraldPattern:
         """The herald terms as exact-count conditions on the columns of `modes`."""
         return HeraldPattern(tuple(
@@ -286,7 +291,7 @@ def coupler_angles(el: ElementSpec) -> tuple[Any, Any]:
 
     Each angle is the element's own `theta_h`/`theta_v` where it sets one,
     otherwise the arccosine of its bar amplitude: a filter's `t_h`/`t_v`
-    (required), a PPBS's `bar_h`/`bar_v` (default 1 and 1/sqrt3).  A PBS
+    (required), a PPBS's `bar_h`/`bar_v` (default `elements.PPBS_BARS`).  A PBS
     without angles is the routing PBS, (0, pi/2) in reflection form.  A bar
     amplitude outside [0, 1] raises ValueError.
     """
@@ -294,7 +299,7 @@ def coupler_angles(el: ElementSpec) -> tuple[Any, Any]:
     if el.kind == "pbs":
         return p.get("theta_h", 0.0), p.get("theta_v", math.pi / 2.0)
     if el.kind == "ppbs":
-        bar_keys, bars = ("bar_h", "bar_v"), {"bar_h": 1.0, "bar_v": 1.0 / SQ3, **p}
+        bar_keys, bars = ("bar_h", "bar_v"), {"bar_h": PPBS_BARS[0], "bar_v": PPBS_BARS[1], **p}
     elif el.kind == "filter":
         bar_keys, bars = ("t_h", "t_v"), p
     else:
@@ -340,16 +345,12 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
         return phase_shift(
             el.ports[0], phase_h=p.get("phase_h", 0.0), phase_v=p.get("phase_v", 0.0)
         )
-    if el.kind == "detector":
+    if el.kind == "detector" and p.get("rotated", False):
         # rotated detectors measure in the +-45 degree basis; the basis
         # change is part of the detector assembly, applied before the
         # heralded projection onto the port's V mode.
-        if p.get("rotated", False):
-            return wave_plate(el.ports[0], HADAMARD_MATRIX)
-        return None
-    if el.kind == "dump":
-        return None
-    raise NetlistError(f"unhandled element kind {el.kind!r}")
+        return wave_plate(el.ports[0], HADAMARD_MATRIX)
+    return None  # an unrotated detector or a dump only marks its ports
 
 
 def default_netlist() -> Netlist:
@@ -398,20 +399,20 @@ def prepare_input(
     """Three-photon product input on the netlist's encoded ports.
 
     target and control are (alpha, beta) with |alpha|^2 + |beta|^2 = 1;
-    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).
+    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  The state lives
+    on `netlist.modes`; each amplitude is target x control x program,
+    multiplied in that order as `tensor` multiplies.
     """
     enc = netlist.encoding
-    t_modes = modes_for_ports([enc.target])
-    c_modes = modes_for_ports([enc.control])
-    p_modes = modes_for_ports([enc.program])
-    st = tensor(
-        tensor(
-            qubit_state(t_modes, enc.target, target[0], target[1]),
-            qubit_state(c_modes, enc.control, control[0], control[1]),
-        ),
-        program_state(p_modes, enc.program, program.phi),
+    factors = (
+        qubit_state(netlist.modes, enc.target, target[0], target[1]),
+        qubit_state(netlist.modes, enc.control, control[0], control[1]),
+        program_state(netlist.modes, enc.program, program.phi),
     )
-    return extend_state(st, netlist)
+    terms = {}
+    for (vt, at), (vc, ac), (vp, ap) in itertools.product(*(f.items() for f in factors)):
+        terms[tuple(map(sum, zip(vt, vc, vp)))] = at * ac * ap
+    return PureState(netlist.modes, terms)
 
 
 def extend_state(state: PureState, netlist: Netlist) -> PureState:
@@ -616,12 +617,8 @@ def heralded_operators(
     (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
     probabilities (..., 4) in the same order.
     """
-    enc = netlist.encoding
     # rows: basis input 4 t + 2 c + program polarization
-    inputs = np.zeros((8, len(netlist.modes)), dtype=int)
-    for row, (t, c, p) in enumerate(itertools.product((H, V), repeat=3)):
-        for port, pol in ((enc.target, t), (enc.control, c), (enc.program, p)):
-            inputs[row, netlist.columns[Mode(port, pol)]] = 1
+    inputs = [netlist.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)]
     outputs, amps = heralded_transfer(unitary, netlist.herald_pattern(), inputs)
     amps = amps.reshape(amps.shape[:-2] + (4, 2, len(outputs)))
     w_h = 1 / math.sqrt(2)

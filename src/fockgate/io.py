@@ -140,18 +140,18 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
             ElementSpec(
                 el["name"],
                 el["kind"],
-                tuple(el["ports"]),
+                tuple(_list(el["ports"], f"element {el['name']!r} ports")),
                 tuple(sorted(_params_from_json(el["name"], el.get("params", {})).items())),
             )
             for el in data["elements"]
         )
         herald = tuple(
             HeraldTerm(
-                tuple(t["ports"]),
-                tuple(_pol_from_str(p) for p in t["pols"]),
+                tuple(_list(t["ports"], f"herald term {i} ports")),
+                tuple(_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols")),
                 _count(t["count"]),
             )
-            for t in data["herald"]
+            for i, t in enumerate(data["herald"])
         )
         enc = data["encoding"]
         encoding = QubitEncoding(enc["target"], enc["control"], enc["program"])
@@ -160,6 +160,13 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(f"malformed netlist document: {exc}") from exc
+
+
+def _list(value: Any, what: str) -> list:
+    """`value` if it is a JSON list; a string would split into characters."""
+    if not isinstance(value, list):
+        raise NetlistError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _count(value: Any) -> int:

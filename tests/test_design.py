@@ -6,6 +6,7 @@ import pytest
 from fockgate.fock import H, V
 from fockgate.design import (
     COUPLER_DESIGNS,
+    MAX_SWEEP_POINTS,
     CouplerPhysics,
     NotchAnchor,
     NotchCalibration,
@@ -14,6 +15,7 @@ from fockgate.design import (
     delta_theta,
     enumerate_v_perfect_lengths,
     solve_coupler_length,
+    sweep_deltas,
     synthesize_imperfect_elements,
     tolerance_sweep,
 )
@@ -141,6 +143,12 @@ def test_solver_rejects_count_below_one(count):
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (60.0, 80.0), count=count)
 
 
+@pytest.mark.parametrize("hi", [10_000.0, 1e308])
+def test_solver_refuses_more_than_a_million_scan_points(hi):
+    with pytest.raises(ValueError, match="more than 1000000 scan points"):
+        solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (0.0, hi))
+
+
 def test_solver_local_minimum_certificate():
     # every returned solution beats all grid points within one step of it
     step = 0.01
@@ -189,6 +197,12 @@ def test_v_perfect_lengths_80_90():
 def test_v_perfect_lengths_first_multiple():
     sols = enumerate_v_perfect_lengths(PHYS, (0.0, 10.0))
     assert [round(s.length_um, 2) for s in sols] == [8.32]
+
+
+@pytest.mark.parametrize("hi", [PHYS.beat_v * 10**6, 1e308])
+def test_v_perfect_lengths_refuse_a_million_beats(hi):
+    with pytest.raises(ValueError, match="1000000 or more V beats"):
+        enumerate_v_perfect_lengths(PHYS, (0.0, hi))
 
 
 # -- notch calibration ----------------------------------------------------------------
@@ -352,6 +366,40 @@ def test_sweep_not_symmetric_in_general(sweep_rows):
     left = next(r for r in sweep_rows if r.delta_nm == -10.0)
     right = next(r for r in sweep_rows if r.delta_nm == 10.0)
     assert abs(left.fidelity - right.fidelity) > 1e-6
+
+
+@pytest.mark.parametrize("step, count", [(1.0, 21), (0.5, 41), (0.25, 81), (0.1, 201), (20.0, 2)])
+def test_sweep_deltas_keep_hi_when_the_step_divides_the_range(step, count):
+    deltas = sweep_deltas((-10.0, 10.0), step)
+    assert deltas == [-10.0 + i * step for i in range(count)]
+    assert abs(deltas[-1] - 10.0) < 1e-12
+
+
+def test_sweep_deltas_slack_keeps_hi_below_a_rounding_error():
+    assert 0.7 / 0.1 < 7
+    assert len(sweep_deltas((0.0, 0.7), 0.1)) == 8
+
+
+@pytest.mark.parametrize("step, last", [(3.0, 8.0), (0.7, 9.6), (7.0, 4.0), (0.3, 9.8)])
+def test_sweep_deltas_end_at_the_last_point_not_above_hi(step, last):
+    deltas = sweep_deltas((-10.0, 10.0), step)
+    assert deltas == [-10.0 + i * step for i in range(len(deltas))]
+    assert abs(deltas[-1] - last) < 1e-12
+    assert deltas[-1] <= 10.0 < deltas[-1] + step
+
+
+def test_sweep_deltas_limit_the_grid_size():
+    assert len(sweep_deltas((0.0, 10_000.0), 1.0)) == MAX_SWEEP_POINTS
+    for delta_range, step in (((0.0, 10_001.0), 1.0), ((-1e300, 1e300), 1.0),
+                              ((-1e308, 1e308), 1.0), ((0.0, 1.0), 1e-300)):
+        with pytest.raises(ValueError, match="more than 10001 points"):
+            sweep_deltas(delta_range, step)
+
+
+def test_sweep_refuses_an_oversized_grid():
+    physics = PHYS.with_sensitivities("width", 0.004, 0.004)
+    with pytest.raises(ValueError, match="more than 10001 points"):
+        tolerance_sweep(default_netlist(), physics, "width", (-1e300, 1e300), 1.0)
 
 
 def test_sweep_rejects_bad_step():

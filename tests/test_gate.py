@@ -1,17 +1,35 @@
 import cmath
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
-from fockgate.fock import H, V, HeraldPattern, Mode, norm_squared
-from fockgate.elements import attenuating_filter
+from fockgate.fock import (
+    H,
+    V,
+    HeraldPattern,
+    Mode,
+    modes_for_ports,
+    norm_squared,
+    program_state,
+    qubit_state,
+    tensor,
+)
+from fockgate.elements import (
+    HADAMARD_MATRIX,
+    attenuating_filter,
+    beam_splitter,
+    coupler,
+    phase_shift,
+    wave_plate,
+)
 from fockgate.io import netlist_from_dict, netlist_to_dict
 from fockgate.gate import (
     BASIS_LABELS,
-    ELEMENT_ARITY,
-    ELEMENT_PARAMS,
+    ELEMENT_KINDS,
     ElementSpec,
     HeraldTerm,
     Netlist,
@@ -23,6 +41,7 @@ from fockgate.gate import (
     circuit_matrix,
     coupler_angles,
     default_netlist,
+    extend_state,
     extract_gate,
     heralded_operators,
     heralded_output_amplitudes,
@@ -140,6 +159,54 @@ def test_prepare_input_superposition_terms(netlist):
 def test_prepare_input_rejects_unnormalized(netlist):
     with pytest.raises(ValueError):
         prepare_input(netlist, (1, 1), (1, 0), ProgramState(0.0))
+
+
+@pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
+def test_input_occupation_puts_one_photon_on_each_named_port(make):
+    nl = make()
+    enc = nl.encoding
+    modes = list(nl.modes)
+    for pols in itertools.product((None, H, V), repeat=3):
+        expected = [0] * len(modes)
+        for port, pol in zip((enc.target, enc.control, enc.program), pols):
+            if pol is not None:
+                expected[modes.index(Mode(port, pol))] = 1
+        assert nl.input_occupation(*pols) == tuple(expected)
+
+
+def _tensor_product_input(netlist, target, control, phi):
+    """The input built factor by factor on each port's own modes, then laid out."""
+    enc = netlist.encoding
+    product = tensor(
+        tensor(
+            qubit_state(modes_for_ports([enc.target]), enc.target, *target),
+            qubit_state(modes_for_ports([enc.control]), enc.control, *control),
+        ),
+        program_state(modes_for_ports([enc.program]), enc.program, phi),
+    )
+    return extend_state(product, netlist)
+
+
+def _bits(state):
+    return [(vec, amp.real.hex(), amp.imag.hex()) for vec, amp in state.items()]
+
+
+@pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
+@pytest.mark.parametrize("seed", range(4))
+def test_prepare_input_equals_tensor_product_bit_for_bit(make, seed):
+    nl = make()
+    rng = random.Random(seed)
+    qubits = [(1.0, 0.0), (0.0, 1.0)]
+    for _ in range(2):
+        theta, chi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        qubits.append((math.cos(theta), cmath.rect(math.sin(theta), chi)))
+    for target, control in itertools.product(qubits, repeat=2):
+        phi = rng.uniform(-math.pi, 2 * math.pi)
+        got = prepare_input(nl, target, control, ProgramState(phi))
+        want = _tensor_product_input(nl, target, control, phi)
+        assert got.modes == want.modes == nl.modes
+        assert _bits(got) == _bits(want)
+        assert got.subnormalized is want.subnormalized is False
 
 
 # -- heralded behavior ----------------------------------------------------------
@@ -355,8 +422,63 @@ def test_netlist_rejects_unknown_parameter(key):
                 base.herald, base.encoding)
 
 
-def test_every_kind_has_a_parameter_table():
-    assert set(ELEMENT_PARAMS) == set(ELEMENT_ARITY)
+# every parameter each kind accepts, and the element it must build
+KIND_CASES = {
+    "pbs": ({"theta_h": 0.1, "theta_v": 1.4},
+            lambda a, b: coupler(a, b, 0.1, 1.4, v_reflect=True)),
+    "ppbs": ({"bar_h": 0.9, "bar_v": 0.5, "theta_h": 0.2, "theta_v": 0.7},
+             lambda a, b: coupler(a, b, 0.2, 0.7)),
+    "beamsplitter": ({"t_h": 0.8, "r_h": 0.6, "t_v": 0.6, "r_v": 0.8},
+                     lambda a, b: beam_splitter(a, b, 0.8, 0.6, 0.6, 0.8)),
+    "filter": ({"t_h": 0.5, "t_v": 1.0, "theta_h": 0.3, "theta_v": 0.4},
+               lambda a, b: coupler(a, b, 0.3, 0.4)),
+    "waveplate": ({"preset": "hwp1", "matrix": HADAMARD_MATRIX.tolist()},
+                  lambda a, b: wave_plate(a, HADAMARD_MATRIX)),
+    "phaseshift": ({"phase_h": 0.3, "phase_v": -0.2},
+                   lambda a, b: phase_shift(a, 0.3, -0.2)),
+    "detector": ({"rotated": True}, lambda a, b: wave_plate(a, HADAMARD_MATRIX)),
+    "dump": ({}, lambda a, b: None),
+}
+SPARE_PORTS = ("F1_LOSS", "F2_LOSS")
+
+
+def _with_first_element(el):
+    base = default_netlist()
+    return Netlist(base.ports, (el,) + base.elements, base.herald, base.encoding)
+
+
+def test_kind_cases_cover_every_kind_and_parameter():
+    assert {kind: set(params) for kind, (params, _) in KIND_CASES.items()} == {
+        kind: set(accepted) for kind, (_, accepted) in ELEMENT_KINDS.items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENT_KINDS))
+def test_every_kind_builds_through_a_netlist(kind):
+    params, make = KIND_CASES[kind]
+    arity, _ = ELEMENT_KINDS[kind]
+    nl = _with_first_element(spec("X", kind, SPARE_PORTS[: arity or 2], **params))
+    built = nl.build_matrices()
+    expected = make(*SPARE_PORTS)
+    if expected is None:
+        assert len(built) == len(default_netlist().build_matrices())
+    else:
+        assert built[0].modes == expected.modes
+        assert np.max(np.abs(built[0].matrix - expected.matrix)) < 1e-15
+    circuit_matrix(nl)  # composes to a unitary
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENT_KINDS))
+def test_every_kind_rejects_an_unknown_key_and_a_wrong_port_count(kind):
+    params, _ = KIND_CASES[kind]
+    arity, _ = ELEMENT_KINDS[kind]
+    with pytest.raises(NetlistError, match="'X'.*unknown parameter 'bogus'"):
+        _with_first_element(spec("X", kind, SPARE_PORTS[: arity or 2], bogus=1.0, **params))
+    if arity is None:  # a dump wires any number of ports
+        _with_first_element(spec("X", kind, SPARE_PORTS[:1], **params))
+        return
+    with pytest.raises(NetlistError, match=f"'X'.*needs {arity} port"):
+        _with_first_element(spec("X", kind, SPARE_PORTS[: 3 - arity], **params))
 
 
 # -- coupler angles ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -140,6 +141,37 @@ def test_render_csv_lf_and_header():
 def test_parse_qubit():
     assert parse_qubit("1,0:0,0") == (1 + 0j, 0j)
     assert parse_qubit("0.6,0:0,0.8") == (0.6 + 0j, 0.8j)
+    # |a|^2 + |b|^2 deviates by 2.1e-14, within the 1e-12 qubit_state
+    # takes: returned as written
+    assert parse_qubit("0.70710678118654,0:0.70710678118654,0") == (
+        0.70710678118654 + 0j, 0.70710678118654 + 0j
+    )
+
+
+def test_parse_qubit_normalizes_8_digit_amplitudes():
+    alpha, beta = parse_qubit("0.70710678,0:0,-0.70710678")
+    assert abs(alpha - 0.7071067811865476) <= 1e-12
+    assert abs(beta + 0.7071067811865476j) <= 1e-12
+
+
+def test_simulate_accepts_8_digit_amplitudes(tmp_path, capsys):
+    exact = "0.7071067811865476,0:0.7071067811865476,0"
+    records = []
+    for control in (exact, "0.70710678,0:0.70710678,0"):
+        out = tmp_path / "record.csv"
+        code = main(["simulate", "--phi", "0.3", "--target", "0.6,0:0,0.8",
+                     "--control", control, "--output", str(out)])
+        assert code == 0
+        records.append([float(x) for x in out.read_text().splitlines()[1].split(",")])
+    assert max(abs(a - b) for a, b in zip(*records)) <= 1e-12
+
+
+def test_simulate_amplitudes_far_from_unit_norm_exit_2(capsys):
+    code = main(["simulate", "--phi", "0", "--target", "1,0:0,0",
+                 "--control", "0.7071,0:0.7071,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: qubit amplitudes not normalized: |a|^2+|b|^2 deviates by")
 
 
 def test_simulate_pi_on_11(capsys):
@@ -224,6 +256,7 @@ BAD_RANGE_ARGS = [
     ["design", "--element", "f2", "--range", "90:80"],
     ["design", "--element", "pbs", "--count", "0"],
     ["design", "--element", "pbs", "--count=-1"],
+    ["check", "--seed", "-1"],
 ]
 
 
@@ -235,6 +268,29 @@ def test_bad_ranges_and_counts_exit_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+OVERSIZED_GRID_ARGS = {
+    "design_pbs": (["design", "--element", "pbs", "--range", "0:1e308"], "scan points"),
+    "design_f2": (["design", "--element", "f2", "--range", "0:1e308"], "V beats"),
+    "sweep_range": (["sweep", "--dimension", "width", "--range=-1e300:1e300"], "10001 points"),
+    "sweep_step": (["sweep", "--dimension", "width", "--step", "0.0019"], "10001 points"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", OVERSIZED_GRID_ARGS.values(), ids=OVERSIZED_GRID_ARGS.keys()
+)
+def test_oversized_grids_exit_2(argv, message, tmp_path, capsys):
+    # nonzero sensitivities, so a sweep fails on its grid and nothing else
+    if argv[0] == "sweep":
+        argv = argv + ["--physics", str(_physics_with_sensitivity(tmp_path))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert message in captured.err
     assert captured.out == ""
 
 
@@ -283,6 +339,12 @@ def _f1_theta_h_list(el):
         el["params"]["theta_h"] = [0.0, 0.1]
 
 
+def _pbs1_ports_string(el):
+    # a string would split into the ports "T" and "L"
+    if el["name"] == "PBS1":
+        el["ports"] = "TL"
+
+
 def _det_rotated_string(el):
     if el["name"] == "DET":
         el["params"]["rotated"] = "no"
@@ -304,6 +366,7 @@ UNREALIZABLE_NETLISTS = {
     "t_h_nan": (_f1_t_h_nan, ["truth-table", "--phi", "0"], "'F1'"),
     "theta_h_list": (_f1_theta_h_list, ["truth-table", "--phi", "0"], "'theta_h'"),
     "rotated_string": (_det_rotated_string, ["truth-table", "--phi", "0"], "'rotated'"),
+    "ports_string": (_pbs1_ports_string, ["truth-table", "--phi", "0"], "'PBS1' ports must be a list"),
     "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
     "unknown_key_bogus": (_f1_bogus_key, ["truth-table", "--phi", "0"], "'bogus'"),
     "unknown_key_t_hh": (_f1_typo_t_hh, ["truth-table", "--phi", "0"], "'t_hh'"),
@@ -365,18 +428,23 @@ def test_element_arity_checked_on_load(tmp_path, capsys):
 
 
 def test_invalid_netlist_contents_exit_3(tmp_path, capsys):
-    bad = default_netlist()
-    data = netlist_to_dict(bad)
-    data["herald"][0]["ports"] = ["GHOST"]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code = main(
-        ["simulate", "--phi", "0", "--target", "1,0:0,0",
-         "--control", "1,0:0,0", "--netlist", str(path)]
-    )
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "GHOST" in err
+    for key, value, message in (
+        ("ports", ["GHOST"], "GHOST"),
+        # strings would split into the ports "T" and the pols "H", "V"
+        ("ports", "T", "herald term 0 ports must be a list"),
+        ("pols", "HV", "herald term 0 pols must be a list"),
+    ):
+        data = netlist_to_dict(default_netlist())
+        data["herald"][0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(
+            ["simulate", "--phi", "0", "--target", "1,0:0,0",
+             "--control", "1,0:0,0", "--netlist", str(path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert message in err
 
 
 def test_truth_table_quarter_phase(capsys):
@@ -482,6 +550,16 @@ def test_sweep_default_grid_and_plot_flag(tmp_path, capsys):
     assert code == 0
     assert svg.exists()
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("step, last", [("3", "8.0"), ("0.7", "9.6"), ("7", "4.0"), ("0.1", "10.0")])
+def test_sweep_grid_ends_at_or_below_hi(step, last, tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--dimension", "width", "--physics", str(_physics_with_sensitivity(tmp_path))]
+    assert main(args + ["--step", step, "--output", str(out)]) == 0
+    deltas = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert deltas[0] == "-10.0"
+    assert deltas[-1] == last
 
 
 def test_sweep_output_byte_identical(tmp_path):
@@ -593,7 +671,8 @@ def mutated(draw, doc):
         for key in path[:-1]:
             parent = parent[key]
         if edit == "replace":
-            parent[path[-1]] = draw(FUZZ_VALUES)
+            # a copy: a later edit must not write into the shared list value
+            parent[path[-1]] = copy.deepcopy(draw(FUZZ_VALUES))
         elif edit == "drop":
             del parent[path[-1]]
         else:
