@@ -219,7 +219,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     length_range = _design_range(args, design.search_range_um)
     try:
         if args.element == "f2":
-            solutions = enumerate_v_perfect_lengths(physics, length_range)[: args.count]
+            solutions = enumerate_v_perfect_lengths(physics, length_range, args.count)
         else:
             solutions = solve_coupler_length(
                 physics,

@@ -237,13 +237,17 @@ def solve_coupler_length(
     Scans a dense grid (step <= 0.01 um) over `length_range`, refines each
     local minimum by golden-section search to `refine_tol` um, and returns
     the `count` lowest-residual solutions; ties break toward shorter length.
-    A range needing more than MAX_SCAN_POINTS scan points raises ValueError.
+    A `grid_step` or `refine_tol` that is not finite and positive, or a
+    range needing more than MAX_SCAN_POINTS scan points, raises ValueError.
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
     if count < 1:
         raise ValueError(f"solution count must be at least 1, got {count}")
+    for name, value in (("grid_step", grid_step), ("refine_tol", refine_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     for t in targets:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"bar-power target {t} outside [0, 1]")
@@ -309,19 +313,22 @@ def _golden_section(f, a: float, b: float, tol: float) -> float:
 
 
 def enumerate_v_perfect_lengths(
-    physics: CouplerPhysics, length_range: tuple[float, float]
+    physics: CouplerPhysics, length_range: tuple[float, float], count: int | None = None
 ) -> list[LengthSolution]:
     """Lengths at which the V polarization stays entirely in its waveguide.
 
     These are the integer multiples of beat_v inside the range, in
     ascending order, each annotated with its bar_h power (residual is the
     squared H deviation from the 1/3 bar-power goal of COUPLER_DESIGNS["f2"]).
-    A range of MAX_SCAN_POINTS V beats or more, which can hold more than
-    that many candidates, raises ValueError.
+    With `count`, only the `count` shortest are built.  A count below 1,
+    or a range of MAX_SCAN_POINTS V beats or more, which can hold more
+    than that many candidates, raises ValueError.
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
+    if count is not None and count < 1:
+        raise ValueError(f"solution count must be at least 1, got {count}")
     if not (hi - lo) / physics.beat_v < MAX_SCAN_POINTS:
         raise ValueError(
             f"length range [{lo}, {hi}] um spans {MAX_SCAN_POINTS} or more V beats"
@@ -329,7 +336,7 @@ def enumerate_v_perfect_lengths(
     target_h = COUPLER_DESIGNS["f2"].targets[0]
     out = []
     k = max(1, int(math.ceil(lo / physics.beat_v - 1e-12)))
-    while k * physics.beat_v <= hi + 1e-12:
+    while k * physics.beat_v <= hi + 1e-12 and (count is None or len(out) < count):
         L = k * physics.beat_v
         if L >= lo - 1e-12:
             bh = bar_power(L, physics.beat_h)

@@ -17,9 +17,14 @@ detector click; each computational-basis input then heralds with
 probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 
 `extract_gate` and `run_heralded` read heralded amplitudes from
-permanents of the composed circuit matrix (`heralded_transfer`).  Circuit
-matrices may come as a stack, one per point of a parameter sweep, and
-`heralded_operators` reads the gate off every matrix of a stack at once.
+permanents of the composed circuit matrix (`heralded_transfer`).  A
+netlist is immutable, so it composes its circuit once and keeps it, with
+its herald pattern, basis inputs, logical readout and the heralded
+transfer row of every input it has been asked about; a new phase or new
+qubit amplitudes cost only the linear combination and the readout.
+Circuit matrices may come as a stack, one per point of a parameter sweep,
+and `heralded_operators` reads the gate off every matrix of a stack at
+once.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -31,6 +36,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -103,7 +109,12 @@ class PortDecl:
 
 @dataclass(frozen=True)
 class ElementSpec:
-    """One circuit element as data: kind, wired ports, kind-specific params."""
+    """One circuit element as data: kind, wired ports, kind-specific params.
+
+    A list-valued parameter is stored as nested tuples and an array as a
+    read-only copy, so changing the value it was built from changes
+    neither the spec nor a circuit realized from it.
+    """
 
     name: str
     kind: str
@@ -113,6 +124,9 @@ class ElementSpec:
     def __post_init__(self):
         if self.kind not in ELEMENT_KINDS:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
+        object.__setattr__(
+            self, "params", tuple((key, _frozen(value)) for key, value in self.params)
+        )
 
     @property
     def param_dict(self) -> dict[str, Any]:
@@ -122,6 +136,16 @@ class ElementSpec:
         merged = dict(self.params)
         merged.update(updates)
         return replace(self, params=tuple(sorted(merged.items())))
+
+
+def _frozen(value: Any) -> Any:
+    """`value` with every list or tuple level a tuple and an array a read-only copy."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        value = tuple(map(_frozen, value))
+    return value
 
 
 def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSpec:
@@ -150,7 +174,11 @@ class Netlist:
 
     `modes` is the canonical mode order (declared port order, H before V)
     of circuit matrices and states; `columns` maps each mode to its index
-    there.  Neither takes part in equality or hashing.
+    there.  Neither takes part in equality or hashing.  What derives from
+    the fields (circuit matrix, herald pattern, basis inputs, readout,
+    heralded transfer rows) is computed on first use and kept on the
+    instance; `replace` and `with_overrides` make a new instance that
+    computes its own.
     """
 
     ports: tuple[PortDecl, ...]
@@ -262,6 +290,10 @@ class Netlist:
 
     def herald_pattern(self) -> HeraldPattern:
         """The herald terms as exact-count conditions on the columns of `modes`."""
+        return self._pattern
+
+    @cached_property
+    def _pattern(self) -> HeraldPattern:
         return HeraldPattern(tuple(
             HeraldCondition(
                 tuple(self.columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
@@ -269,6 +301,36 @@ class Netlist:
             )
             for term in self.herald
         ))
+
+    @cached_property
+    def _circuit(self) -> np.ndarray:
+        matrices = self.build_matrices()
+        try:
+            unitary = compose_circuit_matrix(matrices, self.modes)
+        except (ValueError, KeyError) as exc:
+            raise NetlistError(exc.args[0]) from exc
+        unitary.flags.writeable = False
+        return unitary
+
+    @cached_property
+    def _basis_inputs(self) -> tuple[FockVector, ...]:
+        # row 4 t + 2 c + p holds target t, control c and program p (0 = H)
+        return tuple(
+            self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)
+        )
+
+    @cached_property
+    def _readout(self) -> np.ndarray:
+        _, outputs, _ = _output_plan(len(self.modes), self._pattern, 3)
+        readout = _logical_readout(self, outputs)
+        readout.flags.writeable = False
+        return readout
+
+    @cached_property
+    def _transfer_rows(self) -> dict[FockVector, np.ndarray]:
+        # input occupation -> its heralded transfer row; `_heralded_rows`
+        # is the only writer
+        return {}
 
     def with_overrides(self, overrides: Mapping[str, ElementSpec]) -> "Netlist":
         """Replace named elements (used to inject imperfect devices)."""
@@ -453,16 +515,15 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     squared norm.  `run_elements` followed by `project_herald` computes
     the same branch independently and is the reference for this one.
     """
-    state = extend_state(state, netlist)
-    unitary = circuit_matrix(netlist)
-    pattern = netlist.herald_pattern()
+    if state.modes != netlist.modes:
+        state = extend_state(state, netlist)
     groups: dict[int, list[tuple[FockVector, complex]]] = {}
     for vec, amp in state.items():
         groups.setdefault(sum(vec), []).append((vec, amp))
     terms: dict[FockVector, complex] = {}
     for group in groups.values():
         vecs, amps = zip(*group)
-        outputs, transfer = heralded_transfer(unitary, pattern, np.array(vecs))
+        outputs, transfer = _heralded_rows(netlist, vecs)
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
     branch = PureState(netlist.modes, terms, subnormalized=True)
@@ -489,6 +550,26 @@ def heralded_transfer(
     n = int(inputs[0].sum())
     if np.any(inputs.sum(axis=1) != n):
         raise ValueError("heralded transfer inputs must hold the same photon number")
+    cols, outputs, output_factorials = _output_plan(n_modes, pattern, n)
+    rows = np.repeat(np.tile(np.arange(n_modes), len(inputs)), inputs.ravel())
+    rows = rows.reshape(len(inputs), n)
+    sub = unitary[..., rows[:, None, :, None], cols[None, :, None, :]]
+    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    norm = np.sqrt(factorial[inputs].prod(axis=1)[:, None] * output_factorials[None, :])
+    return outputs, permanents(sub) / norm
+
+
+@lru_cache(maxsize=32)
+def _output_plan(
+    n_modes: int, pattern: HeraldPattern, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-photon outputs `pattern` accepts, as read-only arrays.
+
+    Returns their sorted mode-index tuples (the columns to gather), their
+    occupation rows in ascending order, and prod m_j! of each.  The plan
+    depends on the circuit's structure only, so perturbed copies of a
+    netlist share it.
+    """
     cols = _sorted_mode_tuples(n_modes, n)
     keep = np.ones(len(cols), dtype=bool)
     for cond in pattern.conditions:
@@ -497,14 +578,30 @@ def heralded_transfer(
     # ascending mode-index tuples are descending occupation vectors
     cols = cols[keep][::-1]
     outputs = (cols[:, :, None] == np.arange(n_modes)).sum(axis=1)
-    rows = np.repeat(np.tile(np.arange(n_modes), len(inputs)), inputs.ravel())
-    rows = rows.reshape(len(inputs), n)
-    sub = unitary[..., rows[:, None, :, None], cols[None, :, None, :]]
     factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    norm = np.sqrt(
-        factorial[inputs].prod(axis=1)[:, None] * factorial[outputs].prod(axis=1)[None, :]
-    )
-    return outputs, permanents(sub) / norm
+    plan = (cols, outputs, factorial[outputs].prod(axis=1))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _heralded_rows(
+    netlist: Netlist, inputs: Sequence[FockVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`heralded_transfer` of the netlist's own circuit, from its table of rows.
+
+    The inputs hold one photon number.  Rows the netlist has not computed
+    yet are computed in one batch and kept; a row is stored only whole, so
+    threads sharing a netlist can at worst compute a row twice.
+    """
+    table = netlist._transfer_rows
+    missing = [vec for vec in dict.fromkeys(inputs) if vec not in table]
+    if missing:
+        _, amps = heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), missing)
+        amps.flags.writeable = False
+        table.update(zip(missing, amps))
+    _, outputs, _ = _output_plan(len(netlist.modes), netlist.herald_pattern(), sum(inputs[0]))
+    return outputs, np.array([table[vec] for vec in inputs])
 
 
 def _sorted_mode_tuples(n_modes: int, n: int) -> np.ndarray:
@@ -617,21 +714,24 @@ def heralded_operators(
     (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
     probabilities (..., 4) in the same order.
     """
-    # rows: basis input 4 t + 2 c + program polarization
-    inputs = [netlist.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)]
-    outputs, amps = heralded_transfer(unitary, netlist.herald_pattern(), inputs)
-    amps = amps.reshape(amps.shape[:-2] + (4, 2, len(outputs)))
+    _, amps = heralded_transfer(unitary, netlist.herald_pattern(), netlist._basis_inputs)
+    return _operators(netlist, amps, phi)
+
+
+def _operators(netlist: Netlist, amps: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """`heralded_operators` from the (..., 8, outputs) transfer of the basis inputs."""
+    n_out = amps.shape[-1]
+    amps = amps.reshape(amps.shape[:-2] + (4, 2, n_out))
     w_h = 1 / math.sqrt(2)
     w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
     columns = w_h * amps[..., 0, :] + w_v * amps[..., 1, :]
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    readout = _logical_readout(netlist, outputs)
-    operators = np.ascontiguousarray((columns @ readout).swapaxes(-1, -2))
+    operators = np.ascontiguousarray((columns @ netlist._readout).swapaxes(-1, -2))
     # summed as `norm_squared` sums a branch: numpy's complex abs and
     # square can differ from Python's in the last bit
-    flat = columns.reshape(-1, len(outputs)).tolist()
+    flat = columns.reshape(-1, n_out).tolist()
     probs = [sum(abs(a) ** 2 for a in col) for col in flat]
     return operators, np.array(probs).reshape(columns.shape[:-1])
 
@@ -663,12 +763,15 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
 
     The single-matrix case of `heralded_operators`, plus the process
-    fidelity against diag(1, 1, 1, e^{i phi}).  The sequential Fock engine
+    fidelity against diag(1, 1, 1, e^{i phi}); the basis inputs' transfer
+    rows come from the netlist's table, so only the first call on a
+    netlist computes permanents.  The sequential Fock engine
     (`prepare_input`, `run_elements`, `project_herald`,
     `heralded_output_amplitudes`) computes the same map independently and
     is the reference for this one.
     """
-    op, probs = heralded_operators(netlist, circuit_matrix(netlist), phi)
+    _, amps = _heralded_rows(netlist, netlist._basis_inputs)
+    op, probs = _operators(netlist, amps, phi)
     fidelity = process_fidelity(op, ideal_cphase(phi))
     return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
 
@@ -693,11 +796,8 @@ def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def circuit_matrix(netlist: Netlist) -> np.ndarray:
     """Full single-photon mode matrix of the netlist, in transfer orientation.
 
-    Raises NetlistError when an element cannot be realized or the
+    Composed on the first call and kept on the netlist as a read-only
+    array.  Raises NetlistError when an element cannot be realized or the
     elements do not compose to a unitary within 1e-12.
     """
-    matrices = netlist.build_matrices()
-    try:
-        return compose_circuit_matrix(matrices, netlist.modes)
-    except (ValueError, KeyError) as exc:
-        raise NetlistError(exc.args[0]) from exc
+    return netlist._circuit

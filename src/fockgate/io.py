@@ -178,8 +178,9 @@ def _count(value: Any) -> int:
 def load_netlist(path: str | Path) -> Netlist:
     """Read a netlist JSON and check that its circuit can be realized.
 
-    Composing the circuit matrix once makes a bad element parameter or a
-    non-unitary circuit fail here, with NetlistError, before any work.
+    Composing the circuit matrix, which the netlist then keeps, makes a
+    bad element parameter or a non-unitary circuit fail here, with
+    NetlistError, before any work.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:

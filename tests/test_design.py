@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockgate import design
 from fockgate.fock import H, V
 from fockgate.design import (
     COUPLER_DESIGNS,
@@ -143,6 +144,16 @@ def test_solver_rejects_count_below_one(count):
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (60.0, 80.0), count=count)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("grid_step", 0.0), ("grid_step", -0.5), ("grid_step", math.nan), ("grid_step", math.inf),
+     ("refine_tol", 0.0), ("refine_tol", -1e-4), ("refine_tol", math.nan), ("refine_tol", math.inf)],
+)
+def test_solver_rejects_bad_grid_step_and_refine_tol(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (60.0, 80.0), **{name: value})
+
+
 @pytest.mark.parametrize("hi", [10_000.0, 1e308])
 def test_solver_refuses_more_than_a_million_scan_points(hi):
     with pytest.raises(ValueError, match="more than 1000000 scan points"):
@@ -197,6 +208,32 @@ def test_v_perfect_lengths_80_90():
 def test_v_perfect_lengths_first_multiple():
     sols = enumerate_v_perfect_lengths(PHYS, (0.0, 10.0))
     assert [round(s.length_um, 2) for s in sols] == [8.32]
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 50])
+def test_v_perfect_lengths_keep_the_shortest_count(count):
+    every = enumerate_v_perfect_lengths(PHYS, (0.0, 60.0))
+    assert len(every) == 7
+    assert enumerate_v_perfect_lengths(PHYS, (0.0, 60.0), count) == every[:count]
+
+
+def test_v_perfect_lengths_stop_at_count(monkeypatch):
+    calls = []
+
+    def counting(length_um, beat_um):
+        calls.append(length_um)
+        return bar_power(length_um, beat_um)
+
+    monkeypatch.setattr(design, "bar_power", counting)
+    sols = enumerate_v_perfect_lengths(PHYS, (0.0, PHYS.beat_v * 100_000), count=2)
+    assert [round(s.length_um, 2) for s in sols] == [8.32, 16.64]
+    assert len(calls) == 4  # bar_H and bar_V of each kept length
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_v_perfect_lengths_reject_count_below_one(count):
+    with pytest.raises(ValueError, match="count"):
+        enumerate_v_perfect_lengths(PHYS, (0.0, 60.0), count)
 
 
 @pytest.mark.parametrize("hi", [PHYS.beat_v * 10**6, 1e308])

@@ -2,16 +2,20 @@ import cmath
 import itertools
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fockgate import acceptance, gate
 from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
 from fockgate.fock import (
     H,
     V,
     HeraldPattern,
     Mode,
+    PureState,
     modes_for_ports,
     norm_squared,
     program_state,
@@ -22,7 +26,9 @@ from fockgate.elements import (
     HADAMARD_MATRIX,
     attenuating_filter,
     beam_splitter,
+    compose_circuit_matrix,
     coupler,
+    permanents,
     phase_shift,
     wave_plate,
 )
@@ -410,7 +416,231 @@ def test_heralded_operators_reject_non_finite_amplitudes(netlist, bad):
         heralded_operators(netlist, unitary, 0.0)
 
 
+# -- a netlist realized once ----------------------------------------------------------
+
+
+def _product_inputs(netlist, count, seed):
+    rng = random.Random(seed)
+
+    def qubit():
+        a, b = complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        return a / norm, b / norm
+
+    return [
+        prepare_input(netlist, qubit(), qubit(), ProgramState(rng.uniform(0, 2 * math.pi)))
+        for _ in range(count)
+    ]
+
+
+def _gate_bits(result):
+    return (result.operator.tobytes(), result.herald_probability, result.fidelity)
+
+
+def test_a_netlist_builds_each_element_once(monkeypatch):
+    built, batches = [], []
+
+    def counting(el):
+        built.append(el.name)
+        return build_element(el)
+
+    def counting_permanents(stack):
+        batches.append(stack.shape)
+        return permanents(stack)
+
+    monkeypatch.setattr(gate, "build_element", counting)
+    monkeypatch.setattr(gate, "permanents", counting_permanents)
+    nl = default_netlist()
+    states = _product_inputs(nl, 100, seed=3)
+    for k, state in enumerate(states):
+        extract_gate(nl, 0.05 * k)
+        run_heralded(nl, state)
+    assert sorted(built) == sorted(el.name for el in nl.elements)
+    # the first extraction computes all 8 basis rows; every product input reuses them
+    assert batches == [(8, 4, 3, 3)]
+
+
+def test_circuit_matrix_is_kept_read_only():
+    nl = default_netlist()
+    unitary = circuit_matrix(nl)
+    assert circuit_matrix(nl) is unitary
+    with pytest.raises(ValueError, match="read-only"):
+        unitary[0, 0] = 0.0
+    assert np.array_equal(unitary, compose_circuit_matrix(nl.build_matrices(), nl.modes))
+
+
+@pytest.mark.parametrize("fill", ["basis", "sorted"])
+def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(fill):
+    nl = default_netlist()
+    basis = list(nl._basis_inputs)
+    orders = {"basis": basis, "sorted": sorted(basis)}
+    gate._heralded_rows(nl, orders[fill])  # fills the table in this order
+    for order in orders.values():
+        fresh_outputs, fresh = heralded_transfer(circuit_matrix(nl), nl.herald_pattern(), order)
+        outputs, rows = gate._heralded_rows(nl, order)
+        assert np.array_equal(outputs, fresh_outputs)
+        assert rows.tobytes() == fresh.tobytes()
+
+
+def test_extract_gate_after_run_heralded_equals_a_fresh_extraction():
+    nl = default_netlist()
+    for state in _product_inputs(nl, 3, seed=5):
+        run_heralded(nl, state)  # fills some basis rows in `PureState` order
+    for phi in PHIS:
+        op, probs = heralded_operators(nl, circuit_matrix(nl), phi)
+        result = extract_gate(nl, phi)
+        assert result.operator.tobytes() == op.tobytes()
+        assert [result.herald_probability[b] for b in BASIS_LABELS] == probs.tolist()
+
+
+def _fresh_branch(netlist, state):
+    """run_heralded's contraction with a fresh transfer per photon number."""
+    groups = {}
+    for vec, amp in state.items():
+        groups.setdefault(sum(vec), []).append((vec, amp))
+    terms = {}
+    for group in groups.values():
+        vecs, amps = zip(*group)
+        outputs, transfer = heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), vecs)
+        terms.update(zip(map(tuple, outputs.tolist()), (np.array(amps) @ transfer).tolist()))
+    return PureState(netlist.modes, terms, subnormalized=True)
+
+
+def test_run_heralded_mixed_photon_numbers_from_the_table():
+    nl = default_netlist()
+    rng = random.Random(11)
+    terms = {}
+    for n in (2, 3, 3, 3, 2):
+        vec = [0] * len(nl.modes)
+        for _ in range(n):
+            vec[rng.randrange(len(nl.modes))] += 1
+        terms[tuple(vec)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    terms[nl.input_occupation(H, V, V)] = 0.5
+    terms[nl.input_occupation(V, V, H)] = -0.25j
+    state = PureState(nl.modes, terms)
+    expected = _bits(_fresh_branch(nl, state))
+    for _ in range(2):  # computes the rows, then reads them back
+        branch, prob = run_heralded(nl, state)
+        assert _bits(branch) == expected
+        assert prob == norm_squared(branch)
+    assert expected  # the 3-photon terms herald
+
+
+def test_run_heralded_lays_out_only_foreign_states(monkeypatch):
+    calls = []
+
+    def counting(state, netlist):
+        calls.append(state.modes)
+        return extend_state(state, netlist)
+
+    monkeypatch.setattr(gate, "extend_state", counting)
+    nl = default_netlist()
+    state = prepare_input(nl, (1, 0), (0, 1), ProgramState(0.4))
+    run_heralded(nl, state)
+    assert calls == []
+    foreign = PureState(nl.modes[::-1], {vec[::-1]: amp for vec, amp in state.items()})
+    branch, _ = run_heralded(nl, foreign)
+    assert calls == [foreign.modes]
+    assert _bits(branch) == _bits(run_heralded(nl, state)[0])
+
+
+def test_overridden_netlist_has_its_own_circuit():
+    parent = default_netlist()
+    before = _gate_bits(extract_gate(parent, 1.1))
+    parent_circuit = circuit_matrix(parent)
+    tuned = parent.with_overrides({"PBS3": parent.element("PBS3").with_params(theta_h=0.2)})
+    assert not np.allclose(circuit_matrix(tuned), parent_circuit)
+    assert _gate_bits(extract_gate(tuned, 1.1)) != before
+    assert circuit_matrix(parent) is parent_circuit
+    assert _gate_bits(extract_gate(parent, 1.1)) == before
+    # the perturbed copy shares the structural output plan
+    n_modes = len(parent.modes)
+    assert gate._output_plan(n_modes, parent.herald_pattern(), 3) is gate._output_plan(
+        n_modes, tuned.herald_pattern(), 3
+    )
+
+
+def test_extract_gate_from_threads_equals_serial():
+    phis = [0.1 * k for k in range(40)]
+    serial_nl = default_netlist()
+    expected = [_gate_bits(extract_gate(serial_nl, phi)) for phi in phis]
+    shared = default_netlist()
+    results, errors = {}, []
+    start = threading.Barrier(4)
+
+    def work(worker):
+        try:
+            start.wait(timeout=10)
+            results[worker] = [_gate_bits(extract_gate(shared, phi)) for phi in phis]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [results[w] for w in range(4)] == [expected] * 4
+
+
+def test_oracle_check_builds_its_own_elements(monkeypatch):
+    nl = default_netlist()
+    circuit_matrix(nl)  # the permanent side is kept on the netlist
+    calls = []
+    original = Netlist.build_matrices
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Netlist, "build_matrices", counting)
+    name, ok, _ = acceptance.check_oracle_equivalence(nl)
+    assert ok
+    assert len(calls) == 27 and all(c is nl for c in calls)  # one per run_elements
+
+
 # -- element parameters ------------------------------------------------------------
+
+
+def test_list_and_array_parameters_are_frozen_copies():
+    plate = [[1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]]
+    theta = np.array([0.1, 0.2])
+    el = ElementSpec("HWP1", "waveplate", ("L",), (("matrix", plate),))
+    coupler_spec = spec("PBS3", "pbs", ("L", "P"), theta_h=theta, theta_v=np.pi / 2)
+    assert el.param_dict["matrix"] == tuple(map(tuple, plate))
+    nl = default_netlist().with_overrides({"HWP1": el, "PBS3": coupler_spec})
+    unitary = circuit_matrix(nl).copy()
+    stack_angles = coupler_spec.param_dict["theta_h"].copy()
+    plate[0][0] = 5.0
+    theta[0] = 3.0
+    assert el.param_dict["matrix"][0][0] == 1 / math.sqrt(2)
+    assert np.array_equal(coupler_spec.param_dict["theta_h"], stack_angles)
+    with pytest.raises(ValueError, match="read-only"):
+        coupler_spec.param_dict["theta_h"][0] = 3.0
+    rebuilt = default_netlist().with_overrides({
+        "HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", el.param_dict["matrix"]),)),
+        "PBS3": spec("PBS3", "pbs", ("L", "P"), theta_h=stack_angles, theta_v=np.pi / 2),
+    })
+    assert np.array_equal(circuit_matrix(nl), unitary)
+    assert np.array_equal(circuit_matrix(rebuilt), unitary)
+
+
+def test_netlist_with_a_matrix_parameter_is_hashable():
+    data = netlist_to_dict(default_netlist())
+    for el in data["elements"]:
+        if el["name"] == "HWP2":
+            r = 1 / math.sqrt(2)
+            el["params"] = {"matrix": [[[r, 0.0], [r, 0.0]], [[r, 0.0], [-r, 0.0]]]}
+    a, b = netlist_from_dict(data), netlist_from_dict(data)
+    assert a == b and hash(a) == hash(b)
+    assert netlist_to_dict(a) == data
 
 
 @pytest.mark.parametrize("key", ["bogus", "t_hh"])
