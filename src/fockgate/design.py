@@ -13,10 +13,11 @@ of the gate circuit.  Beat lengths are calibrated inputs; their
 sensitivities to geometry changes default to zero and must be
 configured explicitly before running tolerance studies.
 
-A tolerance sweep is evaluated as one batch: the coupling angles of the
-whole deviation grid are arrays, so the perturbed netlist builds stacks
-of element matrices, one circuit matrix per grid point, and the gate is
-read off the whole stack at once.
+A tolerance sweep is evaluated in batches: the coupling angles of the
+deviation grid are arrays, so a perturbed netlist builds stacks of element
+matrices, one circuit matrix per grid point, and the gate and its fidelity
+are read off the whole stack at once.  A batch holds at most
+`_SWEEP_BATCH` points, so a sweep's memory does not grow with its grid.
 """
 
 from __future__ import annotations
@@ -42,11 +43,17 @@ from .gate import (
 DIMENSIONS = ("width", "height", "gap")
 
 # Grid sizes beyond which the solvers and the sweep refuse to allocate.  A
-# length scan point or whole-beat candidate costs a few floats, a sweep
-# point a 12x12 circuit and its permanents: a 10,001-point sweep of the
-# shipped netlist peaks at about 234 MB.
+# length scan point or whole-beat candidate costs a few floats, and a sweep
+# point its row of results; its circuit and permanents live only while its
+# batch is evaluated.
 MAX_SCAN_POINTS = 10**6
 MAX_SWEEP_POINTS = 10_001
+
+# Grid points evaluated together by `tolerance_sweep`.  A batch's
+# intermediates grow with the outputs the herald accepts: a batch of 64
+# adds about 7 MB to the peak for the shipped herald, and about 35 MB for a
+# herald on the photon count of one port alone.
+_SWEEP_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -362,6 +369,14 @@ def delta_theta(
     delta gives a float, an array of deltas an array of drifts; any
     non-positive perturbed beat raises ValueError.
     """
+    drift = math.pi * length_um * _inverse_beat_shift(beat_um, sensitivity_um_per_nm, delta_nm)
+    return drift if np.ndim(delta_nm) else float(drift)
+
+
+def _inverse_beat_shift(
+    beat_um: float, sensitivity_um_per_nm: float, delta_nm: float | np.ndarray
+) -> np.ndarray:
+    """1/(beat + s delta) - 1/beat per delta, the length-independent factor of `delta_theta`."""
     shifted = beat_um + sensitivity_um_per_nm * np.asarray(delta_nm, dtype=float)
     bad = shifted <= 0
     if bad.any():
@@ -369,8 +384,7 @@ def delta_theta(
             f"perturbed beat length {float(shifted[bad][0])} um is non-positive; "
             "sensitivity model out of validity"
         )
-    drift = math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
-    return drift if np.ndim(delta_nm) else float(drift)
+    return 1.0 / shifted - 1.0 / beat_um
 
 
 def synthesize_imperfect_elements(
@@ -409,19 +423,26 @@ def synthesize_imperfect_elements(
             "linear sensitivity model was specified for",
             stacklevel=2,
         )
+    shifts: dict[Polarization, np.ndarray] = {}
+
+    def drift(length: float, pol: Polarization) -> float | np.ndarray:
+        # `delta_theta`, with its length-independent factor computed once per polarization
+        if pol not in shifts:
+            shifts[pol] = _inverse_beat_shift(
+                physics.beat(pol), physics.sensitivity(dimension, pol), delta_nm
+            )
+        angles = math.pi * length * shifts[pol]
+        return angles if np.ndim(delta_nm) else float(angles)
+
     overrides: dict[str, ElementSpec] = {}
     for el in netlist.elements:
         length = physics.length_of(el.name)
         if el.kind not in COUPLER_KINDS or length is None:
             continue
-        thetas = coupler_angles(el)
-        th_h = thetas[0] + delta_theta(
-            length, physics.beat_h, physics.sensitivity(dimension, H), delta_nm
+        theta_h, theta_v = coupler_angles(el)
+        overrides[el.name] = el.with_params(
+            theta_h=theta_h + drift(length, H), theta_v=theta_v + drift(length, V)
         )
-        th_v = thetas[1] + delta_theta(
-            length, physics.beat_v, physics.sensitivity(dimension, V), delta_nm
-        )
-        overrides[el.name] = el.with_params(theta_h=th_h, theta_v=th_v)
     return overrides
 
 
@@ -465,33 +486,44 @@ def tolerance_sweep(
     """Gate performance across a geometry-deviation grid.
 
     One row per grid point of `sweep_deltas`, in ascending delta order.
-    The whole grid is evaluated as one batch: one
-    `synthesize_imperfect_elements` call on the array of deltas, one
-    overridden netlist whose circuit matrix is a stack with one matrix per
-    point, and one `heralded_operators` call on that stack.  Each row
-    equals `extract_gate` on the netlist perturbed by its own delta; the
-    bars are cos^2 of the override angles, by element name.
+    One `synthesize_imperfect_elements` call gives the angles of the whole
+    grid.  The grid is then evaluated in batches of at most `_SWEEP_BATCH`
+    consecutive points: one overridden netlist per batch, whose circuit
+    matrix is a stack with one matrix per point and which shares the
+    netlist's structure plan, one `heralded_operators` call on that stack
+    and one `process_fidelity` call on its operators.  Each row equals
+    `extract_gate` on the netlist perturbed by its own delta, bit for bit
+    whatever the batch size; the bars are cos^2 of the override angles, by
+    element name.
     """
     deltas = sweep_deltas(delta_range_nm, step_nm)
 
     overrides = synthesize_imperfect_elements(netlist, physics, dimension, np.array(deltas))
-    perturbed = netlist.with_overrides(overrides)
-    unitary = circuit_matrix(perturbed)
-    # a netlist without overridden couplers has one circuit for every point
-    unitary = np.broadcast_to(unitary, (len(deltas),) + unitary.shape[-2:])
-    operators, probs = heralded_operators(perturbed, unitary, phi)
     ideal = ideal_cphase(phi)
+    probs, fidelity = [], []
+    for start in range(0, len(deltas), _SWEEP_BATCH):
+        batch = slice(start, start + _SWEEP_BATCH)
+        perturbed = netlist.with_overrides(overrides if len(deltas) <= _SWEEP_BATCH else {
+            name: el.with_params(theta_h=el.param_dict["theta_h"][batch],
+                                 theta_v=el.param_dict["theta_v"][batch])
+            for name, el in overrides.items()
+        })
+        unitary = circuit_matrix(perturbed)
+        # a netlist without overridden couplers has one circuit for every point
+        unitary = np.broadcast_to(unitary, (len(deltas[batch]),) + unitary.shape[-2:])
+        operators, batch_probs = heralded_operators(perturbed, unitary, phi)
+        probs += batch_probs.tolist()
+        fidelity += process_fidelity(operators, ideal).tolist()
 
     def bars(name: str, key: str) -> list[float]:
         return [math.cos(t) ** 2 for t in overrides[name].param_dict[key].tolist()]
 
-    columns = [(name, bars(name, "theta_h"), bars(name, "theta_v")) for name in sorted(overrides)]
+    columns = [
+        [(name, bar_h, bar_v) for bar_h, bar_v in zip(bars(name, "theta_h"), bars(name, "theta_v"))]
+        for name in sorted(overrides)
+    ]
+    element_bars = zip(*columns) if columns else [()] * len(deltas)
     return [
-        SweepRow(
-            delta,
-            tuple((name, bar_h[i], bar_v[i]) for name, bar_h, bar_v in columns),
-            tuple(probs[i].tolist()),
-            process_fidelity(operators[i], ideal),
-        )
-        for i, delta in enumerate(deltas)
+        SweepRow(delta, tuple(row_bars), tuple(row_probs), row_fidelity)
+        for delta, row_bars, row_probs, row_fidelity in zip(deltas, element_bars, probs, fidelity)
     ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -356,14 +357,30 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     if n < 0 or a.shape[-2] != n:
         raise ValueError(f"permanents requires (..., n, n) matrices, got {a.shape}")
     minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
+    for k, subsets, smaller in _minor_steps(n):
+        minors = (a[..., k, :][..., subsets] * minors[..., smaller]).sum(axis=-1)
+    return minors[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _minor_steps(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The steps of `permanents` for n x n matrices, row k = n-1 down to 0.
+
+    Step k has the column subsets of size n - k, in `combinations` order,
+    and for each subset and each of its members the position of the subset
+    without that member among the previous step's subsets.
+    """
+    steps = []
     position = {(): 0}
     for k in reversed(range(n)):
         subsets = list(itertools.combinations(range(n), n - k))
         smaller = [[position[s[:i] + s[i + 1 :]] for i in range(n - k)] for s in subsets]
-        row = a[..., k, :][..., np.array(subsets)]
-        minors = (row * minors[..., np.array(smaller)]).sum(axis=-1)
+        arrays = np.array(subsets, dtype=np.intp), np.array(smaller, dtype=np.intp)
+        for array in arrays:
+            array.flags.writeable = False
+        steps.append((k, *arrays))
         position = {s: i for i, s in enumerate(subsets)}
-    return minors[..., 0]
+    return tuple(steps)
 
 
 def amplitude_via_permanent(
@@ -391,28 +408,46 @@ def amplitude_via_permanent(
 
 
 def compose_circuit_matrix(
-    elements: Sequence[ElementMatrix], modes: Sequence[Mode]
+    elements: Sequence[ElementMatrix], columns: Sequence[np.ndarray], n_modes: int
 ) -> np.ndarray:
-    """Product of the elements, each acting on its own modes of the full set.
+    """Product of the elements, each acting on its own columns of an n_modes-mode circuit.
 
-    Elements are given in application order; in transfer orientation the
-    composite is M1 @ M2 @ ... @ Mk, with each Mi the identity outside its
-    element's modes.  An element maps its modes onto themselves, so each
-    step rewrites only the columns of those modes.  Elements must act on
-    modes of `modes`.  Stacked element matrices broadcast: the result has
-    shape B + (n, n), with B the common batch shape of the elements (empty
-    when none is stacked), and every matrix in it is unitary within 1e-12.
+    Elements are given in application order, and `columns[k]` holds the
+    circuit columns of the modes of elements[k], in the element's mode
+    order (a netlist resolves them once, see `gate.StructurePlan`).  In
+    transfer orientation the composite is M1 @ M2 @ ... @ Mk, with each Mi
+    the identity outside its element's columns.  An element maps its modes
+    onto themselves, so each step rewrites only those columns.  A column
+    list of the wrong length or outside [0, n_modes) raises ValueError.
+    Stacked element matrices broadcast: the result has shape B + (n, n),
+    with B the common batch shape of the elements (empty when none is
+    stacked), and every matrix in it is unitary within 1e-12.
     """
-    n = len(modes)
-    pos = {m: i for i, m in enumerate(modes)}
+    if len(elements) != len(columns):
+        raise ValueError(f"{len(elements)} elements but {len(columns)} column lists")
     batch = np.broadcast_shapes(*{el.matrix.shape[:-2] for el in elements})
     # the identity, broadcast to the batch shape
-    full = np.eye(n, dtype=complex) + np.zeros(batch + (n, n), dtype=complex)
-    for el in elements:
-        for m in el.modes:
-            if m not in pos:
-                raise KeyError(f"unresolved port: mode {m!r} not in circuit mode set")
-        idx = [pos[m] for m in el.modes]
+    full = np.eye(n_modes, dtype=complex) + np.zeros(batch + (n_modes, n_modes), dtype=complex)
+    for el, idx in zip(elements, columns):
+        if len(idx) != len(el.modes) or not all(0 <= c < n_modes for c in idx):
+            raise ValueError(
+                f"columns {list(idx)} do not place the {len(el.modes)} modes of an "
+                f"element in a {n_modes}-mode circuit"
+            )
         full[..., idx] = full[..., idx] @ el.matrix
     _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
     return full
+
+
+def mode_columns(modes: Sequence[Mode], subset: Sequence[Mode]) -> np.ndarray:
+    """Indices of the modes of `subset` within `modes`, as a read-only array.
+
+    A mode of `subset` that `modes` lacks raises KeyError naming it.
+    """
+    position = {m: i for i, m in enumerate(modes)}
+    missing = [m for m in subset if m not in position]
+    if missing:
+        raise KeyError(f"unresolved port: mode {missing[0]!r} not in circuit mode set")
+    idx = np.array([position[m] for m in subset], dtype=np.intp)
+    idx.flags.writeable = False
+    return idx

@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 PRUNE_THRESHOLD = 1e-14
@@ -45,11 +46,12 @@ class Mode:
 
 def modes_for_ports(ports: Sequence[str]) -> tuple[Mode, ...]:
     """Expand port names into the canonical mode list (port order, H before V)."""
-    out = []
-    for p in ports:
-        out.append(Mode(p, H))
-        out.append(Mode(p, V))
-    return tuple(out)
+    return _port_modes(tuple(ports))
+
+
+@lru_cache(maxsize=256)
+def _port_modes(ports: tuple[str, ...]) -> tuple[Mode, ...]:
+    return tuple(Mode(p, pol) for p in ports for pol in (H, V))
 
 
 FockVector = tuple  # occupation numbers, one per mode, in canonical order
@@ -197,16 +199,9 @@ def qubit_state(
 ) -> PureState:
     """Single polarization-encoded photon alpha|H> + beta|V> on `port`.
 
-    Amplitudes must be finite and normalized: |alpha|^2 + |beta|^2 = 1
-    within `tol`.
+    The amplitudes must pass `check_qubit` with `tol`.
     """
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-        raise ValueError(f"qubit amplitudes must be finite, got ({alpha}, {beta})")
-    dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-    if dev > tol:
-        raise ValueError(
-            f"qubit amplitudes not normalized: |a|^2+|b|^2 deviates by {dev:.3g}"
-        )
+    check_qubit(alpha, beta, tol)
     mh, mv = Mode(port, H), Mode(port, V)
     ih, iv = list(modes).index(mh), list(modes).index(mv)
     terms: dict[FockVector, complex] = {}
@@ -222,8 +217,22 @@ def qubit_state(
     return PureState(modes, terms)
 
 
+def check_qubit(alpha: complex, beta: complex, tol: float = 1e-12) -> None:
+    """Raise ValueError unless alpha and beta are finite and |alpha|^2 + |beta|^2 = 1 within `tol`."""
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError(f"qubit amplitudes must be finite, got ({alpha}, {beta})")
+    dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
+    if dev > tol:
+        raise ValueError(
+            f"qubit amplitudes not normalized: |a|^2+|b|^2 deviates by {dev:.3g}"
+        )
+
+
+def program_amplitudes(phi: float) -> tuple[float, complex]:
+    """(H, V) amplitudes of the program photon (|H> + e^{i phi}|V>)/sqrt(2)."""
+    return 1 / math.sqrt(2), complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
+
+
 def program_state(modes: Sequence[Mode], port: str, phi: float) -> PureState:
     """Program photon (|H> + e^{i phi}|V>)/sqrt(2) on `port`."""
-    return qubit_state(
-        modes, port, 1 / math.sqrt(2), complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
-    )
+    return qubit_state(modes, port, *program_amplitudes(phi))

@@ -17,14 +17,17 @@ detector click; each computational-basis input then heralds with
 probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 
 `extract_gate` and `run_heralded` read heralded amplitudes from
-permanents of the composed circuit matrix (`heralded_transfer`).  A
-netlist is immutable, so it composes its circuit once and keeps it, with
-its herald pattern, basis inputs, logical readout and the heralded
-transfer row of every input it has been asked about; a new phase or new
-qubit amplitudes cost only the linear combination and the readout.
-Circuit matrices may come as a stack, one per point of a parameter sweep,
-and `heralded_operators` reads the gate off every matrix of a stack at
-once.
+permanents of the composed circuit matrix (`heralded_transfer`).  What a
+netlist's ports, herald and encoding fix is its `StructurePlan`: the mode
+order and columns, the herald pattern, the basis inputs, the logical
+readout and the columns each element acts on.  One plan serves every
+netlist with that structure, so the perturbed copies of a parameter sweep
+compute none of it again.  A netlist is immutable, so it composes its
+circuit once and keeps it, with the heralded transfer row of every input
+it has been asked about; a new phase or new qubit amplitudes cost only the
+linear combination and the readout.  Circuit matrices may come as a stack,
+one per point of a parameter sweep, and `heralded_operators` reads the
+gate off every matrix of a stack at once.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -51,10 +54,10 @@ from .fock import (
     Mode,
     Polarization,
     PureState,
+    check_qubit,
     modes_for_ports,
     norm_squared,
-    program_state,
-    qubit_state,
+    program_amplitudes,
 )
 from .elements import (
     HADAMARD_MATRIX,
@@ -65,6 +68,7 @@ from .elements import (
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    mode_columns,
     partially_polarizing_beam_splitter,
     permanents,
     phase_shift,
@@ -168,33 +172,124 @@ class QubitEncoding:
     program: str
 
 
-@dataclass(frozen=True)
-class Netlist:
-    """A validated circuit with its mode layout fixed at construction.
+@dataclass(frozen=True, eq=False)
+class StructurePlan:
+    """What a netlist's ports, herald and encoding fix, whatever its elements.
 
     `modes` is the canonical mode order (declared port order, H before V)
-    of circuit matrices and states; `columns` maps each mode to its index
-    there.  Neither takes part in equality or hashing.  What derives from
-    the fields (circuit matrix, herald pattern, basis inputs, readout,
-    heralded transfer rows) is computed on first use and kept on the
-    instance; `replace` and `with_overrides` make a new instance that
-    computes its own.
+    of circuit matrices and states, and `columns` maps each mode to its
+    index there.  `pattern` is the herald as exact-count conditions on the
+    columns.  `basis_inputs` holds the occupations of the 8 three-photon
+    basis inputs, row 4 t + 2 c + p for target t, control c and program p
+    (0 = H), and `readout` the (outputs x 4) 0/1 matrix that reads the
+    three-photon outputs the herald accepts as logical |tc>; both are
+    computed on first use.  `element_columns` maps the ports an element
+    is wired to onto the columns of its modes.  `structure_plan` keeps one
+    plan per structure, which every netlist with those ports, herald and
+    encoding shares, perturbed copies included.
+    """
+
+    modes: tuple[Mode, ...]
+    columns: Mapping[Mode, int]
+    pattern: HeraldPattern
+    encoding: QubitEncoding
+    detector_pol: Polarization
+    _element_columns: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def element_columns(self, ports: tuple[str, ...]) -> np.ndarray:
+        """Read-only columns of the modes of an element wired to `ports`, in its mode order.
+
+        An undeclared port raises KeyError naming it.
+        """
+        cols = self._element_columns.get(ports)
+        if cols is None:
+            cols = mode_columns(self.modes, modes_for_ports(ports))
+            self._element_columns[ports] = cols
+        return cols
+
+    def input_occupation(
+        self,
+        target: Polarization | None,
+        control: Polarization | None,
+        program: Polarization | None,
+    ) -> FockVector:
+        """Occupations over `modes` with one photon on each encoded port given a polarization.
+
+        None leaves that port in vacuum.
+        """
+        vec = [0] * len(self.modes)
+        enc = self.encoding
+        for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
+            if pol is not None:
+                vec[self.columns[Mode(port, pol)]] = 1
+        return tuple(vec)
+
+    @cached_property
+    def basis_inputs(self) -> tuple[FockVector, ...]:
+        return tuple(self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3))
+
+    @cached_property
+    def readout(self) -> np.ndarray:
+        _, outputs, _ = _output_plan(len(self.modes), self.pattern, 3)
+        readout = _logical_readout(self, outputs)
+        readout.flags.writeable = False
+        return readout
+
+
+@lru_cache(maxsize=64)
+def structure_plan(
+    ports: tuple[PortDecl, ...], herald: tuple[HeraldTerm, ...], encoding: QubitEncoding
+) -> StructurePlan:
+    """The one `StructurePlan` of a validated netlist's ports, herald and encoding."""
+    modes = modes_for_ports(tuple(p.name for p in ports))
+    columns = {m: i for i, m in enumerate(modes)}
+    pattern = HeraldPattern(tuple(
+        HeraldCondition(tuple(columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
+                        term.count)
+        for term in herald
+    ))
+    detector_pol = V
+    for term in herald:
+        if encoding.program in term.ports and len(term.pols) == 1:
+            detector_pol = term.pols[0]
+            break
+    return StructurePlan(modes, columns, pattern, encoding, detector_pol)
+
+
+@dataclass(frozen=True)
+class Netlist:
+    """A validated circuit; its structure is planned once and its circuit realized once.
+
+    The ports, herald and encoding fix its `StructurePlan`, `plan`, shared
+    with every netlist of the same structure: `modes`, `columns` and the
+    herald pattern come from it.  The plan takes no part in equality or
+    hashing.  What derives from the elements (circuit matrix, heralded
+    transfer rows) is computed on first use and kept on the instance;
+    `replace` and `with_overrides` make a new instance that computes its
+    own and shares the plan.
     """
 
     ports: tuple[PortDecl, ...]
     elements: tuple[ElementSpec, ...]
     herald: tuple[HeraldTerm, ...]
     encoding: QubitEncoding
-    modes: tuple[Mode, ...] = field(init=False, compare=False, repr=False)
-    columns: dict[Mode, int] = field(init=False, compare=False, repr=False)
+    plan: StructurePlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
-        modes = modes_for_ports(self.port_names)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "columns", {m: i for i, m in enumerate(modes)})
+        object.__setattr__(self, "plan", structure_plan(self.ports, self.herald, self.encoding))
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        return self.plan.modes
+
+    @property
+    def columns(self) -> Mapping[Mode, int]:
+        return self.plan.columns
 
     @property
     def port_names(self) -> tuple[str, ...]:
@@ -256,6 +351,10 @@ class Netlist:
         An element whose parameters cannot be realized (missing, of the
         wrong type or out of range) raises NetlistError naming it.
         """
+        return [m for _, m in self._realized()]
+
+    def _realized(self) -> list[tuple[ElementSpec, ElementMatrix]]:
+        """Each element that acts on modes with its matrix, as `build_matrices` reports them."""
         out = []
         for el in self.elements:
             try:
@@ -268,7 +367,7 @@ class Netlist:
             except (ValueError, TypeError) as exc:
                 raise NetlistError(f"element {el.name!r}: {exc}") from exc
             if m is not None:
-                out.append(m)
+                out.append((el, m))
         return out
 
     def input_occupation(
@@ -277,54 +376,23 @@ class Netlist:
         control: Polarization | None,
         program: Polarization | None,
     ) -> FockVector:
-        """Occupations over `modes` with one photon on each encoded port given a polarization.
-
-        None leaves that port in vacuum.
-        """
-        vec = [0] * len(self.modes)
-        enc = self.encoding
-        for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
-            if pol is not None:
-                vec[self.columns[Mode(port, pol)]] = 1
-        return tuple(vec)
+        """`StructurePlan.input_occupation` of the netlist's plan."""
+        return self.plan.input_occupation(target, control, program)
 
     def herald_pattern(self) -> HeraldPattern:
         """The herald terms as exact-count conditions on the columns of `modes`."""
-        return self._pattern
-
-    @cached_property
-    def _pattern(self) -> HeraldPattern:
-        return HeraldPattern(tuple(
-            HeraldCondition(
-                tuple(self.columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
-                term.count,
-            )
-            for term in self.herald
-        ))
+        return self.plan.pattern
 
     @cached_property
     def _circuit(self) -> np.ndarray:
-        matrices = self.build_matrices()
+        realized = self._realized()
+        columns = [self.plan.element_columns(el.ports) for el, _ in realized]
         try:
-            unitary = compose_circuit_matrix(matrices, self.modes)
-        except (ValueError, KeyError) as exc:
+            unitary = compose_circuit_matrix([m for _, m in realized], columns, len(self.modes))
+        except ValueError as exc:
             raise NetlistError(exc.args[0]) from exc
         unitary.flags.writeable = False
         return unitary
-
-    @cached_property
-    def _basis_inputs(self) -> tuple[FockVector, ...]:
-        # row 4 t + 2 c + p holds target t, control c and program p (0 = H)
-        return tuple(
-            self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)
-        )
-
-    @cached_property
-    def _readout(self) -> np.ndarray:
-        _, outputs, _ = _output_plan(len(self.modes), self._pattern, 3)
-        readout = _logical_readout(self, outputs)
-        readout.flags.writeable = False
-        return readout
 
     @cached_property
     def _transfer_rows(self) -> dict[FockVector, np.ndarray]:
@@ -378,7 +446,11 @@ def coupler_angles(el: ElementSpec) -> tuple[Any, Any]:
 
 
 def build_element(el: ElementSpec) -> ElementMatrix | None:
-    """Realize one ElementSpec as an ElementMatrix (None for pure markers)."""
+    """Realize one ElementSpec as an ElementMatrix (None for pure markers).
+
+    The matrix acts on `modes_for_ports(el.ports)`, the modes whose columns
+    `StructurePlan.element_columns` gives.
+    """
     p = el.param_dict
     if el.kind in COUPLER_KINDS and ("theta_h" in p or "theta_v" in p):
         return coupler(*el.ports, *coupler_angles(el), v_reflect=el.kind == "pbs")
@@ -461,19 +533,23 @@ def prepare_input(
     """Three-photon product input on the netlist's encoded ports.
 
     target and control are (alpha, beta) with |alpha|^2 + |beta|^2 = 1;
-    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  The state lives
-    on `netlist.modes`; each amplitude is target x control x program,
-    multiplied in that order as `tensor` multiplies.
+    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  Each photon's
+    amplitudes must pass `fock.check_qubit`, checked target first.  The
+    state lives on `netlist.modes` and its terms are the plan's basis
+    inputs.  An amplitude is target x control x program, multiplied in that
+    order as `tensor` multiplies the states `qubit_state` and
+    `program_state` build, which keep an amplitude as a complex and drop it
+    below PRUNE_THRESHOLD.
     """
-    enc = netlist.encoding
-    factors = (
-        qubit_state(netlist.modes, enc.target, target[0], target[1]),
-        qubit_state(netlist.modes, enc.control, control[0], control[1]),
-        program_state(netlist.modes, enc.program, program.phi),
-    )
-    terms = {}
-    for (vt, at), (vc, ac), (vp, ap) in itertools.product(*(f.items() for f in factors)):
-        terms[tuple(map(sum, zip(vt, vc, vp)))] = at * ac * ap
+    kept = []
+    for alpha, beta in (target, control, program_amplitudes(program.phi)):
+        check_qubit(alpha, beta)
+        kept.append([(k, complex(a)) for k, a in enumerate((alpha, beta)) if abs(a) >= PRUNE_THRESHOLD])
+    basis = netlist.plan.basis_inputs
+    terms = {
+        basis[4 * t + 2 * c + p]: at * ac * ap
+        for (t, at), (c, ac), (p, ap) in itertools.product(*kept)
+    }
     return PureState(netlist.modes, terms)
 
 
@@ -597,10 +673,10 @@ def _heralded_rows(
     table = netlist._transfer_rows
     missing = [vec for vec in dict.fromkeys(inputs) if vec not in table]
     if missing:
-        _, amps = heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), missing)
+        _, amps = heralded_transfer(circuit_matrix(netlist), netlist.plan.pattern, missing)
         amps.flags.writeable = False
         table.update(zip(missing, amps))
-    _, outputs, _ = _output_plan(len(netlist.modes), netlist.herald_pattern(), sum(inputs[0]))
+    _, outputs, _ = _output_plan(len(netlist.modes), netlist.plan.pattern, sum(inputs[0]))
     return outputs, np.array([table[vec] for vec in inputs])
 
 
@@ -661,7 +737,7 @@ def heralded_output_amplitudes(
     """
     enc = netlist.encoding
     modes = list(branch.modes)
-    det_pol = _detector_pol(netlist)
+    det_pol = netlist.plan.detector_pol
     idx = {
         "tH": modes.index(Mode(enc.target, H)),
         "tV": modes.index(Mode(enc.target, V)),
@@ -687,13 +763,6 @@ def heralded_output_amplitudes(
     return out
 
 
-def _detector_pol(netlist: Netlist) -> Polarization:
-    for term in netlist.herald:
-        if netlist.encoding.program in term.ports and len(term.pols) == 1:
-            return term.pols[0]
-    return V
-
-
 def heralded_operators(
     netlist: Netlist, unitary: np.ndarray, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -714,11 +783,12 @@ def heralded_operators(
     (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
     probabilities (..., 4) in the same order.
     """
-    _, amps = heralded_transfer(unitary, netlist.herald_pattern(), netlist._basis_inputs)
-    return _operators(netlist, amps, phi)
+    plan = netlist.plan
+    _, amps = heralded_transfer(unitary, plan.pattern, plan.basis_inputs)
+    return _operators(plan, amps, phi)
 
 
-def _operators(netlist: Netlist, amps: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _operators(plan: StructurePlan, amps: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """`heralded_operators` from the (..., 8, outputs) transfer of the basis inputs."""
     n_out = amps.shape[-1]
     amps = amps.reshape(amps.shape[:-2] + (4, 2, n_out))
@@ -728,31 +798,43 @@ def _operators(netlist: Netlist, amps: np.ndarray, phi: float) -> tuple[np.ndarr
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    operators = np.ascontiguousarray((columns @ netlist._readout).swapaxes(-1, -2))
-    # summed as `norm_squared` sums a branch: numpy's complex abs and
-    # square can differ from Python's in the last bit
-    flat = columns.reshape(-1, n_out).tolist()
-    probs = [sum(abs(a) ** 2 for a in col) for col in flat]
-    return operators, np.array(probs).reshape(columns.shape[:-1])
+    operators = np.ascontiguousarray((columns @ plan.readout).swapaxes(-1, -2))
+    return operators, _squared_norms(columns)
 
 
-def _logical_readout(netlist: Netlist, outputs: np.ndarray) -> np.ndarray:
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis of a complex array, as `norm_squared` sums a state.
+
+    Bit for bit `sum(abs(a) ** 2 for a in row)` of each row: Python's abs
+    of a complex is `hypot`, which `np.hypot` matches; its `** 2` is libm's
+    `pow`, which differs from numpy's squaring in the last bit for about
+    0.1% of values, so the squares are taken in Python; and the sum adds in
+    row order, as `cumsum` does.
+    """
+    if z.shape[-1] == 0:
+        return np.zeros(z.shape[:-1])
+    magnitudes = np.hypot(z.real, z.imag).ravel().tolist()
+    squares = np.array([m ** 2 for m in magnitudes], dtype=float).reshape(z.shape)
+    return np.cumsum(squares, axis=-1)[..., -1]
+
+
+def _logical_readout(plan: StructurePlan, outputs: np.ndarray) -> np.ndarray:
     """(outputs x 4) 0/1 matrix mapping heralded outputs to logical |tc>.
 
     As in `heralded_output_amplitudes`: an output reads as |tc> when it
     holds exactly one photon on the target port (t = its polarization),
     exactly one on the control port and one in the detector mode.
     """
-    enc = netlist.encoding
+    enc = plan.encoding
 
     def count(port: str, pol: Polarization) -> np.ndarray:
-        return outputs[:, netlist.columns[Mode(port, pol)]]
+        return outputs[:, plan.columns[Mode(port, pol)]]
 
     t_v, c_v = count(enc.target, V), count(enc.control, V)
     ok = (
         (count(enc.target, H) + t_v == 1)
         & (count(enc.control, H) + c_v == 1)
-        & (count(enc.program, _detector_pol(netlist)) == 1)
+        & (count(enc.program, plan.detector_pol) == 1)
     )
     readout = np.zeros((len(outputs), 4))
     readout[ok, (2 * t_v + c_v)[ok]] = 1.0
@@ -770,8 +852,8 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     `heralded_output_amplitudes`) computes the same map independently and
     is the reference for this one.
     """
-    _, amps = _heralded_rows(netlist, netlist._basis_inputs)
-    op, probs = _operators(netlist, amps, phi)
+    _, amps = _heralded_rows(netlist, netlist.plan.basis_inputs)
+    op, probs = _operators(netlist.plan, amps, phi)
     fidelity = process_fidelity(op, ideal_cphase(phi))
     return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
 
@@ -781,16 +863,31 @@ def ideal_cphase(phi: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]).astype(complex)
 
 
-def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|Tr(A^dag B)|^2 / (Tr(A^dag A) Tr(B^dag B)); 1 iff A is proportional to B."""
+def process_fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """|Tr(A^dag B)|^2 / (Tr(A^dag A) Tr(B^dag B)); 1 iff A is proportional to B.
+
+    A and B are square operators of one size, or stacks of them whose
+    leading axes broadcast.  Two operators give a float, stacks an array
+    over the broadcast leading axes, each entry bit for bit the fidelity of
+    its own pair.  Operators of different or non-square shapes, a non-finite
+    entry and a zero operator raise ValueError.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    na = float(np.real(np.trace(a.conj().T @ a)))
-    nb = float(np.real(np.trace(b.conj().T @ b)))
-    if na <= 0.0 or nb <= 0.0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(
+            f"process fidelity needs square operators of one size, got {a.shape} and {b.shape}"
+        )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("process fidelity is undefined for a non-finite operator")
+    a_dag = a.conj().swapaxes(-1, -2)
+    na = np.trace(a_dag @ a, axis1=-2, axis2=-1).real
+    nb = np.trace(b.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1).real
+    if not ((na > 0.0).all() and (nb > 0.0).all()):
         raise ValueError("process fidelity is undefined for a zero operator")
-    overlap = np.trace(a.conj().T @ b)
-    return float(abs(overlap) ** 2 / (na * nb))
+    overlap = np.trace(a_dag @ b, axis1=-2, axis2=-1)
+    fidelity = _squared_norms(overlap[..., None]) / (na * nb)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def circuit_matrix(netlist: Netlist) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockgate import design
+from fockgate import design, gate
 from fockgate.fock import H, V
 from fockgate.design import (
     COUPLER_DESIGNS,
@@ -21,13 +21,16 @@ from fockgate.design import (
     tolerance_sweep,
 )
 from fockgate.gate import (
+    BASIS_LABELS,
     COUPLER_KINDS,
     ElementSpec,
+    Netlist,
     NetlistError,
     build_element,
     circuit_matrix,
     default_netlist,
     extract_gate,
+    process_fidelity,
 )
 
 PHYS = CouplerPhysics()
@@ -505,3 +508,78 @@ def test_sweep_at_zero_delta_keeps_an_elements_own_angles(name):
     assert abs(row.fidelity - gate.fidelity) <= 1e-12
     for p, q in zip(row.herald_probabilities, gate.herald_probability.values()):
         assert abs(p - q) <= 1e-12
+
+
+# -- a sweep evaluated in batches over one shared structure plan ---------------------
+
+
+def _row_bits(row):
+    return (
+        row.delta_nm.hex(),
+        [(name, bar_h.hex(), bar_v.hex()) for name, bar_h, bar_v in row.element_bars],
+        [p.hex() for p in row.herald_probabilities],
+        row.fidelity.hex(),
+    )
+
+
+def test_two_sweeps_plan_their_structure_once(monkeypatch):
+    gate.structure_plan.cache_clear()
+    readouts, occupations, built, composed, copies = [], [], [], [], []
+
+    def spy(log, fn, record=lambda *args: args):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            log.append(record(*args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(gate, "_logical_readout", spy(readouts, gate._logical_readout))
+    monkeypatch.setattr(gate.StructurePlan, "input_occupation",
+                        spy(occupations, gate.StructurePlan.input_occupation))
+    monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
+    monkeypatch.setattr(gate, "compose_circuit_matrix", spy(composed, gate.compose_circuit_matrix))
+    monkeypatch.setattr(Netlist, "with_overrides",
+                        spy(copies, Netlist.with_overrides, lambda *args: args[-1]))
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("width", 0.004, -0.002).with_sensitivities("gap", 0.003, 0.001)
+    for dimension in ("width", "gap"):
+        tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 1.0, phi=0.8)
+    assert len(readouts) == 1
+    assert len(occupations) == 8  # the basis inputs, once
+    assert len(copies) == 2 and all(copy.plan is netlist.plan for copy in copies)
+    assert sorted(built) == sorted(2 * [el.name for el in netlist.elements])
+    assert len(composed) == 2
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    physics = PHYS.with_sensitivities("height", -0.005, 0.004)
+    sweep = (default_netlist(), physics, "height", (-10.0, 10.0), 0.5)
+    whole = [_row_bits(r) for r in tolerance_sweep(*sweep, phi=2.1)]
+    assert len(whole) == 41 <= design._SWEEP_BATCH
+    monkeypatch.setattr(design, "_SWEEP_BATCH", batch)
+    assert [_row_bits(r) for r in tolerance_sweep(*sweep, phi=2.1)] == whole
+
+
+def test_sweep_in_batches_keeps_one_warning_and_the_beat_check(monkeypatch):
+    monkeypatch.setattr(design, "_SWEEP_BATCH", 2)
+    with pytest.warns(UserWarning, match="10 nm") as caught:
+        tolerance_sweep(default_netlist(), PHYS.with_sensitivities("gap", 0.002, 0.002),
+                        "gap", (-12.0, 12.0), 4.0)
+    assert len(caught) == 1
+    physics = PHYS.with_sensitivities("width", 0.004, -0.9)
+    with pytest.raises(ValueError, match="non-positive"):
+        tolerance_sweep(default_netlist(), physics, "width", (-10.0, 10.0), 1.0)
+
+
+def test_sweep_rows_equal_extract_gate_bit_for_bit():
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("gap", 0.005, -0.004)
+    rows = tolerance_sweep(netlist, physics, "gap", (-10.0, 10.0), 2.5, phi=1.7)
+    for row in rows:
+        perturbed = netlist.with_overrides(
+            synthesize_imperfect_elements(netlist, physics, "gap", row.delta_nm)
+        )
+        single = extract_gate(perturbed, 1.7)
+        assert row.herald_probabilities == tuple(single.herald_probability[b] for b in BASIS_LABELS)
+        assert row.fidelity == single.fidelity == process_fidelity(single.operator, gate.ideal_cphase(1.7))

@@ -14,6 +14,7 @@ from fockgate.elements import (
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    mode_columns,
     partially_polarizing_beam_splitter,
     permanent,
     phase_shift,
@@ -32,6 +33,12 @@ def fock(modes, **occ):
         port, pol = key.split("_")
         vec[list(modes).index(Mode(port, H if pol == "h" else V))] = n
     return PureState(modes, {tuple(vec): 1.0})
+
+
+def compose(elements, modes):
+    """compose_circuit_matrix with each element's columns resolved from its modes."""
+    columns = [mode_columns(modes, el.modes) for el in elements]
+    return compose_circuit_matrix(elements, columns, len(modes))
 
 
 # -- element construction ----------------------------------------------------
@@ -164,7 +171,7 @@ def test_ppbs_two_v_coincidence_is_minus_third():
     # coincidence term = 1/3 - 2/3 = -1/3
     assert abs(out.amplitude((0, 1, 0, 1)) - (-1.0 / 3.0)) < 1e-12
     # cross-check against the permanent oracle
-    unitary = compose_circuit_matrix([ppbs], AB)
+    unitary = compose([ppbs], AB)
     oracle = amplitude_via_permanent(unitary, (0, 1, 0, 1), (0, 1, 0, 1))
     assert abs(oracle - (-1.0 / 3.0)) < 1e-12
 
@@ -198,7 +205,7 @@ def test_sequential_matches_permanent_on_small_circuit():
         partially_polarizing_beam_splitter("a", "b"),
         beam_splitter("a", "b", t_h=0.6, r_h=0.8),
     ]
-    unitary = compose_circuit_matrix(elements, AB)
+    unitary = compose(elements, AB)
     state = fock(AB, a_v=1, b_v=1)
     for el in elements:
         state = apply_element(state, el)
@@ -209,19 +216,41 @@ def test_sequential_matches_permanent_on_small_circuit():
 
 
 def test_compose_empty_circuit_is_identity():
-    assert np.allclose(compose_circuit_matrix([], AB), np.eye(4))
+    assert np.allclose(compose([], AB), np.eye(4))
 
 
 def test_compose_single_pbs_is_its_embedding():
     pbs = polarizing_beam_splitter("a", "b")
-    full = compose_circuit_matrix([pbs], AB)
+    full = compose([pbs], AB)
     assert np.allclose(full, pbs.matrix)
 
 
 def test_compose_unresolved_port_rejected():
     pbs = polarizing_beam_splitter("a", "zz")
     with pytest.raises(KeyError, match="zz"):
-        compose_circuit_matrix([pbs], AB)
+        compose([pbs], AB)
+
+
+@pytest.mark.parametrize("columns", [[0, 1, 2], [0, 1, 2, 4], [-1, 1, 2, 3]])
+def test_compose_rejects_columns_that_do_not_place_the_element(columns):
+    pbs = polarizing_beam_splitter("a", "b")
+    with pytest.raises(ValueError, match="do not place"):
+        compose_circuit_matrix([pbs], [np.array(columns)], 4)
+
+
+def test_compose_places_each_element_on_its_columns():
+    # the PBS acts on modes (bH, bV, aH, aV) of the (a, b) circuit
+    pbs = polarizing_beam_splitter("b", "a")
+    full = compose_circuit_matrix([pbs], [np.array([2, 3, 0, 1])], 4)
+    assert np.array_equal(full, compose([pbs], AB))
+    assert np.array_equal(full[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])], pbs.matrix)
+
+
+def test_mode_columns_index_the_modes_read_only():
+    cols = mode_columns(AB, modes_for_ports(["b", "a"]))
+    assert cols.tolist() == [2, 3, 0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        cols[0] = 1
 
 
 # -- stacked (batched) element matrices -----------------------------------------
@@ -266,7 +295,7 @@ def test_compose_stack_equals_per_slice_composition():
         coupler("b", "c", ANGLES_V, ANGLES_H),
         partially_polarizing_beam_splitter("a", "c"),
     ]
-    full = compose_circuit_matrix(stacked, modes)
+    full = compose(stacked, modes)
     assert full.shape == (3, 6, 6)
     for k in range(3):
         single = [
@@ -275,7 +304,7 @@ def test_compose_stack_equals_per_slice_composition():
             coupler("b", "c", float(ANGLES_V[k]), float(ANGLES_H[k])),
             stacked[3],
         ]
-        assert np.array_equal(full[k], compose_circuit_matrix(single, modes))
+        assert np.array_equal(full[k], compose(single, modes))
 
 
 def test_compose_stack_rejects_one_non_unitary_slice():
@@ -283,9 +312,9 @@ def test_compose_stack_rejects_one_non_unitary_slice():
     a = (1 + 4.9e-13) / math.sqrt(2)
     matrices = np.stack([np.eye(2), [[a, a], [a, -a]], np.eye(2)]).astype(complex)
     plate = ElementMatrix(modes_for_ports(["a"]), matrices)
-    assert compose_circuit_matrix([plate], AB).shape == (3, 4, 4)
+    assert compose([plate], AB).shape == (3, 4, 4)
     with pytest.raises(ValueError, match="not unitary"):
-        compose_circuit_matrix([plate, plate], AB)
+        compose([plate, plate], AB)
 
 
 # -- conservation ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from fockgate.elements import (
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    mode_columns,
     permanents,
     phase_shift,
     wave_plate,
@@ -195,6 +196,43 @@ def _tensor_product_input(netlist, target, control, phi):
 
 def _bits(state):
     return [(vec, amp.real.hex(), amp.imag.hex()) for vec, amp in state.items()]
+
+
+@pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
+def test_prepare_input_equals_tensor_product_on_random_and_tiny_amplitudes(make):
+    nl = make()
+    rng = random.Random(23)
+
+    def qubit():
+        a, b = complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        return a / norm, b / norm
+
+    # amplitudes PureState drops (below 1e-14), keeps (1e-14) and products it drops
+    edge = [(1.0, 5e-15j), (5e-15, 1.0), (1.0, 1e-14), (math.sqrt(1 - 1e-16), 1e-8)]
+    pairs = [(qubit(), qubit()) for _ in range(40)] + [(q, r) for q in edge for r in edge]
+    for target, control in pairs:
+        phi = rng.uniform(-math.pi, 3 * math.pi)
+        got = prepare_input(nl, target, control, ProgramState(phi))
+        want = _tensor_product_input(nl, target, control, phi)
+        assert got.modes == want.modes == nl.modes
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("target, control, phi, message", [
+    ((1.0, 1.0), (1, 0), 0.0, "not normalized"),
+    ((1, 0), (math.nan, 1.0), 0.0, "must be finite"),
+    ((1, 0), (0, 1), math.nan, "must be finite"),
+])
+def test_prepare_input_keeps_the_qubit_state_messages(netlist, target, control, phi, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        prepare_input(netlist, target, control, ProgramState(phi))
+    enc = netlist.encoding
+    with pytest.raises(ValueError) as reference:
+        for port, (a, b) in ((enc.target, target), (enc.control, control)):
+            qubit_state(netlist.modes, port, a, b)
+        program_state(netlist.modes, enc.program, phi)
+    assert str(caught.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
@@ -369,6 +407,77 @@ def test_process_fidelity_rejects_zero():
         process_fidelity(np.zeros((4, 4)), np.eye(4))
 
 
+def _random_operators(rng, count):
+    ops = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    ops[::3] *= rng.random((len(ops[::3]), 4, 4)) > 0.5  # some sparse ones
+    ops[1] = A48 * np.diag([1, 1, 1, -1])
+    return ops
+
+
+def _scalar_fidelity(a, b):
+    """The fidelity formula evaluated on one pair with Python scalars."""
+    na = float(np.real(np.trace(a.conj().T @ a)))
+    nb = float(np.real(np.trace(b.conj().T @ b)))
+    return float(abs(np.trace(a.conj().T @ b)) ** 2 / (na * nb))
+
+
+def test_process_fidelity_of_a_stack_equals_per_matrix_calls_bitwise():
+    rng = np.random.default_rng(17)
+    ops = _random_operators(rng, 60)
+    ideals = np.stack([ideal_cphase(phi) for phi in rng.uniform(0, 2 * math.pi, 60)])
+    stacked = process_fidelity(ops, ideals[7])
+    paired = process_fidelity(ops.reshape(6, 10, 4, 4), ideals.reshape(6, 10, 4, 4))
+    assert stacked.shape == (60,) and paired.shape == (6, 10)
+    for k in range(60):
+        single = process_fidelity(ops[k], ideals[7])
+        assert type(single) is float
+        assert stacked[k] == single == _scalar_fidelity(ops[k], ideals[7])
+        assert paired.ravel()[k] == process_fidelity(ops[k], ideals[k]) == _scalar_fidelity(
+            ops[k], ideals[k]
+        )
+
+
+def test_process_fidelity_stack_with_one_zero_operator_raises():
+    ops = _random_operators(np.random.default_rng(2), 5)
+    ops[3] = 0.0
+    with pytest.raises(ValueError, match="undefined for a zero operator"):
+        process_fidelity(ops, np.eye(4))
+    with pytest.raises(ValueError, match="undefined for a zero operator"):
+        process_fidelity(np.eye(4), ops)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_process_fidelity_rejects_non_finite_operators(bad):
+    op = np.eye(4, dtype=complex)
+    op[2, 1] = bad
+    for a, b in ((op, np.eye(4)), (np.eye(4), op), (np.stack([np.eye(4), op]), np.eye(4))):
+        with pytest.raises(ValueError, match="non-finite operator"):
+            process_fidelity(a, b)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (4, 4)), ((4, 3), (4, 3)), ((4,), (4,)),
+                                              ((2, 4, 4), (3, 3))])
+def test_process_fidelity_rejects_operators_of_other_shapes(shape_a, shape_b):
+    with pytest.raises(ValueError, match="square operators of one size"):
+        process_fidelity(np.ones(shape_a), np.ones(shape_b))
+
+
+@pytest.mark.parametrize("shape", [(6000, 1), (1500, 13)])
+def test_squared_norms_sum_as_norm_squared_bit_for_bit(shape):
+    # single terms pin Python's square, 13 terms its summation order
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z *= 10.0 ** rng.uniform(-6, 1, size=shape)
+    z[rng.random(shape) < 0.2] = 0.0
+    modes = modes_for_ports([f"p{k}" for k in range(7)])
+    outputs = [tuple(int(k == j) for k in range(14)) for j in range(shape[1])][::-1]  # ascending
+    got = gate._squared_norms(z)
+    assert got.shape == shape[:1]
+    for row, value in zip(z.tolist(), got.tolist()):
+        assert value == norm_squared(PureState(modes, dict(zip(outputs, row))))
+    assert gate._squared_norms(np.zeros((3, 0), dtype=complex)).tolist() == [0.0] * 3
+
+
 # -- stacked circuit matrices ----------------------------------------------------
 
 
@@ -466,13 +575,15 @@ def test_circuit_matrix_is_kept_read_only():
     assert circuit_matrix(nl) is unitary
     with pytest.raises(ValueError, match="read-only"):
         unitary[0, 0] = 0.0
-    assert np.array_equal(unitary, compose_circuit_matrix(nl.build_matrices(), nl.modes))
+    matrices = nl.build_matrices()
+    columns = [mode_columns(nl.modes, m.modes) for m in matrices]
+    assert np.array_equal(unitary, compose_circuit_matrix(matrices, columns, len(nl.modes)))
 
 
 @pytest.mark.parametrize("fill", ["basis", "sorted"])
 def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(fill):
     nl = default_netlist()
-    basis = list(nl._basis_inputs)
+    basis = list(nl.plan.basis_inputs)
     orders = {"basis": basis, "sorted": sorted(basis)}
     gate._heralded_rows(nl, orders[fill])  # fills the table in this order
     for order in orders.values():
@@ -553,11 +664,52 @@ def test_overridden_netlist_has_its_own_circuit():
     assert _gate_bits(extract_gate(tuned, 1.1)) != before
     assert circuit_matrix(parent) is parent_circuit
     assert _gate_bits(extract_gate(parent, 1.1)) == before
-    # the perturbed copy shares the structural output plan
+    # the perturbed copy shares the structure plan and the output plan
+    assert tuned.plan is parent.plan
     n_modes = len(parent.modes)
     assert gate._output_plan(n_modes, parent.herald_pattern(), 3) is gate._output_plan(
         n_modes, tuned.herald_pattern(), 3
     )
+
+
+def test_netlists_of_one_structure_share_one_plan():
+    a = default_netlist()
+    assert default_netlist().plan is a.plan
+    assert _reordered_netlist().plan is not a.plan
+    assert a.plan.basis_inputs == tuple(
+        a.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        a.plan.readout[0, 0] = 2.0
+
+
+def test_a_netlist_pickles_and_copies():
+    import copy
+    import pickle
+
+    nl = default_netlist()
+    before = _gate_bits(extract_gate(nl, 0.9))
+    for clone in (pickle.loads(pickle.dumps(nl)), copy.deepcopy(nl)):
+        assert clone == nl and clone.modes == nl.modes and clone.columns == nl.columns
+        assert _gate_bits(extract_gate(clone, 0.9)) == before
+
+
+def test_rewired_element_composes_on_its_new_columns():
+    base = default_netlist()
+    rewired = base.with_overrides({
+        "PBS3": spec("PBS3", "pbs", ("P", "L")),  # ports swapped
+        "HWP1": spec("HWP1", "waveplate", ("C",), preset="hwp1"),  # another port
+    })
+    assert rewired.plan is base.plan
+    assert rewired.plan.element_columns(("P", "L")).tolist() == [6, 7, 2, 3]
+    matrices = rewired.build_matrices()
+    independent = compose_circuit_matrix(
+        matrices, [mode_columns(rewired.modes, m.modes) for m in matrices], len(rewired.modes)
+    )
+    assert np.array_equal(circuit_matrix(rewired), independent)
+    assert not np.allclose(circuit_matrix(rewired), circuit_matrix(base))
+    with pytest.raises(KeyError, match="zz"):
+        base.plan.element_columns(("T", "zz"))
 
 
 def test_extract_gate_from_threads_equals_serial():
