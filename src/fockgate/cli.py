@@ -15,7 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .design import (
     COUPLER_DESIGNS,
     DIMENSIONS,
@@ -350,6 +349,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     netlist = _load_netlist(args.netlist)
+    # imported here: no other command needs the acceptance battery at start-up
+    from . import acceptance
+
     results = acceptance.run_all(netlist, seed=args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -369,14 +369,6 @@ def delta_theta(
     delta gives a float, an array of deltas an array of drifts; any
     non-positive perturbed beat raises ValueError.
     """
-    drift = math.pi * length_um * _inverse_beat_shift(beat_um, sensitivity_um_per_nm, delta_nm)
-    return drift if np.ndim(delta_nm) else float(drift)
-
-
-def _inverse_beat_shift(
-    beat_um: float, sensitivity_um_per_nm: float, delta_nm: float | np.ndarray
-) -> np.ndarray:
-    """1/(beat + s delta) - 1/beat per delta, the length-independent factor of `delta_theta`."""
     shifted = beat_um + sensitivity_um_per_nm * np.asarray(delta_nm, dtype=float)
     bad = shifted <= 0
     if bad.any():
@@ -384,7 +376,8 @@ def _inverse_beat_shift(
             f"perturbed beat length {float(shifted[bad][0])} um is non-positive; "
             "sensitivity model out of validity"
         )
-    return 1.0 / shifted - 1.0 / beat_um
+    drift = math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
+    return drift if np.ndim(delta_nm) else float(drift)
 
 
 def synthesize_imperfect_elements(
@@ -423,26 +416,19 @@ def synthesize_imperfect_elements(
             "linear sensitivity model was specified for",
             stacklevel=2,
         )
-    shifts: dict[Polarization, np.ndarray] = {}
-
-    def drift(length: float, pol: Polarization) -> float | np.ndarray:
-        # `delta_theta`, with its length-independent factor computed once per polarization
-        if pol not in shifts:
-            shifts[pol] = _inverse_beat_shift(
-                physics.beat(pol), physics.sensitivity(dimension, pol), delta_nm
-            )
-        angles = math.pi * length * shifts[pol]
-        return angles if np.ndim(delta_nm) else float(angles)
-
     overrides: dict[str, ElementSpec] = {}
     for el in netlist.elements:
         length = physics.length_of(el.name)
         if el.kind not in COUPLER_KINDS or length is None:
             continue
-        theta_h, theta_v = coupler_angles(el)
-        overrides[el.name] = el.with_params(
-            theta_h=theta_h + drift(length, H), theta_v=theta_v + drift(length, V)
+        thetas = coupler_angles(el)
+        th_h = thetas[0] + delta_theta(
+            length, physics.beat_h, physics.sensitivity(dimension, H), delta_nm
         )
+        th_v = thetas[1] + delta_theta(
+            length, physics.beat_v, physics.sensitivity(dimension, V), delta_nm
+        )
+        overrides[el.name] = el.with_params(theta_h=th_h, theta_v=th_v)
     return overrides
 
 
@@ -503,7 +489,7 @@ def tolerance_sweep(
     probs, fidelity = [], []
     for start in range(0, len(deltas), _SWEEP_BATCH):
         batch = slice(start, start + _SWEEP_BATCH)
-        perturbed = netlist.with_overrides(overrides if len(deltas) <= _SWEEP_BATCH else {
+        perturbed = netlist.with_overrides({
             name: el.with_params(theta_h=el.param_dict["theta_h"][batch],
                                  theta_v=el.param_dict["theta_v"][batch])
             for name, el in overrides.items()

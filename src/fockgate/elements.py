@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -357,30 +356,14 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     if n < 0 or a.shape[-2] != n:
         raise ValueError(f"permanents requires (..., n, n) matrices, got {a.shape}")
     minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
-    for k, subsets, smaller in _minor_steps(n):
-        minors = (a[..., k, :][..., subsets] * minors[..., smaller]).sum(axis=-1)
-    return minors[..., 0]
-
-
-@lru_cache(maxsize=None)
-def _minor_steps(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """The steps of `permanents` for n x n matrices, row k = n-1 down to 0.
-
-    Step k has the column subsets of size n - k, in `combinations` order,
-    and for each subset and each of its members the position of the subset
-    without that member among the previous step's subsets.
-    """
-    steps = []
     position = {(): 0}
     for k in reversed(range(n)):
         subsets = list(itertools.combinations(range(n), n - k))
         smaller = [[position[s[:i] + s[i + 1 :]] for i in range(n - k)] for s in subsets]
-        arrays = np.array(subsets, dtype=np.intp), np.array(smaller, dtype=np.intp)
-        for array in arrays:
-            array.flags.writeable = False
-        steps.append((k, *arrays))
+        row = a[..., k, :][..., np.array(subsets)]
+        minors = (row * minors[..., np.array(smaller)]).sum(axis=-1)
         position = {s: i for i, s in enumerate(subsets)}
-    return tuple(steps)
+    return minors[..., 0]
 
 
 def amplitude_via_permanent(

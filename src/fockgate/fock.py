@@ -11,7 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 PRUNE_THRESHOLD = 1e-14
@@ -46,12 +45,11 @@ class Mode:
 
 def modes_for_ports(ports: Sequence[str]) -> tuple[Mode, ...]:
     """Expand port names into the canonical mode list (port order, H before V)."""
-    return _port_modes(tuple(ports))
-
-
-@lru_cache(maxsize=256)
-def _port_modes(ports: tuple[str, ...]) -> tuple[Mode, ...]:
-    return tuple(Mode(p, pol) for p in ports for pol in (H, V))
+    out = []
+    for p in ports:
+        out.append(Mode(p, H))
+        out.append(Mode(p, V))
+    return tuple(out)
 
 
 FockVector = tuple  # occupation numbers, one per mode, in canonical order

@@ -40,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -177,26 +178,31 @@ class StructurePlan:
     """What a netlist's ports, herald and encoding fix, whatever its elements.
 
     `modes` is the canonical mode order (declared port order, H before V)
-    of circuit matrices and states, and `columns` maps each mode to its
-    index there.  `pattern` is the herald as exact-count conditions on the
-    columns.  `basis_inputs` holds the occupations of the 8 three-photon
-    basis inputs, row 4 t + 2 c + p for target t, control c and program p
-    (0 = H), and `readout` the (outputs x 4) 0/1 matrix that reads the
-    three-photon outputs the herald accepts as logical |tc>; both are
-    computed on first use.  `element_columns` maps the ports an element
-    is wired to onto the columns of its modes.  `structure_plan` keeps one
-    plan per structure, which every netlist with those ports, herald and
-    encoding shares, perturbed copies included.
+    of circuit matrices and states, and `columns`, a read-only view, maps
+    each mode to its index there.  `pattern` is the herald as exact-count
+    conditions on the columns.  `basis_inputs` holds the occupations of
+    the 8 three-photon basis inputs, row 4 t + 2 c + p for target t,
+    control c and program p (0 = H), and `readout` the (outputs x 4) 0/1
+    matrix that reads the three-photon outputs the herald accepts as
+    logical |tc>; both are computed on first use.  `element_columns` maps
+    the ports an element is wired to onto the columns of its modes.
+    `structure_plan` keeps one plan per structure, which every netlist
+    with those ports, herald and encoding shares, perturbed copies
+    included.
     """
 
     modes: tuple[Mode, ...]
-    columns: Mapping[Mode, int]
+    _columns: dict[Mode, int]
     pattern: HeraldPattern
     encoding: QubitEncoding
     detector_pol: Polarization
     _element_columns: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    @property
+    def columns(self) -> Mapping[Mode, int]:
+        return MappingProxyType(self._columns)
 
     def element_columns(self, ports: tuple[str, ...]) -> np.ndarray:
         """Read-only columns of the modes of an element wired to `ports`, in its mode order.

@@ -681,6 +681,12 @@ def test_netlists_of_one_structure_share_one_plan():
     )
     with pytest.raises(ValueError, match="read-only"):
         a.plan.readout[0, 0] = 2.0
+    # the columns are shared too, so no netlist may rewrite them
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        a.columns[a.modes[0]] = 5
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        a.plan.columns[a.modes[0]] = 5
+    assert default_netlist().columns[a.modes[0]] == 0
 
 
 def test_a_netlist_pickles_and_copies():
