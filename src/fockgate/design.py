@@ -32,7 +32,6 @@ from .gate import (
     COUPLER_KINDS,
     ElementSpec,
     Netlist,
-    circuit_matrix,
     coupler_angles,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
@@ -476,8 +475,8 @@ def tolerance_sweep(
     grid.  The grid is then evaluated in batches of at most `_SWEEP_BATCH`
     consecutive points: one overridden netlist per batch, whose circuit
     matrix is a stack with one matrix per point and which shares the
-    netlist's structure plan, one `heralded_operators` call on that stack
-    and one `process_fidelity` call on its operators.  Each row equals
+    netlist's structure plan, one `heralded_operators` call on that
+    netlist and one `process_fidelity` call on its operators.  Each row equals
     `extract_gate` on the netlist perturbed by its own delta, bit for bit
     whatever the batch size; the bars are cos^2 of the override angles, by
     element name.
@@ -494,12 +493,11 @@ def tolerance_sweep(
                                  theta_v=el.param_dict["theta_v"][batch])
             for name, el in overrides.items()
         })
-        unitary = circuit_matrix(perturbed)
-        # a netlist without overridden couplers has one circuit for every point
-        unitary = np.broadcast_to(unitary, (len(deltas[batch]),) + unitary.shape[-2:])
-        operators, batch_probs = heralded_operators(perturbed, unitary, phi)
-        probs += batch_probs.tolist()
-        fidelity += process_fidelity(operators, ideal).tolist()
+        operators, batch_probs = heralded_operators(perturbed, phi)
+        # a netlist without overridden couplers has one operator for every point
+        points = len(deltas[batch])
+        probs += np.broadcast_to(batch_probs, (points, 4)).tolist()
+        fidelity += process_fidelity(np.broadcast_to(operators, (points, 4, 4)), ideal).tolist()
 
     def bars(name: str, key: str) -> list[float]:
         return [math.cos(t) ** 2 for t in overrides[name].param_dict[key].tolist()]

@@ -19,15 +19,15 @@ probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 `extract_gate` and `run_heralded` read heralded amplitudes from
 permanents of the composed circuit matrix (`heralded_transfer`).  What a
 netlist's ports, herald and encoding fix is its `StructurePlan`: the mode
-order and columns, the herald pattern, the basis inputs, the logical
-readout and the columns each element acts on.  One plan serves every
-netlist with that structure, so the perturbed copies of a parameter sweep
-compute none of it again.  A netlist is immutable, so it composes its
-circuit once and keeps it, with the heralded transfer row of every input
-it has been asked about; a new phase or new qubit amplitudes cost only the
-linear combination and the readout.  Circuit matrices may come as a stack,
-one per point of a parameter sweep, and `heralded_operators` reads the
-gate off every matrix of a stack at once.
+order and columns, the herald pattern, the basis inputs with the gather of
+their heralded transfer, the logical readout and the columns each element
+acts on.  One plan serves every netlist with that structure, so the
+perturbed copies of a parameter sweep compute none of it again.  A netlist
+is immutable, so it composes its circuit once and keeps it, with the
+heralded amplitudes of the 8 basis inputs; a new phase or new qubit
+amplitudes cost only the linear combination and the readout.  A circuit
+may be a stack, one matrix per point of a parameter sweep, and
+`heralded_operators` reads the gate off every matrix of a stack at once.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -182,13 +182,13 @@ class StructurePlan:
     each mode to its index there.  `pattern` is the herald as exact-count
     conditions on the columns.  `basis_inputs` holds the occupations of
     the 8 three-photon basis inputs, row 4 t + 2 c + p for target t,
-    control c and program p (0 = H), and `readout` the (outputs x 4) 0/1
-    matrix that reads the three-photon outputs the herald accepts as
-    logical |tc>; both are computed on first use.  `element_columns` maps
-    the ports an element is wired to onto the columns of its modes.
-    `structure_plan` keeps one plan per structure, which every netlist
-    with those ports, herald and encoding shares, perturbed copies
-    included.
+    control c and program p (0 = H); `basis_gather`, their `_gather`, is
+    what `heralded_transfer` gathers for them, read-only; `readout` is the
+    (outputs x 4) 0/1 matrix that reads those outputs as logical |tc>.  All
+    three are computed on first use.  `element_columns` maps the ports an
+    element is wired to onto the columns of its modes.  `structure_plan`
+    keeps one plan per structure, which every netlist with those ports,
+    herald and encoding shares, perturbed copies included.
     """
 
     modes: tuple[Mode, ...]
@@ -237,9 +237,30 @@ class StructurePlan:
         return tuple(self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3))
 
     @cached_property
+    def basis_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        gather = _gather(len(self.modes), self.pattern, self.basis_inputs)
+        for array in gather:
+            array.flags.writeable = False
+        return gather
+
+    @cached_property
     def readout(self) -> np.ndarray:
-        _, outputs, _ = _output_plan(len(self.modes), self.pattern, 3)
-        readout = _logical_readout(self, outputs)
+        # as in `heralded_output_amplitudes`: an output reads as |tc> when it
+        # holds exactly one photon on the target port (t = its polarization),
+        # exactly one on the control port and one in the detector mode
+        outputs, enc = self.basis_gather[2], self.encoding
+
+        def count(port: str, pol: Polarization) -> np.ndarray:
+            return outputs[:, self._columns[Mode(port, pol)]]
+
+        t_v, c_v = count(enc.target, V), count(enc.control, V)
+        ok = (
+            (count(enc.target, H) + t_v == 1)
+            & (count(enc.control, H) + c_v == 1)
+            & (count(enc.program, self.detector_pol) == 1)
+        )
+        readout = np.zeros((len(outputs), 4))
+        readout[ok, (2 * t_v + c_v)[ok]] = 1.0
         readout.flags.writeable = False
         return readout
 
@@ -269,12 +290,13 @@ class Netlist:
     """A validated circuit; its structure is planned once and its circuit realized once.
 
     The ports, herald and encoding fix its `StructurePlan`, `plan`, shared
-    with every netlist of the same structure: `modes`, `columns` and the
-    herald pattern come from it.  The plan takes no part in equality or
-    hashing.  What derives from the elements (circuit matrix, heralded
-    transfer rows) is computed on first use and kept on the instance;
-    `replace` and `with_overrides` make a new instance that computes its
-    own and shares the plan.
+    with every netlist of the same structure: `modes`, `columns`, the
+    herald pattern and the basis gather come from it.  The plan takes no
+    part in equality or hashing.  What derives from the elements is
+    computed on first use and kept on the instance, read-only: the circuit
+    matrix and the (..., 8, outputs) heralded amplitudes of the basis
+    inputs.  `replace` and `with_overrides` make a new instance that
+    computes its own and shares the plan.
     """
 
     ports: tuple[PortDecl, ...]
@@ -401,10 +423,10 @@ class Netlist:
         return unitary
 
     @cached_property
-    def _transfer_rows(self) -> dict[FockVector, np.ndarray]:
-        # input occupation -> its heralded transfer row; `_heralded_rows`
-        # is the only writer
-        return {}
+    def _basis_amplitudes(self) -> np.ndarray:
+        amps = _gathered_transfer(self._circuit, self.plan.basis_gather)
+        amps.flags.writeable = False
+        return amps
 
     def with_overrides(self, overrides: Mapping[str, ElementSpec]) -> "Netlist":
         """Replace named elements (used to inject imperfect devices)."""
@@ -592,20 +614,28 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     number; each group's amplitudes are contracted with the heralded
     transfer of the circuit matrix (see `heralded_transfer`), so any
     number of photons, vacuum and mixed-number superpositions all work.
-    Amplitudes below PRUNE_THRESHOLD are dropped.  Returns the
-    sub-normalized heralded branch and the herald probability, its
-    squared norm.  `run_elements` followed by `project_herald` computes
-    the same branch independently and is the reference for this one.
+    A group of basis inputs reads the netlist's kept basis amplitudes; any
+    other group gets a fresh transfer.  Amplitudes below PRUNE_THRESHOLD
+    are dropped.  Returns the sub-normalized heralded branch and the herald
+    probability, its squared norm.  `run_elements` followed by
+    `project_herald` computes the same branch independently and is the
+    reference for this one.
     """
     if state.modes != netlist.modes:
         state = extend_state(state, netlist)
     groups: dict[int, list[tuple[FockVector, complex]]] = {}
     for vec, amp in state.items():
         groups.setdefault(sum(vec), []).append((vec, amp))
+    plan = netlist.plan
     terms: dict[FockVector, complex] = {}
     for group in groups.values():
         vecs, amps = zip(*group)
-        outputs, transfer = _heralded_rows(netlist, vecs)
+        try:
+            picked = [plan.basis_inputs.index(vec) for vec in vecs]
+        except ValueError:  # not all basis inputs
+            outputs, transfer = heralded_transfer(circuit_matrix(netlist), plan.pattern, vecs)
+        else:
+            outputs, transfer = plan.basis_gather[2], netlist._basis_amplitudes[picked]
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
     branch = PureState(netlist.modes, terms, subnormalized=True)
@@ -627,74 +657,43 @@ def heralded_transfer(
     perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
     sqrt(prod n_i! prod m_j!) (Aaronson and Arkhipov 2011).
     """
+    gather = _gather(unitary.shape[-1], pattern, inputs)
+    return gather[2], _gathered_transfer(unitary, gather)
+
+
+def _gather(
+    n_modes: int, pattern: HeraldPattern, inputs: Sequence[FockVector]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What `heralded_transfer` gathers for `inputs`; it depends on the structure only.
+
+    Returns the input photons' modes (inputs, n), the accepted outputs'
+    sorted modes (outputs, n) and occupations (outputs, n_modes), ascending,
+    and the norms sqrt(prod n_i! prod m_j!) (inputs, outputs).
+    """
     inputs = np.asarray(inputs, dtype=int)
-    n_modes = unitary.shape[-1]
     n = int(inputs[0].sum())
     if np.any(inputs.sum(axis=1) != n):
         raise ValueError("heralded transfer inputs must hold the same photon number")
-    cols, outputs, output_factorials = _output_plan(n_modes, pattern, n)
     rows = np.repeat(np.tile(np.arange(n_modes), len(inputs)), inputs.ravel())
     rows = rows.reshape(len(inputs), n)
-    sub = unitary[..., rows[:, None, :, None], cols[None, :, None, :]]
-    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    norm = np.sqrt(factorial[inputs].prod(axis=1)[:, None] * output_factorials[None, :])
-    return outputs, permanents(sub) / norm
-
-
-@lru_cache(maxsize=32)
-def _output_plan(
-    n_modes: int, pattern: HeraldPattern, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-photon outputs `pattern` accepts, as read-only arrays.
-
-    Returns their sorted mode-index tuples (the columns to gather), their
-    occupation rows in ascending order, and prod m_j! of each.  The plan
-    depends on the circuit's structure only, so perturbed copies of a
-    netlist share it.
-    """
-    cols = _sorted_mode_tuples(n_modes, n)
+    # descending mode-index tuples are ascending occupation vectors
+    cols = itertools.combinations_with_replacement(range(n_modes), n)
+    cols = np.array(list(cols)[::-1], dtype=int)
     keep = np.ones(len(cols), dtype=bool)
     for cond in pattern.conditions:
         weight = np.bincount(np.asarray(cond.mode_indices, dtype=int), minlength=n_modes)
         keep &= weight[cols].sum(axis=1) == cond.count
-    # ascending mode-index tuples are descending occupation vectors
-    cols = cols[keep][::-1]
+    cols = cols[keep]
     outputs = (cols[:, :, None] == np.arange(n_modes)).sum(axis=1)
     factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    plan = (cols, outputs, factorial[outputs].prod(axis=1))
-    for array in plan:
-        array.flags.writeable = False
-    return plan
+    norm = np.sqrt(factorial[inputs].prod(axis=1)[:, None] * factorial[outputs].prod(axis=1))
+    return rows, cols, outputs, norm
 
 
-def _heralded_rows(
-    netlist: Netlist, inputs: Sequence[FockVector]
-) -> tuple[np.ndarray, np.ndarray]:
-    """`heralded_transfer` of the netlist's own circuit, from its table of rows.
-
-    The inputs hold one photon number.  Rows the netlist has not computed
-    yet are computed in one batch and kept; a row is stored only whole, so
-    threads sharing a netlist can at worst compute a row twice.
-    """
-    table = netlist._transfer_rows
-    missing = [vec for vec in dict.fromkeys(inputs) if vec not in table]
-    if missing:
-        _, amps = heralded_transfer(circuit_matrix(netlist), netlist.plan.pattern, missing)
-        amps.flags.writeable = False
-        table.update(zip(missing, amps))
-    _, outputs, _ = _output_plan(len(netlist.modes), netlist.plan.pattern, sum(inputs[0]))
-    return outputs, np.array([table[vec] for vec in inputs])
-
-
-def _sorted_mode_tuples(n_modes: int, n: int) -> np.ndarray:
-    """All mode-index n-tuples i_1 <= ... <= i_n, in lexicographic order."""
-    tuples = np.zeros((1, 0), dtype=int)
-    modes = np.arange(n_modes)
-    for _ in range(n):
-        last = tuples[:, -1] if tuples.shape[1] else np.zeros(1, dtype=int)
-        src, new = np.nonzero(modes >= last[:, None])
-        tuples = np.column_stack([tuples[src], new])
-    return tuples
+def _gathered_transfer(unitary: np.ndarray, gather: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The (..., inputs, outputs) amplitudes of `heralded_transfer` from its `_gather`."""
+    rows, cols, _, norm = gather
+    return permanents(unitary[..., rows[:, None, :, None], cols[None, :, None, :]]) / norm
 
 
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -769,42 +768,35 @@ def heralded_output_amplitudes(
     return out
 
 
-def heralded_operators(
-    netlist: Netlist, unitary: np.ndarray, phi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded 4x4 operators and herald probabilities of circuit matrices.
+def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded 4x4 operators and herald probabilities of the netlist's circuit.
 
-    `unitary` is `circuit_matrix(netlist)`: one matrix, or a stack of shape
-    (..., n, n) of the netlist's circuit at several parameter points.  A
-    basis input puts one photon on each of the target, control and program
-    ports; `heralded_transfer` gives its amplitudes into the three-photon
-    outputs the herald accepts.  The program photon
-    (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each column is
-    (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves every
-    phase.  Amplitudes below PRUNE_THRESHOLD are dropped, a non-finite
-    amplitude raises ValueError, and each herald probability is the
-    squared norm of its column, summed in the heralded branch's term order.
-    The logical outputs are read with `heralded_output_amplitudes`'s rule,
-    here as one (outputs x 4) 0/1 matrix.  Returns the operators
-    (..., 4, 4), columns ordered |00>, |01>, |10>, |11>, and the
-    probabilities (..., 4) in the same order.
+    The circuit is one matrix, or a stack (..., n, n) of the netlist's
+    circuit at several parameter points.  A basis input puts one photon on
+    each of the target, control and program ports; the netlist keeps its
+    amplitudes into the three-photon outputs the herald accepts.  The
+    program photon (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each
+    column is (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves
+    every phase.  Amplitudes below PRUNE_THRESHOLD are dropped, a
+    non-finite amplitude raises ValueError, and each herald probability is
+    the squared norm of its column, summed in the heralded branch's term
+    order.  The logical outputs are read with `heralded_output_amplitudes`'s
+    rule, here as one (outputs x 4) 0/1 matrix.  An operator that is zero,
+    because no basis input heralds a logical output, raises NetlistError.
+    Returns the operators (..., 4, 4), columns ordered |00>, |01>, |10>,
+    |11>, and the probabilities (..., 4) in the same order.
     """
-    plan = netlist.plan
-    _, amps = heralded_transfer(unitary, plan.pattern, plan.basis_inputs)
-    return _operators(plan, amps, phi)
-
-
-def _operators(plan: StructurePlan, amps: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """`heralded_operators` from the (..., 8, outputs) transfer of the basis inputs."""
-    n_out = amps.shape[-1]
-    amps = amps.reshape(amps.shape[:-2] + (4, 2, n_out))
+    amps = netlist._basis_amplitudes
+    amps = amps.reshape(amps.shape[:-2] + (4, 2, amps.shape[-1]))
     w_h = 1 / math.sqrt(2)
     w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
     columns = w_h * amps[..., 0, :] + w_v * amps[..., 1, :]
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    operators = np.ascontiguousarray((columns @ plan.readout).swapaxes(-1, -2))
+    operators = np.ascontiguousarray((columns @ netlist.plan.readout).swapaxes(-1, -2))
+    if not operators.any(axis=(-2, -1)).all():
+        raise NetlistError("no basis input heralds a logical output (a zero operator)")
     return operators, _squared_norms(columns)
 
 
@@ -824,42 +816,17 @@ def _squared_norms(z: np.ndarray) -> np.ndarray:
     return np.cumsum(squares, axis=-1)[..., -1]
 
 
-def _logical_readout(plan: StructurePlan, outputs: np.ndarray) -> np.ndarray:
-    """(outputs x 4) 0/1 matrix mapping heralded outputs to logical |tc>.
-
-    As in `heralded_output_amplitudes`: an output reads as |tc> when it
-    holds exactly one photon on the target port (t = its polarization),
-    exactly one on the control port and one in the detector mode.
-    """
-    enc = plan.encoding
-
-    def count(port: str, pol: Polarization) -> np.ndarray:
-        return outputs[:, plan.columns[Mode(port, pol)]]
-
-    t_v, c_v = count(enc.target, V), count(enc.control, V)
-    ok = (
-        (count(enc.target, H) + t_v == 1)
-        & (count(enc.control, H) + c_v == 1)
-        & (count(enc.program, plan.detector_pol) == 1)
-    )
-    readout = np.zeros((len(outputs), 4))
-    readout[ok, (2 * t_v + c_v)[ok]] = 1.0
-    return readout
-
-
 def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     """Heralded 4x4 operator from 3x3 permanents of the circuit matrix.
 
-    The single-matrix case of `heralded_operators`, plus the process
-    fidelity against diag(1, 1, 1, e^{i phi}); the basis inputs' transfer
-    rows come from the netlist's table, so only the first call on a
+    `heralded_operators` of the netlist's circuit, plus the process
+    fidelity against diag(1, 1, 1, e^{i phi}); only the first call on a
     netlist computes permanents.  The sequential Fock engine
     (`prepare_input`, `run_elements`, `project_herald`,
     `heralded_output_amplitudes`) computes the same map independently and
     is the reference for this one.
     """
-    _, amps = _heralded_rows(netlist, netlist.plan.basis_inputs)
-    op, probs = _operators(netlist.plan, amps, phi)
+    op, probs = heralded_operators(netlist, phi)
     fidelity = process_fidelity(op, ideal_cphase(phi))
     return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
 

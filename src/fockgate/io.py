@@ -59,6 +59,13 @@ def format_complex(value: complex) -> str:
 # -- netlist JSON ------------------------------------------------------------
 
 
+def _number(value: Any, what: str, error: type[ValueError]) -> int | float:
+    """`value` if it is a finite JSON number, an int or a float but not a bool; else `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def _pol_from_str(s: str) -> Polarization:
     try:
         return Polarization(s)
@@ -93,12 +100,8 @@ def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
             value = [[complex(*pair) for pair in row] for row in value]
         elif key == "rotated" and not isinstance(value, bool):
             raise NetlistError(f"element {name!r} parameter 'rotated' must be true or false")
-        elif key not in ("preset", "rotated") and (
-            isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
-        ):
-            raise NetlistError(
-                f"element {name!r} parameter {key!r} must be a finite number, got {value!r}"
-            )
+        elif key not in ("preset", "rotated"):
+            _number(value, f"element {name!r} parameter {key!r}", NetlistError)
         out[key] = value
     return out
 
@@ -240,7 +243,8 @@ def physics_from_dict(data: Any) -> CouplerPhysics:
     `coupler_lengths_um` (keyed by element name) and `notch_anchors`, when
     given, replace the defaults as a whole, and each anchor needs all its
     keys.  Anything else, and any value `CouplerPhysics` or `NotchAnchor`
-    rejects, raises PhysicsError.
+    rejects, raises PhysicsError; so does a number that is not a finite JSON
+    int or float (a string or a bool, say), as in a netlist file.
     """
     defaults = physics_to_dict(CouplerPhysics())
     doc = {**defaults, **_object(data, defaults, "physics document")}
@@ -256,20 +260,27 @@ def physics_from_dict(data: Any) -> CouplerPhysics:
         raise PhysicsError(f"notch_anchors must be a list, got {doc['notch_anchors']!r}")
     anchor_keys = defaults["notch_anchors"][0]
     anchors = [_object(a, anchor_keys, "notch anchor") for a in doc["notch_anchors"]]
+
+    def num(value: Any, what: str) -> float:
+        return float(_number(value, what, PhysicsError))
+
     try:
         return CouplerPhysics(
-            beat_h=float(beat["H"]),
-            beat_v=float(beat["V"]),
+            beat_h=num(beat["H"], "beat_um.H"),
+            beat_v=num(beat["V"], "beat_um.V"),
             sensitivities=tuple(
-                (dim, (float(pols["H"]), float(pols["V"]))) for dim, pols in sens.items()
+                (dim, tuple(num(pols[p], f"sensitivities_um_per_nm.{dim}.{p}") for p in "HV"))
+                for dim, pols in sens.items()
             ),
-            coupler_lengths=tuple(sorted((str(k), float(v)) for k, v in lengths.items())),
+            coupler_lengths=tuple(
+                sorted((str(k), num(v, f"coupler_lengths_um.{k}")) for k, v in lengths.items())
+            ),
             notch=NotchCalibration(
                 tuple(
                     NotchAnchor(
-                        float(a["length_um"]),
+                        num(a["length_um"], "notch anchor length_um"),
                         _pol_from_str(a["input_pol"]),
-                        float(a["conversion"]),
+                        num(a["conversion"], "notch anchor conversion"),
                     )
                     for a in anchors
                 )

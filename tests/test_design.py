@@ -524,7 +524,7 @@ def _row_bits(row):
 
 def test_two_sweeps_plan_their_structure_once(monkeypatch):
     gate.structure_plan.cache_clear()
-    readouts, occupations, built, composed, copies = [], [], [], [], []
+    gathers, occupations, built, composed, copies = [], [], [], [], []
 
     def spy(log, fn, record=lambda *args: args):
         def wrapper(*args, **kwargs):
@@ -533,7 +533,7 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
             return result
         return wrapper
 
-    monkeypatch.setattr(gate, "_logical_readout", spy(readouts, gate._logical_readout))
+    monkeypatch.setattr(gate, "_gather", spy(gathers, gate._gather))
     monkeypatch.setattr(gate.StructurePlan, "input_occupation",
                         spy(occupations, gate.StructurePlan.input_occupation))
     monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
@@ -544,7 +544,7 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     physics = PHYS.with_sensitivities("width", 0.004, -0.002).with_sensitivities("gap", 0.003, 0.001)
     for dimension in ("width", "gap"):
         tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 1.0, phi=0.8)
-    assert len(readouts) == 1
+    assert len(gathers) == 1  # the basis inputs' gather, which the readout reads too
     assert len(occupations) == 8  # the basis inputs, once
     assert len(copies) == 2 and all(copy.plan is netlist.plan for copy in copies)
     assert sorted(built) == sorted(2 * [el.name for el in netlist.elements])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fockgate import acceptance, gate
-from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
+from fockgate.design import CouplerPhysics, synthesize_imperfect_elements, tolerance_sweep
 from fockgate.fock import (
     H,
     V,
@@ -507,7 +507,7 @@ def test_heralded_transfer_on_stack_equals_per_slice(netlist):
 def test_heralded_operators_on_stack_equal_extract_gate(netlist):
     deltas = np.array([-7.0, 0.0, 3.0])
     perturbed = _perturbed_stack(netlist, deltas)
-    ops, probs = heralded_operators(perturbed, circuit_matrix(perturbed), 1.3)
+    ops, probs = heralded_operators(perturbed, 1.3)
     assert ops.shape == (3, 4, 4) and probs.shape == (3, 4)
     for k, delta in enumerate(deltas.tolist()):
         single = extract_gate(_perturbed_stack(netlist, delta), 1.3)
@@ -517,12 +517,22 @@ def test_heralded_operators_on_stack_equal_extract_gate(netlist):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_heralded_operators_reject_non_finite_amplitudes(netlist, bad):
+def test_heralded_operators_reject_non_finite_amplitudes(monkeypatch, bad):
     # NaN fails the pruning comparison, so it would otherwise read as zero
-    unitary = np.stack([circuit_matrix(netlist)] * 2)
-    unitary[1, 0, 0] = bad
-    with pytest.raises(ValueError, match="not finite"):
-        heralded_operators(netlist, unitary, 0.0)
+    def spoiled(stack):
+        perms = permanents(stack)
+        perms[..., 0, 0] = bad
+        return perms
+
+    monkeypatch.setattr(gate, "permanents", spoiled)
+    physics = CouplerPhysics().with_sensitivities("gap", 0.005, -0.004)
+    for call in (
+        lambda: extract_gate(default_netlist(), 0.0),
+        lambda: heralded_operators(_perturbed_stack(default_netlist(), np.zeros(2)), 0.0),
+        lambda: tolerance_sweep(default_netlist(), physics, "gap"),
+    ):
+        with pytest.raises(ValueError, match="not finite"):
+            call()
 
 
 # -- a netlist realized once ----------------------------------------------------------
@@ -565,7 +575,7 @@ def test_a_netlist_builds_each_element_once(monkeypatch):
         extract_gate(nl, 0.05 * k)
         run_heralded(nl, state)
     assert sorted(built) == sorted(el.name for el in nl.elements)
-    # the first extraction computes all 8 basis rows; every product input reuses them
+    # the first extraction computes all 8 basis amplitudes; every product input reuses them
     assert batches == [(8, 4, 3, 3)]
 
 
@@ -580,25 +590,29 @@ def test_circuit_matrix_is_kept_read_only():
     assert np.array_equal(unitary, compose_circuit_matrix(matrices, columns, len(nl.modes)))
 
 
-@pytest.mark.parametrize("fill", ["basis", "sorted"])
-def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(fill):
+@pytest.mark.parametrize("order", ["basis", "sorted", "shuffled"])
+def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(order):
     nl = default_netlist()
-    basis = list(nl.plan.basis_inputs)
-    orders = {"basis": basis, "sorted": sorted(basis)}
-    gate._heralded_rows(nl, orders[fill])  # fills the table in this order
-    for order in orders.values():
-        fresh_outputs, fresh = heralded_transfer(circuit_matrix(nl), nl.herald_pattern(), order)
-        outputs, rows = gate._heralded_rows(nl, order)
-        assert np.array_equal(outputs, fresh_outputs)
-        assert rows.tobytes() == fresh.tobytes()
+    basis = nl.plan.basis_inputs
+    inputs = {"basis": list(basis), "sorted": sorted(basis),
+              "shuffled": random.Random(4).sample(basis, len(basis))}[order]
+    kept = nl._basis_amplitudes
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 0.0
+    fresh_outputs, fresh = heralded_transfer(circuit_matrix(nl), nl.herald_pattern(), inputs)
+    assert np.array_equal(nl.plan.basis_gather[2], fresh_outputs)
+    assert kept[[basis.index(vec) for vec in inputs]].tobytes() == fresh.tobytes()
+    # a state of basis inputs takes its rows from the kept array
+    state = PureState(nl.modes, {vec: complex(k + 1, -k) / 20 for k, vec in enumerate(inputs)})
+    assert _bits(run_heralded(nl, state)[0]) == _bits(_fresh_branch(nl, state))
 
 
 def test_extract_gate_after_run_heralded_equals_a_fresh_extraction():
     nl = default_netlist()
     for state in _product_inputs(nl, 3, seed=5):
-        run_heralded(nl, state)  # fills some basis rows in `PureState` order
+        run_heralded(nl, state)  # computes the kept basis amplitudes first
     for phi in PHIS:
-        op, probs = heralded_operators(nl, circuit_matrix(nl), phi)
+        op, probs = heralded_operators(nl, phi)
         result = extract_gate(nl, phi)
         assert result.operator.tobytes() == op.tobytes()
         assert [result.herald_probability[b] for b in BASIS_LABELS] == probs.tolist()
@@ -617,7 +631,7 @@ def _fresh_branch(netlist, state):
     return PureState(netlist.modes, terms, subnormalized=True)
 
 
-def test_run_heralded_mixed_photon_numbers_from_the_table():
+def test_run_heralded_mixed_photon_numbers_match_a_fresh_transfer():
     nl = default_netlist()
     rng = random.Random(11)
     terms = {}
@@ -630,7 +644,7 @@ def test_run_heralded_mixed_photon_numbers_from_the_table():
     terms[nl.input_occupation(V, V, H)] = -0.25j
     state = PureState(nl.modes, terms)
     expected = _bits(_fresh_branch(nl, state))
-    for _ in range(2):  # computes the rows, then reads them back
+    for _ in range(2):
         branch, prob = run_heralded(nl, state)
         assert _bits(branch) == expected
         assert prob == norm_squared(branch)
@@ -664,12 +678,10 @@ def test_overridden_netlist_has_its_own_circuit():
     assert _gate_bits(extract_gate(tuned, 1.1)) != before
     assert circuit_matrix(parent) is parent_circuit
     assert _gate_bits(extract_gate(parent, 1.1)) == before
-    # the perturbed copy shares the structure plan and the output plan
+    # the perturbed copy shares the structure plan and its basis gather
     assert tuned.plan is parent.plan
-    n_modes = len(parent.modes)
-    assert gate._output_plan(n_modes, parent.herald_pattern(), 3) is gate._output_plan(
-        n_modes, tuned.herald_pattern(), 3
-    )
+    assert tuned.plan.basis_gather is parent.plan.basis_gather
+    assert tuned._basis_amplitudes is not parent._basis_amplitudes
 
 
 def test_netlists_of_one_structure_share_one_plan():

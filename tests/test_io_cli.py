@@ -100,6 +100,14 @@ BAD_PHYSICS = {
     "removed_wavelength_um": {"wavelength_um": 1.55},
     "removed_ring_radius_um": {"ring_radius_um": 8.0},
     "removed_notch_nm": {"notch_nm": {"width": 175.0, "height": 175.0}},
+    # the netlist file's number rule: a JSON int or float, not a string or a bool
+    "string_beat": {"beat_um": {"H": "35.8"}},
+    "bool_beat": {"beat_um": {"V": True}},
+    "string_sensitivity": {"sensitivities_um_per_nm": {"width": {"H": "0.004", "V": 0.003}}},
+    "bool_coupler_length": {"coupler_lengths_um": {"PBS1": True}},
+    "string_anchor_length": {
+        "notch_anchors": [{"length_um": "0.75", "input_pol": "V", "conversion": 0.25}]
+    },
 }
 
 
@@ -447,6 +455,40 @@ def test_invalid_netlist_contents_exit_3(tmp_path, capsys):
         assert message in err
 
 
+def _herald_two_at_t(data):
+    data["herald"][0]["count"] = 2
+
+
+def _program_at_f1_loss(data):
+    data["encoding"]["program"] = "F1_LOSS"
+
+
+@pytest.mark.parametrize("edit", [_herald_two_at_t, _program_at_f1_loss],
+                         ids=["herald_two_at_t", "program_at_f1_loss"])
+@pytest.mark.parametrize("argv", [
+    ["truth-table", "--phi", "0.5"],
+    ["simulate", "--phi", "0.5", "--target", "1,0:0,0", "--control", "0,0:1,0"],
+    ["check"],
+    ["sweep", "--dimension", "width"],
+], ids=["truth-table", "simulate", "check", "sweep"])
+def test_netlist_heralding_no_logical_output_exits_3(edit, argv, tmp_path, capsys):
+    data = netlist_to_dict(default_netlist())
+    edit(data)
+    netlist_path, physics_path = tmp_path / "netlist.json", tmp_path / "physics.json"
+    netlist_path.write_text(json.dumps(data))
+    physics_path.write_text(json.dumps(FUZZ_PHYSICS))
+    if argv[0] == "sweep":
+        argv = argv + ["--physics", str(physics_path)]
+    code = main(argv + ["--netlist", str(netlist_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        "validation error: no basis input heralds a logical output (a zero operator)\n"
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_truth_table_quarter_phase(capsys):
     code = main(["truth-table", "--phi", str(math.pi / 2)])
     out = capsys.readouterr().out
@@ -644,8 +686,12 @@ def test_console_entry_point_runs():
 
 # -- fuzz of the file boundary ------------------------------------------------------
 
-FUZZ_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0, 2.0]]) | st.floats(
-    min_value=-1e3, max_value=-1e-3
+# well-formed but wrong values too: a bool, a number in a string, small
+# integers (as herald counts they can leave no logical output heralded)
+FUZZ_VALUES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0, 2.0], True, "1.5"])
+    | st.floats(min_value=-1e3, max_value=-1e-3)
+    | st.integers(0, 3)
 )
 
 
