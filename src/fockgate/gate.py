@@ -619,8 +619,11 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     are dropped.  Returns the sub-normalized heralded branch and the herald
     probability, its squared norm.  `run_elements` followed by
     `project_herald` computes the same branch independently and is the
-    reference for this one.
+    reference for this one.  A netlist stacked over sweep points is
+    rejected: its kept basis amplitudes have no single branch.
     """
+    if circuit_matrix(netlist).ndim > 2:
+        raise ValueError("run_heralded needs a single circuit, not a stack")
     if state.modes != netlist.modes:
         state = extend_state(state, netlist)
     groups: dict[int, list[tuple[FockVector, complex]]] = {}

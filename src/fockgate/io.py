@@ -61,7 +61,11 @@ def format_complex(value: complex) -> str:
 
 def _number(value: Any, what: str, error: type[ValueError]) -> int | float:
     """`value` if it is a finite JSON number, an int or a float but not a bool; else `error`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
         raise error(f"{what} must be a finite number, got {value!r}")
     return value
 

@@ -541,10 +541,12 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     monkeypatch.setattr(Netlist, "with_overrides",
                         spy(copies, Netlist.with_overrides, lambda *args: args[-1]))
     netlist = default_netlist()
+    readout = netlist.plan.readout
     physics = PHYS.with_sensitivities("width", 0.004, -0.002).with_sensitivities("gap", 0.003, 0.001)
     for dimension in ("width", "gap"):
         tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 1.0, phi=0.8)
     assert len(gathers) == 1  # the basis inputs' gather, which the readout reads too
+    assert netlist.plan.readout is readout  # the logical readout, computed once
     assert len(occupations) == 8  # the basis inputs, once
     assert len(copies) == 2 and all(copy.plan is netlist.plan for copy in copies)
     assert sorted(built) == sorted(2 * [el.name for el in netlist.elements])

@@ -521,7 +521,8 @@ def test_heralded_operators_reject_non_finite_amplitudes(monkeypatch, bad):
     # NaN fails the pruning comparison, so it would otherwise read as zero
     def spoiled(stack):
         perms = permanents(stack)
-        perms[..., 0, 0] = bad
+        # a stack spoils its last point only, beside finite ones
+        perms[(-1,) * (perms.ndim - 2) + (0, 0)] = bad
         return perms
 
     monkeypatch.setattr(gate, "permanents", spoiled)
@@ -667,6 +668,13 @@ def test_run_heralded_lays_out_only_foreign_states(monkeypatch):
     branch, _ = run_heralded(nl, foreign)
     assert calls == [foreign.modes]
     assert _bits(branch) == _bits(run_heralded(nl, state)[0])
+
+
+def test_run_heralded_rejects_a_stacked_netlist():
+    nl = default_netlist()
+    state = prepare_input(nl, (1, 0), (0, 1), ProgramState(0.4))
+    with pytest.raises(ValueError, match="single circuit, not a stack"):
+        run_heralded(_perturbed_stack(nl, np.zeros(2)), state)
 
 
 def test_overridden_netlist_has_its_own_circuit():

@@ -108,6 +108,7 @@ BAD_PHYSICS = {
     "string_anchor_length": {
         "notch_anchors": [{"length_um": "0.75", "input_pol": "V", "conversion": 0.25}]
     },
+    "oversized_int_beat": {"beat_um": {"H": 10**400}},  # too large for a float
 }
 
 
@@ -341,6 +342,11 @@ def _f1_t_h_nan(el):
         el["params"]["t_h"] = math.nan
 
 
+def _f1_t_h_oversized_int(el):
+    if el["name"] == "F1":
+        el["params"]["t_h"] = 10**400  # too large for a float
+
+
 def _f1_theta_h_list(el):
     # a list would load as a two-point batch of circuits
     if el["name"] == "F1":
@@ -372,6 +378,7 @@ UNREALIZABLE_NETLISTS = {
     "t_h_above_one": (_f1_t_h_above_one, ["truth-table", "--phi", "0"], "'F1'"),
     "t_h_string": (_f1_t_h_string, ["truth-table", "--phi", "0"], "'F1'"),
     "t_h_nan": (_f1_t_h_nan, ["truth-table", "--phi", "0"], "'F1'"),
+    "t_h_oversized_int": (_f1_t_h_oversized_int, ["truth-table", "--phi", "0"], "'F1'"),
     "theta_h_list": (_f1_theta_h_list, ["truth-table", "--phi", "0"], "'theta_h'"),
     "rotated_string": (_det_rotated_string, ["truth-table", "--phi", "0"], "'rotated'"),
     "ports_string": (_pbs1_ports_string, ["truth-table", "--phi", "0"], "'PBS1' ports must be a list"),
