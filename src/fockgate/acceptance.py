@@ -100,7 +100,7 @@ def check_ppbs_interference() -> CheckResult:
     both_v = PureState(modes, {(0, 1, 0, 1): 1.0})
     out = apply_element(both_v, ppbs)
     seq_amp = out.amplitude((0, 1, 0, 1))
-    unitary = compose_circuit_matrix([ppbs], [mode_columns(modes, ppbs.modes)], len(modes))
+    unitary = compose_circuit_matrix([ppbs.matrix], [mode_columns(modes, ppbs.modes)], len(modes))
     oracle_amp = amplitude_via_permanent(unitary, (0, 1, 0, 1), (0, 1, 0, 1))
     dev = max(abs(seq_amp - (-1.0 / 3.0)), abs(oracle_amp - (-1.0 / 3.0)))
     ok = dev <= 1e-12

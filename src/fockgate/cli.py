@@ -306,7 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     except NetlistError:
         raise
-    except ValueError as exc:  # sensitivities that make a beat length non-positive
+    except ValueError as exc:  # a perturbed beat or angle outside the sensitivity model
         raise PhysicsError(str(exc)) from exc
     element_names = [name for name, _, _ in rows[0].element_bars]
     header = ["delta_nm"]

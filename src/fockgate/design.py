@@ -13,16 +13,18 @@ of the gate circuit.  Beat lengths are calibrated inputs; their
 sensitivities to geometry changes default to zero and must be
 configured explicitly before running tolerance studies.
 
-A tolerance sweep is evaluated in batches: the coupling angles of the
-deviation grid are arrays, so a perturbed netlist builds stacks of element
-matrices, one circuit matrix per grid point, and the gate and its fidelity
-are read off the whole stack at once.  A batch holds at most
-`_SWEEP_BATCH` points, so a sweep's memory does not grow with its grid.
+A tolerance sweep computes the coupling angles of every perturbed coupler
+at every grid point as one (points, couplers, 2) array.  It then evaluates
+the grid in batches of at most `_SWEEP_BATCH` points, so its memory does
+not grow with the grid: the netlist's elements are realized once, the
+couplers' matrices of a whole batch are filled from their angles in one
+step, and one circuit matrix per point is composed and read out at once.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +35,7 @@ from .gate import (
     ElementSpec,
     Netlist,
     coupler_angles,
+    coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
     ideal_cphase,
@@ -356,46 +359,55 @@ def enumerate_v_perfect_lengths(
 # -- fabrication-tolerance synthesis ----------------------------------------
 
 def delta_theta(
-    length_um: float,
-    beat_um: float,
-    sensitivity_um_per_nm: float,
+    length_um: float | np.ndarray,
+    beat_um: float | np.ndarray,
+    sensitivity_um_per_nm: float | np.ndarray,
     delta_nm: float | np.ndarray,
 ) -> float | np.ndarray:
     """Coupling-angle drift when the beat length shifts linearly with geometry.
 
     theta(L) = pi L / beat; a beat shift of s * delta changes the angle by
-    pi L (1/(beat + s d) - 1/beat) at the fixed fabricated length.  A float
-    delta gives a float, an array of deltas an array of drifts; any
-    non-positive perturbed beat raises ValueError.
+    pi L (1/(beat + s d) - 1/beat) at the fixed fabricated length.  The
+    arguments broadcast: floats give a float, arrays an array of drifts.
+    A perturbed beat that is non-positive or not finite raises ValueError
+    naming it and its delta, the first in delta order.  The arithmetic
+    trips no numpy warning; a drift too large for a float comes back
+    non-finite.
     """
-    shifted = beat_um + sensitivity_um_per_nm * np.asarray(delta_nm, dtype=float)
-    bad = shifted <= 0
-    if bad.any():
-        raise ValueError(
-            f"perturbed beat length {float(shifted[bad][0])} um is non-positive; "
-            "sensitivity model out of validity"
-        )
-    drift = math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
-    return drift if np.ndim(delta_nm) else float(drift)
+    deltas = np.asarray(delta_nm, dtype=float)
+    with np.errstate(all="ignore"):
+        shifted = beat_um + sensitivity_um_per_nm * deltas
+        bad = ~((shifted > 0) & (shifted < math.inf))
+        if bad.any():
+            first = tuple(np.argwhere(bad)[0])
+            beat = float(shifted[first])
+            raise ValueError(
+                f"perturbed beat length {beat} um at delta "
+                f"{float(np.broadcast_to(deltas, bad.shape)[first])} nm is "
+                f"{'non-positive' if beat <= 0 else 'not finite'}; "
+                "sensitivity model out of validity"
+            )
+        drift = math.pi * length_um * (1.0 / shifted - 1.0 / beat_um)
+    return float(drift) if np.ndim(drift) == 0 else drift
 
 
-def synthesize_imperfect_elements(
+def perturbed_angles(
     netlist: Netlist,
     physics: CouplerPhysics,
     dimension: str,
     delta_nm: float | np.ndarray,
-) -> dict[str, ElementSpec]:
-    """Element overrides for a geometry deviation of `delta_nm` nanometers.
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Coupling angles of the netlist's couplers under a geometry deviation of `delta_nm` nm.
 
-    Every coupler-based element with a configured design length gets its
-    coupling angles `theta_h`/`theta_v`: its own (`gate.coupler_angles`)
-    plus the angle drift at its fixed fabricated length, so at delta = 0
-    the overrides equal the elements as given.  `delta_nm` may be an array of deviations: the angles
-    are then arrays of its shape, and the overridden netlist builds stacks
-    of element and circuit matrices, one per deviation.  Each deviation is
-    checked: a nonzero one needs nonzero sensitivities (ValueError), one
-    that makes a beat length non-positive raises ValueError, and one
-    beyond 10 nm warns.
+    The couplers are the pbs, ppbs and filter elements with a configured
+    design length, named in netlist order.  Each gets its own angles
+    (`gate.coupler_angles`) plus the `delta_theta` drift at its fixed
+    fabricated length, so at delta = 0 the angles are the elements' own.
+    Returns the names and the angles, of shape delta.shape + (couplers, 2)
+    with (theta_h, theta_v) last.  Each deviation is checked: a nonzero one
+    needs nonzero sensitivities (ValueError), one beyond 10 nm warns once
+    per call, and a perturbed beat or an angle that is non-positive or not
+    finite raises ValueError naming the element and the delta.
     """
     if dimension not in DIMENSIONS:
         raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
@@ -408,26 +420,60 @@ def synthesize_imperfect_elements(
         )
     widest = float(np.max(np.abs(deltas), initial=0.0))
     if widest > 10.0:
-        import warnings
-
         warnings.warn(
             f"|delta| = {widest} nm exceeds the 10 nm envelope the "
             "linear sensitivity model was specified for",
-            stacklevel=2,
+            stacklevel=3,
         )
+    couplers = [
+        (el, length) for el in netlist.elements
+        if el.kind in COUPLER_KINDS and (length := physics.length_of(el.name)) is not None
+    ]
+    names = tuple(el.name for el, _ in couplers)
+    if not couplers:
+        return names, np.zeros(deltas.shape + (0, 2))
+    lengths = np.array([[length] for _, length in couplers])
+    beats = np.array([physics.beat_h, physics.beat_v])
+    sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
+    try:
+        drifts = delta_theta(lengths, beats, sensitivities, deltas[..., None, None])
+    except ValueError as exc:  # the beats are shared, so the first coupler meets them first
+        raise ValueError(f"element {names[0]!r}: {exc}") from None
+    angles = np.array([coupler_angles(el) for el, _ in couplers], dtype=float) + drifts
+    finite = np.isfinite(angles)
+    if not finite.all():
+        # the first by element, then polarization, then delta
+        k, pol, *at = np.argwhere(~np.moveaxis(finite, (-2, -1), (0, 1)))[0]
+        delta = float(deltas[tuple(at)])
+        raise ValueError(
+            f"element {names[k]!r}: coupling angle theta_{'hv'[pol]} at delta {delta} nm "
+            f"is {angles[(*at, k, pol)]}, not finite"
+        )
+    return names, angles
+
+
+def synthesize_imperfect_elements(
+    netlist: Netlist,
+    physics: CouplerPhysics,
+    dimension: str,
+    delta_nm: float | np.ndarray,
+) -> dict[str, ElementSpec]:
+    """Element overrides for a geometry deviation of `delta_nm` nanometers.
+
+    Every coupler of `perturbed_angles` gets its perturbed angles as
+    `theta_h`/`theta_v`, with that function's checks, so at delta = 0 the
+    overrides equal the elements as given.  A float delta gives float
+    angles.  `delta_nm` may be an array of deviations: the angles are then
+    arrays of its shape, and the overridden netlist builds stacks of
+    element and circuit matrices, one per deviation.
+    """
+    names, angles = perturbed_angles(netlist, physics, dimension, delta_nm)
     overrides: dict[str, ElementSpec] = {}
-    for el in netlist.elements:
-        length = physics.length_of(el.name)
-        if el.kind not in COUPLER_KINDS or length is None:
-            continue
-        thetas = coupler_angles(el)
-        th_h = thetas[0] + delta_theta(
-            length, physics.beat_h, physics.sensitivity(dimension, H), delta_nm
-        )
-        th_v = thetas[1] + delta_theta(
-            length, physics.beat_v, physics.sensitivity(dimension, V), delta_nm
-        )
-        overrides[el.name] = el.with_params(theta_h=th_h, theta_v=th_v)
+    for k, name in enumerate(names):
+        th_h, th_v = angles[..., k, 0], angles[..., k, 1]
+        if np.ndim(delta_nm) == 0:
+            th_h, th_v = float(th_h), float(th_v)
+        overrides[name] = netlist.element(name).with_params(theta_h=th_h, theta_v=th_v)
     return overrides
 
 
@@ -471,42 +517,36 @@ def tolerance_sweep(
     """Gate performance across a geometry-deviation grid.
 
     One row per grid point of `sweep_deltas`, in ascending delta order.
-    One `synthesize_imperfect_elements` call gives the angles of the whole
-    grid.  The grid is then evaluated in batches of at most `_SWEEP_BATCH`
-    consecutive points: one overridden netlist per batch, whose circuit
-    matrix is a stack with one matrix per point and which shares the
-    netlist's structure plan, one `heralded_operators` call on that
-    netlist and one `process_fidelity` call on its operators.  Each row equals
-    `extract_gate` on the netlist perturbed by its own delta, bit for bit
-    whatever the batch size; the bars are cos^2 of the override angles, by
-    element name.
+    One `perturbed_angles` call gives the (points, couplers, 2) angles of
+    the whole grid, with its checks.  The grid is then evaluated in batches
+    of at most `_SWEEP_BATCH` consecutive points: one `coupler_operators`
+    call per batch, which composes the netlist's realized elements with the
+    couplers' matrices of the batch filled from their angles, and one
+    `process_fidelity` call on its operators.  Without a perturbed coupler
+    the netlist's own operator serves every point.  Each row equals
+    `extract_gate` on the netlist perturbed by its own delta
+    (`synthesize_imperfect_elements`), bit for bit whatever the batch size;
+    the bars are cos^2 of the perturbed angles, by element name.
     """
     deltas = sweep_deltas(delta_range_nm, step_nm)
-
-    overrides = synthesize_imperfect_elements(netlist, physics, dimension, np.array(deltas))
+    names, angles = perturbed_angles(netlist, physics, dimension, np.array(deltas))
     ideal = ideal_cphase(phi)
     probs, fidelity = [], []
     for start in range(0, len(deltas), _SWEEP_BATCH):
         batch = slice(start, start + _SWEEP_BATCH)
-        perturbed = netlist.with_overrides({
-            name: el.with_params(theta_h=el.param_dict["theta_h"][batch],
-                                 theta_v=el.param_dict["theta_v"][batch])
-            for name, el in overrides.items()
-        })
-        operators, batch_probs = heralded_operators(perturbed, phi)
-        # a netlist without overridden couplers has one operator for every point
+        if names:
+            operators, batch_probs = coupler_operators(netlist, names, angles[batch], phi)
+        else:
+            operators, batch_probs = heralded_operators(netlist, phi)
         points = len(deltas[batch])
         probs += np.broadcast_to(batch_probs, (points, 4)).tolist()
         fidelity += process_fidelity(np.broadcast_to(operators, (points, 4, 4)), ideal).tolist()
 
-    def bars(name: str, key: str) -> list[float]:
-        return [math.cos(t) ** 2 for t in overrides[name].param_dict[key].tolist()]
-
-    columns = [
-        [(name, bar_h, bar_v) for bar_h, bar_v in zip(bars(name, "theta_h"), bars(name, "theta_v"))]
-        for name in sorted(overrides)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    element_bars = [
+        tuple([(names[k], math.cos(h) ** 2, math.cos(v) ** 2) for k, (h, v) in zip(order, point)])
+        for point in angles[:, order].tolist()
     ]
-    element_bars = zip(*columns) if columns else [()] * len(deltas)
     return [
         SweepRow(delta, tuple(row_bars), tuple(row_probs), row_fidelity)
         for delta, row_bars, row_probs, row_fidelity in zip(deltas, element_bars, probs, fidelity)

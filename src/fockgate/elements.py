@@ -92,15 +92,11 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
 def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
     """Two-port element on the modes (aH, aV, bH, bV) from its H and V 2x2 blocks.
 
-    The H block acts on modes 0 and 2, the V block on modes 1 and 3.  The
-    block entries are all floats, or all arrays of one shape S, which give
-    a stack of shape S + (4, 4).
+    The H block acts on modes 0 and 2, the V block on modes 1 and 3.
     """
-    shape = np.shape(h_block[0][0])
-    m = np.zeros(shape + (4, 4), dtype=complex)
-    blocks = m.transpose(len(shape), len(shape) + 1, *range(len(shape)))  # a view of m
-    blocks[::2, ::2] = h_block
-    blocks[1::2, 1::2] = v_block
+    m = np.zeros((4, 4), dtype=complex)
+    m[::2, ::2] = h_block
+    m[1::2, 1::2] = v_block
     return ElementMatrix(modes_for_ports((port_a, port_b)), m)
 
 
@@ -147,13 +143,31 @@ def coupler(
     theta_v = pi/2 that makes the routing PBS.  The angles are floats or
     arrays of one shape S, which give a stack of shape S + (4, 4).
     """
-    theta_h, theta_v = np.broadcast_arrays(
+    thetas = np.stack(np.broadcast_arrays(
         np.asarray(theta_h, dtype=float), np.asarray(theta_v, dtype=float)
-    )
-    ch, sh = np.cos(theta_h), np.sin(theta_h)
-    cv, sv = np.cos(theta_v), np.sin(theta_v)
-    v_block = ((cv, sv), (sv, -cv)) if v_reflect else ((cv, sv), (-sv, cv))
-    return _two_port(port_a, port_b, ((ch, sh), (-sh, ch)), v_block)
+    ), axis=-1)
+    return ElementMatrix(modes_for_ports((port_a, port_b)), coupler_matrices(thetas, v_reflect))
+
+
+def coupler_matrices(thetas: np.ndarray, v_reflect: bool | np.ndarray = False) -> np.ndarray:
+    """Coupler matrices (S + (4, 4)) on the modes (aH, aV, bH, bV) from angles S + (2,).
+
+    The last axis of `thetas` is (theta_h, theta_v).  The H block acts on
+    modes 0 and 2, the V block on modes 1 and 3, in the forms `coupler`
+    describes; `v_reflect` (a bool, or bools that broadcast against S)
+    picks the reflection form.  The matrices are unitary for every finite
+    angle and are not checked here.
+    """
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    sign = np.ones(np.shape(v_reflect) + (2,))
+    sign[..., 1] = np.where(v_reflect, -1.0, 1.0)  # the lower row of a reflection V block
+    m = np.zeros(thetas.shape[:-1] + (4, 4), dtype=complex)
+    upper, lower = [0, 1], [2, 3]  # the (aH, aV) and (bH, bV) modes
+    m[..., upper, upper] = cos
+    m[..., upper, lower] = sin
+    m[..., lower, upper] = -sin * sign
+    m[..., lower, lower] = cos * sign
+    return m
 
 
 def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
@@ -391,33 +405,42 @@ def amplitude_via_permanent(
 
 
 def compose_circuit_matrix(
-    elements: Sequence[ElementMatrix], columns: Sequence[np.ndarray], n_modes: int
+    matrices: Sequence[np.ndarray], columns: Sequence[np.ndarray], n_modes: int
 ) -> np.ndarray:
-    """Product of the elements, each acting on its own columns of an n_modes-mode circuit.
+    """Product of element matrices, each acting on its own columns of an n_modes-mode circuit.
 
-    Elements are given in application order, and `columns[k]` holds the
-    circuit columns of the modes of elements[k], in the element's mode
-    order (a netlist resolves them once, see `gate.StructurePlan`).  In
-    transfer orientation the composite is M1 @ M2 @ ... @ Mk, with each Mi
-    the identity outside its element's columns.  An element maps its modes
-    onto themselves, so each step rewrites only those columns.  A column
-    list of the wrong length or outside [0, n_modes) raises ValueError.
-    Stacked element matrices broadcast: the result has shape B + (n, n),
-    with B the common batch shape of the elements (empty when none is
-    stacked), and every matrix in it is unitary within 1e-12.
+    `matrices` are the elements' matrices (an `ElementMatrix.matrix` or a
+    stack of them) in application order, and `columns[k]` holds the
+    circuit columns of the modes of element k, in the element's mode order
+    (a netlist resolves them once, see `gate.Netlist.steps`).  In transfer
+    orientation the composite is M1 @ M2 @ ... @ Mk, with each Mi the
+    identity outside its element's columns, multiplied left to right.  An
+    element maps its modes onto themselves, so each step rewrites only
+    those columns.  A column list of the wrong length or outside
+    [0, n_modes) raises ValueError.  Stacked matrices broadcast: the result
+    has shape B + (n, n), with B the common batch shape of the matrices
+    (empty when none is stacked), and every matrix in it is unitary within
+    1e-12.
     """
-    if len(elements) != len(columns):
-        raise ValueError(f"{len(elements)} elements but {len(columns)} column lists")
-    batch = np.broadcast_shapes(*{el.matrix.shape[:-2] for el in elements})
+    if len(matrices) != len(columns):
+        raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")
+    batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
     # the identity, broadcast to the batch shape
     full = np.eye(n_modes, dtype=complex) + np.zeros(batch + (n_modes, n_modes), dtype=complex)
-    for el, idx in zip(elements, columns):
-        if len(idx) != len(el.modes) or not all(0 <= c < n_modes for c in idx):
+    for m, idx in zip(matrices, columns):
+        k, cols = m.shape[-1], np.asarray(idx).tolist()
+        if len(cols) != k or not all(0 <= c < n_modes for c in cols):
             raise ValueError(
-                f"columns {list(idx)} do not place the {len(el.modes)} modes of an "
+                f"columns {cols} do not place the {k} modes of an "
                 f"element in a {n_modes}-mode circuit"
             )
-        full[..., idx] = full[..., idx] @ el.matrix
+        # consecutive columns are read and written through a view
+        at = slice(cols[0], cols[0] + k) if cols == list(range(cols[0], cols[0] + k)) else idx
+        block = full[..., at]
+        if m.ndim == 2 and block.ndim > 2:  # one matrix for the whole stack: one product
+            full[..., at] = (block.reshape(-1, k) @ m).reshape(block.shape)
+        else:
+            full[..., at] = block @ m
     _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
     return full
 

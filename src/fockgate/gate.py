@@ -21,13 +21,15 @@ permanents of the composed circuit matrix (`heralded_transfer`).  What a
 netlist's ports, herald and encoding fix is its `StructurePlan`: the mode
 order and columns, the herald pattern, the basis inputs with the gather of
 their heralded transfer, the logical readout and the columns each element
-acts on.  One plan serves every netlist with that structure, so the
-perturbed copies of a parameter sweep compute none of it again.  A netlist
-is immutable, so it composes its circuit once and keeps it, with the
-heralded amplitudes of the 8 basis inputs; a new phase or new qubit
-amplitudes cost only the linear combination and the readout.  A circuit
-may be a stack, one matrix per point of a parameter sweep, and
-`heralded_operators` reads the gate off every matrix of a stack at once.
+acts on.  One plan serves every netlist with that structure, so perturbed
+copies of a netlist compute none of it again.  A netlist is immutable, so
+it realizes its elements once (`Netlist.steps`), composes its circuit
+from them once and keeps both, with the heralded amplitudes of the 8
+basis inputs; a new phase or new qubit amplitudes cost only the linear
+combination and the readout.  `coupler_operators` composes the same steps
+with some couplers set by angle arrays, one circuit matrix per point of a
+parameter sweep, and reads the gate off every matrix of that stack at once
+with `heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,11 +66,13 @@ from .elements import (
     HADAMARD_MATRIX,
     PPBS_BARS,
     ElementMatrix,
+    _check_isometry,
     apply_element,
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    coupler_matrices,
     mode_columns,
     partially_polarizing_beam_splitter,
     permanents,
@@ -285,18 +289,27 @@ def structure_plan(
     return StructurePlan(modes, columns, pattern, encoding, detector_pol)
 
 
+class Step(NamedTuple):
+    """One realized element: its spec, the columns of its modes and its read-only matrix."""
+
+    spec: ElementSpec
+    columns: np.ndarray
+    matrix: np.ndarray
+
+
 @dataclass(frozen=True)
 class Netlist:
-    """A validated circuit; its structure is planned once and its circuit realized once.
+    """A validated circuit; its structure is planned once and its elements realized once.
 
     The ports, herald and encoding fix its `StructurePlan`, `plan`, shared
     with every netlist of the same structure: `modes`, `columns`, the
     herald pattern and the basis gather come from it.  The plan takes no
     part in equality or hashing.  What derives from the elements is
-    computed on first use and kept on the instance, read-only: the circuit
-    matrix and the (..., 8, outputs) heralded amplitudes of the basis
-    inputs.  `replace` and `with_overrides` make a new instance that
-    computes its own and shares the plan.
+    computed on first use and kept on the instance, read-only: the `steps`
+    (each element realized once, with its columns), the circuit matrix
+    `compose` makes of them and the (..., 8, outputs) heralded amplitudes
+    of the basis inputs.  `replace` and `with_overrides` make a new
+    instance that computes its own and shares the plan.
     """
 
     ports: tuple[PortDecl, ...]
@@ -412,13 +425,39 @@ class Netlist:
         return self.plan.pattern
 
     @cached_property
-    def _circuit(self) -> np.ndarray:
-        realized = self._realized()
-        columns = [self.plan.element_columns(el.ports) for el, _ in realized]
+    def steps(self) -> tuple[Step, ...]:
+        """The elements that act on modes, each realized once, in application order.
+
+        A step holds the element's spec, the read-only circuit columns of its
+        modes and a read-only view of its matrix.  An element that cannot be
+        realized raises NetlistError naming it, as `build_matrices` does.
+        """
+        steps = []
+        for el, m in self._realized():
+            matrix = m.matrix.view()
+            matrix.flags.writeable = False
+            steps.append(Step(el, self.plan.element_columns(el.ports), matrix))
+        return tuple(steps)
+
+    def compose(self, stacks: Mapping[int, np.ndarray] = MappingProxyType({})) -> np.ndarray:
+        """The circuit matrix of `steps`, composed by `compose_circuit_matrix` in step order.
+
+        `stacks` maps a step index to matrices that take the place of that
+        step's own, a stack (N, k, k) for N circuits at once; the composition
+        and its association order stay those of the netlist's own circuit.
+        A result that is not unitary within 1e-12 raises NetlistError.
+        """
+        matrices = [stacks.get(k, step.matrix) for k, step in enumerate(self.steps)]
         try:
-            unitary = compose_circuit_matrix([m for _, m in realized], columns, len(self.modes))
+            return compose_circuit_matrix(
+                matrices, [step.columns for step in self.steps], len(self.modes)
+            )
         except ValueError as exc:
             raise NetlistError(exc.args[0]) from exc
+
+    @cached_property
+    def _circuit(self) -> np.ndarray:
+        unitary = self.compose()
         unitary.flags.writeable = False
         return unitary
 
@@ -789,7 +828,39 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     Returns the operators (..., 4, 4), columns ordered |00>, |01>, |10>,
     |11>, and the probabilities (..., 4) in the same order.
     """
-    amps = netlist._basis_amplitudes
+    return _basis_operators(netlist.plan, netlist._basis_amplitudes, phi)
+
+
+def coupler_operators(
+    netlist: Netlist, couplers: Sequence[str], thetas: np.ndarray, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`heralded_operators` of the netlist at N points, with the named couplers set by angles.
+
+    `couplers` names pbs, ppbs or filter elements, and `thetas`
+    (N, couplers, 2) holds their (theta_h, theta_v) at each point.  One
+    `coupler_matrices` call fills their matrices (reflection form for a
+    pbs, as `build_element` builds it), checked together for isometry
+    within 1e-12 (NetlistError); they replace those steps' matrices in
+    `Netlist.compose`.  Point k equals `heralded_operators` on the netlist
+    whose couplers carry the angles `thetas[k]`, bit for bit.
+    """
+    index = {step.spec.name: k for k, step in enumerate(netlist.steps)}
+    slots = [index[name] for name in couplers]
+    reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
+    blocks = coupler_matrices(thetas, reflect)
+    try:
+        _check_isometry(blocks, "coupler is not an isometry: deviation {:.3g}")
+    except ValueError as exc:
+        raise NetlistError(exc.args[0]) from exc
+    circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
+    amps = _gathered_transfer(circuits, netlist.plan.basis_gather)
+    return _basis_operators(netlist.plan, amps, phi)
+
+
+def _basis_operators(
+    plan: StructurePlan, amps: np.ndarray, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The readout of `heralded_operators` from the (..., 8, outputs) basis amplitudes."""
     amps = amps.reshape(amps.shape[:-2] + (4, 2, amps.shape[-1]))
     w_h = 1 / math.sqrt(2)
     w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
@@ -797,7 +868,7 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    operators = np.ascontiguousarray((columns @ netlist.plan.readout).swapaxes(-1, -2))
+    operators = np.ascontiguousarray((columns @ plan.readout).swapaxes(-1, -2))
     if not operators.any(axis=(-2, -1)).all():
         raise NetlistError("no basis input heralds a logical output (a zero operator)")
     return operators, _squared_norms(columns)

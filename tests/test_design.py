@@ -340,6 +340,21 @@ def test_delta_theta_rejects_any_non_positive_beat():
         delta_theta(70.72, 8.32, -0.9, deltas)
 
 
+def test_delta_theta_rejects_a_beat_past_the_float_range():
+    # 1e308 + 1e308 * 10 overflows to inf; the suite turns any numpy warning into an error
+    delta_theta(70.72, 1e308, 1e308, np.array([-0.5, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="inf um at delta 10.0 nm is not finite"):
+        delta_theta(70.72, 1e308, 1e308, np.array([0.0, 10.0]))
+
+
+def test_perturbed_angles_name_the_element_whose_angle_is_not_finite():
+    physics = CouplerPhysics(
+        coupler_lengths=(("F2", 83.2), ("PPBS", 1e308))
+    ).with_sensitivities("gap", 0.002, 0.0)
+    with pytest.raises(ValueError, match=r"element 'PPBS': coupling angle theta_h at delta -1.0 nm"):
+        design.perturbed_angles(default_netlist(), physics, "gap", np.array([-1.0, 0.0]))
+
+
 def test_synthesize_on_delta_array_matches_per_delta():
     netlist = default_netlist()
     physics = PHYS.with_sensitivities("height", -0.003, 0.005)
@@ -538,19 +553,19 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
                         spy(occupations, gate.StructurePlan.input_occupation))
     monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
     monkeypatch.setattr(gate, "compose_circuit_matrix", spy(composed, gate.compose_circuit_matrix))
-    monkeypatch.setattr(Netlist, "with_overrides",
-                        spy(copies, Netlist.with_overrides, lambda *args: args[-1]))
+    monkeypatch.setattr(Netlist, "__post_init__", spy(copies, Netlist.__post_init__))
     netlist = default_netlist()
     readout = netlist.plan.readout
+    copies.clear()
     physics = PHYS.with_sensitivities("width", 0.004, -0.002).with_sensitivities("gap", 0.003, 0.001)
     for dimension in ("width", "gap"):
         tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 1.0, phi=0.8)
     assert len(gathers) == 1  # the basis inputs' gather, which the readout reads too
     assert netlist.plan.readout is readout  # the logical readout, computed once
     assert len(occupations) == 8  # the basis inputs, once
-    assert len(copies) == 2 and all(copy.plan is netlist.plan for copy in copies)
-    assert sorted(built) == sorted(2 * [el.name for el in netlist.elements])
-    assert len(composed) == 2
+    assert copies == []  # no netlist copy, perturbed or not
+    assert len(built) == len(set(built)) <= len(netlist.elements)  # each element at most once
+    assert len(composed) == 2  # one composition per batch of 21 points
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -585,3 +600,41 @@ def test_sweep_rows_equal_extract_gate_bit_for_bit():
         single = extract_gate(perturbed, 1.7)
         assert row.herald_probabilities == tuple(single.herald_probability[b] for b in BASIS_LABELS)
         assert row.fidelity == single.fidelity == process_fidelity(single.operator, gate.ideal_cphase(1.7))
+
+
+def _assert_rows_equal_their_own_extraction(netlist, physics, dimension, rows, picked, phi):
+    for k in picked:
+        row = rows[k]
+        overrides = synthesize_imperfect_elements(netlist, physics, dimension, row.delta_nm)
+        single = extract_gate(netlist.with_overrides(overrides), phi)
+        probs = single.herald_probability
+        assert row.herald_probabilities == tuple(probs[b] for b in BASIS_LABELS)
+        assert row.fidelity == single.fidelity
+        angles = {name: el.param_dict for name, el in overrides.items()}
+        assert row.element_bars == tuple(
+            (name, math.cos(p["theta_h"]) ** 2, math.cos(p["theta_v"]) ** 2)
+            for name, p in sorted(angles.items())
+        )
+
+
+def test_sweep_batch_edges_equal_extract_gate_bit_for_bit():
+    # 129 points: batches of 64, 64 and 1; the first and last row of each batch
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("height", 0.006, -0.005)
+    rows = tolerance_sweep(netlist, physics, "height", (-6.4, 6.4), 0.1, phi=0.35)
+    assert len(rows) == 129 and design._SWEEP_BATCH == 64
+    _assert_rows_equal_their_own_extraction(
+        netlist, physics, "height", rows, (0, 63, 64, 127, 128), 0.35
+    )
+
+
+def test_sweep_of_a_ppbs_with_its_own_angle_equals_extract_gate_bit_for_bit():
+    netlist = default_netlist()
+    netlist = netlist.with_overrides({"PPBS": netlist.element("PPBS").with_params(theta_h=0.15)})
+    physics = PHYS.with_sensitivities("gap", -0.004, 0.003)
+    rows = tolerance_sweep(netlist, physics, "gap", (-10.0, 10.0), 2.0, phi=2.6)
+    names = [name for name, _, _ in rows[0].element_bars]
+    assert names == ["F1", "F2", "PBS1", "PBS2", "PBS3", "PPBS"]
+    _assert_rows_equal_their_own_extraction(netlist, physics, "gap", rows, range(len(rows)), 2.6)
+    ppbs_h = [bar_h for row in rows for name, bar_h, _ in row.element_bars if name == "PPBS"]
+    assert ppbs_h[5] == math.cos(0.15) ** 2  # delta 0 keeps the element's own angle

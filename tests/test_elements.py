@@ -38,7 +38,7 @@ def fock(modes, **occ):
 def compose(elements, modes):
     """compose_circuit_matrix with each element's columns resolved from its modes."""
     columns = [mode_columns(modes, el.modes) for el in elements]
-    return compose_circuit_matrix(elements, columns, len(modes))
+    return compose_circuit_matrix([el.matrix for el in elements], columns, len(modes))
 
 
 # -- element construction ----------------------------------------------------
@@ -235,13 +235,13 @@ def test_compose_unresolved_port_rejected():
 def test_compose_rejects_columns_that_do_not_place_the_element(columns):
     pbs = polarizing_beam_splitter("a", "b")
     with pytest.raises(ValueError, match="do not place"):
-        compose_circuit_matrix([pbs], [np.array(columns)], 4)
+        compose_circuit_matrix([pbs.matrix], [np.array(columns)], 4)
 
 
 def test_compose_places_each_element_on_its_columns():
     # the PBS acts on modes (bH, bV, aH, aV) of the (a, b) circuit
     pbs = polarizing_beam_splitter("b", "a")
-    full = compose_circuit_matrix([pbs], [np.array([2, 3, 0, 1])], 4)
+    full = compose_circuit_matrix([pbs.matrix], [np.array([2, 3, 0, 1])], 4)
     assert np.array_equal(full, compose([pbs], AB))
     assert np.array_equal(full[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])], pbs.matrix)
 

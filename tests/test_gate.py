@@ -588,7 +588,48 @@ def test_circuit_matrix_is_kept_read_only():
         unitary[0, 0] = 0.0
     matrices = nl.build_matrices()
     columns = [mode_columns(nl.modes, m.modes) for m in matrices]
-    assert np.array_equal(unitary, compose_circuit_matrix(matrices, columns, len(nl.modes)))
+    assert np.array_equal(
+        unitary, compose_circuit_matrix([m.matrix for m in matrices], columns, len(nl.modes))
+    )
+
+
+def test_steps_are_realized_once_read_only_and_compose_the_circuit():
+    nl = default_netlist()
+    steps = nl.steps
+    assert nl.steps is steps
+    assert [step.spec.name for step in steps] == [el.name for el in nl.elements]
+    for step, built in zip(steps, nl.build_matrices()):
+        assert np.array_equal(step.columns, nl.plan.element_columns(step.spec.ports))
+        assert np.array_equal(step.matrix, built.matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            step.matrix[0, 0] = 0.0
+    assert np.array_equal(nl.compose(), circuit_matrix(nl))
+
+
+def test_coupler_operators_equal_heralded_operators_per_point_bit_for_bit():
+    nl = default_netlist()
+    names = ("PBS1", "PPBS", "F2")
+    rng = np.random.default_rng(5)
+    base = np.array([coupler_angles(nl.element(name)) for name in names])
+    thetas = base + rng.normal(scale=0.05, size=(4, len(names), 2))
+    operators, probs = gate.coupler_operators(nl, names, thetas, 1.3)
+    assert operators.shape == (4, 4, 4) and probs.shape == (4, 4)
+    for point, angles in enumerate(thetas.tolist()):
+        single = nl.with_overrides({
+            name: nl.element(name).with_params(theta_h=th_h, theta_v=th_v)
+            for name, (th_h, th_v) in zip(names, angles)
+        })
+        op, pr = heralded_operators(single, 1.3)
+        assert operators[point].tobytes() == op.tobytes()
+        assert probs[point].tobytes() == pr.tobytes()
+
+
+def test_coupler_operators_check_every_coupler_block():
+    nl = default_netlist()
+    thetas = np.zeros((3, 2, 2))
+    thetas[2, 1, 0] = math.nan  # one block of the last point
+    with pytest.raises(NetlistError, match="coupler is not an isometry: deviation nan"):
+        gate.coupler_operators(nl, ("F1", "F2"), thetas, 0.0)
 
 
 @pytest.mark.parametrize("order", ["basis", "sorted", "shuffled"])
@@ -730,7 +771,7 @@ def test_rewired_element_composes_on_its_new_columns():
     assert rewired.plan.element_columns(("P", "L")).tolist() == [6, 7, 2, 3]
     matrices = rewired.build_matrices()
     independent = compose_circuit_matrix(
-        matrices, [mode_columns(rewired.modes, m.modes) for m in matrices], len(rewired.modes)
+        [m.matrix for m in matrices], [mode_columns(rewired.modes, m.modes) for m in matrices], len(rewired.modes)
     )
     assert np.array_equal(circuit_matrix(rewired), independent)
     assert not np.allclose(circuit_matrix(rewired), circuit_matrix(base))

@@ -578,6 +578,32 @@ def test_sweep_beyond_sensitivity_validity_exits_3(tmp_path, capsys):
     assert captured.out == ""
 
 
+# valid physics whose perturbed angles or beats do not fit in a float
+EXTREME_SWEEP_PHYSICS = {
+    "huge_coupler_length": (
+        {"coupler_lengths_um": {"PBS1": 1e308},
+         "sensitivities_um_per_nm": {"width": {"H": 0.004, "V": 0.004}}},
+        "PBS1",
+    ),
+    "huge_beat_and_sensitivity": (
+        {"beat_um": {"H": 1e308}, "sensitivities_um_per_nm": {"width": {"H": 1e308}}},
+        "PBS1",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, element", EXTREME_SWEEP_PHYSICS.values(), ids=EXTREME_SWEEP_PHYSICS.keys())
+def test_sweep_of_extreme_physics_exits_3_naming_the_element(doc, element, tmp_path, capsys):
+    path = tmp_path / "physics.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sweep", "--dimension", "width", "--physics", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("validation error:")
+    assert f"element {element!r}" in captured.err and "delta" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_default_grid_and_plot_flag(tmp_path, capsys):
     phys = _physics_with_sensitivity(tmp_path)
     out_csv = tmp_path / "sweep.csv"
@@ -677,7 +703,7 @@ def test_check_fails_on_detuned_netlist(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     # the child imports the same fockgate as this process, installed or not
     src = str(Path(fockgate.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -689,14 +715,27 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "fidelity" in proc.stdout
+    # a sweep under the suite's warning policy: a numpy RuntimeWarning would fail it
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockgate.cli", "sweep", "--dimension", "width",
+         "--physics", str(_physics_with_sensitivity(tmp_path))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("delta_nm,")
 
 
 # -- fuzz of the file boundary ------------------------------------------------------
 
 # well-formed but wrong values too: a bool, a number in a string, small
-# integers (as herald counts they can leave no logical output heralded)
+# integers (as herald counts they can leave no logical output heralded),
+# and finite numbers at the ends of the float range
 FUZZ_VALUES = (
-    st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0, 2.0], True, "1.5"])
+    st.sampled_from([math.nan, math.inf, -math.inf, "x", [1.0, 2.0], True, "1.5",
+                     1e308, -1e308, 5e-324])
     | st.floats(min_value=-1e3, max_value=-1e-3)
     | st.integers(0, 3)
 )
@@ -713,13 +752,22 @@ def _locations(doc, path=()):
 
 @st.composite
 def mutated(draw, doc):
-    """`doc` with one to three keys dropped or renamed, or numbers replaced."""
+    """`doc` with one to three edits: a number replaced, or a key dropped or renamed.
+
+    The kind of edit is drawn first, each kind equally likely, and then its
+    location, so a number (a herald count, a physics value) is replaced as
+    often as a key is dropped.
+    """
     doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(1, 3))):
-        choices = [(path, "replace") for path, number in _locations(doc) if number]
-        choices += [(path, edit) for path, _ in _locations(doc) if isinstance(path[-1], str)
-                    for edit in ("drop", "rename")]
-        path, edit = draw(st.sampled_from(choices))
+        keys = [path for path, _ in _locations(doc) if isinstance(path[-1], str)]
+        choices = {
+            "replace": [path for path, number in _locations(doc) if number],
+            "drop": keys,
+            "rename": keys,
+        }
+        edit = draw(st.sampled_from([edit for edit, paths in choices.items() if paths]))
+        path = draw(st.sampled_from(choices[edit]))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
