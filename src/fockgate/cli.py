@@ -227,6 +227,8 @@ def cmd_design(args: argparse.Namespace) -> int:
                 length_range=length_range,
                 count=args.count,
             )
+    except PhysicsError:  # a beat too short for the lengths scanned
+        raise
     except ValueError as exc:  # a range too long to scan
         raise ConfigError(str(exc)) from exc
     rows = []

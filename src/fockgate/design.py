@@ -58,6 +58,10 @@ MAX_SWEEP_POINTS = 10_001
 _SWEEP_BATCH = 64
 
 
+class PhysicsError(ValueError):
+    """Raised when a physics configuration fails validation."""
+
+
 @dataclass(frozen=True)
 class CouplerDesign:
     """Reference design of one coupler type, fabricated as `elements`.
@@ -211,12 +215,26 @@ class CouplerPhysics:
 
 
 def cross_power(length_um: float, beat_um: float) -> float:
-    """Power fraction transferred to the adjacent waveguide after `length_um`."""
+    """Power fraction transferred to the adjacent waveguide after `length_um`.
+
+    A beat so short against the length that pi L / beat is not finite
+    raises PhysicsError naming both.
+    """
     if beat_um <= 0:
         raise ValueError(f"beat length must be positive, got {beat_um}")
     if length_um < 0:
         raise ValueError(f"coupler length must be non-negative, got {length_um}")
-    return math.sin(math.pi * length_um / beat_um) ** 2
+    phase = math.pi * length_um / beat_um
+    if not math.isfinite(phase):
+        raise _short_beat(beat_um, length_um)
+    return math.sin(phase) ** 2
+
+
+def _short_beat(beat_um: float, length_um: float) -> PhysicsError:
+    return PhysicsError(
+        f"beat length {beat_um} um is too short for a coupler length of "
+        f"{length_um} um: pi L / beat is not finite"
+    )
 
 
 def bar_power(length_um: float, beat_um: float) -> float:
@@ -247,7 +265,9 @@ def solve_coupler_length(
     local minimum by golden-section search to `refine_tol` um, and returns
     the `count` lowest-residual solutions; ties break toward shorter length.
     A `grid_step` or `refine_tol` that is not finite and positive, or a
-    range needing more than MAX_SCAN_POINTS scan points, raises ValueError.
+    range needing more than MAX_SCAN_POINTS scan points, raises ValueError;
+    a beat too short for the lengths scanned raises PhysicsError (see
+    `cross_power`).
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
@@ -331,13 +351,17 @@ def enumerate_v_perfect_lengths(
     squared H deviation from the 1/3 bar-power goal of COUPLER_DESIGNS["f2"]).
     With `count`, only the `count` shortest are built.  A count below 1,
     or a range of MAX_SCAN_POINTS V beats or more, which can hold more
-    than that many candidates, raises ValueError.
+    than that many candidates, raises ValueError; a V beat so short that
+    hi / beat_v is not finite raises PhysicsError instead, and so does a
+    beat for which `cross_power` does.
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
     if count is not None and count < 1:
         raise ValueError(f"solution count must be at least 1, got {count}")
+    if not math.isfinite(hi / physics.beat_v):  # the beat is at fault, not the range
+        raise _short_beat(physics.beat_v, hi)
     if not (hi - lo) / physics.beat_v < MAX_SCAN_POINTS:
         raise ValueError(
             f"length range [{lo}, {hi}] um spans {MAX_SCAN_POINTS} or more V beats"

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,6 +264,7 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
     idx = [new_modes.index(m) for m in element.modes]
     pad = len(new_modes) - len(modes)
 
+    rows = element.matrix.tolist()  # read once, as Python numbers
     terms: dict[FockVector, complex] = {}
     for orig_vec, amp in state.items():
         vec = orig_vec + (0,) * pad
@@ -273,12 +275,10 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
             base[i] = 0
         prefactor = amp / math.sqrt(_prod_fact(ns))
         expansions: list[tuple[FockVector, complex]] = [(tuple(base), prefactor)]
-        for row_pos, n in enumerate(ns):
+        for row, n in zip(rows, ns):
             if n == 0:
                 continue
-            expansions = _expand_power(
-                expansions, element.matrix[row_pos], idx, n
-            )
+            expansions = _expand_power(expansions, row, idx, n)
         for out_vec, coeff in expansions:
             total = coeff * math.sqrt(_prod_fact(out_vec[j] for j in idx))
             terms[out_vec] = terms.get(out_vec, 0.0) + total
@@ -295,11 +295,14 @@ def _prod_fact(ns: Iterable[int]) -> float:
 
 def _expand_power(
     expansions: list[tuple[FockVector, complex]],
-    row: np.ndarray,
+    row: Sequence[complex],
     out_idx: Sequence[int],
     n: int,
 ) -> list[tuple[FockVector, complex]]:
-    """Multiply expansion terms by (sum_j row[j] a_out,j)^n via the multinomial."""
+    """Multiply expansion terms by (sum_j row[j] a_out,j)^n via the multinomial.
+
+    `row` holds the element row as Python numbers.
+    """
     results: dict[FockVector, complex] = {}
     k = len(out_idx)
     for split in _compositions(n, k):
@@ -338,18 +341,22 @@ def _multinomial(n: int, split: Sequence[int]) -> int:
 def permanent(matrix: np.ndarray) -> complex:
     """Permanent by direct permutation sum; intended for n <= 4."""
     m = np.asarray(matrix)
-    n = m.shape[0]
+    n = m.shape[0] if m.ndim else 0
     if m.shape != (n, n):
         raise ValueError("permanent requires a square matrix")
-    if n == 0:
-        return 1.0 + 0.0j
+    return _permutation_sum(m.tolist(), range(n))
+
+
+def _permutation_sum(rows: Sequence[Sequence[complex]], cols: Sequence[int]) -> complex:
+    """Permanent of the matrix rows[i][cols[k]], by summing over the orderings of `cols`.
+
+    The entries are Python numbers, so no numpy arithmetic runs; a
+    repeated column index repeats that column.
+    """
     total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        p = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            p *= m[i, j]
-        total += p
-    return complex(total)
+    for perm in itertools.permutations(cols):
+        total += math.prod(map(getitem, rows, perm))
+    return total
 
 
 def permanents(matrices: np.ndarray) -> np.ndarray:
@@ -381,7 +388,9 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
 
 
 def amplitude_via_permanent(
-    unitary: np.ndarray, input_vec: FockVector, output_vec: FockVector
+    unitary: np.ndarray | Sequence[Sequence[complex]],
+    input_vec: FockVector,
+    output_vec: FockVector,
 ) -> complex:
     """Transition amplitude through a full mode matrix, via the permanent.
 
@@ -390,6 +399,9 @@ def amplitude_via_permanent(
     perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
     sqrt(prod n_i! prod m_j!).  Serves as an independent oracle against
     sequential apply_element; photon totals must match and be <= 4.
+    `unitary` is an (n, n) array or its rows as lists of Python numbers
+    (`unitary.tolist()`), which a caller evaluating many amplitudes of
+    one circuit converts once.
     """
     n_in = sum(input_vec)
     n_out = sum(output_vec)
@@ -397,11 +409,27 @@ def amplitude_via_permanent(
         raise ValueError(f"photon totals differ: input {n_in} vs output {n_out}")
     if n_in > 4:
         raise ValueError("permanent oracle limited to <= 4 photons")
-    rows = [i for i, n in enumerate(input_vec) for _ in range(n)]
-    cols = [j for j, n in enumerate(output_vec) for _ in range(n)]
-    sub = np.asarray(unitary)[np.ix_(rows, cols)]
-    norm = math.sqrt(_prod_fact(input_vec) * _prod_fact(output_vec))
-    return permanent(sub) / norm
+    rows, in_fact = _photon_modes(input_vec)
+    cols, out_fact = _photon_modes(output_vec)
+    if isinstance(unitary, np.ndarray):
+        picked = unitary[rows].tolist()  # the rows used, as Python numbers
+    else:
+        picked = [unitary[i] for i in rows]
+    return _permutation_sum(picked, cols) / math.sqrt(in_fact * out_fact)
+
+
+def _photon_modes(vec: FockVector) -> tuple[list[int], int]:
+    """The mode of each photon of `vec` (mode i repeated vec[i] times) and prod_i vec[i]!.
+
+    Only the occupied modes are visited.
+    """
+    modes: list[int] = []
+    fact = 1
+    for i in itertools.compress(range(len(vec)), vec):
+        n = vec[i]
+        modes += [i] * n
+        fact *= math.factorial(n)
+    return modes, fact
 
 
 def compose_circuit_matrix(

@@ -82,7 +82,7 @@ class PureState:
                     f"occupation vector of length {len(vec)} does not match "
                     f"{n} modes"
                 )
-            if any(k < 0 for k in vec):
+            if min(vec, default=0) < 0:
                 raise ValueError(f"negative occupation in {vec}")
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude {amp} of {vec} is not finite")

@@ -22,6 +22,7 @@ from .design import (
     CouplerPhysics,
     NotchAnchor,
     NotchCalibration,
+    PhysicsError,
 )
 from .gate import (
     ElementSpec,
@@ -206,10 +207,6 @@ def save_netlist(netlist: Netlist, path: str | Path) -> None:
 
 
 # -- physics JSON ------------------------------------------------------------
-
-
-class PhysicsError(ValueError):
-    """Raised when a physics configuration fails validation."""
 
 
 def physics_to_dict(physics: CouplerPhysics) -> dict[str, Any]:

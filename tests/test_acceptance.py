@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fockgate import acceptance
-from fockgate.gate import GateResult
+from fockgate.gate import GateResult, Netlist, PortDecl, default_netlist
 
 
 @pytest.mark.parametrize(
@@ -43,3 +43,19 @@ def test_cphase_correctness_counts_an_undefined_phase_as_a_failure(monkeypatch):
     _, passed, detail = acceptance.check_cphase_correctness()
     assert not passed
     assert "max phase error nan" in detail
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_conservation_suite_passes_for_any_seed(seed):
+    name, passed, detail = acceptance.check_conservation_suite(seed)
+    assert passed, f"{name}: {detail}"
+
+
+def test_oracle_equivalence_on_a_24_mode_netlist():
+    # six unused internal ports: every output of up to 3 photons over 24 modes
+    shipped = default_netlist()
+    spare = tuple(PortDecl(f"SPARE{i}", "internal") for i in range(6))
+    wide = Netlist(shipped.ports + spare, shipped.elements, shipped.herald, shipped.encoding)
+    name, passed, detail = acceptance.check_oracle_equivalence(wide)
+    assert passed, f"{name}: {detail}"
+    assert detail.startswith("24545 amplitudes compared")

@@ -98,6 +98,9 @@ def test_cross_power_rejects_bad_beat():
         cross_power(1.0, 0.0)
     with pytest.raises(ValueError):
         cross_power(-1.0, 8.32)
+    # positive and finite, but pi L / beat overflows: a physics error naming both
+    with pytest.raises(design.PhysicsError, match=r"beat length 5e-324 um .* 1\.0 um"):
+        cross_power(1.0, 5e-324)
 
 
 def test_energy_split_sums_to_one():

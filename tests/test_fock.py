@@ -173,3 +173,9 @@ def test_pure_state_rejects_non_finite_amplitude(amp):
     # a NaN amplitude fails the pruning comparison too, so it must not be dropped silently
     with pytest.raises(ValueError, match="not finite"):
         PureState(modes_for_ports(["a"]), {(1, 0): amp, (0, 1): 1.0})
+
+
+@pytest.mark.parametrize("vec", [(-1, 1, 0, 0), (0, 1, -1, 0), (0, 1, 0, -2)])
+def test_pure_state_rejects_a_negative_occupation_anywhere(vec):
+    with pytest.raises(ValueError, match="negative occupation"):
+        PureState(modes_for_ports(["a", "b"]), {(0, 1, 0, 0): 0.6, vec: 0.8})
