@@ -34,7 +34,6 @@ from .gate import (
     COUPLER_KINDS,
     ElementSpec,
     Netlist,
-    coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
@@ -425,7 +424,8 @@ def perturbed_angles(
 
     The couplers are the pbs, ppbs and filter elements with a configured
     design length, named in netlist order.  Each gets its own angles
-    (`gate.coupler_angles`) plus the `delta_theta` drift at its fixed
+    (`gate.coupler_angles`, read once per netlist by
+    `Netlist.coupler_thetas`) plus the `delta_theta` drift at its fixed
     fabricated length, so at delta = 0 the angles are the elements' own.
     Returns the names and the angles, of shape delta.shape + (couplers, 2)
     with (theta_h, theta_v) last.  Each deviation is checked: a nonzero one
@@ -436,34 +436,34 @@ def perturbed_angles(
     if dimension not in DIMENSIONS:
         raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
     deltas = np.asarray(delta_nm, dtype=float)
-    if np.any(deltas != 0.0) and not physics.configured(dimension):
+    if deltas.any() and not physics.configured(dimension):
         raise ValueError(
             f"sensitivities for {dimension!r} are all zero; configure "
             "CouplerPhysics.sensitivities (um per nm) before running a "
             "nonzero tolerance study"
         )
-    widest = float(np.max(np.abs(deltas), initial=0.0))
+    widest = float(np.abs(deltas).max(initial=0.0))
     if widest > 10.0:
         warnings.warn(
             f"|delta| = {widest} nm exceeds the 10 nm envelope the "
             "linear sensitivity model was specified for",
             stacklevel=3,
         )
-    couplers = [
-        (el, length) for el in netlist.elements
-        if el.kind in COUPLER_KINDS and (length := physics.length_of(el.name)) is not None
-    ]
-    names = tuple(el.name for el, _ in couplers)
-    if not couplers:
+    design_lengths = dict(reversed(physics.coupler_lengths))  # the first per name, as `length_of`
+    names = tuple(
+        el.name for el in netlist.elements
+        if el.kind in COUPLER_KINDS and el.name in design_lengths
+    )
+    if not names:
         return names, np.zeros(deltas.shape + (0, 2))
-    lengths = np.array([[length] for _, length in couplers])
+    lengths = np.array([[design_lengths[name]] for name in names])
     beats = np.array([physics.beat_h, physics.beat_v])
     sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
     try:
         drifts = delta_theta(lengths, beats, sensitivities, deltas[..., None, None])
     except ValueError as exc:  # the beats are shared, so the first coupler meets them first
         raise ValueError(f"element {names[0]!r}: {exc}") from None
-    angles = np.array([coupler_angles(el) for el, _ in couplers], dtype=float) + drifts
+    angles = netlist.coupler_thetas(names) + drifts
     finite = np.isfinite(angles)
     if not finite.all():
         # the first by element, then polarization, then delta
@@ -505,12 +505,16 @@ def sweep_deltas(delta_range_nm: tuple[float, float], step_nm: float) -> list[fl
     """The deltas LO + n step of a tolerance sweep, for n = 0, 1, ... while not above HI.
 
     A slack of 1e-9 step keeps HI itself when the step divides the range.
-    A step that is not positive, HI < LO, or a grid of more than
-    MAX_SWEEP_POINTS points raises ValueError.
+    A bound or step that is not finite (ValueError naming it), a step that
+    is not positive, HI < LO, or a grid of more than MAX_SWEEP_POINTS
+    points raises ValueError.
     """
+    lo, hi = delta_range_nm
+    for what, value in (("delta range bound", lo), ("delta range bound", hi), ("step", step_nm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{what} {value} nm is not finite")
     if step_nm <= 0:
         raise ValueError(f"step must be positive, got {step_nm}")
-    lo, hi = delta_range_nm
     if hi < lo:
         raise ValueError(f"invalid delta range [{lo}, {hi}]")
     last = (hi - lo) / step_nm + 1e-9
@@ -547,31 +551,36 @@ def tolerance_sweep(
     call per batch, which composes the netlist's realized elements with the
     couplers' matrices of the batch filled from their angles, and one
     `process_fidelity` call on its operators.  Without a perturbed coupler
-    the netlist's own operator serves every point.  Each row equals
-    `extract_gate` on the netlist perturbed by its own delta
+    the netlist's own operator and fidelity serve every point.  Each row
+    equals `extract_gate` on the netlist perturbed by its own delta
     (`synthesize_imperfect_elements`), bit for bit whatever the batch size;
-    the bars are cos^2 of the perturbed angles, by element name.
+    the bars are cos^2 of the perturbed angles, by element name, taken in
+    one pass over the grid's angles.  A phase that is not finite raises
+    ValueError naming phi, before anything else is computed.
     """
+    ideal = ideal_cphase(phi)
     deltas = sweep_deltas(delta_range_nm, step_nm)
     names, angles = perturbed_angles(netlist, physics, dimension, np.array(deltas))
-    ideal = ideal_cphase(phi)
-    probs, fidelity = [], []
-    for start in range(0, len(deltas), _SWEEP_BATCH):
-        batch = slice(start, start + _SWEEP_BATCH)
-        if names:
-            operators, batch_probs = coupler_operators(netlist, names, angles[batch], phi)
-        else:
-            operators, batch_probs = heralded_operators(netlist, phi)
-        points = len(deltas[batch])
-        probs += np.broadcast_to(batch_probs, (points, 4)).tolist()
-        fidelity += process_fidelity(np.broadcast_to(operators, (points, 4, 4)), ideal).tolist()
+    if names:
+        probs, fidelity = [], []
+        for start in range(0, len(deltas), _SWEEP_BATCH):
+            operators, batch_probs = coupler_operators(
+                netlist, names, angles[start : start + _SWEEP_BATCH], phi
+            )
+            probs += batch_probs.tolist()
+            fidelity += process_fidelity(operators, ideal).tolist()
+    else:
+        operator, point_probs = heralded_operators(netlist, phi)
+        probs = [point_probs.tolist()] * len(deltas)
+        fidelity = [process_fidelity(operator, ideal)] * len(deltas)
 
     order = sorted(range(len(names)), key=names.__getitem__)
-    element_bars = [
-        tuple([(names[k], math.cos(h) ** 2, math.cos(v) ** 2) for k, (h, v) in zip(order, point)])
-        for point in angles[:, order].tolist()
-    ]
-    return [
-        SweepRow(delta, tuple(row_bars), tuple(row_probs), row_fidelity)
-        for delta, row_bars, row_probs, row_fidelity in zip(deltas, element_bars, probs, fidelity)
-    ]
+    sorted_names = [names[k] for k in order]
+    bars = [math.cos(x) ** 2 for x in angles[:, order].ravel().tolist()]
+    width = 2 * len(names)  # (bar_h, bar_v) of each coupler of a point
+    rows = []
+    for k, (delta, row_probs, row_fidelity) in enumerate(zip(deltas, probs, fidelity)):
+        at = k * width
+        point_bars = zip(sorted_names, bars[at : at + width : 2], bars[at + 1 : at + width : 2])
+        rows.append(SweepRow(delta, tuple(point_bars), tuple(row_probs), row_fidelity))
+    return rows

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -83,11 +84,19 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     The bound is 1e-12 on each entry of m m^dag - 1; a NaN entry fails it.
     `message` is formatted with the deviation of the first failing matrix.
     """
-    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-2]))
+    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - _identity(m.shape[-2]))
     if dev.max() <= 1e-12:
         return
     worst = dev.max(axis=(-2, -1))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
@@ -163,12 +172,34 @@ def coupler_matrices(thetas: np.ndarray, v_reflect: bool | np.ndarray = False) -
     sign = np.ones(np.shape(v_reflect) + (2,))
     sign[..., 1] = np.where(v_reflect, -1.0, 1.0)  # the lower row of a reflection V block
     m = np.zeros(thetas.shape[:-1] + (4, 4), dtype=complex)
-    upper, lower = [0, 1], [2, 3]  # the (aH, aV) and (bH, bV) modes
-    m[..., upper, upper] = cos
-    m[..., upper, lower] = sin
-    m[..., lower, upper] = -sin * sign
-    m[..., lower, lower] = cos * sign
+    # entry (i, j) is at 4 i + j of a flat row, so a step of 5 pairs an (aH, aV)
+    # or (bH, bV) row with the same-polarization column of mode a or b
+    entries = m.reshape(thetas.shape[:-1] + (16,))
+    entries[..., 0:6:5] = cos  # (aH, aH) and (aV, aV)
+    entries[..., 2:8:5] = sin  # (aH, bH) and (aV, bV)
+    entries[..., 8:14:5] = -sin * sign  # (bH, aH) and (bV, aV)
+    entries[..., 10:16:5] = cos * sign  # (bH, bH) and (bV, bV)
     return m
+
+
+def _check_coupler_isometry(m: np.ndarray, message: str) -> None:
+    """`_check_isometry` of a stack of `coupler_matrices`, from each block's own entries.
+
+    In both forms every entry of m m^dag - 1 is zero in exact arithmetic
+    except the diagonal, which is bar^2 + cross^2 - 1 of the H block (rows
+    aH and bH) and of the V block (rows aV and bV).  So the check reads the
+    bar entries m00, m11 and the cross entries m02, m13 and bounds
+    |m00^2 + m02^2 - 1| and |m11^2 + m13^2 - 1| by the same 1e-12; a NaN
+    entry fails it.  `message` is formatted with the larger deviation of
+    the first failing coupler in stack order.
+    """
+    entries = m.real
+    bar, cross = entries.diagonal(0, -2, -1)[..., :2], entries.diagonal(2, -2, -1)
+    dev = np.abs(bar * bar + cross * cross - 1.0)
+    if dev.max() <= 1e-12:
+        return
+    worst = dev.max(axis=-1)
+    raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
 def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
@@ -259,10 +290,14 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
     multinomial one; photon number is conserved term by term and norm is
     preserved for unitary elements.
     """
-    modes = list(state.modes)
-    new_modes = modes + [m for m in element.modes if m not in modes]
-    idx = [new_modes.index(m) for m in element.modes]
-    pad = len(new_modes) - len(modes)
+    new_modes = list(state.modes)
+    position = {m: i for i, m in enumerate(new_modes)}
+    for m in element.modes:
+        if m not in position:
+            position[m] = len(new_modes)
+            new_modes.append(m)
+    idx = [position[m] for m in element.modes]
+    pad = len(new_modes) - len(state.modes)
 
     rows = element.matrix.tolist()  # read once, as Python numbers
     terms: dict[FockVector, complex] = {}
@@ -305,8 +340,7 @@ def _expand_power(
     """
     results: dict[FockVector, complex] = {}
     k = len(out_idx)
-    for split in _compositions(n, k):
-        weight = complex(_multinomial(n, split))
+    for split, weight in _weighted_compositions(n, k):
         for j, c in enumerate(split):
             if c:
                 weight *= row[j] ** c
@@ -319,6 +353,12 @@ def _expand_power(
             key = tuple(new)
             results[key] = results.get(key, 0.0) + amp * weight
     return list(results.items())
+
+
+@lru_cache(maxsize=None)
+def _weighted_compositions(n: int, k: int) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """`_compositions(n, k)` in its order, each with its multinomial coefficient as a complex."""
+    return tuple((split, complex(_multinomial(n, split))) for split in _compositions(n, k))
 
 
 def _compositions(n: int, k: int):
@@ -366,8 +406,9 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     subsets: after row k, `minors[..., s]` holds the permanent of rows
     k..n-1 on the columns of subset s, the sum over j in s of A[k, j]
     times the minor of s without j.  That is O(n 2^n) products per
-    matrix, evaluated with array arithmetic over the whole stack; n = 0
-    gives 1.  Every partial sum is a sum of products of entries, so the
+    matrix, evaluated with array arithmetic over the whole stack; the
+    subset and minor index tables are built once per n (`_minor_tables`),
+    not on every call, and n = 0 gives 1.  Every partial sum is a sum of products of entries, so the
     rounding error stays relative to perm(|A|), which the signed sums of
     Glynn's and Ryser's formulas do not guarantee.  It shares no code with
     `permanent`, which stays the permutation-sum reference.
@@ -377,14 +418,31 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     if n < 0 or a.shape[-2] != n:
         raise ValueError(f"permanents requires (..., n, n) matrices, got {a.shape}")
     minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
+    for k, (subsets, smaller) in zip(reversed(range(n)), _minor_tables(n)):
+        minors = (a[..., k, :][..., subsets] * minors[..., smaller]).sum(axis=-1)
+    return minors[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _minor_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The index tables of `permanents` for n x n matrices, one pair per row from the last up.
+
+    For row k, `subsets` lists the column subsets of size n - k in
+    lexicographic order, and `smaller[s, i]` is the position, among the
+    subsets of the row below, of subset s without its i-th column.  Both
+    are read-only.
+    """
+    tables = []
     position = {(): 0}
     for k in reversed(range(n)):
         subsets = list(itertools.combinations(range(n), n - k))
         smaller = [[position[s[:i] + s[i + 1 :]] for i in range(n - k)] for s in subsets]
-        row = a[..., k, :][..., np.array(subsets)]
-        minors = (row * minors[..., np.array(smaller)]).sum(axis=-1)
+        pair = (np.array(subsets), np.array(smaller))
+        for table in pair:
+            table.flags.writeable = False
+        tables.append(pair)
         position = {s: i for i, s in enumerate(subsets)}
-    return minors[..., 0]
+    return tuple(tables)
 
 
 def amplitude_via_permanent(
@@ -452,12 +510,14 @@ def compose_circuit_matrix(
     """
     if len(matrices) != len(columns):
         raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")
-    batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
-    # the identity, broadcast to the batch shape
-    full = np.eye(n_modes, dtype=complex) + np.zeros(batch + (n_modes, n_modes), dtype=complex)
+    stacked = {m.shape[:-2] for m in matrices} - {()}
+    batch = stacked.pop() if len(stacked) == 1 else np.broadcast_shapes(*stacked)
+    # the identity in every matrix of the batch: each n + 1-th entry of a flat matrix
+    full = np.zeros(batch + (n_modes, n_modes), dtype=complex)
+    full.reshape(batch + (n_modes * n_modes,))[..., :: n_modes + 1] = 1.0
     for m, idx in zip(matrices, columns):
         k, cols = m.shape[-1], np.asarray(idx).tolist()
-        if len(cols) != k or not all(0 <= c < n_modes for c in cols):
+        if len(cols) != k or (cols and not (min(cols) >= 0 and max(cols) < n_modes)):
             raise ValueError(
                 f"columns {cols} do not place the {k} modes of an "
                 f"element in a {n_modes}-mode circuit"

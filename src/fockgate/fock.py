@@ -226,8 +226,18 @@ def check_qubit(alpha: complex, beta: complex, tol: float = 1e-12) -> None:
         )
 
 
+def check_phase(phi: float) -> None:
+    """Raise ValueError naming phi unless the program phase is finite."""
+    if not math.isfinite(phi):
+        raise ValueError(f"program phase phi must be finite, got {phi}")
+
+
 def program_amplitudes(phi: float) -> tuple[float, complex]:
-    """(H, V) amplitudes of the program photon (|H> + e^{i phi}|V>)/sqrt(2)."""
+    """(H, V) amplitudes of the program photon (|H> + e^{i phi}|V>)/sqrt(2).
+
+    A phase that is not finite raises ValueError naming phi (`check_phase`).
+    """
+    check_phase(phi)
     return 1 / math.sqrt(2), complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
 
 

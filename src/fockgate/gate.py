@@ -57,6 +57,7 @@ from .fock import (
     Mode,
     Polarization,
     PureState,
+    check_phase,
     check_qubit,
     modes_for_ports,
     norm_squared,
@@ -66,7 +67,7 @@ from .elements import (
     HADAMARD_MATRIX,
     PPBS_BARS,
     ElementMatrix,
-    _check_isometry,
+    _check_coupler_isometry,
     apply_element,
     attenuating_filter,
     beam_splitter,
@@ -307,9 +308,10 @@ class Netlist:
     part in equality or hashing.  What derives from the elements is
     computed on first use and kept on the instance, read-only: the `steps`
     (each element realized once, with its columns), the circuit matrix
-    `compose` makes of them and the (..., 8, outputs) heralded amplitudes
-    of the basis inputs.  `replace` and `with_overrides` make a new
-    instance that computes its own and shares the plan.
+    `compose` makes of them, the (..., 8, outputs) heralded amplitudes
+    of the basis inputs and the couplers' own angles (`coupler_thetas`).
+    `replace` and `with_overrides` make a new instance that computes its
+    own and shares the plan.
     """
 
     ports: tuple[PortDecl, ...]
@@ -317,6 +319,9 @@ class Netlist:
     herald: tuple[HeraldTerm, ...]
     encoding: QubitEncoding
     plan: StructurePlan = field(init=False, compare=False, repr=False)
+    _coupler_thetas: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         self.validate()
@@ -341,6 +346,20 @@ class Netlist:
             if el.name == name:
                 return el
         raise KeyError(f"no element named {name!r}")
+
+    def coupler_thetas(self, names: tuple[str, ...]) -> np.ndarray:
+        """The `coupler_angles` of the named couplers, shape (couplers, 2), read once per netlist.
+
+        The read-only array is kept on the netlist by `names`.  An element
+        whose angles cannot be read raises as `coupler_angles` does, on
+        every call.
+        """
+        thetas = self._coupler_thetas.get(names)
+        if thetas is None:
+            thetas = np.array([coupler_angles(self.element(name)) for name in names], dtype=float)
+            thetas.flags.writeable = False
+            self._coupler_thetas[names] = thetas
+        return thetas
 
     def validate(self) -> None:
         names = self.port_names
@@ -600,8 +619,9 @@ def prepare_input(
     """Three-photon product input on the netlist's encoded ports.
 
     target and control are (alpha, beta) with |alpha|^2 + |beta|^2 = 1;
-    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  Each photon's
-    amplitudes must pass `fock.check_qubit`, checked target first.  The
+    the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  A phase that is
+    not finite raises ValueError naming phi; then each photon's amplitudes
+    must pass `fock.check_qubit`, checked target first.  The
     state lives on `netlist.modes` and its terms are the plan's basis
     inputs.  An amplitude is target x control x program, multiplied in that
     order as `tensor` multiplies the states `qubit_state` and
@@ -819,7 +839,8 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     amplitudes into the three-photon outputs the herald accepts.  The
     program photon (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each
     column is (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves
-    every phase.  Amplitudes below PRUNE_THRESHOLD are dropped, a
+    every phase; a phase that is not finite raises ValueError naming phi.
+    Amplitudes below PRUNE_THRESHOLD are dropped, a
     non-finite amplitude raises ValueError, and each herald probability is
     the squared norm of its column, summed in the heralded branch's term
     order.  The logical outputs are read with `heralded_output_amplitudes`'s
@@ -839,17 +860,20 @@ def coupler_operators(
     `couplers` names pbs, ppbs or filter elements, and `thetas`
     (N, couplers, 2) holds their (theta_h, theta_v) at each point.  One
     `coupler_matrices` call fills their matrices (reflection form for a
-    pbs, as `build_element` builds it), checked together for isometry
-    within 1e-12 (NetlistError); they replace those steps' matrices in
-    `Netlist.compose`.  Point k equals `heralded_operators` on the netlist
-    whose couplers carry the angles `thetas[k]`, bit for bit.
+    pbs, as `build_element` builds it).  Each block is checked for isometry
+    within 1e-12 in closed form, from its bar and cross entries
+    (`elements._check_coupler_isometry`; NetlistError, a NaN angle fails
+    it), and the composed circuits get the full 1e-12 unitarity check of
+    `Netlist.compose`, in which they replace those steps' matrices.  Point
+    k equals `heralded_operators` on the netlist whose couplers carry the
+    angles `thetas[k]`, bit for bit.
     """
     index = {step.spec.name: k for k, step in enumerate(netlist.steps)}
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
     blocks = coupler_matrices(thetas, reflect)
     try:
-        _check_isometry(blocks, "coupler is not an isometry: deviation {:.3g}")
+        _check_coupler_isometry(blocks, "coupler is not an isometry: deviation {:.3g}")
     except ValueError as exc:
         raise NetlistError(exc.args[0]) from exc
     circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
@@ -861,17 +885,32 @@ def _basis_operators(
     plan: StructurePlan, amps: np.ndarray, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The readout of `heralded_operators` from the (..., 8, outputs) basis amplitudes."""
+    w_h, w_v = program_amplitudes(phi)
     amps = amps.reshape(amps.shape[:-2] + (4, 2, amps.shape[-1]))
-    w_h = 1 / math.sqrt(2)
-    w_v = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
     columns = w_h * amps[..., 0, :] + w_v * amps[..., 1, :]
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    operators = np.ascontiguousarray((columns @ plan.readout).swapaxes(-1, -2))
+    operators = _read_logical(columns, plan.readout)
     if not operators.any(axis=(-2, -1)).all():
         raise NetlistError("no basis input heralds a logical output (a zero operator)")
     return operators, _squared_norms(columns)
+
+
+def _read_logical(columns: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """The operators (..., 4, 4) `(columns @ readout)` with the last two axes swapped.
+
+    `columns` (..., 4, outputs) holds each basis column's output
+    amplitudes and `readout` (outputs, 4) is the plan's 0/1 readout.  The
+    product is taken once over the flattened stack, one (points x 4,
+    outputs) matrix, rather than matrix by matrix.  Every term is an
+    amplitude times 0 or 1, and each logical output adds its outputs in
+    the same order either way, so the result is the per-matrix product's
+    bit for bit.
+    """
+    lead = columns.shape[:-1]
+    flat = columns.reshape(math.prod(lead), columns.shape[-1]) @ readout
+    return np.ascontiguousarray(flat.reshape(lead + (4,)).swapaxes(-1, -2))
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
@@ -906,7 +945,8 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
 
 
 def ideal_cphase(phi: float) -> np.ndarray:
-    """diag(1, 1, 1, e^{i phi}) on (target tensor control)."""
+    """diag(1, 1, 1, e^{i phi}) on (target tensor control); phi must be finite (`check_phase`)."""
+    check_phase(phi)
     return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]).astype(complex)
 
 

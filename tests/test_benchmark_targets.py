@@ -3,16 +3,21 @@
 `perfbench/tracer.py` imports only the standard library at module level,
 so its TARGETS table can be read here without the benchmark's set-up.  A
 rename of a traced function then fails this test instead of the
-benchmark's traced run.
+benchmark's traced run.  Each workload's own op and check also run here,
+in process, so a numerical slip fails these tests before the benchmark
+reports its ops as incorrect.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+SEED = 1  # the benchmark's development seed
 
 
 def _targets():
@@ -39,3 +44,35 @@ def test_by_name_import_of_extract_gate_kept():
     from fockgate import design, gate
 
     assert design.extract_gate is gate.extract_gate
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, which imports its sibling `checks` by name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("name, ops", [("phase_scan", 25), ("fab_sweep", 3)])
+def test_workload_ops_pass_their_own_checks(workloads, tmp_path, name, ops):
+    workload = workloads.WORKLOADS[name](SEED, tmp_path)
+    for _ in range(ops):
+        inp = workload.next_input()
+        assert workload.check(inp, workload.run(inp)) == []
+
+
+def test_cli_cold_cycle_passes_its_checks_in_process(workloads, tmp_path):
+    workload = workloads.CliCold(SEED, tmp_path)
+    commands = []
+    for _ in workloads.CLI_CYCLE:
+        inp = workload.next_input()
+        commands.append(inp.command)
+        assert workload.check(inp, workload.run_in_process(inp)) == []
+    assert tuple(commands) == workloads.CLI_CYCLE

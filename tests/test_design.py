@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -452,6 +453,44 @@ def test_sweep_deltas_limit_the_grid_size():
                               ((-1e308, 1e308), 1.0), ((0.0, 1.0), 1e-300)):
         with pytest.raises(ValueError, match="more than 10001 points"):
             sweep_deltas(delta_range, step)
+
+
+@pytest.mark.parametrize("delta_range, step, named", [
+    ((math.nan, 5.0), 1.0, "delta range bound nan nm"),
+    ((-5.0, math.inf), 1.0, "delta range bound inf nm"),
+    ((-math.inf, 5.0), 1.0, "delta range bound -inf nm"),
+    ((-5.0, 5.0), math.nan, "step nan nm"),
+    ((-5.0, 5.0), math.inf, "step inf nm"),
+])
+def test_sweep_deltas_name_a_non_finite_bound_or_step(delta_range, step, named):
+    with pytest.raises(ValueError, match=f"^{named} is not finite$"):
+        sweep_deltas(delta_range, step)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_sweep_names_a_non_finite_phase(phi):
+    physics = PHYS.with_sensitivities("width", 0.004, 0.004)
+    no_couplers = dataclasses.replace(physics, coupler_lengths=())
+    assert tolerance_sweep(default_netlist(), no_couplers, "width", (-2.0, 2.0), 1.0)
+    for sweep_physics in (physics, no_couplers):
+        with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+            tolerance_sweep(default_netlist(), sweep_physics, "width", (-2.0, 2.0), 1.0, phi=phi)
+
+
+def test_sweep_reads_the_couplers_own_angles_once_per_netlist(monkeypatch):
+    read = []
+    coupler_angles = gate.coupler_angles
+    monkeypatch.setattr(gate, "coupler_angles", lambda el: read.append(el.name) or coupler_angles(el))
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("gap", 0.003, -0.002)
+    first = tolerance_sweep(netlist, physics, "gap", (-4.0, 4.0), 2.0, phi=0.3)
+    assert sorted(read) == sorted(name for d in COUPLER_DESIGNS.values() for name in d.elements)
+    read.clear()
+    assert tolerance_sweep(netlist, physics, "gap", (-4.0, 4.0), 2.0, phi=0.3) == first
+    assert read == []
+    thetas = netlist.coupler_thetas(("F1", "PBS1"))
+    with pytest.raises(ValueError, match="read-only"):
+        thetas[0, 0] = 1.0
 
 
 def test_sweep_refuses_an_oversized_grid():

@@ -8,15 +8,23 @@ from fockgate.elements import (
     HADAMARD_MATRIX,
     ElementMatrix,
     HWP1_MATRIX,
+    _check_coupler_isometry,
+    _check_isometry,
+    _compositions,
+    _minor_tables,
+    _multinomial,
+    _weighted_compositions,
     amplitude_via_permanent,
     apply_element,
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    coupler_matrices,
     mode_columns,
     partially_polarizing_beam_splitter,
     permanent,
+    permanents,
     phase_shift,
     polarizing_beam_splitter,
     rotator_from_conversion,
@@ -349,3 +357,78 @@ def test_photon_count_conserved_term_by_term():
         assert sum(vec) == 3
     # filtering into explicit loss modes keeps the state normalized
     assert abs(norm_squared(out) - 1.0) < 1e-12
+
+
+# -- closed-form coupler check, cached tables -------------------------------------
+
+
+def _isometry_verdict(check, blocks):
+    try:
+        check(blocks, "deviation {:.3g}")
+    except ValueError as exc:
+        return exc.args[0]
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["random", "large", "nan", "inf"])
+def test_closed_form_coupler_check_decides_as_the_full_check(kind):
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        thetas = rng.uniform(-10.0, 10.0, size=(5, 3, 2))
+        if kind == "large":
+            thetas *= 10.0 ** rng.integers(3, 309, size=thetas.shape) / 10.0
+        elif kind in ("nan", "inf"):
+            bad = math.nan if kind == "nan" else math.inf
+            thetas[tuple(rng.integers(0, n) for n in thetas.shape)] = bad
+        reflect = rng.random(3) < 0.5  # rotation and reflection forms mixed
+        blocks = coupler_matrices(thetas, reflect)
+        closed = _isometry_verdict(_check_coupler_isometry, blocks)
+        full = _isometry_verdict(_check_isometry, blocks)
+        assert (closed is None) == (full is None)
+        if kind in ("nan", "inf"):
+            assert closed == full == "deviation nan"
+        else:
+            assert closed is None
+
+
+def test_closed_form_coupler_check_reports_the_first_failing_block():
+    blocks = coupler_matrices(np.zeros((3, 2, 2)), np.array([True, False]))
+    blocks[1, 1, 1, 1] = 1.5  # the V bar of point 1, coupler 1: deviation 1.25
+    blocks[2, 0, 0, 2] = 2.0  # a later point: deviation 3
+    assert _isometry_verdict(_check_coupler_isometry, blocks) == "deviation 1.25"
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_permanents_from_cached_tables_equal_the_permutation_sum(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    got = permanents(stack)
+    assert got.shape == (6,)
+    for m, value in zip(stack, got):
+        assert abs(value - permanent(m)) <= 1e-12 * max(1.0, abs(permanent(abs(m))))
+    tables = _minor_tables(n)
+    assert _minor_tables(n) is tables and len(tables) == n  # built once per n
+    for subsets, smaller in tables:
+        assert not subsets.flags.writeable and not smaller.flags.writeable
+    assert permanents(stack).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 4), (2, 2), (3, 4), (4, 3)])
+def test_weighted_compositions_keep_the_order_and_multinomials(n, k):
+    table = _weighted_compositions(n, k)
+    assert [split for split, _ in table] == list(_compositions(n, k))
+    assert [weight for _, weight in table] == [complex(_multinomial(n, s)) for s, _ in table]
+    assert sum(w.real for _, w in table) == k ** n  # the multinomial theorem
+    assert _weighted_compositions(n, k) is table
+    assert all(sum(split) == n and len(split) == k for split, _ in table)
+    assert len(table) == len(set(split for split, _ in table)) == math.comb(n + k - 1, k - 1)
+
+
+def test_apply_element_appends_new_modes_in_element_order():
+    state = fock(AB, a_h=1, b_v=1)
+    out = apply_element(state, attenuating_filter("b", "loss", t_h=0.6, t_v=0.8))
+    assert out.modes == AB + modes_for_ports(["loss"])
+    again = apply_element(out, beam_splitter("loss", "a", t_h=R2, r_h=R2))
+    assert again.modes == out.modes  # no mode is added twice
+    assert abs(norm_squared(again) - 1.0) < 1e-12

@@ -632,6 +632,68 @@ def test_coupler_operators_check_every_coupler_block():
         gate.coupler_operators(nl, ("F1", "F2"), thetas, 0.0)
 
 
+def _with_herald(herald):
+    nl = default_netlist()
+    return Netlist(nl.ports, nl.elements, herald, nl.encoding)
+
+
+READOUT_HERALDS = {
+    "shipped": default_netlist().herald,
+    # 3 photons anywhere on T, C and P: several outputs per logical output
+    "wide": (HeraldTerm(("T", "C", "P"), (H, V), 3),),
+    # 4 photons on T: no three-photon output is accepted
+    "none": (HeraldTerm(("T",), (H, V), 4),),
+}
+
+
+@pytest.mark.parametrize("herald", sorted(READOUT_HERALDS))
+def test_folded_readout_equals_the_per_matrix_product_bit_for_bit(herald):
+    readout = _with_herald(READOUT_HERALDS[herald]).plan.readout
+    outputs = readout.shape[0]
+    assert (outputs == 0) == (herald == "none")
+    rng = np.random.default_rng(3)
+    for shape in [(), (1,), (21,), (3, 5)]:
+        size = shape + (4, outputs)
+        columns = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.integers(
+            -9, 3, size=size
+        )
+        columns[rng.random(size) < 0.2] = 0.0
+        folded = gate._read_logical(columns, readout)
+        per_matrix = np.ascontiguousarray((columns @ readout).swapaxes(-1, -2))
+        assert folded.shape == shape + (4, 4) and folded.flags.c_contiguous
+        assert folded.tobytes() == per_matrix.tobytes()
+
+
+def test_coupler_operators_reject_a_herald_with_no_accepted_output():
+    nl = _with_herald(READOUT_HERALDS["none"])
+    thetas = np.array([[coupler_angles(nl.element("PPBS"))]] * 2)
+    with pytest.raises(NetlistError, match="zero operator"):
+        gate.coupler_operators(nl, ("PPBS",), thetas, 0.4)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_extract_gate_names_a_non_finite_phase(netlist, phi):
+    with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+        extract_gate(netlist, phi)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_heralded_operators_name_a_non_finite_phase(netlist, phi):
+    with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+        heralded_operators(netlist, phi)
+    thetas = np.array([[coupler_angles(netlist.element("F1"))]])
+    with pytest.raises(ValueError, match="phi must be finite"):
+        gate.coupler_operators(netlist, ("F1",), thetas, phi)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_prepare_input_names_a_non_finite_phase(netlist, phi):
+    with pytest.raises(ValueError, match=f"phi must be finite, got {phi}"):
+        prepare_input(netlist, (1.0, 0.0), (0.0, 1.0), ProgramState(phi))
+    with pytest.raises(ValueError, match="phi must be finite"):
+        ideal_cphase(phi)
+
+
 @pytest.mark.parametrize("order", ["basis", "sorted", "shuffled"])
 def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(order):
     nl = default_netlist()
