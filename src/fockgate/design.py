@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -202,10 +203,11 @@ class CouplerPhysics:
         return replace(self, sensitivities=updated)
 
     def length_of(self, element_name: str) -> float | None:
-        for name, length in self.coupler_lengths:
-            if name == element_name:
-                return length
-        return None
+        return self._lengths_by_name.get(element_name)
+
+    @cached_property
+    def _lengths_by_name(self) -> dict[str, float]:
+        return dict(reversed(self.coupler_lengths))  # the first length given for a name
 
     def configured(self, dimension: str) -> bool:
         return any(
@@ -449,14 +451,14 @@ def perturbed_angles(
             "linear sensitivity model was specified for",
             stacklevel=3,
         )
-    design_lengths = dict(reversed(physics.coupler_lengths))  # the first per name, as `length_of`
-    names = tuple(
-        el.name for el in netlist.elements
-        if el.kind in COUPLER_KINDS and el.name in design_lengths
-    )
-    if not names:
+    couplers = [
+        (el.name, length) for el in netlist.elements
+        if el.kind in COUPLER_KINDS and (length := physics.length_of(el.name)) is not None
+    ]
+    names = tuple(name for name, _ in couplers)
+    if not couplers:
         return names, np.zeros(deltas.shape + (0, 2))
-    lengths = np.array([[design_lengths[name]] for name in names])
+    lengths = np.array([[length] for _, length in couplers])
     beats = np.array([physics.beat_h, physics.beat_v])
     sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
     try:

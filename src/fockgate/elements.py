@@ -91,7 +91,7 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _identity(n: int) -> np.ndarray:
     """The read-only n x n identity."""
     eye = np.eye(n)
@@ -355,7 +355,7 @@ def _expand_power(
     return list(results.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _weighted_compositions(n: int, k: int) -> tuple[tuple[tuple[int, ...], complex], ...]:
     """`_compositions(n, k)` in its order, each with its multinomial coefficient as a complex."""
     return tuple((split, complex(_multinomial(n, split))) for split in _compositions(n, k))
@@ -423,7 +423,7 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     return minors[..., 0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _minor_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The index tables of `permanents` for n x n matrices, one pair per row from the last up.
 
