@@ -408,10 +408,11 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     times the minor of s without j.  That is O(n 2^n) products per
     matrix, evaluated with array arithmetic over the whole stack; the
     subset and minor index tables are built once per n (`_minor_tables`),
-    not on every call, and n = 0 gives 1.  Every partial sum is a sum of products of entries, so the
-    rounding error stays relative to perm(|A|), which the signed sums of
-    Glynn's and Ryser's formulas do not guarantee.  It shares no code with
-    `permanent`, which stays the permutation-sum reference.
+    not on every call, and n = 0 gives 1.  Every partial sum is a sum of
+    products of entries, so the rounding error stays relative to
+    perm(|A|), which the signed sums of Glynn's and Ryser's formulas do not
+    guarantee.  It shares no code with `permanent`, which stays the
+    permutation-sum reference.
     """
     a = np.asarray(matrices)
     n = a.shape[-1] if a.ndim >= 2 else -1

@@ -840,10 +840,9 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     program photon (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each
     column is (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves
     every phase; a phase that is not finite raises ValueError naming phi.
-    Amplitudes below PRUNE_THRESHOLD are dropped, a
-    non-finite amplitude raises ValueError, and each herald probability is
-    the squared norm of its column, summed in the heralded branch's term
-    order.  The logical outputs are read with `heralded_output_amplitudes`'s
+    Amplitudes below PRUNE_THRESHOLD are dropped, a non-finite amplitude
+    raises ValueError, and each herald probability is the squared norm of
+    its column, summed in the heralded branch's term order.  The logical outputs are read with `heralded_output_amplitudes`'s
     rule, here as one (outputs x 4) 0/1 matrix.  An operator that is zero,
     because no basis input heralds a logical output, raises NetlistError.
     Returns the operators (..., 4, 4), columns ordered |00>, |01>, |10>,
