@@ -85,9 +85,18 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     `message` is formatted with the deviation of the first failing matrix.
     """
     dev = np.abs(m @ m.conj().swapaxes(-1, -2) - _identity(m.shape[-2]))
+    _bound_deviation(dev, 2, message)
+
+
+def _bound_deviation(dev: np.ndarray, axes: int, message: str) -> None:
+    """Raise ValueError unless every deviation in `dev` is at most 1e-12; NaN fails.
+
+    The last `axes` axes of `dev` belong to one matrix, and `message` is
+    formatted with the largest deviation of the first failing matrix.
+    """
     if dev.max() <= 1e-12:
         return
-    worst = dev.max(axis=(-2, -1))
+    worst = dev.max(axis=tuple(range(-axes, 0)))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
@@ -195,11 +204,7 @@ def _check_coupler_isometry(m: np.ndarray, message: str) -> None:
     """
     entries = m.real
     bar, cross = entries.diagonal(0, -2, -1)[..., :2], entries.diagonal(2, -2, -1)
-    dev = np.abs(bar * bar + cross * cross - 1.0)
-    if dev.max() <= 1e-12:
-        return
-    worst = dev.max(axis=-1)
-    raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
+    _bound_deviation(np.abs(bar * bar + cross * cross - 1.0), 1, message)
 
 
 def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
