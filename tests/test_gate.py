@@ -639,19 +639,23 @@ def _with_herald(herald):
 
 READOUT_HERALDS = {
     "shipped": default_netlist().herald,
-    # 3 photons anywhere on T, C and P: several outputs per logical output
+    # 3 photons anywhere on T, C and P: many outputs, most read as no logical output
     "wide": (HeraldTerm(("T", "C", "P"), (H, V), 3),),
     # 4 photons on T: no three-photon output is accepted
     "none": (HeraldTerm(("T",), (H, V), 4),),
 }
 
 
-@pytest.mark.parametrize("herald", sorted(READOUT_HERALDS))
+@pytest.mark.parametrize("herald", sorted(READOUT_HERALDS) + ["summing"])
 def test_folded_readout_equals_the_per_matrix_product_bit_for_bit(herald):
-    readout = _with_herald(READOUT_HERALDS[herald]).plan.readout
+    rng = np.random.default_rng(3)
+    if herald == "summing":  # a 0/1 readout that adds several outputs into each logical output
+        readout = np.zeros((40, 4))
+        readout[np.arange(40), rng.integers(0, 4, size=40)] = 1.0
+    else:
+        readout = _with_herald(READOUT_HERALDS[herald]).plan.readout
     outputs = readout.shape[0]
     assert (outputs == 0) == (herald == "none")
-    rng = np.random.default_rng(3)
     for shape in [(), (1,), (21,), (3, 5)]:
         size = shape + (4, outputs)
         columns = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.integers(
