@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .gate import (
     COUPLER_KINDS,
     ElementSpec,
     Netlist,
+    coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
@@ -203,11 +203,10 @@ class CouplerPhysics:
         return replace(self, sensitivities=updated)
 
     def length_of(self, element_name: str) -> float | None:
-        return self._lengths_by_name.get(element_name)
-
-    @cached_property
-    def _lengths_by_name(self) -> dict[str, float]:
-        return dict(reversed(self.coupler_lengths))  # the first length given for a name
+        for name, length in self.coupler_lengths:
+            if name == element_name:
+                return length
+        return None
 
     def configured(self, dimension: str) -> bool:
         return any(
@@ -426,8 +425,7 @@ def perturbed_angles(
 
     The couplers are the pbs, ppbs and filter elements with a configured
     design length, named in netlist order.  Each gets its own angles
-    (`gate.coupler_angles`, read once per netlist by
-    `Netlist.coupler_thetas`) plus the `delta_theta` drift at its fixed
+    (`gate.coupler_angles`) plus the `delta_theta` drift at its fixed
     fabricated length, so at delta = 0 the angles are the elements' own.
     Returns the names and the angles, of shape delta.shape + (couplers, 2)
     with (theta_h, theta_v) last.  Each deviation is checked: a nonzero one
@@ -438,13 +436,13 @@ def perturbed_angles(
     if dimension not in DIMENSIONS:
         raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
     deltas = np.asarray(delta_nm, dtype=float)
-    if deltas.any() and not physics.configured(dimension):
+    if np.any(deltas != 0.0) and not physics.configured(dimension):
         raise ValueError(
             f"sensitivities for {dimension!r} are all zero; configure "
             "CouplerPhysics.sensitivities (um per nm) before running a "
             "nonzero tolerance study"
         )
-    widest = float(np.abs(deltas).max(initial=0.0))
+    widest = float(np.max(np.abs(deltas), initial=0.0))
     if widest > 10.0:
         warnings.warn(
             f"|delta| = {widest} nm exceeds the 10 nm envelope the "
@@ -452,10 +450,10 @@ def perturbed_angles(
             stacklevel=3,
         )
     couplers = [
-        (el.name, length) for el in netlist.elements
+        (el, length) for el in netlist.elements
         if el.kind in COUPLER_KINDS and (length := physics.length_of(el.name)) is not None
     ]
-    names = tuple(name for name, _ in couplers)
+    names = tuple(el.name for el, _ in couplers)
     if not couplers:
         return names, np.zeros(deltas.shape + (0, 2))
     lengths = np.array([[length] for _, length in couplers])
@@ -465,7 +463,7 @@ def perturbed_angles(
         drifts = delta_theta(lengths, beats, sensitivities, deltas[..., None, None])
     except ValueError as exc:  # the beats are shared, so the first coupler meets them first
         raise ValueError(f"element {names[0]!r}: {exc}") from None
-    angles = netlist.coupler_thetas(names) + drifts
+    angles = np.array([coupler_angles(el) for el, _ in couplers], dtype=float) + drifts
     finite = np.isfinite(angles)
     if not finite.all():
         # the first by element, then polarization, then delta

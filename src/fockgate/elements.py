@@ -85,18 +85,9 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     `message` is formatted with the deviation of the first failing matrix.
     """
     dev = np.abs(m @ m.conj().swapaxes(-1, -2) - _identity(m.shape[-2]))
-    _bound_deviation(dev, 2, message)
-
-
-def _bound_deviation(dev: np.ndarray, axes: int, message: str) -> None:
-    """Raise ValueError unless every deviation in `dev` is at most 1e-12; NaN fails.
-
-    The last `axes` axes of `dev` belong to one matrix, and `message` is
-    formatted with the largest deviation of the first failing matrix.
-    """
     if dev.max() <= 1e-12:
         return
-    worst = dev.max(axis=tuple(range(-axes, 0)))
+    worst = dev.max(axis=(-2, -1))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
@@ -181,30 +172,12 @@ def coupler_matrices(thetas: np.ndarray, v_reflect: bool | np.ndarray = False) -
     sign = np.ones(np.shape(v_reflect) + (2,))
     sign[..., 1] = np.where(v_reflect, -1.0, 1.0)  # the lower row of a reflection V block
     m = np.zeros(thetas.shape[:-1] + (4, 4), dtype=complex)
-    # entry (i, j) is at 4 i + j of a flat row, so a step of 5 pairs an (aH, aV)
-    # or (bH, bV) row with the same-polarization column of mode a or b
-    entries = m.reshape(thetas.shape[:-1] + (16,))
-    entries[..., 0:6:5] = cos  # (aH, aH) and (aV, aV)
-    entries[..., 2:8:5] = sin  # (aH, bH) and (aV, bV)
-    entries[..., 8:14:5] = -sin * sign  # (bH, aH) and (bV, aV)
-    entries[..., 10:16:5] = cos * sign  # (bH, bH) and (bV, bV)
+    upper, lower = [0, 1], [2, 3]  # the (aH, aV) and (bH, bV) modes
+    m[..., upper, upper] = cos
+    m[..., upper, lower] = sin
+    m[..., lower, upper] = -sin * sign
+    m[..., lower, lower] = cos * sign
     return m
-
-
-def _check_coupler_isometry(m: np.ndarray, message: str) -> None:
-    """`_check_isometry` of a stack of `coupler_matrices`, from each block's own entries.
-
-    In both forms every entry of m m^dag - 1 is zero in exact arithmetic
-    except the diagonal, which is bar^2 + cross^2 - 1 of the H block (rows
-    aH and bH) and of the V block (rows aV and bV).  So the check reads the
-    bar entries m00, m11 and the cross entries m02, m13 and bounds
-    |m00^2 + m02^2 - 1| and |m11^2 + m13^2 - 1| by the same 1e-12; a NaN
-    entry fails it.  `message` is formatted with the larger deviation of
-    the first failing coupler in stack order.
-    """
-    entries = m.real
-    bar, cross = entries.diagonal(0, -2, -1)[..., :2], entries.diagonal(2, -2, -1)
-    _bound_deviation(np.abs(bar * bar + cross * cross - 1.0), 1, message)
 
 
 def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
@@ -516,14 +489,12 @@ def compose_circuit_matrix(
     """
     if len(matrices) != len(columns):
         raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")
-    stacked = {m.shape[:-2] for m in matrices} - {()}
-    batch = stacked.pop() if len(stacked) == 1 else np.broadcast_shapes(*stacked)
-    # the identity in every matrix of the batch: each n + 1-th entry of a flat matrix
-    full = np.zeros(batch + (n_modes, n_modes), dtype=complex)
-    full.reshape(batch + (n_modes * n_modes,))[..., :: n_modes + 1] = 1.0
+    batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
+    # the identity, broadcast to the batch shape
+    full = np.eye(n_modes, dtype=complex) + np.zeros(batch + (n_modes, n_modes), dtype=complex)
     for m, idx in zip(matrices, columns):
         k, cols = m.shape[-1], np.asarray(idx).tolist()
-        if len(cols) != k or (cols and not (min(cols) >= 0 and max(cols) < n_modes)):
+        if len(cols) != k or not all(0 <= c < n_modes for c in cols):
             raise ValueError(
                 f"columns {cols} do not place the {k} modes of an "
                 f"element in a {n_modes}-mode circuit"

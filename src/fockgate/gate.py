@@ -67,7 +67,6 @@ from .elements import (
     HADAMARD_MATRIX,
     PPBS_BARS,
     ElementMatrix,
-    _check_coupler_isometry,
     apply_element,
     attenuating_filter,
     beam_splitter,
@@ -308,10 +307,9 @@ class Netlist:
     part in equality or hashing.  What derives from the elements is
     computed on first use and kept on the instance, read-only: the `steps`
     (each element realized once, with its columns), the circuit matrix
-    `compose` makes of them, the (..., 8, outputs) heralded amplitudes
-    of the basis inputs and the couplers' own angles (`coupler_thetas`).
-    `replace` and `with_overrides` make a new instance that computes its
-    own and shares the plan.
+    `compose` makes of them and the (..., 8, outputs) heralded amplitudes
+    of the basis inputs.  `replace` and `with_overrides` make a new
+    instance that computes its own and shares the plan.
     """
 
     ports: tuple[PortDecl, ...]
@@ -319,9 +317,6 @@ class Netlist:
     herald: tuple[HeraldTerm, ...]
     encoding: QubitEncoding
     plan: StructurePlan = field(init=False, compare=False, repr=False)
-    _coupler_thetas: dict[tuple[str, ...], np.ndarray] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         self.validate()
@@ -346,20 +341,6 @@ class Netlist:
             if el.name == name:
                 return el
         raise KeyError(f"no element named {name!r}")
-
-    def coupler_thetas(self, names: tuple[str, ...]) -> np.ndarray:
-        """The `coupler_angles` of the named couplers, shape (couplers, 2), read once per netlist.
-
-        The read-only array is kept on the netlist by `names`.  An element
-        whose angles cannot be read raises as `coupler_angles` does, on
-        every call.
-        """
-        thetas = self._coupler_thetas.get(names)
-        if thetas is None:
-            thetas = np.array([coupler_angles(self.element(name)) for name in names], dtype=float)
-            thetas.flags.writeable = False
-            self._coupler_thetas[names] = thetas
-        return thetas
 
     def validate(self) -> None:
         names = self.port_names
@@ -842,9 +823,10 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     every phase; a phase that is not finite raises ValueError naming phi.
     Amplitudes below PRUNE_THRESHOLD are dropped, a non-finite amplitude
     raises ValueError, and each herald probability is the squared norm of
-    its column, summed in the heralded branch's term order.  The logical outputs are read with `heralded_output_amplitudes`'s
-    rule, here as one (outputs x 4) 0/1 matrix.  An operator that is zero,
-    because no basis input heralds a logical output, raises NetlistError.
+    its column, summed in the heralded branch's term order.  The logical
+    outputs are read with `heralded_output_amplitudes`'s rule, here as
+    one (outputs x 4) 0/1 matrix.  An operator that is zero, because no
+    basis input heralds a logical output, raises NetlistError.
     Returns the operators (..., 4, 4), columns ordered |00>, |01>, |10>,
     |11>, and the probabilities (..., 4) in the same order.
     """
@@ -859,22 +841,20 @@ def coupler_operators(
     `couplers` names pbs, ppbs or filter elements, and `thetas`
     (N, couplers, 2) holds their (theta_h, theta_v) at each point.  One
     `coupler_matrices` call fills their matrices (reflection form for a
-    pbs, as `build_element` builds it).  Each block is checked for isometry
-    within 1e-12 in closed form, from its bar and cross entries
-    (`elements._check_coupler_isometry`; NetlistError, a NaN angle fails
-    it), and the composed circuits get the full 1e-12 unitarity check of
-    `Netlist.compose`, in which they replace those steps' matrices.  Point
-    k equals `heralded_operators` on the netlist whose couplers carry the
-    angles `thetas[k]`, bit for bit.
+    pbs, as `build_element` builds it).  Their entries are cosines and
+    sines of the angles, so a block is an isometry to within a few ulps
+    exactly when its angles are finite: a non-finite angle raises
+    NetlistError("coupler is not an isometry: deviation nan").  The
+    composed circuits get the full 1e-12 unitarity check of
+    `Netlist.compose`, in which the blocks replace those steps' matrices.  Point k equals `heralded_operators` on the netlist
+    whose couplers carry the angles `thetas[k]`, bit for bit.
     """
+    if not np.isfinite(thetas).all():
+        raise NetlistError("coupler is not an isometry: deviation nan")
     index = {step.spec.name: k for k, step in enumerate(netlist.steps)}
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
     blocks = coupler_matrices(thetas, reflect)
-    try:
-        _check_coupler_isometry(blocks, "coupler is not an isometry: deviation {:.3g}")
-    except ValueError as exc:
-        raise NetlistError(exc.args[0]) from exc
     circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
     amps = _gathered_transfer(circuits, netlist.plan.basis_gather)
     return _basis_operators(netlist.plan, amps, phi)

@@ -477,22 +477,6 @@ def test_sweep_names_a_non_finite_phase(phi):
             tolerance_sweep(default_netlist(), sweep_physics, "width", (-2.0, 2.0), 1.0, phi=phi)
 
 
-def test_sweep_reads_the_couplers_own_angles_once_per_netlist(monkeypatch):
-    read = []
-    coupler_angles = gate.coupler_angles
-    monkeypatch.setattr(gate, "coupler_angles", lambda el: read.append(el.name) or coupler_angles(el))
-    netlist = default_netlist()
-    physics = PHYS.with_sensitivities("gap", 0.003, -0.002)
-    first = tolerance_sweep(netlist, physics, "gap", (-4.0, 4.0), 2.0, phi=0.3)
-    assert sorted(read) == sorted(name for d in COUPLER_DESIGNS.values() for name in d.elements)
-    read.clear()
-    assert tolerance_sweep(netlist, physics, "gap", (-4.0, 4.0), 2.0, phi=0.3) == first
-    assert read == []
-    thetas = netlist.coupler_thetas(("F1", "PBS1"))
-    with pytest.raises(ValueError, match="read-only"):
-        thetas[0, 0] = 1.0
-
-
 def test_sweep_refuses_an_oversized_grid():
     physics = PHYS.with_sensitivities("width", 0.004, 0.004)
     with pytest.raises(ValueError, match="more than 10001 points"):

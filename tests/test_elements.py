@@ -8,8 +8,6 @@ from fockgate.elements import (
     HADAMARD_MATRIX,
     ElementMatrix,
     HWP1_MATRIX,
-    _check_coupler_isometry,
-    _check_isometry,
     _compositions,
     _minor_tables,
     _multinomial,
@@ -20,7 +18,6 @@ from fockgate.elements import (
     beam_splitter,
     compose_circuit_matrix,
     coupler,
-    coupler_matrices,
     mode_columns,
     partially_polarizing_beam_splitter,
     permanent,
@@ -359,44 +356,7 @@ def test_photon_count_conserved_term_by_term():
     assert abs(norm_squared(out) - 1.0) < 1e-12
 
 
-# -- closed-form coupler check, cached tables -------------------------------------
-
-
-def _isometry_verdict(check, blocks):
-    try:
-        check(blocks, "deviation {:.3g}")
-    except ValueError as exc:
-        return exc.args[0]
-    return None
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["random", "large", "nan", "inf"])
-def test_closed_form_coupler_check_decides_as_the_full_check(kind):
-    rng = np.random.default_rng(11)
-    for trial in range(40):
-        thetas = rng.uniform(-10.0, 10.0, size=(5, 3, 2))
-        if kind == "large":
-            thetas *= 10.0 ** rng.integers(3, 309, size=thetas.shape) / 10.0
-        elif kind in ("nan", "inf"):
-            bad = math.nan if kind == "nan" else math.inf
-            thetas[tuple(rng.integers(0, n) for n in thetas.shape)] = bad
-        reflect = rng.random(3) < 0.5  # rotation and reflection forms mixed
-        blocks = coupler_matrices(thetas, reflect)
-        closed = _isometry_verdict(_check_coupler_isometry, blocks)
-        full = _isometry_verdict(_check_isometry, blocks)
-        assert (closed is None) == (full is None)
-        if kind in ("nan", "inf"):
-            assert closed == full == "deviation nan"
-        else:
-            assert closed is None
-
-
-def test_closed_form_coupler_check_reports_the_first_failing_block():
-    blocks = coupler_matrices(np.zeros((3, 2, 2)), np.array([True, False]))
-    blocks[1, 1, 1, 1] = 1.5  # the V bar of point 1, coupler 1: deviation 1.25
-    blocks[2, 0, 0, 2] = 2.0  # a later point: deviation 3
-    assert _isometry_verdict(_check_coupler_isometry, blocks) == "deviation 1.25"
+# -- cached tables -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -24,10 +24,12 @@ from fockgate.fock import (
 )
 from fockgate.elements import (
     HADAMARD_MATRIX,
+    _check_isometry,
     attenuating_filter,
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    coupler_matrices,
     mode_columns,
     permanents,
     phase_shift,
@@ -36,6 +38,7 @@ from fockgate.elements import (
 from fockgate.io import netlist_from_dict, netlist_to_dict
 from fockgate.gate import (
     BASIS_LABELS,
+    COUPLER_KINDS,
     ELEMENT_KINDS,
     ElementSpec,
     HeraldTerm,
@@ -630,6 +633,35 @@ def test_coupler_operators_check_every_coupler_block():
     thetas[2, 1, 0] = math.nan  # one block of the last point
     with pytest.raises(NetlistError, match="coupler is not an isometry: deviation nan"):
         gate.coupler_operators(nl, ("F1", "F2"), thetas, 0.0)
+
+
+def _verdict(check):
+    try:
+        check()
+    except ValueError as exc:  # NetlistError is a ValueError
+        return exc.args[0]
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["random", "large", "nan", "inf"])
+def test_coupler_operators_accept_the_blocks_the_full_check_accepts(kind):
+    nl = default_netlist()
+    names = tuple(el.name for el in nl.elements if el.kind in COUPLER_KINDS)
+    reflect = np.array([nl.element(name).kind == "pbs" for name in names])
+    assert reflect.any() and not reflect.all()  # rotation and reflection forms mixed
+    message = "coupler is not an isometry: deviation {:.3g}"
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        thetas = rng.uniform(-10.0, 10.0, size=(5, len(names), 2))
+        if kind == "large":
+            thetas *= 10.0 ** rng.integers(3, 309, size=thetas.shape) / 10.0
+        elif kind in ("nan", "inf"):
+            thetas[tuple(rng.integers(0, n) for n in thetas.shape)] = getattr(math, kind)
+        blocks = coupler_matrices(thetas, reflect)
+        full = _verdict(lambda: _check_isometry(blocks, message))
+        got = _verdict(lambda: gate.coupler_operators(nl, names, thetas, 0.4))
+        assert got == full == (None if kind in ("random", "large") else message.format(math.nan))
 
 
 def _with_herald(herald):
