@@ -84,19 +84,11 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     The bound is 1e-12 on each entry of m m^dag - 1; a NaN entry fails it.
     `message` is formatted with the deviation of the first failing matrix.
     """
-    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - _identity(m.shape[-2]))
+    dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-2]))
     if dev.max() <= 1e-12:
         return
     worst = dev.max(axis=(-2, -1))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
-
-
-@lru_cache(maxsize=32)
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
