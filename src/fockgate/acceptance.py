@@ -289,19 +289,9 @@ def check_conservation_suite(seed: int = 7) -> CheckResult:
     worst_gate = 0.0
     for chi in (math.pi / 2, math.pi, 4.0):
         phase = complex(math.cos(chi), math.sin(chi))
-        alt = np.array(
-            [
-                [-math.sqrt(3) / 2 * phase, 0.5 * phase],
-                [0.5, math.sqrt(3) / 2],
-            ],
-            dtype=complex,
-        )
+        alt = [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]]
         nl = default_netlist().with_overrides(
-            {
-                "HWP1": ElementSpec(
-                    "HWP1", "waveplate", ("L",), (("matrix", alt),)
-                )
-            }
+            {"HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", alt),))}
         )
         res = extract_gate(nl, math.pi / 3)
         worst_gate = max(

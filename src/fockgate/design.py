@@ -480,25 +480,25 @@ def synthesize_imperfect_elements(
     netlist: Netlist,
     physics: CouplerPhysics,
     dimension: str,
-    delta_nm: float | np.ndarray,
+    delta_nm: float,
 ) -> dict[str, ElementSpec]:
-    """Element overrides for a geometry deviation of `delta_nm` nanometers.
+    """Element overrides for one geometry deviation of `delta_nm` nanometers.
 
-    Every coupler of `perturbed_angles` gets its perturbed angles as
+    Every coupler of `perturbed_angles` gets its perturbed angles as float
     `theta_h`/`theta_v`, with that function's checks, so at delta = 0 the
-    overrides equal the elements as given.  A float delta gives float
-    angles.  `delta_nm` may be an array of deviations: the angles are then
-    arrays of its shape, and the overridden netlist builds stacks of
-    element and circuit matrices, one per deviation.
+    overrides equal the elements as given.  An array of deviations raises
+    ValueError: a grid's angles come from `perturbed_angles`.
     """
+    if np.ndim(delta_nm) != 0:
+        raise ValueError(
+            f"one deviation is one device, got an array of shape {np.shape(delta_nm)}; "
+            "perturbed_angles takes a grid"
+        )
     names, angles = perturbed_angles(netlist, physics, dimension, delta_nm)
-    overrides: dict[str, ElementSpec] = {}
-    for k, name in enumerate(names):
-        th_h, th_v = angles[..., k, 0], angles[..., k, 1]
-        if np.ndim(delta_nm) == 0:
-            th_h, th_v = float(th_h), float(th_v)
-        overrides[name] = netlist.element(name).with_params(theta_h=th_h, theta_v=th_v)
-    return overrides
+    return {
+        name: netlist.element(name).with_params(theta_h=th_h, theta_v=th_v)
+        for name, (th_h, th_v) in zip(names, angles.tolist())
+    }
 
 
 def sweep_deltas(delta_range_nm: tuple[float, float], step_nm: float) -> list[float]:

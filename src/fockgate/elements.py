@@ -61,10 +61,8 @@ WAVEPLATE_PRESETS = {
 class ElementMatrix:
     """Unitary on its modes.
 
-    matrix has shape (..., len(modes), len(modes)) in transfer
-    orientation, mapping the modes onto themselves: a leading batch shape
-    makes it a stack of matrices, one per point of a sweep.  The rows of
-    every matrix in the stack are orthonormal within 1e-12.
+    matrix is one (len(modes), len(modes)) matrix in transfer orientation,
+    mapping the modes onto themselves, with rows orthonormal within 1e-12.
     """
 
     modes: tuple[Mode, ...]
@@ -72,7 +70,7 @@ class ElementMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape[-2:] != (len(self.modes),) * 2:
+        if m.shape != (len(self.modes),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match {len(self.modes)} modes")
         _check_isometry(m, "element is not an isometry: deviation {:.3g}")
         object.__setattr__(self, "matrix", m)
@@ -81,11 +79,12 @@ class ElementMatrix:
 def _check_isometry(m: np.ndarray, message: str) -> None:
     """Raise ValueError unless every matrix of the stack `m` has orthonormal rows.
 
-    The bound is 1e-12 on each entry of m m^dag - 1; a NaN entry fails it.
-    `message` is formatted with the deviation of the first failing matrix.
+    The bound is 1e-12 on each entry of m m^dag - 1; a NaN entry fails it,
+    and an empty stack passes.  `message` is formatted with the deviation
+    of the first failing matrix.
     """
     dev = np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-2]))
-    if dev.max() <= 1e-12:
+    if dev.max(initial=0.0) <= 1e-12:
         return
     worst = dev.max(axis=(-2, -1))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
@@ -133,8 +132,8 @@ def polarizing_beam_splitter(port_a: str, port_b: str) -> ElementMatrix:
 def coupler(
     port_a: str,
     port_b: str,
-    theta_h: float | np.ndarray,
-    theta_v: float | np.ndarray,
+    theta_h: float,
+    theta_v: float,
     v_reflect: bool = False,
 ) -> ElementMatrix:
     """Two-port coupler given by its coupling angles; the bar amplitude is cos(theta).
@@ -142,12 +141,10 @@ def coupler(
     The H block is in rotation form [[c, s], [-s, c]] (identity at
     theta_h = 0).  The V block is in rotation form too, or with `v_reflect`
     in reflection form [[c, s], [s, -c]], the symmetric swap at
-    theta_v = pi/2 that makes the routing PBS.  The angles are floats or
-    arrays of one shape S, which give a stack of shape S + (4, 4).
+    theta_v = pi/2 that makes the routing PBS.  A stack of couplers, one
+    per point of a sweep, is `coupler_matrices`' job.
     """
-    thetas = np.stack(np.broadcast_arrays(
-        np.asarray(theta_h, dtype=float), np.asarray(theta_v, dtype=float)
-    ), axis=-1)
+    thetas = np.array([theta_h, theta_v], dtype=float)
     return ElementMatrix(modes_for_ports((port_a, port_b)), coupler_matrices(thetas, v_reflect))
 
 
@@ -466,18 +463,18 @@ def compose_circuit_matrix(
 ) -> np.ndarray:
     """Product of element matrices, each acting on its own columns of an n_modes-mode circuit.
 
-    `matrices` are the elements' matrices (an `ElementMatrix.matrix` or a
-    stack of them) in application order, and `columns[k]` holds the
-    circuit columns of the modes of element k, in the element's mode order
-    (a netlist resolves them once, see `gate.Netlist.steps`).  In transfer
-    orientation the composite is M1 @ M2 @ ... @ Mk, with each Mi the
-    identity outside its element's columns, multiplied left to right.  An
-    element maps its modes onto themselves, so each step rewrites only
-    those columns.  A column list of the wrong length or outside
-    [0, n_modes) raises ValueError.  Stacked matrices broadcast: the result
-    has shape B + (n, n), with B the common batch shape of the matrices
-    (empty when none is stacked), and every matrix in it is unitary within
-    1e-12.
+    `matrices` are the elements' matrices in application order (an
+    `ElementMatrix.matrix`, or for a sweep a stack of one element's
+    matrices), and `columns[k]` holds the circuit columns of the modes of
+    element k, in the element's mode order (a netlist resolves them once,
+    see `gate.Netlist.steps`).  In transfer orientation the composite is
+    M1 @ M2 @ ... @ Mk, with each Mi the identity outside its element's
+    columns, multiplied left to right.  An element maps its modes onto
+    themselves, so each step rewrites only those columns.  A column list of
+    the wrong length or outside [0, n_modes) raises ValueError.  Stacked
+    matrices broadcast: the result has shape B + (n, n), with B the common
+    batch shape of the matrices (empty when none is stacked), and every
+    matrix in it is unitary within 1e-12.
     """
     if len(matrices) != len(columns):
         raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")

@@ -26,10 +26,10 @@ copies of a netlist compute none of it again.  A netlist is immutable, so
 it realizes its elements once (`Netlist.steps`), composes its circuit
 from them once and keeps both, with the heralded amplitudes of the 8
 basis inputs; a new phase or new qubit amplitudes cost only the linear
-combination and the readout.  `coupler_operators` composes the same steps
-with some couplers set by angle arrays, one circuit matrix per point of a
-parameter sweep, and reads the gate off every matrix of that stack at once
-with `heralded_operators`' readout.
+combination and the readout.  A netlist is one circuit.  `coupler_operators`
+composes its steps with some couplers set by angle arrays, one circuit
+matrix per point of a parameter sweep, and reads the gate off every matrix
+of that stack at once with `heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -118,11 +118,11 @@ class PortDecl:
 
 @dataclass(frozen=True)
 class ElementSpec:
-    """One circuit element as data: kind, wired ports, kind-specific params.
+    """One device as data: kind, wired ports, kind-specific params.
 
-    A list-valued parameter is stored as nested tuples and an array as a
-    read-only copy, so changing the value it was built from changes
-    neither the spec nor a circuit realized from it.
+    A list-valued parameter is stored as nested tuples, so changing the list
+    it was built from changes neither the spec nor a circuit realized from
+    it.  An array, in a list too, raises NetlistError naming the parameter.
     """
 
     name: str
@@ -133,9 +133,8 @@ class ElementSpec:
     def __post_init__(self):
         if self.kind not in ELEMENT_KINDS:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
-        object.__setattr__(
-            self, "params", tuple((key, _frozen(value)) for key, value in self.params)
-        )
+        params = tuple((key, _frozen(value, self.name, key)) for key, value in self.params)
+        object.__setattr__(self, "params", params)
 
     @property
     def param_dict(self) -> dict[str, Any]:
@@ -147,13 +146,15 @@ class ElementSpec:
         return replace(self, params=tuple(sorted(merged.items())))
 
 
-def _frozen(value: Any) -> Any:
-    """`value` with every list or tuple level a tuple and an array a read-only copy."""
+def _frozen(value: Any, name: str, key: str) -> Any:
+    """`value` with every list or tuple level a tuple; an array raises NetlistError."""
     if isinstance(value, np.ndarray):
-        value = value.copy()
-        value.flags.writeable = False
-    elif isinstance(value, (list, tuple)):
-        value = tuple(map(_frozen, value))
+        raise NetlistError(
+            f"element {name!r} parameter {key!r} holds an array of shape "
+            f"{value.shape}; an element is one device"
+        )
+    if isinstance(value, (list, tuple)):
+        value = tuple(_frozen(v, name, key) for v in value)
     return value
 
 
@@ -299,7 +300,7 @@ class Step(NamedTuple):
 
 @dataclass(frozen=True)
 class Netlist:
-    """A validated circuit; its structure is planned once and its elements realized once.
+    """One validated circuit; its structure is planned once and its elements realized once.
 
     The ports, herald and encoding fix its `StructurePlan`, `plan`, shared
     with every netlist of the same structure: `modes`, `columns`, the
@@ -307,7 +308,7 @@ class Netlist:
     part in equality or hashing.  What derives from the elements is
     computed on first use and kept on the instance, read-only: the `steps`
     (each element realized once, with its columns), the circuit matrix
-    `compose` makes of them and the (..., 8, outputs) heralded amplitudes
+    `compose` makes of them and the (8, outputs) heralded amplitudes
     of the basis inputs.  `replace` and `with_overrides` make a new
     instance that computes its own and shares the plan.
     """
@@ -483,7 +484,7 @@ class Netlist:
         return counts
 
 
-def coupler_angles(el: ElementSpec) -> tuple[Any, Any]:
+def coupler_angles(el: ElementSpec) -> tuple[float, float]:
     """Coupling angles (theta_h, theta_v) of a pbs, ppbs or filter; bar amplitude cos(theta).
 
     Each angle is the element's own `theta_h`/`theta_v` where it sets one,
@@ -659,11 +660,8 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     are dropped.  Returns the sub-normalized heralded branch and the herald
     probability, its squared norm.  `run_elements` followed by
     `project_herald` computes the same branch independently and is the
-    reference for this one.  A netlist stacked over sweep points is
-    rejected: its kept basis amplitudes have no single branch.
+    reference for this one.
     """
-    if circuit_matrix(netlist).ndim > 2:
-        raise ValueError("run_heralded needs a single circuit, not a stack")
     if state.modes != netlist.modes:
         state = extend_state(state, netlist)
     groups: dict[int, list[tuple[FockVector, complex]]] = {}
@@ -693,10 +691,10 @@ def heralded_transfer(
     `unitary` is one circuit matrix (n_modes, n_modes) or a stack of them
     (..., n_modes, n_modes).  `inputs` has one row of occupation numbers
     per input, over the modes of `unitary`, and every row holds the same
-    number n of photons.  Returns the accepted n-photon output
-    occupations, one row each in ascending lexicographic order (the order
-    `PureState` keeps its terms in), and the (..., inputs, outputs)
-    amplitude array.  The amplitude from n to m is
+    number n of photons; no input at all raises ValueError.  Returns the
+    accepted n-photon output occupations, one row each in ascending
+    lexicographic order (the order `PureState` keeps its terms in), and the
+    (..., inputs, outputs) amplitude array.  The amplitude from n to m is
     perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
     sqrt(prod n_i! prod m_j!) (Aaronson and Arkhipov 2011).
     """
@@ -714,6 +712,8 @@ def _gather(
     and the norms sqrt(prod n_i! prod m_j!) (inputs, outputs).
     """
     inputs = np.asarray(inputs, dtype=int)
+    if not len(inputs):
+        raise ValueError("heralded transfer needs at least one input")
     n = int(inputs[0].sum())
     if np.any(inputs.sum(axis=1) != n):
         raise ValueError("heralded transfer inputs must hold the same photon number")
@@ -812,23 +812,21 @@ def heralded_output_amplitudes(
 
 
 def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded 4x4 operators and herald probabilities of the netlist's circuit.
+    """Heralded 4x4 operator and herald probabilities of the netlist's circuit.
 
-    The circuit is one matrix, or a stack (..., n, n) of the netlist's
-    circuit at several parameter points.  A basis input puts one photon on
-    each of the target, control and program ports; the netlist keeps its
-    amplitudes into the three-photon outputs the herald accepts.  The
-    program photon (|H> + e^{i phi}|V>)/sqrt(2) enters linearly: each
-    column is (A_H + e^{i phi} A_V)/sqrt(2), so one circuit matrix serves
-    every phase; a phase that is not finite raises ValueError naming phi.
-    Amplitudes below PRUNE_THRESHOLD are dropped, a non-finite amplitude
-    raises ValueError, and each herald probability is the squared norm of
-    its column, summed in the heralded branch's term order.  The logical
-    outputs are read with `heralded_output_amplitudes`'s rule, here as
-    one (outputs x 4) 0/1 matrix.  An operator that is zero, because no
-    basis input heralds a logical output, raises NetlistError.
-    Returns the operators (..., 4, 4), columns ordered |00>, |01>, |10>,
-    |11>, and the probabilities (..., 4) in the same order.
+    A basis input puts one photon on each of the target, control and
+    program ports; the netlist keeps its amplitudes into the three-photon
+    outputs the herald accepts.  The program photon (|H> + e^{i phi}|V>)/sqrt(2)
+    enters linearly: each column is (A_H + e^{i phi} A_V)/sqrt(2), so one
+    circuit matrix serves every phase; a phase that is not finite raises
+    ValueError naming phi.  Amplitudes below PRUNE_THRESHOLD are dropped, a
+    non-finite amplitude raises ValueError, and each herald probability is
+    the squared norm of its column, summed in the heralded branch's term
+    order.  The logical outputs are read with `heralded_output_amplitudes`'s
+    rule, here as one (outputs x 4) 0/1 matrix.  An operator that is zero,
+    because no basis input heralds a logical output, raises NetlistError.
+    Returns the operator (4, 4), columns ordered |00>, |01>, |10>, |11>, and
+    the probabilities (4,) in the same order.
     """
     return _basis_operators(netlist.plan, netlist._basis_amplitudes, phi)
 
@@ -839,19 +837,33 @@ def coupler_operators(
     """`heralded_operators` of the netlist at N points, with the named couplers set by angles.
 
     `couplers` names pbs, ppbs or filter elements, and `thetas`
-    (N, couplers, 2) holds their (theta_h, theta_v) at each point.  One
+    (N, couplers, 2) holds their (theta_h, theta_v) at each point; a name
+    that is not a coupler step of the netlist or is repeated, or angles of
+    another shape, raise ValueError saying so, and N = 0 gives empty
+    results.  One
     `coupler_matrices` call fills their matrices (reflection form for a
     pbs, as `build_element` builds it).  Their entries are cosines and
     sines of the angles, so a block is an isometry to within a few ulps
     exactly when its angles are finite: a non-finite angle raises
     NetlistError("coupler is not an isometry: deviation nan").  The
     composed circuits get the full 1e-12 unitarity check of
-    `Netlist.compose`, in which the blocks replace those steps' matrices.  Point k equals `heralded_operators` on the netlist
-    whose couplers carry the angles `thetas[k]`, bit for bit.
+    `Netlist.compose`, in which the blocks replace those steps' matrices.
+    Point k equals `heralded_operators` on the netlist whose couplers carry
+    the angles `thetas[k]`, bit for bit.
     """
+    index = {step.spec.name: k for k, step in enumerate(netlist.steps)
+             if step.spec.kind in COUPLER_KINDS}
+    for k, name in enumerate(couplers):
+        if name not in index:
+            raise ValueError(f"{name!r} is not a coupler step of the netlist")
+        if name in couplers[:k]:
+            raise ValueError(f"coupler {name!r} is named twice")
+    if np.ndim(thetas) != 3 or np.shape(thetas)[1:] != (len(couplers), 2):
+        raise ValueError(
+            f"coupler angles of shape {np.shape(thetas)} are not (points, {len(couplers)}, 2)"
+        )
     if not np.isfinite(thetas).all():
         raise NetlistError("coupler is not an isometry: deviation nan")
-    index = {step.spec.name: k for k, step in enumerate(netlist.steps)}
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
     blocks = coupler_matrices(thetas, reflect)
@@ -957,7 +969,7 @@ def process_fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def circuit_matrix(netlist: Netlist) -> np.ndarray:
-    """Full single-photon mode matrix of the netlist, in transfer orientation.
+    """The netlist's one single-photon mode matrix, in transfer orientation.
 
     Composed on the first call and kept on the netlist as a read-only
     array.  Raises NetlistError when an element cannot be realized or the

@@ -78,17 +78,12 @@ def _pol_from_str(s: str) -> Polarization:
         raise NetlistError(f"unknown polarization {s!r}; expected 'H' or 'V'") from None
 
 
-def _params_to_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
+def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, value in params.items():
         if key == "matrix":
             m = np.asarray(value, dtype=complex)
             out[key] = [[[float(c.real), float(c.imag)] for c in row] for row in m]
-        elif isinstance(value, np.ndarray):
-            raise NetlistError(
-                f"element {name!r} parameter {key!r} holds an array of shape "
-                f"{value.shape}; a netlist file holds one circuit"
-            )
         else:
             out[key] = value
     return out
@@ -119,7 +114,7 @@ def netlist_to_dict(netlist: Netlist) -> dict[str, Any]:
                 "name": el.name,
                 "kind": el.kind,
                 "ports": list(el.ports),
-                "params": _params_to_json(el.name, el.param_dict),
+                "params": _params_to_json(el.param_dict),
             }
             for el in netlist.elements
         ],

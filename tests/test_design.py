@@ -359,31 +359,36 @@ def test_perturbed_angles_name_the_element_whose_angle_is_not_finite():
         design.perturbed_angles(default_netlist(), physics, "gap", np.array([-1.0, 0.0]))
 
 
-def test_synthesize_on_delta_array_matches_per_delta():
+def test_perturbed_angles_on_a_delta_array_match_synthesize_per_delta():
     netlist = default_netlist()
     physics = PHYS.with_sensitivities("height", -0.003, 0.005)
     deltas = np.array([-6.0, 0.0, 2.5])
-    stacked = synthesize_imperfect_elements(netlist, physics, "height", deltas)
+    names, angles = design.perturbed_angles(netlist, physics, "height", deltas)
+    assert angles.shape == (3, len(names), 2)
     for k, d in enumerate(deltas.tolist()):
         single = synthesize_imperfect_elements(netlist, physics, "height", d)
-        assert stacked.keys() == single.keys()
-        for name, el in single.items():
-            for key in ("theta_h", "theta_v"):
+        assert tuple(single) == names
+        for c, el in enumerate(single.values()):
+            for pol, key in enumerate(("theta_h", "theta_v")):
                 assert type(el.param_dict[key]) is float
-                assert stacked[name].param_dict[key][k] == el.param_dict[key]
+                assert angles[k, c, pol] == el.param_dict[key]
+    # one deviation is one device: an array of them is refused with a message
+    for grid in (deltas, [0.0, 1.0], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="an array of shape .*; perturbed_angles takes a grid"):
+            synthesize_imperfect_elements(netlist, physics, "height", grid)
 
 
-def test_synthesize_array_requires_sensitivities_for_any_nonzero_delta():
+def test_perturbed_angles_require_sensitivities_for_any_nonzero_delta():
     netlist = default_netlist()
-    synthesize_imperfect_elements(netlist, PHYS, "width", np.zeros(3))
+    design.perturbed_angles(netlist, PHYS, "width", np.zeros(3))
     with pytest.raises(ValueError, match="sensitivities"):
-        synthesize_imperfect_elements(netlist, PHYS, "width", np.array([0.0, 0.0, 1.0]))
+        design.perturbed_angles(netlist, PHYS, "width", np.array([0.0, 0.0, 1.0]))
 
 
-def test_synthesize_array_warns_beyond_envelope():
+def test_perturbed_angles_warn_beyond_envelope():
     physics = PHYS.with_sensitivities("gap", 0.002, 0.002)
     with pytest.warns(UserWarning, match="10 nm"):
-        synthesize_imperfect_elements(default_netlist(), physics, "gap", np.array([0.0, -10.5]))
+        design.perturbed_angles(default_netlist(), physics, "gap", np.array([0.0, -10.5]))
 
 
 # -- tolerance sweep ------------------------------------------------------------------------
@@ -506,7 +511,7 @@ def test_sweep_of_near_unitary_netlist_raises_netlist_error():
     # each Hadamard plate passes the per-element 1e-12 check and the nominal
     # circuit composes, but the perturbed circuits are not unitary within 1e-12
     a = (1 + 4.9e-13) / math.sqrt(2)
-    plate = np.array([[a, a], [a, -a]], dtype=complex)
+    plate = [[a, a], [a, -a]]
     netlist = default_netlist()
     netlist = netlist.with_overrides(
         {name: ElementSpec(name, "waveplate", ("L",), (("matrix", plate),))

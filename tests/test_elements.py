@@ -18,6 +18,7 @@ from fockgate.elements import (
     beam_splitter,
     compose_circuit_matrix,
     coupler,
+    coupler_matrices,
     mode_columns,
     partially_polarizing_beam_splitter,
     permanent,
@@ -258,10 +259,13 @@ def test_mode_columns_index_the_modes_read_only():
         cols[0] = 1
 
 
-# -- stacked (batched) element matrices -----------------------------------------
+# -- stacks of coupler matrices ---------------------------------------------------
+# An ElementMatrix holds one matrix; a sweep stacks coupler matrices with
+# `coupler_matrices` and composes the stack with `compose_circuit_matrix`.
 
 ANGLES_H = np.array([0.0, 0.3, -1.1])
 ANGLES_V = np.array([math.pi / 2, 1.2, 0.4])
+THETAS = np.stack([ANGLES_H, ANGLES_V], axis=-1)
 
 
 def test_rotation_coupler_is_beam_splitter_of_cos_and_sin():
@@ -273,41 +277,45 @@ def test_rotation_coupler_is_beam_splitter_of_cos_and_sin():
 
 @pytest.mark.parametrize("v_reflect", [False, True])
 def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
-    stack = coupler("a", "b", ANGLES_H, ANGLES_V, v_reflect=v_reflect)
-    assert stack.matrix.shape == (3, 4, 4)
+    stack = coupler_matrices(THETAS, v_reflect)
+    assert stack.shape == (3, 4, 4)
     for k in range(3):
         single = coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=v_reflect)
-        assert np.array_equal(stack.matrix[k], single.matrix)
+        assert np.array_equal(stack[k], single.matrix)
 
 
 def test_stacked_element_with_one_bad_slice_rejected():
-    good = coupler("a", "b", ANGLES_H, ANGLES_V).matrix
-    ElementMatrix(AB, good)
+    good = coupler_matrices(THETAS)
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 4, 4\) does not match 2 modes"):
+        ElementMatrix(modes_for_ports(["a"]), good)
+    with pytest.raises(ValueError, match="does not match"):
+        ElementMatrix(AB, good)
+    columns = [mode_columns(AB, AB)]
+    compose_circuit_matrix([good], columns, 4)
     bad = good.copy()
     bad[2, 0, 0] *= 1 + 1e-9
-    with pytest.raises(ValueError, match="not an isometry"):
-        ElementMatrix(AB, bad)
+    with pytest.raises(ValueError, match="not unitary"):
+        compose_circuit_matrix([bad], columns, 4)
     bad[2, 0, 0] = math.nan
-    with pytest.raises(ValueError, match="not an isometry"):
-        ElementMatrix(AB, bad)
+    with pytest.raises(ValueError, match="not unitary: nan"):
+        compose_circuit_matrix([bad], columns, 4)
 
 
 def test_compose_stack_equals_per_slice_composition():
     modes = modes_for_ports(["a", "b", "c"])
-    stacked = [
-        coupler("a", "b", ANGLES_H, ANGLES_V, v_reflect=True),
-        wave_plate("b", "hadamard"),
-        coupler("b", "c", ANGLES_V, ANGLES_H),
-        partially_polarizing_beam_splitter("a", "c"),
-    ]
-    full = compose(stacked, modes)
+    plate, ppbs = wave_plate("b", "hadamard"), partially_polarizing_beam_splitter("a", "c")
+    matrices = [coupler_matrices(THETAS, True), plate.matrix,
+                coupler_matrices(THETAS[:, ::-1]), ppbs.matrix]
+    columns = [mode_columns(modes, modes_for_ports(ports))
+               for ports in (["a", "b"], ["b"], ["b", "c"], ["a", "c"])]
+    full = compose_circuit_matrix(matrices, columns, len(modes))
     assert full.shape == (3, 6, 6)
     for k in range(3):
         single = [
             coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=True),
-            stacked[1],
+            plate,
             coupler("b", "c", float(ANGLES_V[k]), float(ANGLES_H[k])),
-            stacked[3],
+            ppbs,
         ]
         assert np.array_equal(full[k], compose(single, modes))
 
@@ -316,10 +324,18 @@ def test_compose_stack_rejects_one_non_unitary_slice():
     # slice 1 is a plate that passes the 1e-12 isometry check; its square does not
     a = (1 + 4.9e-13) / math.sqrt(2)
     matrices = np.stack([np.eye(2), [[a, a], [a, -a]], np.eye(2)]).astype(complex)
-    plate = ElementMatrix(modes_for_ports(["a"]), matrices)
-    assert compose([plate], AB).shape == (3, 4, 4)
+    columns = [mode_columns(AB, modes_for_ports(["a"]))]
+    assert compose_circuit_matrix([matrices], columns, 4).shape == (3, 4, 4)
     with pytest.raises(ValueError, match="not unitary"):
-        compose([plate, plate], AB)
+        compose_circuit_matrix([matrices, matrices], columns * 2, 4)
+
+
+def test_compose_an_empty_stack_gives_no_circuit():
+    empty = coupler_matrices(np.zeros((0, 2)), True)
+    assert empty.shape == (0, 4, 4)
+    plate = wave_plate("a", "hadamard")
+    columns = [mode_columns(AB, AB), mode_columns(AB, plate.modes)]
+    assert compose_circuit_matrix([empty, plate.matrix], columns, 4).shape == (0, 4, 4)
 
 
 # -- conservation ---------------------------------------------------------------

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from fockgate import acceptance, gate
-from fockgate.design import CouplerPhysics, synthesize_imperfect_elements, tolerance_sweep
+from fockgate.design import (
+    CouplerPhysics,
+    perturbed_angles,
+    synthesize_imperfect_elements,
+    tolerance_sweep,
+)
 from fockgate.fock import (
     H,
     V,
@@ -351,10 +356,7 @@ def test_hwp1_completion_is_irrelevant(netlist):
     base = extract_gate(netlist, 0.7)
     for chi in (0.3, math.pi / 2, math.pi):
         phase = cmath.exp(1j * chi)
-        alt = np.array(
-            [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]],
-            dtype=complex,
-        )
+        alt = [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]]
         varied = netlist.with_overrides(
             {"HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", alt),))}
         )
@@ -484,17 +486,28 @@ def test_squared_norms_sum_as_norm_squared_bit_for_bit(shape):
 # -- stacked circuit matrices ----------------------------------------------------
 
 
-def _perturbed_stack(netlist, deltas):
-    physics = CouplerPhysics().with_sensitivities("gap", 0.005, -0.004)
-    return netlist.with_overrides(
-        synthesize_imperfect_elements(netlist, physics, "gap", deltas)
-    )
+GAP = CouplerPhysics().with_sensitivities("gap", 0.005, -0.004)
+
+
+def _gap_angles(netlist, deltas):
+    """The perturbed couplers' names and their angles (points, couplers, 2) at gap `deltas`."""
+    return perturbed_angles(netlist, GAP, "gap", np.array(deltas))
+
+
+def _gap_netlist(netlist, delta):
+    return netlist.with_overrides(synthesize_imperfect_elements(netlist, GAP, "gap", delta))
 
 
 def test_heralded_transfer_on_stack_equals_per_slice(netlist):
-    perturbed = _perturbed_stack(netlist, np.array([[-4.0, 0.0], [2.5, 9.0]]))
-    stack = circuit_matrix(perturbed)
-    assert stack.shape == (2, 2, 12, 12)
+    deltas = [-4.0, 0.0, 2.5, 9.0]
+    names, angles = _gap_angles(netlist, deltas)
+    slot = {step.spec.name: k for k, step in enumerate(netlist.steps)}
+    stacks = {slot[name]: coupler_matrices(angles[:, c], netlist.element(name).kind == "pbs")
+              for c, name in enumerate(names)}
+    stack = netlist.compose(stacks)
+    for k, delta in enumerate(deltas):
+        assert np.array_equal(stack[k], circuit_matrix(_gap_netlist(netlist, delta)))
+    stack = stack.reshape(2, 2, 12, 12)
     pattern = netlist.herald_pattern()
     inputs = np.zeros((3, 12), dtype=int)
     for row, occupied in enumerate([(0, 4, 6), (1, 5, 7), (1, 3, 7)]):
@@ -508,12 +521,11 @@ def test_heralded_transfer_on_stack_equals_per_slice(netlist):
 
 
 def test_heralded_operators_on_stack_equal_extract_gate(netlist):
-    deltas = np.array([-7.0, 0.0, 3.0])
-    perturbed = _perturbed_stack(netlist, deltas)
-    ops, probs = heralded_operators(perturbed, 1.3)
+    deltas = [-7.0, 0.0, 3.0]
+    ops, probs = gate.coupler_operators(netlist, *_gap_angles(netlist, deltas), 1.3)
     assert ops.shape == (3, 4, 4) and probs.shape == (3, 4)
-    for k, delta in enumerate(deltas.tolist()):
-        single = extract_gate(_perturbed_stack(netlist, delta), 1.3)
+    for k, delta in enumerate(deltas):
+        single = extract_gate(_gap_netlist(netlist, delta), 1.3)
         assert np.array_equal(ops[k], single.operator)
         assert probs[k].tolist() == [single.herald_probability[b] for b in BASIS_LABELS]
 
@@ -529,11 +541,11 @@ def test_heralded_operators_reject_non_finite_amplitudes(monkeypatch, bad):
         return perms
 
     monkeypatch.setattr(gate, "permanents", spoiled)
-    physics = CouplerPhysics().with_sensitivities("gap", 0.005, -0.004)
+    nl = default_netlist()
     for call in (
-        lambda: extract_gate(default_netlist(), 0.0),
-        lambda: heralded_operators(_perturbed_stack(default_netlist(), np.zeros(2)), 0.0),
-        lambda: tolerance_sweep(default_netlist(), physics, "gap"),
+        lambda: extract_gate(nl, 0.0),
+        lambda: gate.coupler_operators(nl, *_gap_angles(nl, [0.0, 0.0]), 0.0),
+        lambda: tolerance_sweep(nl, GAP, "gap"),
     ):
         with pytest.raises(ValueError, match="not finite"):
             call()
@@ -633,6 +645,42 @@ def test_coupler_operators_check_every_coupler_block():
     thetas[2, 1, 0] = math.nan  # one block of the last point
     with pytest.raises(NetlistError, match="coupler is not an isometry: deviation nan"):
         gate.coupler_operators(nl, ("F1", "F2"), thetas, 0.0)
+
+
+@pytest.mark.parametrize("name", ["NOPE", "HWP1", "DET"])
+def test_coupler_operators_name_a_step_that_is_not_a_coupler(netlist, name):
+    names, angles = _gap_angles(netlist, [0.0, 1.0])
+    with pytest.raises(ValueError, match=f"^{name!r} is not a coupler step of the netlist$"):
+        gate.coupler_operators(netlist, names[:-1] + (name,), angles, 0.4)
+
+
+def test_coupler_operators_refuse_a_coupler_named_twice(netlist):
+    # else the later angles would silently take the place of the earlier ones
+    names, angles = _gap_angles(netlist, [0.0, 1.0])
+    with pytest.raises(ValueError, match="^coupler 'PBS1' is named twice$"):
+        gate.coupler_operators(netlist, names[:-1] + ("PBS1",), angles, 0.4)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 2), (6, 2), (2, 6, 3), (1, 2, 6, 2)])
+def test_coupler_operators_name_angles_of_the_wrong_shape(netlist, shape):
+    names, _ = _gap_angles(netlist, [0.0])
+    assert len(names) == 6
+    with pytest.raises(ValueError, match=rf"angles of shape \({', '.join(map(str, shape))}\) "
+                                         r"are not \(points, 6, 2\)"):
+        gate.coupler_operators(netlist, names, np.zeros(shape), 0.4)
+
+
+def test_an_empty_batch_gives_empty_operators(netlist):
+    names, angles = _gap_angles(netlist, [])
+    assert angles.shape == (0, 6, 2)
+    operators, probs = gate.coupler_operators(netlist, names, angles, 0.4)
+    assert operators.shape == (0, 4, 4) and probs.shape == (0, 4)
+    assert process_fidelity(operators, ideal_cphase(0.4)).shape == (0,)
+
+
+def test_heralded_transfer_needs_an_input(netlist):
+    with pytest.raises(ValueError, match="at least one input"):
+        heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), np.zeros((0, 12), int))
 
 
 def _verdict(check):
@@ -809,13 +857,6 @@ def test_run_heralded_lays_out_only_foreign_states(monkeypatch):
     assert _bits(branch) == _bits(run_heralded(nl, state)[0])
 
 
-def test_run_heralded_rejects_a_stacked_netlist():
-    nl = default_netlist()
-    state = prepare_input(nl, (1, 0), (0, 1), ProgramState(0.4))
-    with pytest.raises(ValueError, match="single circuit, not a stack"):
-        run_heralded(_perturbed_stack(nl, np.zeros(2)), state)
-
-
 def test_overridden_netlist_has_its_own_circuit():
     parent = default_netlist()
     before = _gate_bits(extract_gate(parent, 1.1))
@@ -926,27 +967,36 @@ def test_oracle_check_builds_its_own_elements(monkeypatch):
 # -- element parameters ------------------------------------------------------------
 
 
-def test_list_and_array_parameters_are_frozen_copies():
+def test_list_parameters_are_frozen_copies():
     plate = [[1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]]
-    theta = np.array([0.1, 0.2])
     el = ElementSpec("HWP1", "waveplate", ("L",), (("matrix", plate),))
-    coupler_spec = spec("PBS3", "pbs", ("L", "P"), theta_h=theta, theta_v=np.pi / 2)
     assert el.param_dict["matrix"] == tuple(map(tuple, plate))
-    nl = default_netlist().with_overrides({"HWP1": el, "PBS3": coupler_spec})
+    nl = default_netlist().with_overrides({"HWP1": el})
     unitary = circuit_matrix(nl).copy()
-    stack_angles = coupler_spec.param_dict["theta_h"].copy()
     plate[0][0] = 5.0
-    theta[0] = 3.0
     assert el.param_dict["matrix"][0][0] == 1 / math.sqrt(2)
-    assert np.array_equal(coupler_spec.param_dict["theta_h"], stack_angles)
-    with pytest.raises(ValueError, match="read-only"):
-        coupler_spec.param_dict["theta_h"][0] = 3.0
     rebuilt = default_netlist().with_overrides({
         "HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", el.param_dict["matrix"]),)),
-        "PBS3": spec("PBS3", "pbs", ("L", "P"), theta_h=stack_angles, theta_v=np.pi / 2),
     })
     assert np.array_equal(circuit_matrix(nl), unitary)
     assert np.array_equal(circuit_matrix(rebuilt), unitary)
+
+
+def test_an_array_parameter_is_refused_naming_the_element_and_parameter():
+    # an element is one device, so no netlist, circuit or netlist file holds a stack
+    rows = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for make, message in [
+        (lambda: spec("PBS3", "pbs", ("L", "P"), theta_h=np.array([0.1, 0.2])),
+         r"'PBS3' parameter 'theta_h' holds an array of shape \(2,\)"),
+        (lambda: default_netlist().element("PBS1").with_params(theta_v=np.array(1.5)),
+         r"'PBS1' parameter 'theta_v' holds an array of shape \(\)"),
+        (lambda: ElementSpec("HWP1", "waveplate", ("L",), (("matrix", rows),)),
+         r"'HWP1' parameter 'matrix' holds an array of shape \(2,\)"),
+        (lambda: ElementSpec("HWP1", "waveplate", ("L",), (("matrix", np.eye(2)),)),
+         r"'HWP1' parameter 'matrix' holds an array of shape \(2, 2\)"),
+    ]:
+        with pytest.raises(NetlistError, match=message):
+            make()
 
 
 def test_netlist_with_a_matrix_parameter_is_hashable():

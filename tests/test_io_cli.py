@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 import fockgate
 from fockgate.cli import main, parse_qubit
 from fockgate.gate import NetlistError
-from fockgate.design import CouplerPhysics, synthesize_imperfect_elements
+from fockgate.design import CouplerPhysics
 from fockgate.gate import default_netlist, extract_gate
 from fockgate.io import (
     format_number,
@@ -437,18 +436,6 @@ def test_herald_count_must_be_an_integer(count):
     data["herald"][0]["count"] = count
     with pytest.raises(NetlistError, match="count"):
         netlist_from_dict(data)
-
-
-def test_save_netlist_rejects_batched_parameters(tmp_path):
-    netlist = default_netlist()
-    physics = CouplerPhysics().with_sensitivities("width", 0.004, 0.004)
-    batched = netlist.with_overrides(
-        synthesize_imperfect_elements(netlist, physics, "width", np.array([0.0, 1.0]))
-    )
-    path = tmp_path / "batched.json"
-    with pytest.raises(NetlistError, match="'PBS1' parameter 'theta_h'"):
-        save_netlist(batched, path)
-    assert not path.exists()
 
 
 def test_element_arity_checked_on_load(tmp_path, capsys):

@@ -124,10 +124,7 @@ def _perturbed(dimension, delta):
 
 def _hwp1_override():
     phase = complex(math.cos(0.3), math.sin(0.3))
-    alt = np.array(
-        [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]],
-        dtype=complex,
-    )
+    alt = [[-math.sqrt(3) / 2 * phase, 0.5 * phase], [0.5, math.sqrt(3) / 2]]
     return default_netlist().with_overrides(
         {"HWP1": ElementSpec("HWP1", "waveplate", ("L",), (("matrix", alt),))}
     )
