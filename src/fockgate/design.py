@@ -34,12 +34,12 @@ from .gate import (
     COUPLER_KINDS,
     ElementSpec,
     Netlist,
+    _fidelity,
     coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
     heralded_operators,
     ideal_cphase,
-    process_fidelity,
 )
 
 DIMENSIONS = ("width", "height", "gap")
@@ -549,9 +549,10 @@ def tolerance_sweep(
     the whole grid, with its checks.  The grid is then evaluated in batches
     of at most `_SWEEP_BATCH` consecutive points: one `coupler_operators`
     call per batch, which composes the netlist's realized elements with the
-    couplers' matrices of the batch filled from their angles, and one
-    `process_fidelity` call on its operators.  Without a perturbed coupler
-    the netlist's own operator and fidelity serve every point.  Each row
+    couplers' matrices of the batch filled from their angles, and one call
+    of `process_fidelity`'s core on its operators, which `coupler_operators`
+    has already checked.  Without a perturbed coupler the netlist's own
+    operator and fidelity serve every point.  Each row
     equals `extract_gate` on the netlist perturbed by its own delta
     (`synthesize_imperfect_elements`), bit for bit whatever the batch size;
     the bars are cos^2 of the perturbed angles, by element name, taken in
@@ -568,19 +569,22 @@ def tolerance_sweep(
                 netlist, names, angles[start : start + _SWEEP_BATCH], phi
             )
             probs += batch_probs.tolist()
-            fidelity += process_fidelity(operators, ideal).tolist()
+            fidelity += _fidelity(operators, ideal).tolist()
     else:
         operator, point_probs = heralded_operators(netlist, phi)
         probs = [point_probs.tolist()] * len(deltas)
-        fidelity = [process_fidelity(operator, ideal)] * len(deltas)
+        fidelity = [_fidelity(operator, ideal)] * len(deltas)
 
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[k] for k in order]
-    bars = [math.cos(x) ** 2 for x in angles[:, order].ravel().tolist()]
-    width = 2 * len(names)  # (bar_h, bar_v) of each coupler of a point
-    rows = []
-    for k, (delta, row_probs, row_fidelity) in enumerate(zip(deltas, probs, fidelity)):
-        at = k * width
-        point_bars = zip(sorted_names, bars[at : at + width : 2], bars[at + 1 : at + width : 2])
-        rows.append(SweepRow(delta, tuple(point_bars), tuple(row_probs), row_fidelity))
-    return rows
+    # bit for bit math.cos(theta) ** 2: np.cos matches math.cos, and np.float_power is libm's pow
+    bars = np.float_power(np.cos(angles[:, order]), 2.0).tolist()
+    return [
+        SweepRow(
+            delta,
+            tuple((name, bar_h, bar_v) for name, (bar_h, bar_v) in zip(sorted_names, point_bars)),
+            tuple(row_probs),
+            row_fidelity,
+        )
+        for delta, point_bars, row_probs, row_fidelity in zip(deltas, bars, probs, fidelity)
+    ]

@@ -63,6 +63,16 @@ class PureState:
     ValueError.  `subnormalized` flags states whose
     squared norm is intentionally below one (heralded branches); such
     states are never silently renormalized.
+
+    Checks, then core: the constructor refuses an occupation vector whose
+    length is not the number of modes or that holds a negative count (it
+    checks every occupation before any amplitude), then runs the core,
+    `_fill`, which refuses a non-finite amplitude, prunes and orders the
+    terms.  `_from_valid` builds a state through the core alone, for
+    occupations valid by construction: `gate.prepare_input` (the plan's
+    basis inputs) and `gate.run_heralded` (the outputs its gather
+    enumerates on the netlist's modes) call it.  Its state is the one the
+    constructor builds, bit for bit.
     """
 
     __slots__ = ("modes", "_terms", "subnormalized")
@@ -73,10 +83,9 @@ class PureState:
         terms: Mapping[FockVector, complex],
         subnormalized: bool = False,
     ):
-        self.modes = tuple(modes)
-        n = len(self.modes)
-        kept: dict[FockVector, complex] = {}
-        for vec, amp in terms.items():
+        modes = tuple(modes)
+        n = len(modes)
+        for vec in terms:
             if len(vec) != n:
                 raise ValueError(
                     f"occupation vector of length {len(vec)} does not match "
@@ -84,10 +93,30 @@ class PureState:
                 )
             if min(vec, default=0) < 0:
                 raise ValueError(f"negative occupation in {vec}")
+        self._fill(modes, terms, subnormalized)
+
+    @classmethod
+    def _from_valid(
+        cls,
+        modes: tuple[Mode, ...],
+        terms: Mapping[FockVector, complex],
+        subnormalized: bool = False,
+    ) -> "PureState":
+        """The constructor's state, without its occupation checks; `modes` is a tuple."""
+        state = cls.__new__(cls)
+        state._fill(modes, terms, subnormalized)
+        return state
+
+    def _fill(
+        self, modes: tuple[Mode, ...], terms: Mapping[FockVector, complex], subnormalized: bool
+    ) -> None:
+        kept: dict[FockVector, complex] = {}
+        for vec, amp in terms.items():
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude {amp} of {vec} is not finite")
             if abs(amp) >= PRUNE_THRESHOLD:
                 kept[vec] = complex(amp)
+        self.modes = modes
         # canonical order: lexicographic over occupation vectors
         self._terms = dict(sorted(kept.items()))
         self.subnormalized = subnormalized

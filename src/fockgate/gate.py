@@ -187,10 +187,11 @@ class StructurePlan:
     each mode to its index there.  `pattern` is the herald as exact-count
     conditions on the columns.  `basis_inputs` holds the occupations of
     the 8 three-photon basis inputs, row 4 t + 2 c + p for target t,
-    control c and program p (0 = H); `basis_gather`, their `_gather`, is
+    control c and program p (0 = H), and `_basis_rows` maps each to its
+    row; `basis_gather`, their `_gather`, is
     what `heralded_transfer` gathers for them, read-only; `readout` is the
     (outputs x 4) 0/1 matrix that reads those outputs as logical |tc>.  All
-    three are computed on first use.  `element_columns` maps the ports an
+    four are computed on first use.  `element_columns` maps the ports an
     element is wired to onto the columns of its modes.  `structure_plan`
     keeps one plan per structure, which every netlist with those ports,
     herald and encoding shares, perturbed copies included.
@@ -240,6 +241,10 @@ class StructurePlan:
     @cached_property
     def basis_inputs(self) -> tuple[FockVector, ...]:
         return tuple(self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3))
+
+    @cached_property
+    def _basis_rows(self) -> dict[FockVector, int]:
+        return {vec: k for k, vec in enumerate(self.basis_inputs)}
 
     @cached_property
     def basis_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -608,7 +613,8 @@ def prepare_input(
     inputs.  An amplitude is target x control x program, multiplied in that
     order as `tensor` multiplies the states `qubit_state` and
     `program_state` build, which keep an amplitude as a complex and drop it
-    below PRUNE_THRESHOLD.
+    below PRUNE_THRESHOLD.  Its occupations are the plan's basis inputs, so
+    the state comes from `PureState`'s core, which checks the amplitudes.
     """
     kept = []
     for alpha, beta in (target, control, program_amplitudes(program.phi)):
@@ -619,7 +625,7 @@ def prepare_input(
         basis[4 * t + 2 * c + p]: at * ac * ap
         for (t, at), (c, ac), (p, ap) in itertools.product(*kept)
     }
-    return PureState(netlist.modes, terms)
+    return PureState._from_valid(netlist.modes, terms)
 
 
 def extend_state(state: PureState, netlist: Netlist) -> PureState:
@@ -655,8 +661,9 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     number; each group's amplitudes are contracted with the heralded
     transfer of the circuit matrix (see `heralded_transfer`), so any
     number of photons, vacuum and mixed-number superpositions all work.
-    A group of basis inputs reads the netlist's kept basis amplitudes; any
-    other group gets a fresh transfer.  Amplitudes below PRUNE_THRESHOLD
+    A group of basis inputs, found through the plan's `_basis_rows`, reads
+    the netlist's kept basis amplitudes; any other group gets a fresh
+    transfer.  Amplitudes below PRUNE_THRESHOLD
     are dropped.  Returns the sub-normalized heralded branch and the herald
     probability, its squared norm.  `run_elements` followed by
     `project_herald` computes the same branch independently and is the
@@ -672,14 +679,15 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     for group in groups.values():
         vecs, amps = zip(*group)
         try:
-            picked = [plan.basis_inputs.index(vec) for vec in vecs]
-        except ValueError:  # not all basis inputs
+            picked = [plan._basis_rows[vec] for vec in vecs]
+        except KeyError:  # not all basis inputs
             outputs, transfer = heralded_transfer(circuit_matrix(netlist), plan.pattern, vecs)
         else:
             outputs, transfer = plan.basis_gather[2], netlist._basis_amplitudes[picked]
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
-    branch = PureState(netlist.modes, terms, subnormalized=True)
+    # the outputs are occupations the gather enumerated on `netlist.modes`
+    branch = PureState._from_valid(netlist.modes, terms, subnormalized=True)
     return branch, norm_squared(branch)
 
 
@@ -840,7 +848,8 @@ def coupler_operators(
     (N, couplers, 2) holds their (theta_h, theta_v) at each point; a name
     that is not a coupler step of the netlist or is repeated, or angles of
     another shape, raise ValueError saying so, and N = 0 gives empty
-    results.  One
+    results.  With no couplers named, every point reads the netlist's own
+    kept basis amplitudes.  Otherwise one
     `coupler_matrices` call fills their matrices (reflection form for a
     pbs, as `build_element` builds it).  Their entries are cosines and
     sines of the angles, so a block is an isometry to within a few ulps
@@ -864,6 +873,9 @@ def coupler_operators(
         )
     if not np.isfinite(thetas).all():
         raise NetlistError("coupler is not an isometry: deviation nan")
+    if not couplers:  # every point is the netlist's own circuit
+        kept = netlist._basis_amplitudes
+        return _basis_operators(netlist.plan, np.broadcast_to(kept, (len(thetas),) + kept.shape), phi)
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
     blocks = coupler_matrices(thetas, reflect)
@@ -909,15 +921,14 @@ def _squared_norms(z: np.ndarray) -> np.ndarray:
 
     Bit for bit `sum(abs(a) ** 2 for a in row)` of each row: Python's abs
     of a complex is `hypot`, which `np.hypot` matches; its `** 2` is libm's
-    `pow`, which differs from numpy's squaring in the last bit for about
-    0.1% of values, so the squares are taken in Python; and the sum adds in
-    row order, as `cumsum` does.
+    `pow`, which `np.float_power(m, 2.0)` calls too (`np.square`, `m * m`
+    and `np.power(m, 2.0)` round differently in the last bit for about 0.1%
+    of values); and the sum adds in row order, as `cumsum` does.
     """
     if z.shape[-1] == 0:
         return np.zeros(z.shape[:-1])
-    magnitudes = np.hypot(z.real, z.imag).ravel().tolist()
-    squares = np.array([m ** 2 for m in magnitudes], dtype=float).reshape(z.shape)
-    return np.cumsum(squares, axis=-1)[..., -1]
+    squares = np.float_power(np.hypot(z.real, z.imag), 2.0)
+    return squares.cumsum(axis=-1)[..., -1]
 
 
 def extract_gate(netlist: Netlist, phi: float) -> GateResult:
@@ -931,14 +942,26 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     is the reference for this one.
     """
     op, probs = heralded_operators(netlist, phi)
-    fidelity = process_fidelity(op, ideal_cphase(phi))
+    # `heralded_operators` refused a non-finite or zero operator
+    fidelity = _fidelity(op, ideal_cphase(phi))
     return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
 
 
 def ideal_cphase(phi: float) -> np.ndarray:
     """diag(1, 1, 1, e^{i phi}) on (target tensor control); phi must be finite (`check_phase`)."""
     check_phase(phi)
-    return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]).astype(complex)
+    ideal = np.zeros((4, 4), dtype=complex)
+    ideal[0, 0] = ideal[1, 1] = ideal[2, 2] = 1.0
+    ideal[3, 3] = cmath.exp(1j * phi)
+    return ideal
+
+
+# `process_fidelity` rescales an operator whose largest real or imaginary part
+# lies outside [2^-k, 2^k].  With both n x n operators in range,
+# Tr(A^dag A) Tr(B^dag B) and |Tr(A^dag B)|^2 lie below n^4 2^(4k + 2), and
+# a non-zero Tr(A^dag A) Tr(B^dag B) above 2^(-4k): normal doubles for k = 200
+# and any n below 2^50.  (At k = 400 the product reaches 2^1600 and overflows.)
+_FIDELITY_SCALE_EXPONENT = 200
 
 
 def process_fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -949,6 +972,17 @@ def process_fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     over the broadcast leading axes, each entry bit for bit the fidelity of
     its own pair.  Operators of different or non-square shapes, a non-finite
     entry and a zero operator raise ValueError.
+
+    Checks, then core: after those checks, an operator whose largest real
+    or imaginary part lies outside [2^-200, 2^200] is multiplied by a power
+    of two, which the fidelity does not depend on, so that no norm
+    overflows or underflows; an operator in that range is used as given.
+    The core, `_fidelity`, then does the arithmetic.  `extract_gate` and
+    `tolerance_sweep` call the core directly: their operators come from
+    `heralded_operators` or `coupler_operators`, which refuse a non-finite
+    or zero operator, their entries are heralded amplitudes of a unitary
+    circuit, between PRUNE_THRESHOLD and sqrt(2) in size, and their ideal
+    is `ideal_cphase`'s.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -958,12 +992,37 @@ def process_fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         )
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("process fidelity is undefined for a non-finite operator")
-    a_dag = a.conj().swapaxes(-1, -2)
-    na = np.trace(a_dag @ a, axis1=-2, axis2=-1).real
-    nb = np.trace(b.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1).real
-    if not ((na > 0.0).all() and (nb > 0.0).all()):
+    return _fidelity(_in_scale(a), _in_scale(b))
+
+
+def _in_scale(op: np.ndarray) -> np.ndarray:
+    """The finite `op` with each operator of the stack in `process_fidelity`'s range.
+
+    An operator whose largest real or imaginary part is already in
+    [2^-200, 2^200] is left as it is; one outside is multiplied, exactly, by
+    the power of two that brings that part into [1/2, 1).  A zero operator
+    raises ValueError.
+    """
+    peak = np.maximum(np.abs(op.real), np.abs(op.imag)).max(axis=(-2, -1), initial=0.0)
+    if not (peak > 0.0).all():
         raise ValueError("process fidelity is undefined for a zero operator")
-    overlap = np.trace(a_dag @ b, axis1=-2, axis2=-1)
+    limit = 2.0 ** _FIDELITY_SCALE_EXPONENT
+    outside = (peak > limit) | (peak < 1.0 / limit)
+    if not outside.any():
+        return op
+    shift = np.where(outside, -np.frexp(peak)[1], 0)[..., None, None]
+    scaled = np.empty_like(op)
+    scaled.real = np.ldexp(op.real, shift)
+    scaled.imag = np.ldexp(op.imag, shift)
+    return scaled
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """`process_fidelity` of complex operators that pass its checks and lie in its range."""
+    a_dag = a.conj().swapaxes(-1, -2)
+    na = (a_dag @ a).trace(axis1=-2, axis2=-1).real
+    nb = (b.conj().swapaxes(-1, -2) @ b).trace(axis1=-2, axis2=-1).real
+    overlap = (a_dag @ b).trace(axis1=-2, axis2=-1)
     fidelity = _squared_norms(overlap[..., None]) / (na * nb)
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from fockgate.fock import (
+    PRUNE_THRESHOLD,
     H,
     V,
     HeraldPattern,
@@ -179,3 +181,62 @@ def test_pure_state_rejects_non_finite_amplitude(amp):
 def test_pure_state_rejects_a_negative_occupation_anywhere(vec):
     with pytest.raises(ValueError, match="negative occupation"):
         PureState(modes_for_ports(["a", "b"]), {(0, 1, 0, 0): 0.6, vec: 0.8})
+
+
+# -- PureState: the constructor's checks and its core --------------------------
+
+
+def _random_terms(rng, n_modes):
+    """Seeded terms mixing photon numbers 0-4, with amplitudes on both sides of the prune threshold."""
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        vec = [0] * n_modes
+        for _ in range(rng.randint(0, 4)):
+            vec[rng.randrange(n_modes)] += 1
+        scale = rng.choice((1.0, 1.0, PRUNE_THRESHOLD, 0.5 * PRUNE_THRESHOLD, 1e-20, 0.0))
+        terms[tuple(vec)] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) * scale
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pure_state_core_builds_the_constructors_state(seed):
+    rng = random.Random(seed)
+    modes = modes_for_ports(["a", "b", "c"][: rng.randint(1, 3)])
+    terms = _random_terms(rng, len(modes))
+    subnormalized = rng.random() < 0.5
+    public = PureState(modes, terms, subnormalized=subnormalized)
+    core = PureState._from_valid(modes, terms, subnormalized=subnormalized)
+    assert core.modes == public.modes == modes
+    assert core.subnormalized is public.subnormalized is subnormalized
+    # same terms in the same order, each amplitude the same complex bit for bit
+    got, want = list(core.items()), list(public.items())
+    assert [vec for vec, _ in got] == [vec for vec, _ in want] == sorted(
+        vec for vec, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
+    )
+    for (_, a), (_, b) in zip(got, want):
+        assert type(a) is type(b) is complex
+        assert (a.real, a.imag) == (b.real, b.imag)
+        assert math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+    assert norm_squared(core) == norm_squared(public)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(1, 0, 0): 1.0}, "occupation vector of length 3 does not match 2 modes"),
+        ({(1, 0): 0.6, (1,): 0.8}, "occupation vector of length 1 does not match 2 modes"),
+        ({(1, 0): 0.6, (2, -1): 0.8}, "negative occupation in (2, -1)"),
+        ({(0, 1): 0.6, (1, 0): complex(math.nan, 0.0)}, "amplitude (nan+0j) of (1, 0) is not finite"),
+        ({(1, 0): math.inf}, "amplitude inf of (1, 0) is not finite"),
+    ],
+)
+def test_pure_state_refuses_with_its_messages(terms, message):
+    with pytest.raises(ValueError) as info:
+        PureState(modes_for_ports(["a"]), terms)
+    assert info.value.args[0] == message
+
+
+@pytest.mark.parametrize("amp", [math.nan, complex(0.0, math.inf)])
+def test_pure_state_core_refuses_a_non_finite_amplitude(amp):
+    with pytest.raises(ValueError, match="is not finite"):
+        PureState._from_valid(modes_for_ports(["a"]), {(0, 1): 1.0, (1, 0): amp})

@@ -467,6 +467,40 @@ def test_process_fidelity_rejects_operators_of_other_shapes(shape_a, shape_b):
         process_fidelity(np.ones(shape_a), np.ones(shape_b))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fidelity_core_equals_process_fidelity(seed):
+    rng = np.random.default_rng(seed)
+    ops = _random_operators(rng, 24)
+    ideals = np.stack([ideal_cphase(phi) for phi in rng.uniform(0, 2 * math.pi, 24)])
+    stacked = gate._fidelity(ops, ideals)
+    assert np.array_equal(stacked, process_fidelity(ops, ideals))
+    assert np.array_equal(gate._fidelity(ops, ideals[3]), process_fidelity(ops, ideals[3]))
+    for k in range(24):
+        single = gate._fidelity(ops[k], ideals[k])
+        assert type(single) is float
+        assert single == process_fidelity(ops[k], ideals[k]) == stacked[k]
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 1e-170, 1e-200, 1e-300, 5e-324])
+def test_process_fidelity_does_not_depend_on_an_operators_scale(scale):
+    assert process_fidelity(np.eye(4) * scale, np.eye(4)) == 1.0
+    assert process_fidelity(np.eye(4), np.eye(4) * scale) == 1.0
+    assert process_fidelity(np.eye(4) * scale, np.eye(4) * scale) == 1.0
+
+
+def test_process_fidelity_of_a_stack_mixing_scales():
+    ops = _random_operators(np.random.default_rng(11), 6)
+    # a power of two scales every norm exactly, so each fidelity is the same bit for bit
+    powers = np.array([0, 700, -700, 300, -900, 150])
+    mixed = ops * np.ldexp(1.0, powers)[:, None, None]
+    ideal = ideal_cphase(2.1)
+    want = process_fidelity(ops, ideal)
+    assert np.array_equal(process_fidelity(mixed, ideal), want)
+    assert np.array_equal(process_fidelity(ideal, mixed), process_fidelity(ideal, ops))
+    with pytest.raises(ValueError, match="undefined for a zero operator"):
+        process_fidelity(np.concatenate([mixed, np.zeros((1, 4, 4))]), ideal)
+
+
 @pytest.mark.parametrize("shape", [(6000, 1), (1500, 13)])
 def test_squared_norms_sum_as_norm_squared_bit_for_bit(shape):
     # single terms pin Python's square, 13 terms its summation order
@@ -668,6 +702,16 @@ def test_coupler_operators_name_angles_of_the_wrong_shape(netlist, shape):
     with pytest.raises(ValueError, match=rf"angles of shape \({', '.join(map(str, shape))}\) "
                                          r"are not \(points, 6, 2\)"):
         gate.coupler_operators(netlist, names, np.zeros(shape), 0.4)
+
+
+@pytest.mark.parametrize("points", [0, 1, 3])
+def test_coupler_operators_without_couplers_give_one_operator_per_point(netlist, points):
+    operators, probs = gate.coupler_operators(netlist, (), np.zeros((points, 0, 2)), 0.9)
+    assert operators.shape == (points, 4, 4) and probs.shape == (points, 4)
+    want_op, want_probs = heralded_operators(netlist, 0.9)
+    for k in range(points):
+        assert np.array_equal(operators[k], want_op)
+        assert np.array_equal(probs[k], want_probs)
 
 
 def test_an_empty_batch_gives_empty_operators(netlist):
