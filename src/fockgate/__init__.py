@@ -26,14 +26,10 @@ from .elements import (
     ElementMatrix,
     amplitude_via_permanent,
     apply_element,
-    attenuating_filter,
-    beam_splitter,
     compose_circuit_matrix,
     coupler,
-    partially_polarizing_beam_splitter,
     permanent,
     phase_shift,
-    polarizing_beam_splitter,
     rotator_from_conversion,
     wave_plate,
 )
@@ -46,6 +42,7 @@ from .gate import (
     PortDecl,
     ProgramState,
     QubitEncoding,
+    build_element,
     circuit_matrix,
     default_netlist,
     extract_gate,
@@ -53,6 +50,7 @@ from .gate import (
     prepare_input,
     process_fidelity,
     run_heralded,
+    spec,
 )
 from .design import (
     CouplerPhysics,

@@ -27,19 +27,19 @@ from .fock import (
 from .elements import (
     amplitude_via_permanent,
     apply_element,
-    beam_splitter,
     compose_circuit_matrix,
     mode_columns,
-    partially_polarizing_beam_splitter,
     wave_plate,
 )
 from .gate import (
     ElementSpec,
     Netlist,
+    build_element,
     circuit_matrix,
     default_netlist,
     extract_gate,
     run_elements,
+    spec,
 )
 from .design import (
     COUPLER_DESIGNS,
@@ -97,7 +97,7 @@ def check_success_probability(netlist: Netlist | None = None) -> CheckResult:
 def check_ppbs_interference() -> CheckResult:
     """Criterion 3: two-V-photon coincidence amplitude -1/3 within 1e-12."""
     modes = modes_for_ports(["a", "b"])
-    ppbs = partially_polarizing_beam_splitter("a", "b")
+    ppbs = build_element(spec("PPBS", "ppbs", ("a", "b")))
     both_v = PureState(modes, {(0, 1, 0, 1): 1.0})
     out = apply_element(both_v, ppbs)
     seq_amp = out.amplitude((0, 1, 0, 1))
@@ -242,8 +242,10 @@ def check_conservation_suite(seed: int = 7) -> CheckResult:
     rng = random.Random(seed)
     modes = modes_for_ports(["a", "b"])
     elements = [
-        beam_splitter("a", "b", t_h=1 / math.sqrt(2), r_h=1 / math.sqrt(2)),
-        partially_polarizing_beam_splitter("a", "b"),
+        build_element(
+            spec("BS", "beamsplitter", ("a", "b"), t_h=1 / math.sqrt(2), r_h=1 / math.sqrt(2))
+        ),
+        build_element(spec("PPBS", "ppbs", ("a", "b"))),
         wave_plate("a", "hadamard"),
         wave_plate("a", "hwp1"),
     ]

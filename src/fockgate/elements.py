@@ -12,13 +12,17 @@ a circuit is exactly unitary on its mode set and probability bookkeeping
 stays closed.
 
 Conventions (fixed circuit-wide):
-  * BeamSplitter per polarization: rotation [[t, r], [-r, t]].
-  * PBS: routing unitary; H passes straight, V swaps ports with
-    amplitude +1 on both crossings.
-  * Coupler from angles (`coupler`): bar amplitude cos(theta); H block in
-    rotation form, V block in rotation or (PBS) reflection form.
-  * PPBS: rotation form on the V modes, [[t, r], [-r, t]] with
-    t = 1/sqrt(3) by default; H modes untouched.
+  * Every two-port coupler (PBS, PPBS, filter, beam splitter) is filled
+    by `coupler_matrices` from a (bar, cross) amplitude pair per
+    polarization: H block in rotation form [[bar, cross], [-cross, bar]],
+    V block in rotation form, or for a PBS in reflection form
+    [[bar, cross], [cross, -bar]].
+  * From angles (`coupler`), the pair is (cos(theta), sin(theta)).
+  * Nominal couplers take exact pairs (`gate.build_element`): the
+    routing PBS (1, 0) for H and (0, 1) for V, so H passes straight and
+    V swaps ports with amplitude +1 on both crossings; a PPBS or filter
+    (bar, sqrt(1 - bar^2)), the default PPBS bar 1/sqrt(3) on V and 1
+    on H; a beam splitter its (t, r).
 """
 
 from __future__ import annotations
@@ -90,45 +94,6 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
-def _two_port(port_a: str, port_b: str, h_block, v_block) -> ElementMatrix:
-    """Two-port element on the modes (aH, aV, bH, bV) from its H and V 2x2 blocks.
-
-    The H block acts on modes 0 and 2, the V block on modes 1 and 3.
-    """
-    m = np.zeros((4, 4), dtype=complex)
-    m[::2, ::2] = h_block
-    m[1::2, 1::2] = v_block
-    return ElementMatrix(modes_for_ports((port_a, port_b)), m)
-
-
-def beam_splitter(
-    port_a: str,
-    port_b: str,
-    t_h: float,
-    r_h: float,
-    t_v: float | None = None,
-    r_v: float | None = None,
-) -> ElementMatrix:
-    """Two-port coupler, rotation convention [[t, r], [-r, t]] per polarization.
-
-    t is the bar (stay) amplitude, r the cross amplitude; t^2 + r^2 must
-    equal 1 for each polarization.
-    """
-    if t_v is None:
-        t_v = t_h
-    if r_v is None:
-        r_v = r_h
-    for t, r, pol in ((t_h, r_h, "H"), (t_v, r_v, "V")):
-        if abs(t * t + r * r - 1.0) > 1e-12:
-            raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
-    return _two_port(port_a, port_b, ((t_h, r_h), (-r_h, t_h)), ((t_v, r_v), (-r_v, t_v)))
-
-
-def polarizing_beam_splitter(port_a: str, port_b: str) -> ElementMatrix:
-    """Ideal PBS routing unitary: H bar-passes, V cross-passes (amplitude +1)."""
-    return _two_port(port_a, port_b, ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0)))
-
-
 def coupler(
     port_a: str,
     port_b: str,
@@ -136,69 +101,41 @@ def coupler(
     theta_v: float,
     v_reflect: bool = False,
 ) -> ElementMatrix:
-    """Two-port coupler given by its coupling angles; the bar amplitude is cos(theta).
+    """Two-port coupler given by its coupling angles: `coupler_matrices` of their cosines and sines.
 
-    The H block is in rotation form [[c, s], [-s, c]] (identity at
-    theta_h = 0).  The V block is in rotation form too, or with `v_reflect`
-    in reflection form [[c, s], [s, -c]], the symmetric swap at
-    theta_v = pi/2 that makes the routing PBS.  A stack of couplers, one
-    per point of a sweep, is `coupler_matrices`' job.
+    The bar amplitude is cos(theta), so the H block is the identity at
+    theta_h = 0, and with `v_reflect` the V block at theta_v = pi/2 is the
+    symmetric swap of the routing PBS.
     """
     thetas = np.array([theta_h, theta_v], dtype=float)
-    return ElementMatrix(modes_for_ports((port_a, port_b)), coupler_matrices(thetas, v_reflect))
+    matrix = coupler_matrices(np.cos(thetas), np.sin(thetas), v_reflect)
+    return ElementMatrix(modes_for_ports((port_a, port_b)), matrix)
 
 
-def coupler_matrices(thetas: np.ndarray, v_reflect: bool | np.ndarray = False) -> np.ndarray:
-    """Coupler matrices (S + (4, 4)) on the modes (aH, aV, bH, bV) from angles S + (2,).
+def coupler_matrices(
+    bar: np.ndarray, cross: np.ndarray, v_reflect: bool | np.ndarray = False
+) -> np.ndarray:
+    """Coupler matrices (S + (4, 4)) on the modes (aH, aV, bH, bV) from (bar, cross) pairs.
 
-    The last axis of `thetas` is (theta_h, theta_v).  The H block acts on
-    modes 0 and 2, the V block on modes 1 and 3, in the forms `coupler`
-    describes; `v_reflect` (a bool, or bools that broadcast against S)
-    picks the reflection form.  The matrices are unitary for every finite
-    angle and are not checked here.
+    `bar` and `cross` (S + (2,)) hold the bar (stay) and cross amplitudes
+    of each coupler, H then V on the last axis.  The H block acts on
+    modes 0 and 2 in rotation form [[bar, cross], [-cross, bar]]; the V
+    block acts on modes 1 and 3 in rotation form too, or, where
+    `v_reflect` (a bool, or bools that broadcast against S) is set, in
+    reflection form [[bar, cross], [cross, -bar]].  This is the only fill
+    of a coupler's matrix: angles enter as (cos, sin) pairs, nominal
+    couplers as exact ones.  A pair with bar^2 + cross^2 = 1 gives a
+    unitary; nothing is checked here.
     """
-    cos, sin = np.cos(thetas), np.sin(thetas)
     sign = np.ones(np.shape(v_reflect) + (2,))
     sign[..., 1] = np.where(v_reflect, -1.0, 1.0)  # the lower row of a reflection V block
-    m = np.zeros(thetas.shape[:-1] + (4, 4), dtype=complex)
+    m = np.zeros(np.shape(bar)[:-1] + (4, 4), dtype=complex)
     upper, lower = [0, 1], [2, 3]  # the (aH, aV) and (bH, bV) modes
-    m[..., upper, upper] = cos
-    m[..., upper, lower] = sin
-    m[..., lower, upper] = -sin * sign
-    m[..., lower, lower] = cos * sign
+    m[..., upper, upper] = bar
+    m[..., upper, lower] = cross
+    m[..., lower, upper] = -cross * sign
+    m[..., lower, lower] = bar * sign
     return m
-
-
-def _bar_coupler(port_a: str, port_b: str, bar_h: float, bar_v: float, what: str) -> ElementMatrix:
-    """Rotation-form coupler from bar amplitudes in [0, 1]; `what` names them in errors."""
-    for bar, pol in ((bar_h, "H"), (bar_v, "V")):
-        if not (0.0 <= bar <= 1.0):
-            raise ValueError(f"{what.format(pol)} amplitude {bar} outside [0, 1]")
-    cross_h = math.sqrt(max(0.0, 1.0 - bar_h * bar_h))
-    cross_v = math.sqrt(max(0.0, 1.0 - bar_v * bar_v))
-    return beam_splitter(port_a, port_b, t_h=bar_h, r_h=cross_h, t_v=bar_v, r_v=cross_v)
-
-
-def partially_polarizing_beam_splitter(
-    port_a: str, port_b: str, bar_h: float = PPBS_BARS[0], bar_v: float = PPBS_BARS[1]
-) -> ElementMatrix:
-    """PPBS: per-polarization rotation with bar amplitudes (bar_h, bar_v).
-
-    The default is `PPBS_BARS`, whose two-V-photon coincidence amplitude
-    is -1/3.
-    """
-    return _bar_coupler(port_a, port_b, bar_h, bar_v, "PPBS bar {}")
-
-
-def attenuating_filter(
-    port: str, loss_port: str, t_h: float, t_v: float
-) -> ElementMatrix:
-    """Per-polarization amplitude filter; rejected light goes to `loss_port`.
-
-    Implemented as a coupler into the loss port, so the element is a full
-    unitary and photon number stays exact with losses explicit.
-    """
-    return _bar_coupler(port, loss_port, t_h, t_v, "filter {} transmission")
 
 
 def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:

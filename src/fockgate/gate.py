@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -68,16 +69,12 @@ from .elements import (
     PPBS_BARS,
     ElementMatrix,
     apply_element,
-    attenuating_filter,
-    beam_splitter,
     compose_circuit_matrix,
     coupler,
     coupler_matrices,
     mode_columns,
-    partially_polarizing_beam_splitter,
     permanents,
     phase_shift,
-    polarizing_beam_splitter,
     wave_plate,
 )
 
@@ -406,11 +403,10 @@ class Netlist:
         for el in self.elements:
             try:
                 m = build_element(el)
+            except NetlistError:
+                raise
             except KeyError as exc:
-                raise NetlistError(
-                    f"element {el.name!r} of kind {el.kind!r} lacks parameter "
-                    f"{exc.args[0]!r}"
-                ) from exc
+                raise _lacking(el, exc.args[0]) from exc
             except (ValueError, TypeError) as exc:
                 raise NetlistError(f"element {el.name!r}: {exc}") from exc
             if m is not None:
@@ -489,58 +485,92 @@ class Netlist:
         return counts
 
 
+def _lacking(el: ElementSpec, key: str) -> NetlistError:
+    return NetlistError(f"element {el.name!r} of kind {el.kind!r} lacks parameter {key!r}")
+
+
+# The bar-amplitude parameter of each coupler kind per polarization, with its
+# default (None: required).  A PBS has none: its bars are those of the routing
+# PBS, H passing and V crossing.
+_BAR_PARAMS = {
+    "pbs": ((None, 1.0), (None, 0.0)),
+    "ppbs": (("bar_h", PPBS_BARS[0]), ("bar_v", PPBS_BARS[1])),
+    "filter": (("t_h", None), ("t_v", None)),
+}
+
+
+def _coupler_setting(el: ElementSpec) -> tuple[bool, tuple[float, float]]:
+    """How a pbs, ppbs or filter is set, read and checked in this one place.
+
+    Returns (True, (theta_h, theta_v)) for a coupler that sets either angle,
+    a polarization without its angle taking the arccosine of its bar, and
+    otherwise (False, (bar_h, bar_v)).  The bars are a filter's `t_h`/`t_v`
+    (required), a PPBS's `bar_h`/`bar_v` (default `elements.PPBS_BARS`) and
+    (1, 0) for a PBS.  An angle that is not a number, or a bar that is
+    missing or not a number in [0, 1], raises NetlistError naming the
+    element; another kind raises ValueError.
+    """
+    if el.kind not in _BAR_PARAMS:
+        raise ValueError(f"element kind {el.kind!r} is not a coupler")
+    p = el.param_dict
+    by_angle = "theta_h" in p or "theta_v" in p
+    values = []
+    for theta_key, (bar_key, default) in zip(("theta_h", "theta_v"), _BAR_PARAMS[el.kind]):
+        if theta_key in p:
+            theta = p[theta_key]
+            if not isinstance(theta, numbers.Real):
+                raise NetlistError(
+                    f"element {el.name!r}: coupling angle {theta_key} = {theta!r} is not a number"
+                )
+            values.append(theta)
+            continue
+        bar = p.get(bar_key, default)
+        if bar is None:
+            raise _lacking(el, bar_key)
+        if not (isinstance(bar, numbers.Real) and 0.0 <= bar <= 1.0):
+            raise NetlistError(
+                f"element {el.name!r}: bar amplitude {bar_key} = {bar!r} outside [0, 1]"
+            )
+        values.append(math.acos(bar) if by_angle else bar)
+    return by_angle, tuple(values)
+
+
 def coupler_angles(el: ElementSpec) -> tuple[float, float]:
     """Coupling angles (theta_h, theta_v) of a pbs, ppbs or filter; bar amplitude cos(theta).
 
     Each angle is the element's own `theta_h`/`theta_v` where it sets one,
-    otherwise the arccosine of its bar amplitude: a filter's `t_h`/`t_v`
-    (required), a PPBS's `bar_h`/`bar_v` (default `elements.PPBS_BARS`).  A PBS
-    without angles is the routing PBS, (0, pi/2) in reflection form.  A bar
-    amplitude outside [0, 1] raises ValueError.
+    otherwise the arccosine of its bar amplitude (see `_coupler_setting`,
+    whose errors it raises).  A PBS without angles is the routing PBS,
+    (0, pi/2) in reflection form.
     """
-    p = el.param_dict
-    if el.kind == "pbs":
-        return p.get("theta_h", 0.0), p.get("theta_v", math.pi / 2.0)
-    if el.kind == "ppbs":
-        bar_keys, bars = ("bar_h", "bar_v"), {"bar_h": PPBS_BARS[0], "bar_v": PPBS_BARS[1], **p}
-    elif el.kind == "filter":
-        bar_keys, bars = ("t_h", "t_v"), p
-    else:
-        raise ValueError(f"element kind {el.kind!r} is not a coupler")
-    angles = []
-    for key, bar_key in zip(("theta_h", "theta_v"), bar_keys):
-        if key in p:
-            angles.append(p[key])
-        elif 0.0 <= bars[bar_key] <= 1.0:
-            angles.append(math.acos(bars[bar_key]))
-        else:
-            raise ValueError(f"bar amplitude {bar_key} = {bars[bar_key]} outside [0, 1]")
-    return tuple(angles)
+    by_angle, values = _coupler_setting(el)
+    return values if by_angle else (math.acos(values[0]), math.acos(values[1]))
 
 
 def build_element(el: ElementSpec) -> ElementMatrix | None:
     """Realize one ElementSpec as an ElementMatrix (None for pure markers).
 
     The matrix acts on `modes_for_ports(el.ports)`, the modes whose columns
-    `StructurePlan.element_columns` gives.
+    `StructurePlan.element_columns` gives.  A two-port coupler is filled by
+    `coupler_matrices`: from the cosines and sines of its angles when it
+    sets one (`coupler`), otherwise from exact (bar, cross) pairs, with
+    cross = sqrt(1 - bar^2) for a pbs, ppbs or filter and a beam
+    splitter's own (t, r), which must satisfy t^2 + r^2 = 1.
     """
     p = el.param_dict
-    if el.kind in COUPLER_KINDS and ("theta_h" in p or "theta_v" in p):
-        return coupler(*el.ports, *coupler_angles(el), v_reflect=el.kind == "pbs")
-    if el.kind == "pbs":
-        return polarizing_beam_splitter(*el.ports)
-    if el.kind == "ppbs":
-        return partially_polarizing_beam_splitter(*el.ports, **p)  # bar_h/bar_v at most
+    if el.kind in COUPLER_KINDS:
+        by_angle, values = _coupler_setting(el)
+        if by_angle:
+            return coupler(*el.ports, *values, v_reflect=el.kind == "pbs")
+        crosses = [math.sqrt(max(0.0, 1.0 - bar * bar)) for bar in values]
+        return _filled(el.ports, values, crosses, el.kind == "pbs")
     if el.kind == "beamsplitter":
-        return beam_splitter(
-            *el.ports,
-            t_h=p["t_h"],
-            r_h=p["r_h"],
-            t_v=p.get("t_v"),
-            r_v=p.get("r_v"),
-        )
-    if el.kind == "filter":
-        return attenuating_filter(*el.ports, t_h=p["t_h"], t_v=p["t_v"])
+        bars = (p["t_h"], p.get("t_v", p["t_h"]))
+        crosses = (p["r_h"], p.get("r_v", p["r_h"]))
+        for t, r, pol in zip(bars, crosses, "HV"):
+            if abs(t * t + r * r - 1.0) > 1e-12:
+                raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
+        return _filled(el.ports, bars, crosses, False)
     if el.kind == "waveplate":
         matrix = p.get("matrix")
         if matrix is None:
@@ -819,6 +849,14 @@ def heralded_output_amplitudes(
     return out
 
 
+def _filled(
+    ports: tuple[str, ...], bars: Sequence[float], crosses: Sequence[float], v_reflect: bool
+) -> ElementMatrix:
+    """The coupler on `ports` that `coupler_matrices` fills from (bar, cross) pairs, H then V."""
+    matrix = coupler_matrices(np.array(bars, float), np.array(crosses, float), v_reflect)
+    return ElementMatrix(modes_for_ports(ports), matrix)
+
+
 def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Heralded 4x4 operator and herald probabilities of the netlist's circuit.
 
@@ -878,7 +916,7 @@ def coupler_operators(
         return _basis_operators(netlist.plan, np.broadcast_to(kept, (len(thetas),) + kept.shape), phi)
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
-    blocks = coupler_matrices(thetas, reflect)
+    blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), reflect)
     circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
     amps = _gathered_transfer(circuits, netlist.plan.basis_gather)
     return _basis_operators(netlist.plan, amps, phi)

@@ -97,13 +97,33 @@ def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key, value in params.items():
         if key == "matrix":
-            value = [[complex(*pair) for pair in row] for row in value]
+            value = _matrix_from_json(name, value)
+        elif key == "preset" and not isinstance(value, str):
+            raise NetlistError(
+                f"element {name!r} parameter 'preset' must be a string, got {value!r}"
+            )
         elif key == "rotated" and not isinstance(value, bool):
             raise NetlistError(f"element {name!r} parameter 'rotated' must be true or false")
         elif key not in ("preset", "rotated"):
             _number(value, f"element {name!r} parameter {key!r}", NetlistError)
         out[key] = value
     return out
+
+
+def _matrix_from_json(name: str, value: Any) -> list[list[complex]]:
+    """A wave plate `matrix`: 2 rows of 2 [re, im] pairs, each number as `_number` takes it."""
+    what = f"element {name!r} parameter 'matrix'"
+    pairs = isinstance(value, list) and len(value) == 2 and all(
+        isinstance(row, list) and len(row) == 2
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in row)
+        for row in value
+    )
+    if not pairs:
+        raise NetlistError(f"{what} must be 2 rows of 2 [re, im] pairs, got {value!r}")
+    return [
+        [complex(_number(re, what, NetlistError), _number(im, what, NetlistError)) for re, im in row]
+        for row in value
+    ]
 
 
 def netlist_to_dict(netlist: Netlist) -> dict[str, Any]:

@@ -12,22 +12,20 @@ from fockgate.elements import (
     _minor_tables,
     _multinomial,
     _weighted_compositions,
+    PPBS_BARS,
     amplitude_via_permanent,
     apply_element,
-    attenuating_filter,
-    beam_splitter,
     compose_circuit_matrix,
     coupler,
     coupler_matrices,
     mode_columns,
-    partially_polarizing_beam_splitter,
     permanent,
     permanents,
     phase_shift,
-    polarizing_beam_splitter,
     rotator_from_conversion,
     wave_plate,
 )
+from fockgate.gate import NetlistError, build_element, spec
 
 AB = modes_for_ports(["a", "b"])
 R2 = 1 / math.sqrt(2)
@@ -41,6 +39,11 @@ def fock(modes, **occ):
     return PureState(modes, {tuple(vec): 1.0})
 
 
+def built(kind, ports=("a", "b"), **params):
+    """The element matrix `build_element` realizes for one element of `kind`."""
+    return build_element(spec("X", kind, ports, **params))
+
+
 def compose(elements, modes):
     """compose_circuit_matrix with each element's columns resolved from its modes."""
     columns = [mode_columns(modes, el.modes) for el in elements]
@@ -51,7 +54,7 @@ def compose(elements, modes):
 
 
 def test_ppbs_default_block():
-    el = partially_polarizing_beam_splitter("a", "b")
+    el = built("ppbs")
     # V block in transfer orientation: [[t, r], [-r, t]] with t = 1/sqrt3
     t, r = 1 / math.sqrt(3), math.sqrt(2.0 / 3.0)
     idx_av = el.modes.index(Mode("a", V))
@@ -67,12 +70,20 @@ def test_ppbs_default_block():
 
 def test_beam_splitter_requires_unit_split():
     with pytest.raises(ValueError, match="t\\^2 \\+ r\\^2"):
-        beam_splitter("a", "b", t_h=0.9, r_h=0.9)
+        built("beamsplitter", t_h=0.9, r_h=0.9)
+    with pytest.raises(ValueError, match="V amplitudes violate"):
+        built("beamsplitter", t_h=0.6, r_h=0.8, t_v=0.6, r_v=0.6)
 
 
 def test_filter_amplitude_range_checked():
     with pytest.raises(ValueError, match="outside"):
-        attenuating_filter("a", "loss", t_h=1.2, t_v=1.0)
+        built("filter", ("a", "loss"), t_h=1.2, t_v=1.0)
+    with pytest.raises(NetlistError, match=r"^element 'X': bar amplitude t_v = -0.1 outside \[0, 1\]$"):
+        built("filter", ("a", "loss"), t_h=1.0, t_v=-0.1)
+    with pytest.raises(NetlistError, match=r"bar amplitude bar_h = 1.5 outside"):
+        built("ppbs", bar_h=1.5)
+    with pytest.raises(NetlistError, match=r"bar amplitude bar_v = 'x' outside"):
+        built("ppbs", bar_v="x")
 
 
 def test_waveplate_rejects_nonunitary():
@@ -91,7 +102,7 @@ def test_waveplate_matrix_checked_as_an_element(matrix):
 
 
 def test_full_transmission_filter_is_identity_plus_unreachable_loss():
-    el = attenuating_filter("a", "loss", t_h=1.0, t_v=1.0)
+    el = built("filter", ("a", "loss"), t_h=1.0, t_v=1.0)
     state = fock(modes_for_ports(["a"]), a_h=1)
     out = apply_element(state, el)
     assert len(out) == 1
@@ -126,23 +137,50 @@ def test_rotator_from_conversion_matches_presets():
 
 
 def test_reflection_coupler_reduces_to_routing_pbs_at_nominal():
-    ideal = polarizing_beam_splitter("a", "b")
+    ideal = built("pbs")
     nominal = coupler("a", "b", theta_h=0.0, theta_v=math.pi / 2, v_reflect=True)
     assert np.allclose(ideal.matrix, nominal.matrix, atol=1e-15)
+
+
+def _rotation_blocks(t_h, r_h, t_v, r_v):
+    return [[t_h, 0, r_h, 0], [0, t_v, 0, r_v], [-r_h, 0, t_h, 0], [0, -r_v, 0, t_v]]
+
+
+T_PPBS = PPBS_BARS[1]
+NOMINAL_FILLS = {
+    # the routing PBS: the V block in reflection form, whose [3, 3] entry is -0.0
+    "pbs": ({}, [[1, 0, 0, 0], [0, 0, 0, 1], [-0.0, 0, 1, 0], [0, 1, 0, -0.0]]),
+    "ppbs": ({}, _rotation_blocks(1.0, 0.0, T_PPBS, math.sqrt(1.0 - T_PPBS * T_PPBS))),
+    "filter": (
+        {"t_h": 0.6, "t_v": 0.25},
+        _rotation_blocks(0.6, math.sqrt(1.0 - 0.6 * 0.6), 0.25, math.sqrt(1.0 - 0.25 * 0.25)),
+    ),
+    "beamsplitter": ({"t_h": 0.6, "r_h": -0.8, "t_v": 0.8, "r_v": 0.6},
+                     _rotation_blocks(0.6, -0.8, 0.8, 0.6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOMINAL_FILLS))
+def test_nominal_coupler_fill_is_its_closed_form_byte_for_byte(kind):
+    params, closed_form = NOMINAL_FILLS[kind]
+    el = built(kind, **params)
+    assert el.modes == AB
+    # bytes, so a signed zero that moves shows
+    assert el.matrix.tobytes() == np.array(closed_form, dtype=complex).tobytes()
 
 
 # -- single-photon routing -----------------------------------------------------
 
 
 def test_bs_single_photon_rotation_convention():
-    bs = beam_splitter("a", "b", t_h=R2, r_h=R2)
+    bs = built("beamsplitter", t_h=R2, r_h=R2)
     out = apply_element(fock(AB, a_h=1), bs)
     assert abs(out.amplitude((1, 0, 0, 0)) - R2) < 1e-15
     assert abs(out.amplitude((0, 0, 1, 0)) - R2) < 1e-15
 
 
 def test_pbs_routing():
-    pbs = polarizing_beam_splitter("a", "b")
+    pbs = built("pbs")
     out_h = apply_element(fock(AB, a_h=1), pbs)
     assert abs(abs(out_h.amplitude((1, 0, 0, 0))) - 1.0) < 1e-15
     out_v = apply_element(fock(AB, a_v=1), pbs)
@@ -159,7 +197,7 @@ def test_phase_shift():
 
 
 def test_hom_dip_at_50_50():
-    bs = beam_splitter("a", "b", t_h=R2, r_h=R2)
+    bs = built("beamsplitter", t_h=R2, r_h=R2)
     both = fock(AB, a_h=1, b_h=1)
     out = apply_element(both, bs)
     # coincidence amplitude t^2 - r^2 = 0
@@ -170,7 +208,7 @@ def test_hom_dip_at_50_50():
 
 
 def test_ppbs_two_v_coincidence_is_minus_third():
-    ppbs = partially_polarizing_beam_splitter("a", "b")
+    ppbs = built("ppbs")
     both_v = fock(AB, a_v=1, b_v=1)
     out = apply_element(both_v, ppbs)
     # hand expansion: (t a + r b)(-r a + t b) keeps t^2 - r^2 on the
@@ -208,8 +246,8 @@ def test_amplitude_via_permanent_rejects_mismatched_totals():
 def test_sequential_matches_permanent_on_small_circuit():
     elements = [
         wave_plate("a", "hadamard"),
-        partially_polarizing_beam_splitter("a", "b"),
-        beam_splitter("a", "b", t_h=0.6, r_h=0.8),
+        built("ppbs"),
+        built("beamsplitter", t_h=0.6, r_h=0.8),
     ]
     unitary = compose(elements, AB)
     state = fock(AB, a_v=1, b_v=1)
@@ -226,27 +264,27 @@ def test_compose_empty_circuit_is_identity():
 
 
 def test_compose_single_pbs_is_its_embedding():
-    pbs = polarizing_beam_splitter("a", "b")
+    pbs = built("pbs")
     full = compose([pbs], AB)
     assert np.allclose(full, pbs.matrix)
 
 
 def test_compose_unresolved_port_rejected():
-    pbs = polarizing_beam_splitter("a", "zz")
+    pbs = built("pbs", ("a", "zz"))
     with pytest.raises(KeyError, match="zz"):
         compose([pbs], AB)
 
 
 @pytest.mark.parametrize("columns", [[0, 1, 2], [0, 1, 2, 4], [-1, 1, 2, 3]])
 def test_compose_rejects_columns_that_do_not_place_the_element(columns):
-    pbs = polarizing_beam_splitter("a", "b")
+    pbs = built("pbs")
     with pytest.raises(ValueError, match="do not place"):
         compose_circuit_matrix([pbs.matrix], [np.array(columns)], 4)
 
 
 def test_compose_places_each_element_on_its_columns():
     # the PBS acts on modes (bH, bV, aH, aV) of the (a, b) circuit
-    pbs = polarizing_beam_splitter("b", "a")
+    pbs = built("pbs", ("b", "a"))
     full = compose_circuit_matrix([pbs.matrix], [np.array([2, 3, 0, 1])], 4)
     assert np.array_equal(full, compose([pbs], AB))
     assert np.array_equal(full[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])], pbs.matrix)
@@ -266,18 +304,19 @@ def test_mode_columns_index_the_modes_read_only():
 ANGLES_H = np.array([0.0, 0.3, -1.1])
 ANGLES_V = np.array([math.pi / 2, 1.2, 0.4])
 THETAS = np.stack([ANGLES_H, ANGLES_V], axis=-1)
+COS, SIN = np.cos(THETAS), np.sin(THETAS)
 
 
 def test_rotation_coupler_is_beam_splitter_of_cos_and_sin():
     rot = coupler("a", "b", theta_h=0.3, theta_v=1.2)
-    bs = beam_splitter("a", "b", t_h=math.cos(0.3), r_h=math.sin(0.3),
-                       t_v=math.cos(1.2), r_v=math.sin(1.2))
+    bs = built("beamsplitter", t_h=math.cos(0.3), r_h=math.sin(0.3),
+               t_v=math.cos(1.2), r_v=math.sin(1.2))
     assert np.array_equal(rot.matrix, bs.matrix)
 
 
 @pytest.mark.parametrize("v_reflect", [False, True])
 def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
-    stack = coupler_matrices(THETAS, v_reflect)
+    stack = coupler_matrices(COS, SIN, v_reflect)
     assert stack.shape == (3, 4, 4)
     for k in range(3):
         single = coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=v_reflect)
@@ -285,7 +324,7 @@ def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
 
 
 def test_stacked_element_with_one_bad_slice_rejected():
-    good = coupler_matrices(THETAS)
+    good = coupler_matrices(COS, SIN)
     with pytest.raises(ValueError, match=r"matrix shape \(3, 4, 4\) does not match 2 modes"):
         ElementMatrix(modes_for_ports(["a"]), good)
     with pytest.raises(ValueError, match="does not match"):
@@ -303,9 +342,9 @@ def test_stacked_element_with_one_bad_slice_rejected():
 
 def test_compose_stack_equals_per_slice_composition():
     modes = modes_for_ports(["a", "b", "c"])
-    plate, ppbs = wave_plate("b", "hadamard"), partially_polarizing_beam_splitter("a", "c")
-    matrices = [coupler_matrices(THETAS, True), plate.matrix,
-                coupler_matrices(THETAS[:, ::-1]), ppbs.matrix]
+    plate, ppbs = wave_plate("b", "hadamard"), built("ppbs", ("a", "c"))
+    matrices = [coupler_matrices(COS, SIN, True), plate.matrix,
+                coupler_matrices(COS[:, ::-1], SIN[:, ::-1]), ppbs.matrix]
     columns = [mode_columns(modes, modes_for_ports(ports))
                for ports in (["a", "b"], ["b"], ["b", "c"], ["a", "c"])]
     full = compose_circuit_matrix(matrices, columns, len(modes))
@@ -331,7 +370,7 @@ def test_compose_stack_rejects_one_non_unitary_slice():
 
 
 def test_compose_an_empty_stack_gives_no_circuit():
-    empty = coupler_matrices(np.zeros((0, 2)), True)
+    empty = coupler_matrices(np.zeros((0, 2)), np.zeros((0, 2)), True)
     assert empty.shape == (0, 4, 4)
     plate = wave_plate("a", "hadamard")
     columns = [mode_columns(AB, AB), mode_columns(AB, plate.modes)]
@@ -352,10 +391,10 @@ def test_norm_preserved_by_lossless_elements():
         },
     )
     for el in (
-        beam_splitter("a", "b", t_h=R2, r_h=R2),
-        partially_polarizing_beam_splitter("a", "b"),
+        built("beamsplitter", t_h=R2, r_h=R2),
+        built("ppbs"),
         wave_plate("a", "hwp1"),
-        polarizing_beam_splitter("a", "b"),
+        built("pbs"),
     ):
         out = apply_element(state, el)
         assert abs(norm_squared(out) - 1.0) < 1e-12
@@ -363,7 +402,7 @@ def test_norm_preserved_by_lossless_elements():
 
 def test_photon_count_conserved_term_by_term():
     state = fock(AB, a_h=1, a_v=1, b_v=1)
-    el = attenuating_filter("a", "loss", t_h=0.5, t_v=0.7)
+    el = built("filter", ("a", "loss"), t_h=0.5, t_v=0.7)
     out = apply_element(state, el)
     assert len(out) > 1
     for vec, _ in out.items():
@@ -403,8 +442,8 @@ def test_weighted_compositions_keep_the_order_and_multinomials(n, k):
 
 def test_apply_element_appends_new_modes_in_element_order():
     state = fock(AB, a_h=1, b_v=1)
-    out = apply_element(state, attenuating_filter("b", "loss", t_h=0.6, t_v=0.8))
+    out = apply_element(state, built("filter", ("b", "loss"), t_h=0.6, t_v=0.8))
     assert out.modes == AB + modes_for_ports(["loss"])
-    again = apply_element(out, beam_splitter("loss", "a", t_h=R2, r_h=R2))
+    again = apply_element(out, built("beamsplitter", ("loss", "a"), t_h=R2, r_h=R2))
     assert again.modes == out.modes  # no mode is added twice
     assert abs(norm_squared(again) - 1.0) < 1e-12

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 
@@ -29,9 +30,8 @@ from fockgate.fock import (
 )
 from fockgate.elements import (
     HADAMARD_MATRIX,
+    ElementMatrix,
     _check_isometry,
-    attenuating_filter,
-    beam_splitter,
     compose_circuit_matrix,
     coupler,
     coupler_matrices,
@@ -536,7 +536,8 @@ def test_heralded_transfer_on_stack_equals_per_slice(netlist):
     deltas = [-4.0, 0.0, 2.5, 9.0]
     names, angles = _gap_angles(netlist, deltas)
     slot = {step.spec.name: k for k, step in enumerate(netlist.steps)}
-    stacks = {slot[name]: coupler_matrices(angles[:, c], netlist.element(name).kind == "pbs")
+    stacks = {slot[name]: coupler_matrices(np.cos(angles[:, c]), np.sin(angles[:, c]),
+                                           netlist.element(name).kind == "pbs")
               for c, name in enumerate(names)}
     stack = netlist.compose(stacks)
     for k, delta in enumerate(deltas):
@@ -750,7 +751,7 @@ def test_coupler_operators_accept_the_blocks_the_full_check_accepts(kind):
             thetas *= 10.0 ** rng.integers(3, 309, size=thetas.shape) / 10.0
         elif kind in ("nan", "inf"):
             thetas[tuple(rng.integers(0, n) for n in thetas.shape)] = getattr(math, kind)
-        blocks = coupler_matrices(thetas, reflect)
+        blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), reflect)
         full = _verdict(lambda: _check_isometry(blocks, message))
         got = _verdict(lambda: gate.coupler_operators(nl, names, thetas, 0.4))
         assert got == full == (None if kind in ("random", "large") else message.format(math.nan))
@@ -1070,7 +1071,9 @@ KIND_CASES = {
     "ppbs": ({"bar_h": 0.9, "bar_v": 0.5, "theta_h": 0.2, "theta_v": 0.7},
              lambda a, b: coupler(a, b, 0.2, 0.7)),
     "beamsplitter": ({"t_h": 0.8, "r_h": 0.6, "t_v": 0.6, "r_v": 0.8},
-                     lambda a, b: beam_splitter(a, b, 0.8, 0.6, 0.6, 0.8)),
+                     lambda a, b: ElementMatrix(modes_for_ports((a, b)), [
+                         [0.8, 0, 0.6, 0], [0, 0.6, 0, 0.8], [-0.6, 0, 0.8, 0], [0, -0.8, 0, 0.6],
+                     ])),
     "filter": ({"t_h": 0.5, "t_v": 1.0, "theta_h": 0.3, "theta_v": 0.4},
                lambda a, b: coupler(a, b, 0.3, 0.4)),
     "waveplate": ({"preset": "hwp1", "matrix": HADAMARD_MATRIX.tolist()},
@@ -1128,7 +1131,9 @@ def test_every_kind_rejects_an_unknown_key_and_a_wrong_port_count(kind):
 def test_filter_given_by_angles_alone_equals_attenuating_filter():
     theta_h, theta_v = 1.1, 0.4
     built = build_element(spec("F", "filter", ("a", "b"), theta_h=theta_h, theta_v=theta_v))
-    expected = attenuating_filter("a", "b", t_h=math.cos(theta_h), t_v=math.cos(theta_v))
+    expected = build_element(
+        spec("F", "filter", ("a", "b"), t_h=math.cos(theta_h), t_v=math.cos(theta_v))
+    )
     assert built.modes == expected.modes
     assert np.max(np.abs(built.matrix - expected.matrix)) < 1e-15
 
@@ -1149,9 +1154,45 @@ def test_coupler_angles_take_own_angles_then_bars_then_defaults(el, angles):
 
 
 def test_coupler_angles_check_bar_amplitudes():
-    with pytest.raises(KeyError, match="t_v"):
+    with pytest.raises(NetlistError, match="^element 'X' of kind 'filter' lacks parameter 't_v'$"):
         coupler_angles(spec("X", "filter", ("a", "b"), theta_h=0.2))
     with pytest.raises(ValueError, match="outside"):
         coupler_angles(spec("X", "ppbs", ("a", "b"), bar_v=1.5, theta_h=0.0))
     with pytest.raises(ValueError, match="not a coupler"):
         coupler_angles(spec("X", "waveplate", ("a",), preset="hwp1"))
+
+
+def _with_coupler(name, drop=(), **params):
+    el = default_netlist().element(name)
+    kept = {k: v for k, v in el.param_dict.items() if k not in drop}
+    bad = spec(name, el.kind, el.ports, **{**kept, **params})
+    return default_netlist().with_overrides({name: bad})
+
+
+BAD_COUPLERS = {
+    "filter_without_t_h": (
+        lambda: _with_coupler("F1", drop=("t_h",)),
+        "element 'F1' of kind 'filter' lacks parameter 't_h'",
+    ),
+    "ppbs_bar_above_one": (
+        lambda: _with_coupler("PPBS", bar_h=1.5),
+        "element 'PPBS': bar amplitude bar_h = 1.5 outside [0, 1]",
+    ),
+    "filter_angle_not_a_number": (
+        lambda: _with_coupler("F1", theta_h="x", theta_v=0.1),
+        "element 'F1': coupling angle theta_h = 'x' is not a number",
+    ),
+}
+COUPLER_ENTRY_POINTS = {
+    "extract_gate": lambda nl: extract_gate(nl, 0.4),
+    "tolerance_sweep": lambda nl: tolerance_sweep(nl, GAP, "gap"),
+    "synthesize_imperfect_elements": lambda nl: synthesize_imperfect_elements(nl, GAP, "gap", 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUPLER_ENTRY_POINTS))
+@pytest.mark.parametrize("defect", sorted(BAD_COUPLERS))
+def test_a_bad_coupler_raises_one_error_naming_it_on_every_path(defect, entry):
+    make, message = BAD_COUPLERS[defect]
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        COUPLER_ENTRY_POINTS[entry](make())

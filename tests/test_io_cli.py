@@ -387,6 +387,14 @@ def _det_rotated_string(el):
         el["params"]["rotated"] = "no"
 
 
+def _hwp1_params(**params):
+    """An edit that gives HWP1 exactly these parameters."""
+    def edit(el):
+        if el["name"] == "HWP1":
+            el["params"] = params
+    return edit
+
+
 def _near_unitary_hadamards(el):
     # each plate passes the per-element 1e-12 check on its own, but
     # perturbed circuits built from both are not unitary within 1e-12
@@ -408,6 +416,31 @@ UNREALIZABLE_NETLISTS = {
     "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
     "unknown_key_bogus": (_f1_bogus_key, ["truth-table", "--phi", "0"], "'bogus'"),
     "unknown_key_t_hh": (_f1_typo_t_hh, ["truth-table", "--phi", "0"], "'t_hh'"),
+    # a one-number pair would load as a real entry
+    "matrix_one_number_pair": (
+        _hwp1_params(matrix=[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ["truth-table", "--phi", "0"], "'HWP1' parameter 'matrix'",
+    ),
+    "matrix_bool_entries": (
+        _hwp1_params(matrix=[[[True, False], [False, False]], [[False, False], [True, False]]]),
+        ["truth-table", "--phi", "0"], "'HWP1' parameter 'matrix' must be a finite number",
+    ),
+    "matrix_three_number_pair": (
+        _hwp1_params(matrix=[[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ["truth-table", "--phi", "0"], "'HWP1' parameter 'matrix'",
+    ),
+    "matrix_string": (
+        _hwp1_params(matrix="identity"), ["truth-table", "--phi", "0"], "'HWP1' parameter 'matrix'",
+    ),
+    "matrix_string_entry": (
+        _hwp1_params(matrix=[[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ["truth-table", "--phi", "0"], "'HWP1' parameter 'matrix' must be a finite number",
+    ),
+    # a list would be realized as a matrix
+    "preset_list": (
+        _hwp1_params(preset=[[1.0, 0.0], [0.0, 1.0]]),
+        ["truth-table", "--phi", "0"], "'HWP1' parameter 'preset' must be a string",
+    ),
 }
 
 

@@ -19,11 +19,11 @@ from fockgate.fock import (
 )
 from fockgate.elements import (
     apply_element,
-    beam_splitter,
     permanent,
     permanents,
     wave_plate,
 )
+from fockgate.gate import build_element, spec
 
 MODES = modes_for_ports(["a", "b"])
 
@@ -47,7 +47,9 @@ state_strategy = st.lists(amp_pairs, min_size=5, max_size=5).map(normalized_stat
 @settings(max_examples=40, deadline=None)
 @given(state=state_strategy, angle=st.floats(0.01, math.pi / 2 - 0.01))
 def test_norm_preserved_by_any_coupler(state, angle):
-    bs = beam_splitter("a", "b", t_h=math.cos(angle), r_h=math.sin(angle))
+    bs = build_element(
+        spec("BS", "beamsplitter", ("a", "b"), t_h=math.cos(angle), r_h=math.sin(angle))
+    )
     out = apply_element(state, bs)
     assert abs(norm_squared(out) - norm_squared(state)) < 1e-12
 
