@@ -38,7 +38,6 @@ from .gate import (
     coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
-    heralded_operators,
     ideal_cphase,
 )
 
@@ -551,8 +550,9 @@ def tolerance_sweep(
     call per batch, which composes the netlist's realized elements with the
     couplers' matrices of the batch filled from their angles, and one call
     of `process_fidelity`'s core on its operators, which `coupler_operators`
-    has already checked.  Without a perturbed coupler the netlist's own
-    operator and fidelity serve every point.  Each row
+    has already checked.  A netlist without a perturbed coupler takes the
+    same loop: its angles have no coupler axis, and `coupler_operators`
+    then gives the netlist's own operator at every point.  Each row
     equals `extract_gate` on the netlist perturbed by its own delta
     (`synthesize_imperfect_elements`), bit for bit whatever the batch size;
     the bars are cos^2 of the perturbed angles, by element name, taken in
@@ -562,18 +562,13 @@ def tolerance_sweep(
     ideal = ideal_cphase(phi)
     deltas = sweep_deltas(delta_range_nm, step_nm)
     names, angles = perturbed_angles(netlist, physics, dimension, np.array(deltas))
-    if names:
-        probs, fidelity = [], []
-        for start in range(0, len(deltas), _SWEEP_BATCH):
-            operators, batch_probs = coupler_operators(
-                netlist, names, angles[start : start + _SWEEP_BATCH], phi
-            )
-            probs += batch_probs.tolist()
-            fidelity += _fidelity(operators, ideal).tolist()
-    else:
-        operator, point_probs = heralded_operators(netlist, phi)
-        probs = [point_probs.tolist()] * len(deltas)
-        fidelity = [_fidelity(operator, ideal)] * len(deltas)
+    probs, fidelity = [], []
+    for start in range(0, len(deltas), _SWEEP_BATCH):
+        operators, batch_probs = coupler_operators(
+            netlist, names, angles[start : start + _SWEEP_BATCH], phi
+        )
+        probs += batch_probs.tolist()
+        fidelity += _fidelity(operators, ideal).tolist()
 
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[k] for k in order]

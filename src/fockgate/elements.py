@@ -309,21 +309,25 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     Expansion by minors, from the last row up and shared across column
     subsets: after row k, `minors[..., s]` holds the permanent of rows
     k..n-1 on the columns of subset s, the sum over j in s of A[k, j]
-    times the minor of s without j.  That is O(n 2^n) products per
-    matrix, evaluated with array arithmetic over the whole stack; the
-    subset and minor index tables are built once per n (`_minor_tables`),
-    not on every call, and n = 0 gives 1.  Every partial sum is a sum of
-    products of entries, so the rounding error stays relative to
-    perm(|A|), which the signed sums of Glynn's and Ryser's formulas do not
-    guarantee.  It shares no code with `permanent`, which stays the
-    permutation-sum reference.
+    times the minor of s without j.  The last row's entries are its 1 x 1
+    minors, so the expansion starts from that row itself, as complex
+    numbers.  That is O(n 2^n) products per matrix, evaluated with array
+    arithmetic over the whole stack; the subset and minor index tables are
+    built once per n (`_minor_tables`), not on every call, and n = 0 gives
+    1.  Every partial sum is a sum of products of entries, so the rounding
+    error stays relative to perm(|A|), which the signed sums of Glynn's
+    and Ryser's formulas do not guarantee.  It shares no code with
+    `permanent`, which stays the permutation-sum reference.
     """
     a = np.asarray(matrices)
     n = a.shape[-1] if a.ndim >= 2 else -1
     if n < 0 or a.shape[-2] != n:
         raise ValueError(f"permanents requires (..., n, n) matrices, got {a.shape}")
-    minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
-    for k, (subsets, smaller) in zip(reversed(range(n)), _minor_tables(n)):
+    if n == 0:
+        return np.ones(a.shape[:-2], dtype=complex)
+    # the last row's 1 x 1 permanents; adding 0 makes a zero part +0.0, as every sum does
+    minors = np.add(a[..., n - 1, :], 0.0, dtype=complex)
+    for k, (subsets, smaller) in zip(reversed(range(n - 1)), _minor_tables(n)[1:]):
         minors = (a[..., k, :][..., subsets] * minors[..., smaller]).sum(axis=-1)
     return minors[..., 0]
 
@@ -416,8 +420,9 @@ def compose_circuit_matrix(
     if len(matrices) != len(columns):
         raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")
     batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
-    # the identity, broadcast to the batch shape
-    full = np.eye(n_modes, dtype=complex) + np.zeros(batch + (n_modes, n_modes), dtype=complex)
+    # the identity of every batch entry: zeros with each diagonal set
+    full = np.zeros(batch + (n_modes, n_modes), dtype=complex)
+    full.reshape(math.prod(batch), n_modes * n_modes)[:, :: n_modes + 1] = 1.0
     for m, idx in zip(matrices, columns):
         k, cols = m.shape[-1], np.asarray(idx).tolist()
         if len(cols) != k or not all(0 <= c < n_modes for c in cols):

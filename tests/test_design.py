@@ -571,6 +571,7 @@ def _row_bits(row):
 def test_two_sweeps_plan_their_structure_once(monkeypatch):
     gate.structure_plan.cache_clear()
     gathers, occupations, built, composed, copies = [], [], [], [], []
+    read, placed = [], []
 
     def spy(log, fn, record=lambda *args: args):
         def wrapper(*args, **kwargs):
@@ -585,6 +586,10 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
     monkeypatch.setattr(gate, "compose_circuit_matrix", spy(composed, gate.compose_circuit_matrix))
     monkeypatch.setattr(Netlist, "__post_init__", spy(copies, Netlist.__post_init__))
+    monkeypatch.setattr(design, "coupler_angles",
+                        spy(read, design.coupler_angles, lambda el, _: el.name))
+    monkeypatch.setattr(gate.StructurePlan, "element_columns",
+                        spy(placed, gate.StructurePlan.element_columns, lambda _, ports, __: ports))
     netlist = default_netlist()
     readout = netlist.plan.readout
     copies.clear()
@@ -597,6 +602,11 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     assert copies == []  # no netlist copy, perturbed or not
     assert len(built) == len(set(built)) <= len(netlist.elements)  # each element at most once
     assert len(composed) == 2  # one composition per batch of 21 points
+    # each coupler's own angles read once per sweep, not per batch or point
+    assert sorted(read) == sorted(2 * ["PBS1", "F1", "PPBS", "F2", "PBS3", "PBS2"])
+    assert len(placed) == len(netlist.steps)  # each step's columns resolved once
+    for _, columns, _, _ in composed:  # and passed as they were resolved
+        assert all(at is step.columns for at, step in zip(columns, netlist.steps))
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -631,6 +641,30 @@ def test_sweep_rows_equal_extract_gate_bit_for_bit():
         single = extract_gate(perturbed, 1.7)
         assert row.herald_probabilities == tuple(single.herald_probability[b] for b in BASIS_LABELS)
         assert row.fidelity == single.fidelity == process_fidelity(single.operator, gate.ideal_cphase(1.7))
+
+
+def test_sweep_of_a_copy_after_its_parent_reads_the_copys_own_couplers():
+    # the parent's steps are realized first; the copy realizes its own
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("width", 0.005, -0.003)
+    tolerance_sweep(netlist, physics, "width", (-10.0, 10.0), 2.0, phi=0.9)
+    copy = netlist.with_overrides({"PPBS": netlist.element("PPBS").with_params(theta_h=0.2)})
+    rows = tolerance_sweep(copy, physics, "width", (-10.0, 10.0), 2.0, phi=0.9)
+    _assert_rows_equal_their_own_extraction(copy, physics, "width", rows, range(len(rows)), 0.9)
+
+
+def test_a_coupler_without_a_length_is_read_only_by_the_sweep_that_realizes_it():
+    # FX lacks t_h: the angles ignore it, as it has no length; realizing it fails
+    netlist = default_netlist()
+    netlist = dataclasses.replace(
+        netlist, elements=netlist.elements + (gate.spec("FX", "filter", ("C", "F2_LOSS"), t_v=1.0),)
+    )
+    physics = PHYS.with_sensitivities("gap", 0.003, 0.002)
+    overrides = synthesize_imperfect_elements(netlist, physics, "gap", 1.5)
+    assert sorted(overrides) == ["F1", "F2", "PBS1", "PBS2", "PBS3", "PPBS"]
+    with pytest.raises(NetlistError, match="'FX'.*lacks parameter 't_h'"):
+        tolerance_sweep(netlist, physics, "gap", (-2.0, 2.0), 1.0)
+    assert sorted(synthesize_imperfect_elements(netlist, physics, "gap", 1.5)) == sorted(overrides)
 
 
 def _assert_rows_equal_their_own_extraction(netlist, physics, dimension, rows, picked, phi):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -427,6 +428,57 @@ def test_permanents_from_cached_tables_equal_the_permutation_sum(n):
     for subsets, smaller in tables:
         assert not subsets.flags.writeable and not smaller.flags.writeable
     assert permanents(stack).tobytes() == got.tobytes()
+
+
+def _permanents_from_ones(a):
+    """The expansion of `permanents` as it began before: a row of ones times the last row."""
+    n = a.shape[-1]
+    minors = np.ones(a.shape[:-2] + (1,), dtype=complex)
+    for k, (subsets, smaller) in zip(reversed(range(n)), _minor_tables(n)):
+        minors = (a[..., k, :][..., subsets] * minors[..., smaller]).sum(axis=-1)
+    return minors[..., 0]
+
+
+def test_permanents_of_no_rows_are_one_and_of_one_row_the_entry():
+    assert permanents(np.zeros((3, 0, 0))).tolist() == [1, 1, 1]
+    assert permanents(np.zeros((0, 0))) == 1 and permanents(np.zeros((0, 0))).dtype == complex
+    entries = np.array([[[0.3 - 2.0j]], [[-1.5 + 0.25j]], [[complex(4.0, 0.0)]]])
+    assert permanents(entries).tobytes() == entries[:, 0, 0].tobytes()
+    # a zero part comes back +0.0, as from the sum that ends every longer expansion
+    signed = _complex(np.array([-0.0, -0.0, 2.0]), np.array([-1.0, -0.0, -0.0]))[:, None, None]
+    assert permanents(signed).tobytes() == np.array([complex(0.0, -1.0), 0.0, 2.0]).tobytes()
+    assert permanents(np.array([[2.0]])).dtype == complex  # a real entry comes back complex
+
+
+def _complex(real, imag):
+    """A complex array with these parts, signed zeros kept (`real + 1j * imag` loses them)."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _routing_blocks(n):
+    """Every n x n submatrix of the nominal routing PBS, whose zeros carry both signs."""
+    pbs = coupler_matrices(np.array([1.0, 0.0]), np.array([0.0, 1.0]), True)
+    picks = list(itertools.combinations(range(4), n))
+    return np.array([pbs[np.ix_(rows, cols)] for rows in picks for cols in picks])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_permanents_from_the_last_row_equal_the_ones_expansion_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    stack = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+    assert permanents(stack).tobytes() == _permanents_from_ones(stack).tobytes()
+    real = rng.normal(size=(50, n, n))
+    assert permanents(real).tobytes() == _permanents_from_ones(real).tobytes()
+    # exact zeros of both signs in either part, where a sign could show
+    parts = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0], size=(2, 2000, n, n))
+    zeros = _complex(parts[0], parts[1])
+    assert (zeros.real == 0).any() and np.signbit(zeros.real[zeros.real == 0]).any()
+    assert permanents(zeros).tobytes() == _permanents_from_ones(zeros).tobytes()
+    routing = _routing_blocks(n)
+    assert np.signbit(routing.real[routing.real == 0]).any()
+    assert permanents(routing).tobytes() == _permanents_from_ones(routing).tobytes()
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (1, 4), (2, 2), (3, 4), (4, 3)])

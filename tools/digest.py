@@ -8,7 +8,9 @@ next to this directory):
 - `extract_gate` on each of the `ENGINE_CASES` of tests/test_oracle.py at
   the phases `GATE_PHIS`: the operator, the herald probabilities and the
   fidelity;
-- 60 seeded `tolerance_sweep`s over those netlists: every row's delta,
+- 60 seeded `tolerance_sweep`s over those netlists, then a sweep with no
+  coupler length configured and a sweep of an overridden copy of a
+  netlist taken after the netlist itself was swept: every row's delta,
   bars, herald probabilities and fidelity;
 - seeded `prepare_input` + `run_heralded` calls on each case: the
   branch's occupations and amplitudes and the herald probability.
@@ -87,6 +89,7 @@ def _gates(oracle, out: _Hash) -> None:
 
 def _sweeps(oracle, out: _Hash) -> None:
     from fockgate.design import DIMENSIONS, CouplerPhysics, tolerance_sweep
+    from fockgate.gate import default_netlist
 
     cases = sorted(oracle.ENGINE_CASES)
     for k in range(SWEEPS):
@@ -105,11 +108,25 @@ def _sweeps(oracle, out: _Hash) -> None:
         except ValueError as exc:
             out.error(exc)
             continue
-        for row in rows:
-            out.floats([row.delta_nm, *row.herald_probabilities, row.fidelity])
-            for name, bar_h, bar_v in row.element_bars:
-                out.label(name)
-                out.floats([bar_h, bar_v])
+        _rows(rows, out)
+
+    physics = CouplerPhysics(coupler_lengths=()).with_sensitivities("width", 0.004, 0.004)
+    out.label("no coupler lengths")
+    _rows(tolerance_sweep(default_netlist(), physics, "width", (-2.0, 2.0), 1.0, 1.3), out)
+    netlist = default_netlist()
+    physics = CouplerPhysics().with_sensitivities("gap", 0.005, -0.003)
+    copy = netlist.with_overrides({"PPBS": netlist.element("PPBS").with_params(theta_h=0.2)})
+    for label, swept in (("a netlist", netlist), ("its copy, swept after it", copy)):
+        out.label(label)
+        _rows(tolerance_sweep(swept, physics, "gap", (-10.0, 10.0), 2.5, 2.2), out)
+
+
+def _rows(rows, out: _Hash) -> None:
+    for row in rows:
+        out.floats([row.delta_nm, *row.herald_probabilities, row.fidelity])
+        for name, bar_h, bar_v in row.element_bars:
+            out.label(name)
+            out.floats([bar_h, bar_v])
 
 
 def _branches(oracle, out: _Hash) -> None:
