@@ -27,7 +27,6 @@ from .elements import (
     amplitude_via_permanent,
     apply_element,
     compose_circuit_matrix,
-    coupler,
     permanent,
     phase_shift,
     rotator_from_conversion,

@@ -17,7 +17,8 @@ Conventions (fixed circuit-wide):
     polarization: H block in rotation form [[bar, cross], [-cross, bar]],
     V block in rotation form, or for a PBS in reflection form
     [[bar, cross], [cross, -bar]].
-  * From angles (`coupler`), the pair is (cos(theta), sin(theta)).
+  * From angles (a coupler spec that sets `theta_h`/`theta_v`, or a
+    sweep's perturbed couplers), the pair is (cos(theta), sin(theta)).
   * Nominal couplers take exact pairs (`gate.build_element`): the
     routing PBS (1, 0) for H and (0, 1) for V, so H passes straight and
     V swaps ports with amplitude +1 on both crossings; a PPBS or filter
@@ -92,24 +93,6 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
         return
     worst = dev.max(axis=(-2, -1))
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
-
-
-def coupler(
-    port_a: str,
-    port_b: str,
-    theta_h: float,
-    theta_v: float,
-    v_reflect: bool = False,
-) -> ElementMatrix:
-    """Two-port coupler given by its coupling angles: `coupler_matrices` of their cosines and sines.
-
-    The bar amplitude is cos(theta), so the H block is the identity at
-    theta_h = 0, and with `v_reflect` the V block at theta_v = pi/2 is the
-    symmetric swap of the routing PBS.
-    """
-    thetas = np.array([theta_h, theta_v], dtype=float)
-    matrix = coupler_matrices(np.cos(thetas), np.sin(thetas), v_reflect)
-    return ElementMatrix(modes_for_ports((port_a, port_b)), matrix)
 
 
 def coupler_matrices(

@@ -69,7 +69,7 @@ class PureState:
     checks every occupation before any amplitude), then runs the core,
     `_fill`, which refuses a non-finite amplitude, prunes and orders the
     terms.  `_from_valid` builds a state through the core alone, for
-    occupations valid by construction: `gate.prepare_input` (the plan's
+    occupations valid by construction: `gate.prepare_input` (the netlist's
     basis inputs) and `gate.run_heralded` (the outputs its gather
     enumerates on the netlist's modes) call it.  Its state is the one the
     constructor builds, bit for bit.

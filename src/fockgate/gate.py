@@ -17,19 +17,17 @@ detector click; each computational-basis input then heralds with
 probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 
 `extract_gate` and `run_heralded` read heralded amplitudes from
-permanents of the composed circuit matrix (`heralded_transfer`).  What a
-netlist's ports, herald and encoding fix is its `StructurePlan`: the mode
-order and columns, the herald pattern, the basis inputs with the gather of
-their heralded transfer, the logical readout and the columns each element
-acts on.  One plan serves every netlist with that structure, so perturbed
-copies of a netlist compute none of it again.  A netlist is immutable, so
-it realizes its elements once (`Netlist.steps`), composes its circuit
-from them once and keeps both, with the heralded amplitudes of the 8
-basis inputs; a new phase or new qubit amplitudes cost only the linear
-combination and the readout.  A netlist is one circuit.  `coupler_operators`
-composes its steps with some couplers set by angle arrays, one circuit
-matrix per point of a parameter sweep, and reads the gate off every matrix
-of that stack at once with `heralded_operators`' readout.
+permanents of the composed circuit matrix (`heralded_transfer`).  A
+netlist is immutable and one circuit, so it derives everything once and
+keeps it: from its ports, herald and encoding the mode order and columns,
+the basis inputs with the gather of their heralded transfer and the
+logical readout; from its elements the realized steps (`Netlist.steps`),
+the circuit composed from them and the heralded amplitudes of the 8 basis
+inputs.  A new phase or new qubit amplitudes cost only the linear
+combination and the readout.  `coupler_operators` composes its steps
+with some couplers set by angle arrays, one circuit matrix per point of a
+parameter sweep, and reads the gate off every matrix of that stack at once
+with `heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -41,8 +39,8 @@ import cmath
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -70,7 +68,6 @@ from .elements import (
     ElementMatrix,
     apply_element,
     compose_circuit_matrix,
-    coupler,
     coupler_matrices,
     mode_columns,
     permanents,
@@ -175,123 +172,6 @@ class QubitEncoding:
     program: str
 
 
-@dataclass(frozen=True, eq=False)
-class StructurePlan:
-    """What a netlist's ports, herald and encoding fix, whatever its elements.
-
-    `modes` is the canonical mode order (declared port order, H before V)
-    of circuit matrices and states, and `columns`, a read-only view, maps
-    each mode to its index there.  `pattern` is the herald as exact-count
-    conditions on the columns.  `basis_inputs` holds the occupations of
-    the 8 three-photon basis inputs, row 4 t + 2 c + p for target t,
-    control c and program p (0 = H), and `_basis_rows` maps each to its
-    row; `basis_gather`, their `_gather`, is
-    what `heralded_transfer` gathers for them, read-only; `readout` is the
-    (outputs x 4) 0/1 matrix that reads those outputs as logical |tc>.  All
-    four are computed on first use.  `element_columns` maps the ports an
-    element is wired to onto the columns of its modes.  `structure_plan`
-    keeps one plan per structure, which every netlist with those ports,
-    herald and encoding shares, perturbed copies included.
-    """
-
-    modes: tuple[Mode, ...]
-    _columns: dict[Mode, int]
-    pattern: HeraldPattern
-    encoding: QubitEncoding
-    detector_pol: Polarization
-    _element_columns: dict[tuple[str, ...], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
-
-    @property
-    def columns(self) -> Mapping[Mode, int]:
-        return MappingProxyType(self._columns)
-
-    def element_columns(self, ports: tuple[str, ...]) -> np.ndarray:
-        """Read-only columns of the modes of an element wired to `ports`, in its mode order.
-
-        An undeclared port raises KeyError naming it.
-        """
-        cols = self._element_columns.get(ports)
-        if cols is None:
-            cols = mode_columns(self.modes, modes_for_ports(ports))
-            self._element_columns[ports] = cols
-        return cols
-
-    def input_occupation(
-        self,
-        target: Polarization | None,
-        control: Polarization | None,
-        program: Polarization | None,
-    ) -> FockVector:
-        """Occupations over `modes` with one photon on each encoded port given a polarization.
-
-        None leaves that port in vacuum.
-        """
-        vec = [0] * len(self.modes)
-        enc = self.encoding
-        for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
-            if pol is not None:
-                vec[self.columns[Mode(port, pol)]] = 1
-        return tuple(vec)
-
-    @cached_property
-    def basis_inputs(self) -> tuple[FockVector, ...]:
-        return tuple(self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3))
-
-    @cached_property
-    def _basis_rows(self) -> dict[FockVector, int]:
-        return {vec: k for k, vec in enumerate(self.basis_inputs)}
-
-    @cached_property
-    def basis_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        gather = _gather(len(self.modes), self.pattern, self.basis_inputs)
-        for array in gather:
-            array.flags.writeable = False
-        return gather
-
-    @cached_property
-    def readout(self) -> np.ndarray:
-        # as in `heralded_output_amplitudes`: an output reads as |tc> when it
-        # holds exactly one photon on the target port (t = its polarization),
-        # exactly one on the control port and one in the detector mode
-        outputs, enc = self.basis_gather[2], self.encoding
-
-        def count(port: str, pol: Polarization) -> np.ndarray:
-            return outputs[:, self._columns[Mode(port, pol)]]
-
-        t_v, c_v = count(enc.target, V), count(enc.control, V)
-        ok = (
-            (count(enc.target, H) + t_v == 1)
-            & (count(enc.control, H) + c_v == 1)
-            & (count(enc.program, self.detector_pol) == 1)
-        )
-        readout = np.zeros((len(outputs), 4))
-        readout[ok, (2 * t_v + c_v)[ok]] = 1.0
-        readout.flags.writeable = False
-        return readout
-
-
-@lru_cache(maxsize=64)
-def structure_plan(
-    ports: tuple[PortDecl, ...], herald: tuple[HeraldTerm, ...], encoding: QubitEncoding
-) -> StructurePlan:
-    """The one `StructurePlan` of a validated netlist's ports, herald and encoding."""
-    modes = modes_for_ports(tuple(p.name for p in ports))
-    columns = {m: i for i, m in enumerate(modes)}
-    pattern = HeraldPattern(tuple(
-        HeraldCondition(tuple(columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
-                        term.count)
-        for term in herald
-    ))
-    detector_pol = V
-    for term in herald:
-        if encoding.program in term.ports and len(term.pols) == 1:
-            detector_pol = term.pols[0]
-            break
-    return StructurePlan(modes, columns, pattern, encoding, detector_pol)
-
-
 class Step(NamedTuple):
     """One realized element: its spec, the columns of its modes and its read-only matrix."""
 
@@ -302,38 +182,48 @@ class Step(NamedTuple):
 
 @dataclass(frozen=True)
 class Netlist:
-    """One validated circuit; its structure is planned once and its elements realized once.
+    """One validated circuit; it derives its structure and realizes its elements once.
 
-    The ports, herald and encoding fix its `StructurePlan`, `plan`, shared
-    with every netlist of the same structure: `modes`, `columns`, the
-    herald pattern and the basis gather come from it.  The plan takes no
-    part in equality or hashing.  What derives from the elements is
-    computed on first use and kept on the instance, read-only: the `steps`
-    (each element realized once, with its columns), the circuit matrix
-    `compose` makes of them and the (8, outputs) heralded amplitudes
-    of the basis inputs.  `replace` and `with_overrides` make a new
-    instance that computes its own and shares the plan.
+    Everything a netlist derives is computed on first use and kept on the
+    instance, read-only.  From its ports, herald and encoding: `modes`, the
+    canonical mode order (declared port order, H before V) of circuit
+    matrices and states, and `columns`, a read-only view mapping each mode
+    to its index there; `basis_inputs`, the occupations of the 8
+    three-photon basis inputs, row 4 t + 2 c + p for target t, control c
+    and program p (0 = H); `basis_gather`, what `heralded_transfer` gathers
+    for them; and `readout`, the (outputs x 4) 0/1 matrix that reads those
+    outputs as logical |tc>.  From its elements: the `steps` (each element
+    realized once, with its columns), the circuit matrix `compose` makes
+    of them and the (8, outputs) heralded amplitudes of the basis inputs.
+    None of it takes part in equality, hashing or pickling: `replace`,
+    `with_overrides`, `pickle` and `copy` make a new instance that derives
+    its own.
     """
 
     ports: tuple[PortDecl, ...]
     elements: tuple[ElementSpec, ...]
     herald: tuple[HeraldTerm, ...]
     encoding: QubitEncoding
-    plan: StructurePlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
-        object.__setattr__(self, "plan", structure_plan(self.ports, self.herald, self.encoding))
+
+    def __reduce__(self):
+        return (Netlist, (self.ports, self.elements, self.herald, self.encoding))
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @cached_property
     def modes(self) -> tuple[Mode, ...]:
-        return self.plan.modes
+        return modes_for_ports(self.port_names)
+
+    @cached_property
+    def _columns(self) -> dict[Mode, int]:
+        return {m: i for i, m in enumerate(self.modes)}
 
     @property
     def columns(self) -> Mapping[Mode, int]:
-        return self.plan.columns
+        return MappingProxyType(self._columns)
 
     @property
     def port_names(self) -> tuple[str, ...]:
@@ -346,6 +236,17 @@ class Netlist:
         raise KeyError(f"no element named {name!r}")
 
     def validate(self) -> None:
+        enc = self.encoding
+        named = [("port name", p.name) for p in self.ports]
+        for el in self.elements:
+            named.append(("element name", el.name))
+            named += [(f"element {el.name!r} port", p) for p in el.ports]
+        for i, term in enumerate(self.herald):
+            named += [(f"herald term {i} port", p) for p in term.ports]
+        named += [(f"encoding {role}", getattr(enc, role)) for role in ("target", "control", "program")]
+        for what, name in named:
+            if not isinstance(name, str):
+                raise NetlistError(f"{what} {name!r} is not a string")
         names = self.port_names
         if len(set(names)) != len(names):
             raise NetlistError("duplicate port declarations")
@@ -387,6 +288,80 @@ class Netlist:
         if len({self.encoding.target, self.encoding.control, self.encoding.program}) != 3:
             raise NetlistError("target, control and program ports must be distinct")
 
+    def input_occupation(
+        self,
+        target: Polarization | None,
+        control: Polarization | None,
+        program: Polarization | None,
+    ) -> FockVector:
+        """Occupations over `modes` with one photon on each encoded port given a polarization.
+
+        None leaves that port in vacuum.
+        """
+        vec = [0] * len(self.modes)
+        enc = self.encoding
+        for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
+            if pol is not None:
+                vec[self._columns[Mode(port, pol)]] = 1
+        return tuple(vec)
+
+    @cached_property
+    def basis_inputs(self) -> tuple[FockVector, ...]:
+        return tuple(self.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3))
+
+    @cached_property
+    def _basis_rows(self) -> dict[FockVector, int]:
+        return {vec: k for k, vec in enumerate(self.basis_inputs)}
+
+    @cached_property
+    def detector_pol(self) -> Polarization:
+        """Polarization of the detector mode, V unless a herald term counts one on the program port.
+
+        The first herald term on the program port that counts one polarization gives it.
+        """
+        for term in self.herald:
+            if self.encoding.program in term.ports and len(term.pols) == 1:
+                return term.pols[0]
+        return V
+
+    def herald_pattern(self) -> HeraldPattern:
+        """The herald terms as exact-count conditions on the columns of `modes`."""
+        return HeraldPattern(tuple(
+            HeraldCondition(
+                tuple(self._columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
+                term.count,
+            )
+            for term in self.herald
+        ))
+
+    @cached_property
+    def basis_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        gather = _gather(len(self.modes), self.herald_pattern(), self.basis_inputs)
+        for array in gather:
+            array.flags.writeable = False
+        return gather
+
+    @cached_property
+    def readout(self) -> np.ndarray:
+        # as in `heralded_output_amplitudes`: an output reads as |tc> when it
+        # holds exactly one photon on the target port (t = its polarization),
+        # exactly one on the control port and one in the detector mode
+        outputs, enc = self.basis_gather[2], self.encoding
+
+        def count(port: str, pol: Polarization) -> np.ndarray:
+            return outputs[:, self._columns[Mode(port, pol)]]
+
+        t_v, c_v = count(enc.target, V), count(enc.control, V)
+        ok = (
+            (count(enc.target, H) + t_v == 1)
+            & (count(enc.control, H) + c_v == 1)
+            & (count(enc.program, self.detector_pol) == 1)
+        )
+        readout = np.zeros((len(outputs), 4))
+        readout[ok, (2 * t_v + c_v)[ok]] = 1.0
+        readout.flags.writeable = False
+        return readout
+
     # -- realization -------------------------------------------------------
 
     def build_matrices(self) -> list[ElementMatrix]:
@@ -413,19 +388,6 @@ class Netlist:
                 out.append((el, m))
         return out
 
-    def input_occupation(
-        self,
-        target: Polarization | None,
-        control: Polarization | None,
-        program: Polarization | None,
-    ) -> FockVector:
-        """`StructurePlan.input_occupation` of the netlist's plan."""
-        return self.plan.input_occupation(target, control, program)
-
-    def herald_pattern(self) -> HeraldPattern:
-        """The herald terms as exact-count conditions on the columns of `modes`."""
-        return self.plan.pattern
-
     @cached_property
     def steps(self) -> tuple[Step, ...]:
         """The elements that act on modes, each realized once, in application order.
@@ -438,7 +400,7 @@ class Netlist:
         for el, m in self._realized():
             matrix = m.matrix.view()
             matrix.flags.writeable = False
-            steps.append(Step(el, self.plan.element_columns(el.ports), matrix))
+            steps.append(Step(el, mode_columns(self.modes, m.modes), matrix))
         return tuple(steps)
 
     def compose(self, stacks: Mapping[int, np.ndarray] = MappingProxyType({})) -> np.ndarray:
@@ -465,7 +427,7 @@ class Netlist:
 
     @cached_property
     def _basis_amplitudes(self) -> np.ndarray:
-        amps = _gathered_transfer(self._circuit, self.plan.basis_gather)
+        amps = _gathered_transfer(self._circuit, self.basis_gather)
         amps.flags.writeable = False
         return amps
 
@@ -550,20 +512,22 @@ def coupler_angles(el: ElementSpec) -> tuple[float, float]:
 def build_element(el: ElementSpec) -> ElementMatrix | None:
     """Realize one ElementSpec as an ElementMatrix (None for pure markers).
 
-    The matrix acts on `modes_for_ports(el.ports)`, the modes whose columns
-    `StructurePlan.element_columns` gives.  A two-port coupler is filled by
-    `coupler_matrices`: from the cosines and sines of its angles when it
-    sets one (`coupler`), otherwise from exact (bar, cross) pairs, with
+    The matrix acts on `modes_for_ports(el.ports)`.  A two-port coupler is
+    filled by `coupler_matrices` from (bar, cross) pairs: the cosines and
+    sines of its angles when it sets one, otherwise exact pairs, with
     cross = sqrt(1 - bar^2) for a pbs, ppbs or filter and a beam
-    splitter's own (t, r), which must satisfy t^2 + r^2 = 1.
+    splitter's own (t, r), which must satisfy t^2 + r^2 = 1.  A pbs has
+    its V block in reflection form.
     """
     p = el.param_dict
     if el.kind in COUPLER_KINDS:
         by_angle, values = _coupler_setting(el)
         if by_angle:
-            return coupler(*el.ports, *values, v_reflect=el.kind == "pbs")
-        crosses = [math.sqrt(max(0.0, 1.0 - bar * bar)) for bar in values]
-        return _filled(el.ports, values, crosses, el.kind == "pbs")
+            thetas = np.array(values, float)
+            bars, crosses = np.cos(thetas), np.sin(thetas)
+        else:
+            bars, crosses = values, [math.sqrt(max(0.0, 1.0 - bar * bar)) for bar in values]
+        return _filled(el.ports, bars, crosses, el.kind == "pbs")
     if el.kind == "beamsplitter":
         bars = (p["t_h"], p.get("t_v", p["t_h"]))
         crosses = (p["r_h"], p.get("r_v", p["r_h"]))
@@ -639,18 +603,18 @@ def prepare_input(
     the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  A phase that is
     not finite raises ValueError naming phi; then each photon's amplitudes
     must pass `fock.check_qubit`, checked target first.  The
-    state lives on `netlist.modes` and its terms are the plan's basis
+    state lives on `netlist.modes` and its terms are the netlist's basis
     inputs.  An amplitude is target x control x program, multiplied in that
     order as `tensor` multiplies the states `qubit_state` and
     `program_state` build, which keep an amplitude as a complex and drop it
-    below PRUNE_THRESHOLD.  Its occupations are the plan's basis inputs, so
+    below PRUNE_THRESHOLD.  Its occupations are those basis inputs, so
     the state comes from `PureState`'s core, which checks the amplitudes.
     """
     kept = []
     for alpha, beta in (target, control, program_amplitudes(program.phi)):
         check_qubit(alpha, beta)
         kept.append([(k, complex(a)) for k, a in enumerate((alpha, beta)) if abs(a) >= PRUNE_THRESHOLD])
-    basis = netlist.plan.basis_inputs
+    basis = netlist.basis_inputs
     terms = {
         basis[4 * t + 2 * c + p]: at * ac * ap
         for (t, at), (c, ac), (p, ap) in itertools.product(*kept)
@@ -691,7 +655,7 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     number; each group's amplitudes are contracted with the heralded
     transfer of the circuit matrix (see `heralded_transfer`), so any
     number of photons, vacuum and mixed-number superpositions all work.
-    A group of basis inputs, found through the plan's `_basis_rows`, reads
+    A group of basis inputs, found through the netlist's `_basis_rows`, reads
     the netlist's kept basis amplitudes; any other group gets a fresh
     transfer.  Amplitudes below PRUNE_THRESHOLD
     are dropped.  Returns the sub-normalized heralded branch and the herald
@@ -704,16 +668,15 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     groups: dict[int, list[tuple[FockVector, complex]]] = {}
     for vec, amp in state.items():
         groups.setdefault(sum(vec), []).append((vec, amp))
-    plan = netlist.plan
     terms: dict[FockVector, complex] = {}
     for group in groups.values():
         vecs, amps = zip(*group)
         try:
-            picked = [plan._basis_rows[vec] for vec in vecs]
+            picked = [netlist._basis_rows[vec] for vec in vecs]
         except KeyError:  # not all basis inputs
-            outputs, transfer = heralded_transfer(circuit_matrix(netlist), plan.pattern, vecs)
+            outputs, transfer = heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), vecs)
         else:
-            outputs, transfer = plan.basis_gather[2], netlist._basis_amplitudes[picked]
+            outputs, transfer = netlist.basis_gather[2], netlist._basis_amplitudes[picked]
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
     # the outputs are occupations the gather enumerated on `netlist.modes`
@@ -823,7 +786,7 @@ def heralded_output_amplitudes(
     """
     enc = netlist.encoding
     modes = list(branch.modes)
-    det_pol = netlist.plan.detector_pol
+    det_pol = netlist.detector_pol
     idx = {
         "tH": modes.index(Mode(enc.target, H)),
         "tV": modes.index(Mode(enc.target, V)),
@@ -874,7 +837,7 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     Returns the operator (4, 4), columns ordered |00>, |01>, |10>, |11>, and
     the probabilities (4,) in the same order.
     """
-    return _basis_operators(netlist.plan, netlist._basis_amplitudes, phi)
+    return _basis_operators(netlist.readout, netlist._basis_amplitudes, phi)
 
 
 def coupler_operators(
@@ -913,17 +876,17 @@ def coupler_operators(
         raise NetlistError("coupler is not an isometry: deviation nan")
     if not couplers:  # every point is the netlist's own circuit
         kept = netlist._basis_amplitudes
-        return _basis_operators(netlist.plan, np.broadcast_to(kept, (len(thetas),) + kept.shape), phi)
+        return _basis_operators(netlist.readout, np.broadcast_to(kept, (len(thetas),) + kept.shape), phi)
     slots = [index[name] for name in couplers]
     reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
     blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), reflect)
     circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
-    amps = _gathered_transfer(circuits, netlist.plan.basis_gather)
-    return _basis_operators(netlist.plan, amps, phi)
+    amps = _gathered_transfer(circuits, netlist.basis_gather)
+    return _basis_operators(netlist.readout, amps, phi)
 
 
 def _basis_operators(
-    plan: StructurePlan, amps: np.ndarray, phi: float
+    readout: np.ndarray, amps: np.ndarray, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The readout of `heralded_operators` from the (..., 8, outputs) basis amplitudes."""
     w_h, w_v = program_amplitudes(phi)
@@ -932,7 +895,7 @@ def _basis_operators(
     if not np.isfinite(columns).all():
         raise ValueError("heralded amplitudes are not finite")
     columns[np.abs(columns) < PRUNE_THRESHOLD] = 0.0
-    operators = _read_logical(columns, plan.readout)
+    operators = _read_logical(columns, readout)
     if not operators.any(axis=(-2, -1)).all():
         raise NetlistError("no basis input heralds a logical output (a zero operator)")
     return operators, _squared_norms(columns)
@@ -942,7 +905,7 @@ def _read_logical(columns: np.ndarray, readout: np.ndarray) -> np.ndarray:
     """The operators (..., 4, 4) `(columns @ readout)` with the last two axes swapped.
 
     `columns` (..., 4, outputs) holds each basis column's output
-    amplitudes and `readout` (outputs, 4) is the plan's 0/1 readout.  The
+    amplitudes and `readout` (outputs, 4) is the netlist's 0/1 readout.  The
     product is taken once over the flattened stack, one (points x 4,
     outputs) matrix, rather than matrix by matrix.  Every term is an
     amplitude times 0 or 1, and each logical output adds its outputs in

@@ -556,7 +556,7 @@ def test_sweep_at_zero_delta_keeps_an_elements_own_angles(name):
         assert abs(p - q) <= 1e-12
 
 
-# -- a sweep evaluated in batches over one shared structure plan ---------------------
+# -- a sweep evaluated in batches over the netlist's own structure -------------------
 
 
 def _row_bits(row):
@@ -569,7 +569,6 @@ def _row_bits(row):
 
 
 def test_two_sweeps_plan_their_structure_once(monkeypatch):
-    gate.structure_plan.cache_clear()
     gathers, occupations, built, composed, copies = [], [], [], [], []
     read, placed = [], []
 
@@ -581,23 +580,22 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(gate, "_gather", spy(gathers, gate._gather))
-    monkeypatch.setattr(gate.StructurePlan, "input_occupation",
-                        spy(occupations, gate.StructurePlan.input_occupation))
+    monkeypatch.setattr(Netlist, "input_occupation", spy(occupations, Netlist.input_occupation))
     monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
     monkeypatch.setattr(gate, "compose_circuit_matrix", spy(composed, gate.compose_circuit_matrix))
     monkeypatch.setattr(Netlist, "__post_init__", spy(copies, Netlist.__post_init__))
     monkeypatch.setattr(design, "coupler_angles",
                         spy(read, design.coupler_angles, lambda el, _: el.name))
-    monkeypatch.setattr(gate.StructurePlan, "element_columns",
-                        spy(placed, gate.StructurePlan.element_columns, lambda _, ports, __: ports))
+    monkeypatch.setattr(gate, "mode_columns",
+                        spy(placed, gate.mode_columns, lambda _, modes, __: modes))
     netlist = default_netlist()
-    readout = netlist.plan.readout
+    readout = netlist.readout
     copies.clear()
     physics = PHYS.with_sensitivities("width", 0.004, -0.002).with_sensitivities("gap", 0.003, 0.001)
     for dimension in ("width", "gap"):
         tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 1.0, phi=0.8)
     assert len(gathers) == 1  # the basis inputs' gather, which the readout reads too
-    assert netlist.plan.readout is readout  # the logical readout, computed once
+    assert netlist.readout is readout  # the logical readout, computed once
     assert len(occupations) == 8  # the basis inputs, once
     assert copies == []  # no netlist copy, perturbed or not
     assert len(built) == len(set(built)) <= len(netlist.elements)  # each element at most once

@@ -17,6 +17,8 @@ def test_digest_runs_and_is_repeatable():
         [sys.executable, str(_PATH)], capture_output=True, text=True, timeout=120, check=True
     )
     lines = [tuple(line.split(" ")) for line in run.stdout.splitlines()]
-    assert [name for name, _ in lines] == ["extract_gate", "tolerance_sweep", "run_heralded", "total"]
+    assert [name for name, _ in lines] == [
+        "extract_gate", "tolerance_sweep", "run_heralded", "run_heralded_foreign", "total"
+    ]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in lines)
     assert digest.digests() == lines  # the same bytes in a second run, in this process

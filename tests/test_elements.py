@@ -17,7 +17,6 @@ from fockgate.elements import (
     amplitude_via_permanent,
     apply_element,
     compose_circuit_matrix,
-    coupler,
     coupler_matrices,
     mode_columns,
     permanent,
@@ -139,7 +138,7 @@ def test_rotator_from_conversion_matches_presets():
 
 def test_reflection_coupler_reduces_to_routing_pbs_at_nominal():
     ideal = built("pbs")
-    nominal = coupler("a", "b", theta_h=0.0, theta_v=math.pi / 2, v_reflect=True)
+    nominal = built("pbs", theta_h=0.0, theta_v=math.pi / 2)
     assert np.allclose(ideal.matrix, nominal.matrix, atol=1e-15)
 
 
@@ -309,7 +308,7 @@ COS, SIN = np.cos(THETAS), np.sin(THETAS)
 
 
 def test_rotation_coupler_is_beam_splitter_of_cos_and_sin():
-    rot = coupler("a", "b", theta_h=0.3, theta_v=1.2)
+    rot = built("ppbs", theta_h=0.3, theta_v=1.2)
     bs = built("beamsplitter", t_h=math.cos(0.3), r_h=math.sin(0.3),
                t_v=math.cos(1.2), r_v=math.sin(1.2))
     assert np.array_equal(rot.matrix, bs.matrix)
@@ -320,7 +319,8 @@ def test_coupler_on_angle_arrays_stacks_per_angle_couplers(v_reflect):
     stack = coupler_matrices(COS, SIN, v_reflect)
     assert stack.shape == (3, 4, 4)
     for k in range(3):
-        single = coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=v_reflect)
+        single = built("pbs" if v_reflect else "ppbs",
+                       theta_h=float(ANGLES_H[k]), theta_v=float(ANGLES_V[k]))
         assert np.array_equal(stack[k], single.matrix)
 
 
@@ -352,9 +352,9 @@ def test_compose_stack_equals_per_slice_composition():
     assert full.shape == (3, 6, 6)
     for k in range(3):
         single = [
-            coupler("a", "b", float(ANGLES_H[k]), float(ANGLES_V[k]), v_reflect=True),
+            built("pbs", ("a", "b"), theta_h=float(ANGLES_H[k]), theta_v=float(ANGLES_V[k])),
             plate,
-            coupler("b", "c", float(ANGLES_V[k]), float(ANGLES_H[k])),
+            built("ppbs", ("b", "c"), theta_h=float(ANGLES_V[k]), theta_v=float(ANGLES_H[k])),
             ppbs,
         ]
         assert np.array_equal(full[k], compose(single, modes))

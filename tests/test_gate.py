@@ -33,7 +33,6 @@ from fockgate.elements import (
     ElementMatrix,
     _check_isometry,
     compose_circuit_matrix,
-    coupler,
     coupler_matrices,
     mode_columns,
     permanents,
@@ -105,6 +104,30 @@ def test_netlist_rejects_unknown_port():
             (HeraldTerm(("a",), (H, V), 1),),
             QubitEncoding("a", "b", "c"),
         )
+
+
+def _three_port_netlist(**fields):
+    """A netlist on ports a, b, c (target, control, program) with `fields` in place of its own."""
+    parts = {
+        "ports": (PortDecl("a", "io"), PortDecl("b", "io"), PortDecl("c", "io")),
+        "elements": (spec("X", "waveplate", ("a",), preset="hadamard"),),
+        "herald": (HeraldTerm(("a",), (H, V), 1),),
+        "encoding": QubitEncoding("a", "b", "c"),
+    }
+    return Netlist(**{**parts, **fields})
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("port name", {"ports": (PortDecl(("a",), "io"), PortDecl("b", "io"), PortDecl("c", "io"))}),
+    ("element name", {"elements": (spec(7, "waveplate", ("a",), preset="hadamard"),)}),
+    ("element 'X' port", {"elements": (spec("X", "waveplate", (b"a",), preset="hadamard"),)}),
+    ("herald term 0 port", {"herald": (HeraldTerm((None,), (H, V), 1),)}),
+    ("encoding control", {"encoding": QubitEncoding("a", 1.0, "c")}),
+])
+def test_netlist_names_a_name_that_is_not_a_string(field, fields):
+    _three_port_netlist()
+    with pytest.raises(NetlistError, match=f"^{re.escape(field)} .* is not a string$"):
+        _three_port_netlist(**fields)
 
 
 def test_netlist_rejects_duplicate_elements():
@@ -649,7 +672,7 @@ def test_steps_are_realized_once_read_only_and_compose_the_circuit():
     assert nl.steps is steps
     assert [step.spec.name for step in steps] == [el.name for el in nl.elements]
     for step, built in zip(steps, nl.build_matrices()):
-        assert np.array_equal(step.columns, nl.plan.element_columns(step.spec.ports))
+        assert np.array_equal(step.columns, mode_columns(nl.modes, modes_for_ports(step.spec.ports)))
         assert np.array_equal(step.matrix, built.matrix)
         with pytest.raises(ValueError, match="read-only"):
             step.matrix[0, 0] = 0.0
@@ -778,7 +801,7 @@ def test_folded_readout_equals_the_per_matrix_product_bit_for_bit(herald):
         readout = np.zeros((40, 4))
         readout[np.arange(40), rng.integers(0, 4, size=40)] = 1.0
     else:
-        readout = _with_herald(READOUT_HERALDS[herald]).plan.readout
+        readout = _with_herald(READOUT_HERALDS[herald]).readout
     outputs = readout.shape[0]
     assert (outputs == 0) == (herald == "none")
     for shape in [(), (1,), (21,), (3, 5)]:
@@ -826,14 +849,14 @@ def test_prepare_input_names_a_non_finite_phase(netlist, phi):
 @pytest.mark.parametrize("order", ["basis", "sorted", "shuffled"])
 def test_cached_rows_equal_a_fresh_transfer_bit_for_bit(order):
     nl = default_netlist()
-    basis = nl.plan.basis_inputs
+    basis = nl.basis_inputs
     inputs = {"basis": list(basis), "sorted": sorted(basis),
               "shuffled": random.Random(4).sample(basis, len(basis))}[order]
     kept = nl._basis_amplitudes
     with pytest.raises(ValueError, match="read-only"):
         kept[0, 0] = 0.0
     fresh_outputs, fresh = heralded_transfer(circuit_matrix(nl), nl.herald_pattern(), inputs)
-    assert np.array_equal(nl.plan.basis_gather[2], fresh_outputs)
+    assert np.array_equal(nl.basis_gather[2], fresh_outputs)
     assert kept[[basis.index(vec) for vec in inputs]].tobytes() == fresh.tobytes()
     # a state of basis inputs takes its rows from the kept array
     state = PureState(nl.modes, {vec: complex(k + 1, -k) / 20 for k, vec in enumerate(inputs)})
@@ -911,27 +934,33 @@ def test_overridden_netlist_has_its_own_circuit():
     assert _gate_bits(extract_gate(tuned, 1.1)) != before
     assert circuit_matrix(parent) is parent_circuit
     assert _gate_bits(extract_gate(parent, 1.1)) == before
-    # the perturbed copy shares the structure plan and its basis gather
-    assert tuned.plan is parent.plan
-    assert tuned.plan.basis_gather is parent.plan.basis_gather
+    # the perturbed copy derives its own structure, equal to its parent's bit for bit
+    _assert_own_equal_structure(tuned, parent)
     assert tuned._basis_amplitudes is not parent._basis_amplitudes
 
 
-def test_netlists_of_one_structure_share_one_plan():
+def _assert_own_equal_structure(copy, parent):
+    assert copy.modes == parent.modes and copy.columns == parent.columns
+    for own, parents in zip(copy.basis_gather + (copy.readout,), parent.basis_gather + (parent.readout,)):
+        assert own is not parents
+        assert own.dtype == parents.dtype and own.shape == parents.shape
+        assert own.tobytes() == parents.tobytes()
+
+
+def test_a_netlist_derives_its_own_read_only_structure():
     a = default_netlist()
-    assert default_netlist().plan is a.plan
-    assert _reordered_netlist().plan is not a.plan
-    assert a.plan.basis_inputs == tuple(
+    assert a.basis_inputs == tuple(
         a.input_occupation(*pols) for pols in itertools.product((H, V), repeat=3)
     )
-    with pytest.raises(ValueError, match="read-only"):
-        a.plan.readout[0, 0] = 2.0
-    # the columns are shared too, so no netlist may rewrite them
+    assert a.basis_inputs is a.basis_inputs and a.readout is a.readout
+    _assert_own_equal_structure(default_netlist(), a)
+    assert _reordered_netlist().modes != a.modes
+    for array in a.basis_gather + (a.readout,):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 2
     with pytest.raises(TypeError, match="does not support item assignment"):
         a.columns[a.modes[0]] = 5
-    with pytest.raises(TypeError, match="does not support item assignment"):
-        a.plan.columns[a.modes[0]] = 5
-    assert default_netlist().columns[a.modes[0]] == 0
+    assert a.columns[a.modes[0]] == 0
 
 
 def test_a_netlist_pickles_and_copies():
@@ -940,9 +969,19 @@ def test_a_netlist_pickles_and_copies():
 
     nl = default_netlist()
     before = _gate_bits(extract_gate(nl, 0.9))
-    for clone in (pickle.loads(pickle.dumps(nl)), copy.deepcopy(nl)):
+    # a netlist that has derived its circuit pickles as its four fields alone
+    assert pickle.dumps(nl) == pickle.dumps(default_netlist())
+    for clone in (pickle.loads(pickle.dumps(nl)), copy.deepcopy(nl), copy.copy(nl)):
+        assert vars(clone).keys() == {"ports", "elements", "herald", "encoding"}
         assert clone == nl and clone.modes == nl.modes and clone.columns == nl.columns
         assert _gate_bits(extract_gate(clone, 0.9)) == before
+        # what the clone derives is its own and read-only
+        assert circuit_matrix(clone) is not circuit_matrix(nl)
+        kept = [circuit_matrix(clone), clone._basis_amplitudes, clone.readout,
+                *clone.basis_gather, *(step.matrix for step in clone.steps)]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 5.0
 
 
 def test_rewired_element_composes_on_its_new_columns():
@@ -951,16 +990,15 @@ def test_rewired_element_composes_on_its_new_columns():
         "PBS3": spec("PBS3", "pbs", ("P", "L")),  # ports swapped
         "HWP1": spec("HWP1", "waveplate", ("C",), preset="hwp1"),  # another port
     })
-    assert rewired.plan is base.plan
-    assert rewired.plan.element_columns(("P", "L")).tolist() == [6, 7, 2, 3]
+    _assert_own_equal_structure(rewired, base)
+    pbs3 = next(step for step in rewired.steps if step.spec.name == "PBS3")
+    assert pbs3.columns.tolist() == [6, 7, 2, 3]
     matrices = rewired.build_matrices()
     independent = compose_circuit_matrix(
         [m.matrix for m in matrices], [mode_columns(rewired.modes, m.modes) for m in matrices], len(rewired.modes)
     )
     assert np.array_equal(circuit_matrix(rewired), independent)
     assert not np.allclose(circuit_matrix(rewired), circuit_matrix(base))
-    with pytest.raises(KeyError, match="zz"):
-        base.plan.element_columns(("T", "zz"))
 
 
 def test_extract_gate_from_threads_equals_serial():
@@ -1067,15 +1105,15 @@ def test_netlist_rejects_unknown_parameter(key):
 # every parameter each kind accepts, and the element it must build
 KIND_CASES = {
     "pbs": ({"theta_h": 0.1, "theta_v": 1.4},
-            lambda a, b: coupler(a, b, 0.1, 1.4, v_reflect=True)),
+            lambda a, b: build_element(spec("X", "pbs", (a, b), theta_h=0.1, theta_v=1.4))),
     "ppbs": ({"bar_h": 0.9, "bar_v": 0.5, "theta_h": 0.2, "theta_v": 0.7},
-             lambda a, b: coupler(a, b, 0.2, 0.7)),
+             lambda a, b: build_element(spec("X", "ppbs", (a, b), theta_h=0.2, theta_v=0.7))),
     "beamsplitter": ({"t_h": 0.8, "r_h": 0.6, "t_v": 0.6, "r_v": 0.8},
                      lambda a, b: ElementMatrix(modes_for_ports((a, b)), [
                          [0.8, 0, 0.6, 0], [0, 0.6, 0, 0.8], [-0.6, 0, 0.8, 0], [0, -0.8, 0, 0.6],
                      ])),
     "filter": ({"t_h": 0.5, "t_v": 1.0, "theta_h": 0.3, "theta_v": 0.4},
-               lambda a, b: coupler(a, b, 0.3, 0.4)),
+               lambda a, b: build_element(spec("X", "ppbs", (a, b), theta_h=0.3, theta_v=0.4))),
     "waveplate": ({"preset": "hwp1", "matrix": HADAMARD_MATRIX.tolist()},
                   lambda a, b: wave_plate(a, HADAMARD_MATRIX)),
     "phaseshift": ({"phase_h": 0.3, "phase_v": -0.2},

@@ -328,8 +328,11 @@ def test_oversized_grids_exit_2(argv, message, tmp_path, capsys):
 
 def _netlist_json(tmp_path, edit):
     data = netlist_to_dict(default_netlist())
-    for el in data["elements"]:
-        edit(el)
+    if getattr(edit, "on_document", False):
+        edit(data)
+    else:
+        for el in data["elements"]:
+            edit(el)
     path = tmp_path / "netlist.json"
     path.write_text(json.dumps(data))
     return path
@@ -395,6 +398,23 @@ def _hwp1_params(**params):
     return edit
 
 
+def _on_document(edit):
+    """Mark `edit` as an edit of the whole netlist document rather than of each element."""
+    edit.on_document = True
+    return edit
+
+
+def _named(path, name):
+    """A document edit that puts `name` where the keys and indices of `path` lead."""
+    @_on_document
+    def edit(data):
+        at = data
+        for key in path[:-1]:
+            at = at[key]
+        at[path[-1]] = name
+    return edit
+
+
 def _near_unitary_hadamards(el):
     # each plate passes the per-element 1e-12 check on its own, but
     # perturbed circuits built from both are not unitary within 1e-12
@@ -440,6 +460,30 @@ UNREALIZABLE_NETLISTS = {
     "preset_list": (
         _hwp1_params(preset=[[1.0, 0.0], [0.0, 1.0]]),
         ["truth-table", "--phi", "0"], "'HWP1' parameter 'preset' must be a string",
+    ),
+    # every name is a string: a list is unhashable and a number matches no declared port
+    "port_name_list": (
+        _named(("ports", 0, "name"), ["T"]), ["truth-table", "--phi", "0"],
+        "port name ['T'] is not a string",
+    ),
+    "port_name_number": (
+        _named(("ports", 0, "name"), 5), ["truth-table", "--phi", "0"],
+        "port name 5 is not a string",
+    ),
+    "element_name_list": (
+        _named(("elements", 0, "name"), ["PBS1"]), ["truth-table", "--phi", "0"],
+        "element name ['PBS1'] is not a string",
+    ),
+    "element_port_number": (
+        _named(("elements", 0, "ports", 1), 5), ["truth-table", "--phi", "0"],
+        "element 'PBS1' port 5 is not a string",
+    ),
+    "herald_port_list": (
+        _named(("herald", 1, "ports", 0), ["C"]), ["truth-table", "--phi", "0"],
+        "herald term 1 port ['C'] is not a string",
+    ),
+    "encoding_program_number": (
+        _named(("encoding", "program"), 3), ["check"], "encoding program 3 is not a string",
     ),
 }
 

@@ -13,13 +13,19 @@ next to this directory):
   netlist taken after the netlist itself was swept: every row's delta,
   bars, herald probabilities and fidelity;
 - seeded `prepare_input` + `run_heralded` calls on each case: the
-  branch's occupations and amplitudes and the herald probability.
+  branch's occupations and amplitudes and the herald probability;
+- `run_heralded` on seeded states that are not basis inputs, which take a
+  fresh transfer through `Netlist.herald_pattern`: on each case and on the
+  shipped netlist with its ports declared in reverse, a superposition of 0
+  to 4 photons (a basis input among its three-photon terms), once on the
+  netlist's modes and once on those modes shuffled, which `extend_state`
+  lays out again: the branch and the herald probability.
 
 Every float enters as its 8 (or, complex, 16) IEEE bytes, so a signed zero
 or a last-bit change moves the digest; an error enters as its type and
 message.  It prints one line per part and a last line `total <sha256>`
-over all three; the same last line from two trees means they computed the
-same bytes.
+over all the parts; the same last line from two trees means they computed
+the same bytes.
 """
 
 from __future__ import annotations
@@ -140,14 +146,53 @@ def _branches(oracle, out: _Hash) -> None:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             out.label(f"{case} {target!r} {control!r} {phi!r}")
             state = prepare_input(netlist, target, control, ProgramState(phi))
-            branch, prob = run_heralded(netlist, state)
-            for vec, amp in branch.items():
-                out.ints(vec)
-                out.complexes([amp])
-            out.floats([prob])
+            _branch(run_heralded(netlist, state), out)
 
 
-PARTS = (("extract_gate", _gates), ("tolerance_sweep", _sweeps), ("run_heralded", _branches))
+def _branch(result, out: _Hash) -> None:
+    branch, prob = result
+    for vec, amp in branch.items():
+        out.ints(vec)
+        out.complexes([amp])
+    out.floats([prob])
+
+
+def _foreign_branches(oracle, out: _Hash) -> None:
+    from fockgate.fock import H, V, PureState
+    from fockgate.gate import default_netlist, run_heralded
+    from fockgate.io import netlist_from_dict, netlist_to_dict
+
+    reversed_ports = netlist_to_dict(default_netlist())
+    reversed_ports["ports"] = reversed_ports["ports"][::-1]
+    makers = {case: oracle.ENGINE_CASES[case] for case in sorted(oracle.ENGINE_CASES)}
+    makers["reversed ports"] = lambda: netlist_from_dict(reversed_ports)
+    for case, make in makers.items():
+        netlist = make()
+        n_modes = len(netlist.modes)
+        rng = random.Random(f"foreign-{case}")
+        terms = {}
+        for n in (0, 1, 2, 3, 3, 4):
+            vec = [0] * n_modes
+            for _ in range(n):
+                vec[rng.randrange(n_modes)] += 1
+            terms[tuple(vec)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        terms[netlist.input_occupation(H, V, V)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        order = rng.sample(range(n_modes), n_modes)
+        shuffled = {tuple(vec[k] for k in order): amp for vec, amp in terms.items()}
+        for label, modes, state_terms in (
+            ("mixed", netlist.modes, terms),
+            ("shuffled", tuple(netlist.modes[k] for k in order), shuffled),
+        ):
+            out.label(f"{case} {label}")
+            _branch(run_heralded(netlist, PureState(modes, state_terms)), out)
+
+
+PARTS = (
+    ("extract_gate", _gates),
+    ("tolerance_sweep", _sweeps),
+    ("run_heralded", _branches),
+    ("run_heralded_foreign", _foreign_branches),
+)
 
 
 def digests() -> list[tuple[str, str]]:
