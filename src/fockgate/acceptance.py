@@ -27,8 +27,6 @@ from .fock import (
 from .elements import (
     amplitude_via_permanent,
     apply_element,
-    compose_circuit_matrix,
-    mode_columns,
     wave_plate,
 )
 from .gate import (
@@ -101,8 +99,7 @@ def check_ppbs_interference() -> CheckResult:
     both_v = PureState(modes, {(0, 1, 0, 1): 1.0})
     out = apply_element(both_v, ppbs)
     seq_amp = out.amplitude((0, 1, 0, 1))
-    unitary = compose_circuit_matrix([ppbs.matrix], [mode_columns(modes, ppbs.modes)], len(modes))
-    oracle_amp = amplitude_via_permanent(unitary, (0, 1, 0, 1), (0, 1, 0, 1))
+    oracle_amp = amplitude_via_permanent(ppbs.matrix, (0, 1, 0, 1), (0, 1, 0, 1))
     dev = max(abs(seq_amp - (-1.0 / 3.0)), abs(oracle_amp - (-1.0 / 3.0)))
     ok = dev <= 1e-12
     return (
@@ -144,9 +141,9 @@ def check_oracle_equivalence(netlist: Netlist | None = None) -> CheckResult:
     )
 
 
-def check_design_lengths(physics: CouplerPhysics | None = None) -> CheckResult:
-    """Criterion 5: solver reproduces the reference coupler lengths."""
-    phys = physics or CouplerPhysics()
+def check_design_lengths() -> CheckResult:
+    """Criterion 5: solver reproduces the reference coupler lengths of the shipped physics."""
+    phys = CouplerPhysics()
     msgs = []
     ok = True
 
@@ -187,9 +184,9 @@ def check_design_lengths(physics: CouplerPhysics | None = None) -> CheckResult:
     return ("design_lengths", bool(ok), "; ".join(msgs))
 
 
-def check_notch_calibration(physics: CouplerPhysics | None = None) -> CheckResult:
-    """Criterion 6: anchors reproduced exactly; out-of-span queries rejected."""
-    cal = (physics or CouplerPhysics()).notch
+def check_notch_calibration() -> CheckResult:
+    """Criterion 6: the shipped anchors reproduced exactly; out-of-span queries rejected."""
+    cal = CouplerPhysics().notch
     ok = True
     details = []
     for length, pol, expected in ((0.75, V, 0.25), (2.90, H, 0.50), (2.75, V, 0.50)):
@@ -208,12 +205,10 @@ def check_notch_calibration(physics: CouplerPhysics | None = None) -> CheckResul
     return ("notch_calibration", bool(ok), "; ".join(details))
 
 
-def check_tolerance_machinery(
-    netlist: Netlist | None = None, physics: CouplerPhysics | None = None
-) -> CheckResult:
+def check_tolerance_machinery(netlist: Netlist | None = None) -> CheckResult:
     """Criterion 7: nominal at delta 0; fidelity non-increasing in |delta|."""
     nl = netlist or default_netlist()
-    phys = (physics or CouplerPhysics()).with_sensitivities("width", 0.004, 0.004)
+    phys = CouplerPhysics().with_sensitivities("width", 0.004, 0.004)
     rows = tolerance_sweep(nl, phys, "width", (-10.0, 10.0), 1.0, phi=math.pi)
     ok = len(rows) == 21
     center = next(r for r in rows if r.delta_nm == 0.0)

@@ -24,6 +24,7 @@ from .design import (
     sweep_deltas,
     tolerance_sweep,
 )
+from .fock import QUBIT_NORM_TOL
 from .gate import (
     BASIS_LABELS,
     Netlist,
@@ -65,8 +66,9 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
     """Parse 're,im:re,im' into (alpha, beta).
 
     A pair whose |alpha|^2 + |beta|^2 is within 1e-6 of 1 but not within
-    the 1e-12 `qubit_state` requires (amplitudes written to about 8
-    digits) is divided by its norm; any other pair is returned unchanged.
+    the `fock.QUBIT_NORM_TOL` that `qubit_state` requires (amplitudes
+    written to about 8 digits) is divided by its norm; any other pair is
+    returned unchanged.
     """
     try:
         parts = text.split(":")
@@ -82,7 +84,7 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
         raise ConfigError(f"qubit amplitudes must be finite, got {text!r}")
     alpha, beta = amps
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if 1e-12 < abs(norm_sq - 1.0) <= 1e-6:
+    if QUBIT_NORM_TOL < abs(norm_sq - 1.0) <= 1e-6:
         norm = math.sqrt(norm_sq)
         alpha, beta = alpha / norm, beta / norm
     return alpha, beta
@@ -200,22 +202,11 @@ def cmd_truth_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _design_range(args: argparse.Namespace, default: tuple[float, float]) -> tuple[float, float]:
-    if not args.range:
-        return default
-    lo, hi = parse_range(args.range)
-    if not 0 <= lo < hi:
-        raise ConfigError(f"--range needs 0 <= LO < HI, got {args.range!r}")
-    return lo, hi
-
-
 def cmd_design(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ConfigError(f"--count must be at least 1, got {args.count}")
     physics = _load_physics(args.physics)
     design = COUPLER_DESIGNS[args.element]
     nominal = design.reference_um
-    length_range = _design_range(args, design.search_range_um)
+    length_range = parse_range(args.range) if args.range else design.search_range_um
     try:
         if args.element == "f2":
             solutions = enumerate_v_perfect_lengths(physics, length_range, args.count)
@@ -229,9 +220,12 @@ def cmd_design(args: argparse.Namespace) -> int:
             )
     except PhysicsError:  # a beat too short for the lengths scanned
         raise
-    except ValueError as exc:  # a range too long to scan
+    except ValueError as exc:  # a bad count, or a range that is empty, negative or too long to scan
         raise ConfigError(str(exc)) from exc
-    rows = []
+    rows = [
+        [rank, sol.length_um, sol.bar_h, sol.bar_v, sol.residual, nominal, sol.length_um - nominal]
+        for rank, sol in enumerate(solutions, start=1)
+    ]
     if args.element == "f2":
         print(f"V-preserving filter lengths in [{length_range[0]}, {length_range[1]}] um "
               f"(bar_H target 1/3):")
@@ -241,10 +235,6 @@ def cmd_design(args: argparse.Namespace) -> int:
                 f"bar_H = {format_number(sol.bar_h)} "
                 f"(residual vs 1/3: {format_number(sol.bar_h - design.targets[0])}), "
                 f"bar_V = {format_number(sol.bar_v)}"
-            )
-            rows.append(
-                [rank, sol.length_um, sol.bar_h, sol.bar_v, sol.residual,
-                 nominal, sol.length_um - nominal]
             )
     else:
         t_h, t_v = design.targets
@@ -263,10 +253,6 @@ def cmd_design(args: argparse.Namespace) -> int:
                 f"reference {format_number(nominal)} um "
                 f"(delta {format_number(delta)} um)"
             )
-            rows.append(
-                [rank, sol.length_um, sol.bar_h, sol.bar_v, sol.residual,
-                 nominal, delta]
-            )
     if args.output:
         header = [
             "rank",
@@ -283,14 +269,10 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.step <= 0:
-        raise ConfigError(f"--step must be positive, got {format_number(args.step)}")
     delta_range = parse_range(args.range) if args.range else (-10.0, 10.0)
-    if delta_range[0] > delta_range[1]:
-        raise ConfigError(f"--range needs LO <= HI, got {args.range!r}")
     try:
         sweep_deltas(delta_range, args.step)
-    except ValueError as exc:  # a grid too large to evaluate
+    except ValueError as exc:  # a step that is not positive, HI < LO, or a grid too large
         raise ConfigError(str(exc)) from exc
     netlist = _load_netlist(args.netlist)
     physics = _load_physics(args.physics)

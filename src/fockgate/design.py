@@ -50,6 +50,11 @@ DIMENSIONS = ("width", "height", "gap")
 MAX_SCAN_POINTS = 10**6
 MAX_SWEEP_POINTS = 10_001
 
+# The length solver's scan step and the width to which golden-section search
+# refines each local minimum, both in um.
+GRID_STEP_UM = 0.01
+REFINE_TOL_UM = 1e-4
+
 # Grid points evaluated together by `tolerance_sweep`.  A batch's
 # intermediates grow with the outputs the herald accepts: a batch of 64
 # adds about 7 MB to the peak for the shipped herald, and about 35 MB for a
@@ -183,9 +188,6 @@ class CouplerPhysics:
                     f"coupler length of {name!r} must be finite and non-negative, got {length}"
                 )
 
-    def beat(self, pol: Polarization) -> float:
-        return self.beat_h if pol is H else self.beat_v
-
     def sensitivity(self, dimension: str, pol: Polarization) -> float:
         for dim, (sh, sv) in self.sensitivities:
             if dim == dimension:
@@ -255,27 +257,22 @@ def solve_coupler_length(
     weights: tuple[float, float],
     length_range: tuple[float, float],
     count: int = 3,
-    grid_step: float = 0.01,
-    refine_tol: float = 1e-4,
 ) -> list[LengthSolution]:
     """Best coupler lengths for target bar powers (weighted least squares).
 
-    Scans a dense grid (step <= 0.01 um) over `length_range`, refines each
-    local minimum by golden-section search to `refine_tol` um, and returns
-    the `count` lowest-residual solutions; ties break toward shorter length.
-    A `grid_step` or `refine_tol` that is not finite and positive, or a
-    range needing more than MAX_SCAN_POINTS scan points, raises ValueError;
-    a beat too short for the lengths scanned raises PhysicsError (see
-    `cross_power`).
+    Scans a dense grid (step at most GRID_STEP_UM) over `length_range`,
+    refines each local minimum by golden-section search to REFINE_TOL_UM,
+    and returns the `count` lowest-residual solutions; ties break toward
+    shorter length.  A range that is not `hi > lo >= 0`, a count below 1,
+    a target outside [0, 1] or a range needing more than MAX_SCAN_POINTS
+    scan points raises ValueError; a beat too short for the lengths
+    scanned raises PhysicsError (see `cross_power`).
     """
     lo, hi = length_range
     if not (hi > lo >= 0):
         raise ValueError(f"invalid length range [{lo}, {hi}]")
     if count < 1:
         raise ValueError(f"solution count must be at least 1, got {count}")
-    for name, value in (("grid_step", grid_step), ("refine_tol", refine_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
     for t in targets:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"bar-power target {t} outside [0, 1]")
@@ -287,11 +284,11 @@ def solve_coupler_length(
         dv = bar_power(L, physics.beat_v) - t_v
         return w_h * dh * dh + w_v * dv * dv
 
-    span = (hi - lo) / grid_step
+    span = (hi - lo) / GRID_STEP_UM
     if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 scan points
         raise ValueError(
             f"length range [{lo}, {hi}] um needs more than {MAX_SCAN_POINTS} "
-            f"scan points at step {grid_step} um"
+            f"scan points at step {GRID_STEP_UM} um"
         )
     n = max(2, int(math.ceil(span)) + 1)
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -304,7 +301,7 @@ def solve_coupler_length(
         if val <= left and val <= right:
             a = grid[max(0, i - 1)]
             b = grid[min(n - 1, i + 1)]
-            minima.append(_golden_section(residual, a, b, refine_tol))
+            minima.append(_golden_section(residual, a, b))
 
     solutions = [
         LengthSolution(
@@ -318,17 +315,17 @@ def solve_coupler_length(
     solutions.sort(key=lambda s: (s.residual, s.length_um))
     deduped: list[LengthSolution] = []
     for s in solutions:
-        if all(abs(s.length_um - d.length_um) > 10 * refine_tol for d in deduped):
+        if all(abs(s.length_um - d.length_um) > 10 * REFINE_TOL_UM for d in deduped):
             deduped.append(s)
     return deduped[:count]
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> float:
+def _golden_section(f, a: float, b: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > REFINE_TOL_UM:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)

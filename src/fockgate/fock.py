@@ -15,6 +15,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 PRUNE_THRESHOLD = 1e-14
 
+# How far |alpha|^2 + |beta|^2 of a qubit may lie from 1 (`check_qubit`).
+QUBIT_NORM_TOL = 1e-12
+
 
 class Polarization(Enum):
     """Two-valued polarization label; H encodes logical 0, V logical 1."""
@@ -221,14 +224,12 @@ def project_herald(state: PureState, pattern: HeraldPattern) -> tuple[PureState,
     return PureState(state.modes, kept, subnormalized=True), prob
 
 
-def qubit_state(
-    modes: Sequence[Mode], port: str, alpha: complex, beta: complex, tol: float = 1e-12
-) -> PureState:
+def qubit_state(modes: Sequence[Mode], port: str, alpha: complex, beta: complex) -> PureState:
     """Single polarization-encoded photon alpha|H> + beta|V> on `port`.
 
-    The amplitudes must pass `check_qubit` with `tol`.
+    The amplitudes must pass `check_qubit`.
     """
-    check_qubit(alpha, beta, tol)
+    check_qubit(alpha, beta)
     mh, mv = Mode(port, H), Mode(port, V)
     ih, iv = list(modes).index(mh), list(modes).index(mv)
     terms: dict[FockVector, complex] = {}
@@ -244,12 +245,15 @@ def qubit_state(
     return PureState(modes, terms)
 
 
-def check_qubit(alpha: complex, beta: complex, tol: float = 1e-12) -> None:
-    """Raise ValueError unless alpha and beta are finite and |alpha|^2 + |beta|^2 = 1 within `tol`."""
+def check_qubit(alpha: complex, beta: complex) -> None:
+    """Raise ValueError unless alpha and beta are finite and |alpha|^2 + |beta|^2 = 1.
+
+    The norm may deviate from 1 by at most QUBIT_NORM_TOL.
+    """
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"qubit amplitudes must be finite, got ({alpha}, {beta})")
     dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-    if dev > tol:
+    if dev > QUBIT_NORM_TOL:
         raise ValueError(
             f"qubit amplitudes not normalized: |a|^2+|b|^2 deviates by {dev:.3g}"
         )

@@ -65,6 +65,7 @@ from .fock import (
 from .elements import (
     HADAMARD_MATRIX,
     PPBS_BARS,
+    SQ3,
     ElementMatrix,
     apply_element,
     compose_circuit_matrix,
@@ -74,8 +75,6 @@ from .elements import (
     phase_shift,
     wave_plate,
 )
-
-SQ3 = math.sqrt(3.0)
 
 PORT_ROLES = ("input", "output", "io", "internal", "loss", "detector", "program")
 
@@ -92,8 +91,16 @@ ELEMENT_KINDS = {
     "dump": (None, ()),
 }
 
-# Two-port couplers given by coupling angles or by bar amplitudes.
-COUPLER_KINDS = ("pbs", "ppbs", "filter")
+# Two-port couplers given by coupling angles or by bar amplitudes: the
+# bar-amplitude parameter of each kind per polarization, with its default
+# (None: required).  A PBS has none: its bars are those of the routing PBS,
+# H passing and V crossing.
+_BAR_PARAMS = {
+    "pbs": ((None, 1.0), (None, 0.0)),
+    "ppbs": (("bar_h", PPBS_BARS[0]), ("bar_v", PPBS_BARS[1])),
+    "filter": (("t_h", None), ("t_v", None)),
+}
+COUPLER_KINDS = tuple(_BAR_PARAMS)
 
 
 class NetlistError(ValueError):
@@ -440,25 +447,9 @@ class Netlist:
         )
         return replace(self, elements=new_elements)
 
-    def census(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for el in self.elements:
-            counts[el.kind] = counts.get(el.kind, 0) + 1
-        return counts
-
 
 def _lacking(el: ElementSpec, key: str) -> NetlistError:
     return NetlistError(f"element {el.name!r} of kind {el.kind!r} lacks parameter {key!r}")
-
-
-# The bar-amplitude parameter of each coupler kind per polarization, with its
-# default (None: required).  A PBS has none: its bars are those of the routing
-# PBS, H passing and V crossing.
-_BAR_PARAMS = {
-    "pbs": ((None, 1.0), (None, 0.0)),
-    "ppbs": (("bar_h", PPBS_BARS[0]), ("bar_v", PPBS_BARS[1])),
-    "filter": (("t_h", None), ("t_v", None)),
-}
 
 
 def _coupler_setting(el: ElementSpec) -> tuple[bool, tuple[float, float]]:
@@ -472,7 +463,7 @@ def _coupler_setting(el: ElementSpec) -> tuple[bool, tuple[float, float]]:
     missing or not a number in [0, 1], raises NetlistError naming the
     element; another kind raises ValueError.
     """
-    if el.kind not in _BAR_PARAMS:
+    if el.kind not in COUPLER_KINDS:
         raise ValueError(f"element kind {el.kind!r} is not a coupler")
     p = el.param_dict
     by_angle = "theta_h" in p or "theta_v" in p
@@ -517,7 +508,8 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
     sines of its angles when it sets one, otherwise exact pairs, with
     cross = sqrt(1 - bar^2) for a pbs, ppbs or filter and a beam
     splitter's own (t, r), which must satisfy t^2 + r^2 = 1.  A pbs has
-    its V block in reflection form.
+    its V block in reflection form.  A wave plate `preset` that is not a
+    string, or a detector `rotated` that is not a bool, raises NetlistError.
     """
     p = el.param_dict
     if el.kind in COUPLER_KINDS:
@@ -536,6 +528,10 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
                 raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
         return _filled(el.ports, bars, crosses, False)
     if el.kind == "waveplate":
+        if "preset" in p and not isinstance(p["preset"], str):
+            raise NetlistError(
+                f"element {el.name!r} parameter 'preset' must be a string, got {p['preset']!r}"
+            )
         matrix = p.get("matrix")
         if matrix is None:
             matrix = p["preset"]
@@ -546,11 +542,15 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
         return phase_shift(
             el.ports[0], phase_h=p.get("phase_h", 0.0), phase_v=p.get("phase_v", 0.0)
         )
-    if el.kind == "detector" and p.get("rotated", False):
-        # rotated detectors measure in the +-45 degree basis; the basis
-        # change is part of the detector assembly, applied before the
-        # heralded projection onto the port's V mode.
-        return wave_plate(el.ports[0], HADAMARD_MATRIX)
+    if el.kind == "detector":
+        rotated = p.get("rotated", False)
+        if not isinstance(rotated, bool):
+            raise NetlistError(f"element {el.name!r} parameter 'rotated' must be true or false")
+        if rotated:
+            # rotated detectors measure in the +-45 degree basis; the basis
+            # change is part of the detector assembly, applied before the
+            # heralded projection onto the port's V mode.
+            return wave_plate(el.ports[0], HADAMARD_MATRIX)
     return None  # an unrotated detector or a dump only marks its ports
 
 
@@ -568,7 +568,7 @@ def default_netlist() -> Netlist:
         spec("PBS1", "pbs", ("T", "L")),
         spec("F1", "filter", ("T", "F1_LOSS"), t_h=0.5, t_v=0.5),
         spec("HWP1", "waveplate", ("L",), preset="hwp1"),
-        spec("PPBS", "ppbs", ("L", "C"), bar_h=1.0, bar_v=1.0 / SQ3),
+        spec("PPBS", "ppbs", ("L", "C"), bar_h=PPBS_BARS[0], bar_v=PPBS_BARS[1]),
         spec("F2", "filter", ("C", "F2_LOSS"), t_h=1.0 / SQ3, t_v=1.0),
         spec("HWP2", "waveplate", ("L",), preset="hadamard"),
         spec("PBS3", "pbs", ("L", "P")),
@@ -754,7 +754,6 @@ class GateResult:
 
     operator: np.ndarray
     herald_probability: dict[str, float]
-    phi_in: float
     fidelity: float
 
     @property
@@ -945,7 +944,7 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     op, probs = heralded_operators(netlist, phi)
     # `heralded_operators` refused a non-finite or zero operator
     fidelity = _fidelity(op, ideal_cphase(phi))
-    return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), phi, fidelity)
+    return GateResult(op, dict(zip(BASIS_LABELS, probs.tolist())), fidelity)
 
 
 def ideal_cphase(phi: float) -> np.ndarray:

@@ -90,20 +90,14 @@ def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Element parameters from JSON: one finite number each, a bool `rotated`,
-    a `preset` name or a `matrix` of [re, im] pairs."""
+    """Element parameters from JSON: one finite number each, except a `matrix`
+    of [re, im] pairs and `preset` and `rotated`, which `build_element` checks."""
     if not isinstance(params, Mapping):
         raise NetlistError(f"element {name!r} parameters must be an object, got {params!r}")
     out: dict[str, Any] = {}
     for key, value in params.items():
         if key == "matrix":
             value = _matrix_from_json(name, value)
-        elif key == "preset" and not isinstance(value, str):
-            raise NetlistError(
-                f"element {name!r} parameter 'preset' must be a string, got {value!r}"
-            )
-        elif key == "rotated" and not isinstance(value, bool):
-            raise NetlistError(f"element {name!r} parameter 'rotated' must be true or false")
         elif key not in ("preset", "rotated"):
             _number(value, f"element {name!r} parameter {key!r}", NetlistError)
         out[key] = value
@@ -356,11 +350,9 @@ def write_svg_line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
-    """Minimal deterministic SVG line chart (no plotting dependency)."""
-    margin = 64
+    """Minimal deterministic SVG line chart (no plotting dependency), 720 x 480 px."""
+    width, height, margin = 720, 480, 64
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     xs = list(x)

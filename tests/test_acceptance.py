@@ -37,7 +37,7 @@ def test_cphase_correctness_counts_an_undefined_phase_as_a_failure(monkeypatch):
     # diagonal, full fidelity, but |00> never heralds, so the phase is NaN
     def gate_without_00(netlist, phi):
         op = np.diag([0.0, 1.0, 1.0, cmath.exp(1j * phi)])
-        return GateResult(op, {}, phi, 1.0)
+        return GateResult(op, {}, 1.0)
 
     monkeypatch.setattr(acceptance, "extract_gate", gate_without_00)
     _, passed, detail = acceptance.check_cphase_correctness()

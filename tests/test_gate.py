@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -80,7 +81,7 @@ def netlist():
 
 
 def test_element_census(netlist):
-    census = netlist.census()
+    census = collections.Counter(el.kind for el in netlist.elements)
     assert census["pbs"] == 3
     assert census["ppbs"] == 1
     assert census["filter"] == 2
@@ -1161,6 +1162,25 @@ def test_every_kind_rejects_an_unknown_key_and_a_wrong_port_count(kind):
         return
     with pytest.raises(NetlistError, match=f"'X'.*needs {arity} port"):
         _with_first_element(spec("X", kind, SPARE_PORTS[: 3 - arity], **params))
+
+
+# a Python spec obeys the netlist file's rules for these two parameters
+PARAMETER_TYPE_CASES = {
+    # a non-empty string is true: unchecked, it would rotate the detector
+    "rotated_string": (spec("DET", "detector", ("P",), rotated="no"),
+                       "element 'DET' parameter 'rotated' must be true or false"),
+    # a list would be realized as a matrix
+    "preset_list": (spec("HWP1", "waveplate", ("L",), preset=[[0, 1], [1, 0]]),
+                    "element 'HWP1' parameter 'preset' must be a string, got ((0, 1), (1, 0))"),
+}
+
+
+@pytest.mark.parametrize("el, message", PARAMETER_TYPE_CASES.values(), ids=PARAMETER_TYPE_CASES.keys())
+def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(el, message):
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        build_element(el)
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        extract_gate(default_netlist().with_overrides({el.name: el}), 0.4)
 
 
 # -- coupler angles ------------------------------------------------------------------

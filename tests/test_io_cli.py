@@ -279,27 +279,29 @@ def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
     assert "finite" in err
 
 
-BAD_RANGE_ARGS = [
-    ["sweep", "--dimension", "width", "--step", "0"],
-    ["sweep", "--dimension", "width", "--step", "-1"],
-    ["sweep", "--dimension", "width", "--range=5:-5"],
-    ["design", "--element", "pbs", "--range", "80:60"],
-    ["design", "--element", "pbs", "--range=-5:60"],
-    ["design", "--element", "f2", "--range", "90:80"],
-    ["design", "--element", "pbs", "--count", "0"],
-    ["design", "--element", "pbs", "--count=-1"],
-    ["check", "--seed", "-1"],
-]
+# each argument list, and the message of the check that refuses it
+BAD_RANGE_ARGS = {
+    "sweep --dimension width --step 0": "error: step must be positive, got 0.0",
+    "sweep --dimension width --step -1": "error: step must be positive, got -1.0",
+    "sweep --dimension width --range=5:-5": "error: invalid delta range [5.0, -5.0]",
+    "design --element pbs --range 80:60": "error: invalid length range [80.0, 60.0]",
+    "design --element pbs --range=-5:60": "error: invalid length range [-5.0, 60.0]",
+    "design --element f2 --range 90:80": "error: invalid length range [90.0, 80.0]",
+    "design --element pbs --count 0": "error: solution count must be at least 1, got 0",
+    "design --element pbs --count=-1": "error: solution count must be at least 1, got -1",
+    "check --seed -1": "error: --seed must be non-negative, got -1",
+}
 
 
-@pytest.mark.parametrize("argv", BAD_RANGE_ARGS, ids=lambda a: " ".join(a))
-def test_bad_ranges_and_counts_exit_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("args, message", BAD_RANGE_ARGS.items(), ids=BAD_RANGE_ARGS.keys())
+def test_bad_ranges_and_counts_exit_2(args, message, tmp_path, capsys):
+    argv = args.split()
     if argv[0] == "sweep":
         argv = argv + ["--physics", str(_physics_with_sensitivity(tmp_path))]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:")
+    assert captured.err == message + "\n"
     assert captured.out == ""
 
 
