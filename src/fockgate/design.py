@@ -35,6 +35,7 @@ from .gate import (
     ElementSpec,
     Netlist,
     _fidelity,
+    _number,
     coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
@@ -96,14 +97,18 @@ COUPLER_DESIGNS = {
 
 @dataclass(frozen=True)
 class NotchAnchor:
+    """One measured notch conversion; its numbers obey a physics file's rule (`gate._number`)."""
+
     length_um: float
     input_pol: Polarization
     conversion: float  # power fraction converted to the orthogonal polarization
 
     def __post_init__(self):
-        if not (math.isfinite(self.length_um) and self.length_um >= 0):
+        if _number(self.length_um, "notch anchor length_um", PhysicsError) < 0:
             raise ValueError(f"notch length must be finite and non-negative, got {self.length_um}")
-        if not (0.0 <= self.conversion <= 1.0):
+        if not isinstance(self.input_pol, Polarization):
+            raise PhysicsError(f"notch anchor input_pol {self.input_pol!r} is not a Polarization (H or V)")
+        if not (0.0 <= _number(self.conversion, "notch anchor conversion", PhysicsError) <= 1.0):
             raise ValueError(f"notch conversion {self.conversion} outside [0, 1]")
 
 
@@ -158,7 +163,9 @@ class CouplerPhysics:
     positive.  sensitivities[dimension][pol] is the beat-length shift in um
     per nm of the given geometric deviation; all default to zero.
     coupler_lengths are the fabricated lengths by element name, the
-    reference lengths of COUPLER_DESIGNS by default.
+    reference lengths of COUPLER_DESIGNS by default.  Each number obeys a
+    physics file's rule, a finite int or float but not a bool
+    (`gate._number`); one that does not raises PhysicsError naming it.
     """
 
     beat_h: float = 35.80
@@ -176,14 +183,14 @@ class CouplerPhysics:
     notch: NotchCalibration = NotchCalibration()
 
     def __post_init__(self):
-        for beat in (self.beat_h, self.beat_v):
-            if not (math.isfinite(beat) and beat > 0):
+        for what, beat in (("beat_h", self.beat_h), ("beat_v", self.beat_v)):
+            if not _number(beat, what, PhysicsError) > 0:
                 raise ValueError(f"beat lengths must be finite and positive, got {beat}")
         for dim, pair in self.sensitivities:
-            if not all(math.isfinite(s) for s in pair):
-                raise ValueError(f"sensitivities for {dim!r} must be finite, got {pair}")
+            for pol, s in zip("HV", pair):
+                _number(s, f"sensitivity {pol} for {dim!r}", PhysicsError)
         for name, length in self.coupler_lengths:
-            if not (math.isfinite(length) and length >= 0):
+            if _number(length, f"coupler length of {name!r}", PhysicsError) < 0:
                 raise ValueError(
                     f"coupler length of {name!r} must be finite and non-negative, got {length}"
                 )

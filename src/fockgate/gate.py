@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -66,6 +65,7 @@ from .elements import (
     HADAMARD_MATRIX,
     PPBS_BARS,
     SQ3,
+    WAVEPLATE_PRESETS,
     ElementMatrix,
     apply_element,
     compose_circuit_matrix,
@@ -76,35 +76,85 @@ from .elements import (
     wave_plate,
 )
 
+
+class NetlistError(ValueError):
+    """Raised when a netlist fails validation."""
+
+
 PORT_ROLES = ("input", "output", "io", "internal", "loss", "detector", "program")
 
+
+def _number(value: Any, what: str, error: type[ValueError] = NetlistError) -> int | float:
+    """`value` if it is a finite int or float, not a bool; the one number rule of netlists and physics."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 # Element kinds: the number of ports each wires (a dump takes any number)
-# and the parameters it accepts; any other key is a validation error.
+# and the rule of each parameter it accepts (see `_check_param`); any other
+# key is refused.
 ELEMENT_KINDS = {
-    "pbs": (2, ("theta_h", "theta_v")),
-    "ppbs": (2, ("bar_h", "bar_v", "theta_h", "theta_v")),
-    "beamsplitter": (2, ("t_h", "r_h", "t_v", "r_v")),
-    "filter": (2, ("t_h", "t_v", "theta_h", "theta_v")),
-    "waveplate": (1, ("preset", "matrix")),
-    "phaseshift": (1, ("phase_h", "phase_v")),
-    "detector": (1, ("rotated",)),
-    "dump": (None, ()),
+    "pbs": (2, {"theta_h": "number", "theta_v": "number"}),
+    "ppbs": (2, {"bar_h": "bar", "bar_v": "bar", "theta_h": "number", "theta_v": "number"}),
+    "beamsplitter": (2, {"t_h": "number", "r_h": "number", "t_v": "number", "r_v": "number"}),
+    "filter": (2, {"t_h": "bar", "t_v": "bar", "theta_h": "number", "theta_v": "number"}),
+    "waveplate": (1, {"preset": "preset", "matrix": "matrix"}),
+    "phaseshift": (1, {"phase_h": "number", "phase_v": "number"}),
+    "detector": (1, {"rotated": "bool"}),
+    "dump": (None, {}),
 }
+
+# The keys a kind needs: one of each group, the first named when all are missing.
+_REQUIRED = {
+    "beamsplitter": (("t_h",), ("r_h",)),
+    "filter": (("t_h", "theta_h"), ("t_v", "theta_v")),
+    "waveplate": (("preset", "matrix"),),
+}
+
+
+def _check_param(name: str, key: str, rule: str, value: Any) -> None:
+    """Raise NetlistError naming element `name` and `key` unless `value` obeys `rule`.
+
+    A number is `_number`'s, a bar a number in [0, 1], a preset a key of
+    WAVEPLATE_PRESETS and a matrix 2 rows of 2 numbers or complex numbers.
+    """
+    what = f"element {name!r} parameter {key!r}"
+    if rule == "preset":
+        if not isinstance(value, str):
+            raise NetlistError(f"{what} must be a string, got {value!r}")
+        if value not in WAVEPLATE_PRESETS:
+            raise NetlistError(f"{what} must name a preset ({', '.join(WAVEPLATE_PRESETS)}), got {value!r}")
+    elif rule == "bool":
+        if not isinstance(value, bool):
+            raise NetlistError(f"{what} must be true or false")
+    elif rule == "matrix":
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in value)):
+            raise NetlistError(f"{what} must be 2 rows of 2 numbers, got {value!r}")
+        for entry in (entry for row in value for entry in row):
+            for part in (entry.real, entry.imag) if isinstance(entry, complex) else (entry,):
+                _number(part, what)
+    else:  # a number or a bar
+        _number(value, what)
+        if rule == "bar" and not 0.0 <= value <= 1.0:
+            raise NetlistError(f"element {name!r}: bar amplitude {key} = {value!r} outside [0, 1]")
+
 
 # Two-port couplers given by coupling angles or by bar amplitudes: the
 # bar-amplitude parameter of each kind per polarization, with its default
-# (None: required).  A PBS has none: its bars are those of the routing PBS,
-# H passing and V crossing.
+# (None: the spec sets it, see `_REQUIRED`).  A PBS has none: its bars are
+# those of the routing PBS, H passing and V crossing.
 _BAR_PARAMS = {
     "pbs": ((None, 1.0), (None, 0.0)),
     "ppbs": (("bar_h", PPBS_BARS[0]), ("bar_v", PPBS_BARS[1])),
     "filter": (("t_h", None), ("t_v", None)),
 }
 COUPLER_KINDS = tuple(_BAR_PARAMS)
-
-
-class NetlistError(ValueError):
-    """Raised when a netlist fails validation."""
 
 
 @dataclass(frozen=True)
@@ -121,9 +171,13 @@ class PortDecl:
 class ElementSpec:
     """One device as data: kind, wired ports, kind-specific params.
 
-    A list-valued parameter is stored as nested tuples, so changing the list
-    it was built from changes neither the spec nor a circuit realized from
-    it.  An array, in a list too, raises NetlistError naming the parameter.
+    Checked when it is made, from a file or in Python, against its kind in
+    ELEMENT_KINDS and `_REQUIRED`: a fault raises NetlistError naming the
+    element and the parameter, so a spec that is made always realizes
+    unless its matrix is not unitary.  A list-valued parameter is stored as
+    nested tuples, so changing the list it was built from changes neither
+    the spec nor a circuit realized from it.  An array, in a list too,
+    raises NetlistError naming the parameter.
     """
 
     name: str
@@ -134,7 +188,19 @@ class ElementSpec:
     def __post_init__(self):
         if self.kind not in ELEMENT_KINDS:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
+        arity, rules = ELEMENT_KINDS[self.kind]
+        what = f"element {self.name!r} of kind {self.kind!r}"
+        if arity is not None and len(self.ports) != arity:
+            raise NetlistError(f"{what} needs {arity} port(s), got {len(self.ports)}")
         params = tuple((key, _frozen(value, self.name, key)) for key, value in self.params)
+        for key, value in self.params:
+            if key not in rules:
+                raise NetlistError(f"{what} has unknown parameter {key!r}")
+            _check_param(self.name, key, rules[key], value)
+        keys = {key for key, _ in params}
+        for group in _REQUIRED.get(self.kind, ()):
+            if keys.isdisjoint(group):
+                raise NetlistError(f"{what} lacks parameter {group[0]!r}")
         object.__setattr__(self, "params", params)
 
     @property
@@ -165,11 +231,24 @@ def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSp
 
 @dataclass(frozen=True)
 class HeraldTerm:
-    """Exact-count condition: `count` photons total over ports x pols."""
+    """Exact-count condition: `count` photons total over ports x pols.
+
+    A count that is not a non-negative int, or a pol that is not a
+    Polarization, raises NetlistError when the term is made.
+    """
 
     ports: tuple[str, ...]
     pols: tuple[Polarization, ...]
     count: int
+
+    def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise NetlistError(f"herald count must be an integer, got {self.count!r}")
+        if self.count < 0:
+            raise NetlistError("herald count must be non-negative")
+        for pol in self.pols:
+            if not isinstance(pol, Polarization):
+                raise NetlistError(f"herald polarization {pol!r} is not a Polarization (H or V)")
 
 
 @dataclass(frozen=True)
@@ -264,22 +343,10 @@ class Netlist:
             seen.add(el.name)
             if len(set(el.ports)) != len(el.ports):
                 raise NetlistError(f"element {el.name!r} wires a port twice")
-            arity, accepted = ELEMENT_KINDS[el.kind]
-            if arity is not None and len(el.ports) != arity:
-                raise NetlistError(
-                    f"element {el.name!r} of kind {el.kind!r} needs {arity} "
-                    f"port(s), got {len(el.ports)}"
-                )
             for p in el.ports:
                 if p not in names:
                     raise NetlistError(
                         f"element {el.name!r} wired to undeclared port {p!r}"
-                    )
-            for key, _ in el.params:
-                if key not in accepted:
-                    raise NetlistError(
-                        f"element {el.name!r} of kind {el.kind!r} has unknown "
-                        f"parameter {key!r}"
                     )
         if not self.herald:
             raise NetlistError("herald pattern is empty")
@@ -287,8 +354,6 @@ class Netlist:
             for p in term.ports:
                 if p not in names:
                     raise NetlistError(f"herald references unknown port {p!r}")
-            if term.count < 0:
-                raise NetlistError("herald count must be non-negative")
         for qport in (self.encoding.target, self.encoding.control, self.encoding.program):
             if qport not in names:
                 raise NetlistError(f"encoding references unknown port {qport!r}")
@@ -374,8 +439,8 @@ class Netlist:
     def build_matrices(self) -> list[ElementMatrix]:
         """Element matrices in application order (detector basis rotation included).
 
-        An element whose parameters cannot be realized (missing, of the
-        wrong type or out of range) raises NetlistError naming it.
+        Every spec was checked when it was made, so only an element whose
+        matrix is not unitary raises NetlistError naming it.
         """
         return [m for _, m in self._realized()]
 
@@ -385,11 +450,7 @@ class Netlist:
         for el in self.elements:
             try:
                 m = build_element(el)
-            except NetlistError:
-                raise
-            except KeyError as exc:
-                raise _lacking(el, exc.args[0]) from exc
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:  # not unitary
                 raise NetlistError(f"element {el.name!r}: {exc}") from exc
             if m is not None:
                 out.append((el, m))
@@ -400,8 +461,8 @@ class Netlist:
         """The elements that act on modes, each realized once, in application order.
 
         A step holds the element's spec, the read-only circuit columns of its
-        modes and a read-only view of its matrix.  An element that cannot be
-        realized raises NetlistError naming it, as `build_matrices` does.
+        modes and a read-only view of its matrix.  An element whose matrix is
+        not unitary raises NetlistError naming it, as `build_matrices` does.
         """
         steps = []
         for el, m in self._realized():
@@ -448,43 +509,24 @@ class Netlist:
         return replace(self, elements=new_elements)
 
 
-def _lacking(el: ElementSpec, key: str) -> NetlistError:
-    return NetlistError(f"element {el.name!r} of kind {el.kind!r} lacks parameter {key!r}")
-
-
 def _coupler_setting(el: ElementSpec) -> tuple[bool, tuple[float, float]]:
-    """How a pbs, ppbs or filter is set, read and checked in this one place.
+    """How a pbs, ppbs or filter is set, read in this one place.
 
     Returns (True, (theta_h, theta_v)) for a coupler that sets either angle,
     a polarization without its angle taking the arccosine of its bar, and
-    otherwise (False, (bar_h, bar_v)).  The bars are a filter's `t_h`/`t_v`
-    (required), a PPBS's `bar_h`/`bar_v` (default `elements.PPBS_BARS`) and
-    (1, 0) for a PBS.  An angle that is not a number, or a bar that is
-    missing or not a number in [0, 1], raises NetlistError naming the
-    element; another kind raises ValueError.
+    otherwise (False, (bar_h, bar_v)).  The bars are a filter's `t_h`/`t_v`,
+    a PPBS's `bar_h`/`bar_v` (default `elements.PPBS_BARS`) and (1, 0) for
+    a PBS; the spec's rules guarantee each is there and in [0, 1].
     """
-    if el.kind not in COUPLER_KINDS:
-        raise ValueError(f"element kind {el.kind!r} is not a coupler")
     p = el.param_dict
     by_angle = "theta_h" in p or "theta_v" in p
     values = []
     for theta_key, (bar_key, default) in zip(("theta_h", "theta_v"), _BAR_PARAMS[el.kind]):
         if theta_key in p:
-            theta = p[theta_key]
-            if not isinstance(theta, numbers.Real):
-                raise NetlistError(
-                    f"element {el.name!r}: coupling angle {theta_key} = {theta!r} is not a number"
-                )
-            values.append(theta)
-            continue
-        bar = p.get(bar_key, default)
-        if bar is None:
-            raise _lacking(el, bar_key)
-        if not (isinstance(bar, numbers.Real) and 0.0 <= bar <= 1.0):
-            raise NetlistError(
-                f"element {el.name!r}: bar amplitude {bar_key} = {bar!r} outside [0, 1]"
-            )
-        values.append(math.acos(bar) if by_angle else bar)
+            values.append(p[theta_key])
+        else:
+            bar = p.get(bar_key, default)
+            values.append(math.acos(bar) if by_angle else bar)
     return by_angle, tuple(values)
 
 
@@ -492,10 +534,12 @@ def coupler_angles(el: ElementSpec) -> tuple[float, float]:
     """Coupling angles (theta_h, theta_v) of a pbs, ppbs or filter; bar amplitude cos(theta).
 
     Each angle is the element's own `theta_h`/`theta_v` where it sets one,
-    otherwise the arccosine of its bar amplitude (see `_coupler_setting`,
-    whose errors it raises).  A PBS without angles is the routing PBS,
-    (0, pi/2) in reflection form.
+    otherwise the arccosine of its bar amplitude (see `_coupler_setting`).
+    A PBS without angles is the routing PBS, (0, pi/2) in reflection form.
+    An element of another kind raises ValueError.
     """
+    if el.kind not in COUPLER_KINDS:
+        raise ValueError(f"element kind {el.kind!r} is not a coupler")
     by_angle, values = _coupler_setting(el)
     return values if by_angle else (math.acos(values[0]), math.acos(values[1]))
 
@@ -507,9 +551,10 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
     filled by `coupler_matrices` from (bar, cross) pairs: the cosines and
     sines of its angles when it sets one, otherwise exact pairs, with
     cross = sqrt(1 - bar^2) for a pbs, ppbs or filter and a beam
-    splitter's own (t, r), which must satisfy t^2 + r^2 = 1.  A pbs has
-    its V block in reflection form.  A wave plate `preset` that is not a
-    string, or a detector `rotated` that is not a bool, raises NetlistError.
+    splitter's own (t, r).  A pbs has its V block in reflection form.  The
+    spec's parameters were checked when it was made, so only physics fails
+    here, with ValueError: a beam splitter with t^2 + r^2 != 1 or a wave
+    plate `matrix` that is not unitary within 1e-12.
     """
     p = el.param_dict
     if el.kind in COUPLER_KINDS:
@@ -528,29 +573,17 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
                 raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
         return _filled(el.ports, bars, crosses, False)
     if el.kind == "waveplate":
-        if "preset" in p and not isinstance(p["preset"], str):
-            raise NetlistError(
-                f"element {el.name!r} parameter 'preset' must be a string, got {p['preset']!r}"
-            )
-        matrix = p.get("matrix")
-        if matrix is None:
-            matrix = p["preset"]
-        else:
-            matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.asarray(p["matrix"], dtype=complex) if "matrix" in p else p["preset"]
         return wave_plate(el.ports[0], matrix)
     if el.kind == "phaseshift":
         return phase_shift(
             el.ports[0], phase_h=p.get("phase_h", 0.0), phase_v=p.get("phase_v", 0.0)
         )
-    if el.kind == "detector":
-        rotated = p.get("rotated", False)
-        if not isinstance(rotated, bool):
-            raise NetlistError(f"element {el.name!r} parameter 'rotated' must be true or false")
-        if rotated:
-            # rotated detectors measure in the +-45 degree basis; the basis
-            # change is part of the detector assembly, applied before the
-            # heralded projection onto the port's V mode.
-            return wave_plate(el.ports[0], HADAMARD_MATRIX)
+    if el.kind == "detector" and p.get("rotated", False):
+        # rotated detectors measure in the +-45 degree basis; the basis
+        # change is part of the detector assembly, applied before the
+        # heralded projection onto the port's V mode.
+        return wave_plate(el.ports[0], HADAMARD_MATRIX)
     return None  # an unrotated detector or a dump only marks its ports
 
 
@@ -1031,7 +1064,7 @@ def circuit_matrix(netlist: Netlist) -> np.ndarray:
     """The netlist's one single-photon mode matrix, in transfer orientation.
 
     Composed on the first call and kept on the netlist as a read-only
-    array.  Raises NetlistError when an element cannot be realized or the
-    elements do not compose to a unitary within 1e-12.
+    array.  Raises NetlistError when an element's matrix or the circuit
+    the elements compose is not unitary within 1e-12.
     """
     return netlist._circuit

@@ -11,7 +11,6 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -31,6 +30,7 @@ from .gate import (
     NetlistError,
     PortDecl,
     QubitEncoding,
+    _number,
     circuit_matrix,
 )
 
@@ -60,17 +60,6 @@ def format_complex(value: complex) -> str:
 # -- netlist JSON ------------------------------------------------------------
 
 
-def _number(value: Any, what: str, error: type[ValueError]) -> int | float:
-    """`value` if it is a finite JSON number, an int or a float but not a bool; else `error`."""
-    try:
-        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise error(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
 def _pol_from_str(s: str) -> Polarization:
     try:
         return Polarization(s)
@@ -90,22 +79,18 @@ def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Element parameters from JSON: one finite number each, except a `matrix`
-    of [re, im] pairs and `preset` and `rotated`, which `build_element` checks."""
+    """Element parameters from JSON, a `matrix` of [re, im] pairs as complex numbers.
+
+    `ElementSpec` checks every parameter against its kind's rules.
+    """
     if not isinstance(params, Mapping):
         raise NetlistError(f"element {name!r} parameters must be an object, got {params!r}")
-    out: dict[str, Any] = {}
-    for key, value in params.items():
-        if key == "matrix":
-            value = _matrix_from_json(name, value)
-        elif key not in ("preset", "rotated"):
-            _number(value, f"element {name!r} parameter {key!r}", NetlistError)
-        out[key] = value
-    return out
+    return {key: _matrix_from_json(name, value) if key == "matrix" else value
+            for key, value in params.items()}
 
 
 def _matrix_from_json(name: str, value: Any) -> list[list[complex]]:
-    """A wave plate `matrix`: 2 rows of 2 [re, im] pairs, each number as `_number` takes it."""
+    """A wave plate `matrix`: 2 rows of 2 [re, im] pairs, each number as `gate._number` takes it."""
     what = f"element {name!r} parameter 'matrix'"
     pairs = isinstance(value, list) and len(value) == 2 and all(
         isinstance(row, list) and len(row) == 2
@@ -166,7 +151,7 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
             HeraldTerm(
                 tuple(_list(t["ports"], f"herald term {i} ports")),
                 tuple(_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols")),
-                _count(t["count"]),
+                t["count"],
             )
             for i, t in enumerate(data["herald"])
         )
@@ -186,18 +171,13 @@ def _list(value: Any, what: str) -> list:
     return value
 
 
-def _count(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NetlistError(f"herald count must be an integer, got {value!r}")
-    return value
-
-
 def load_netlist(path: str | Path) -> Netlist:
     """Read a netlist JSON and check that its circuit can be realized.
 
-    Composing the circuit matrix, which the netlist then keeps, makes a
-    bad element parameter or a non-unitary circuit fail here, with
-    NetlistError, before any work.
+    Each element, herald term and the netlist check themselves when they
+    are made, with the rules a netlist built in Python obeys.  Composing
+    the circuit matrix, which the netlist then keeps, makes a matrix that
+    is not unitary fail here too, with NetlistError, before any work.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,20 +57,34 @@ def test_coupler_designs_name_the_default_couplers_and_their_lengths():
 
 
 INVALID_PHYSICS = {
-    "nan_beat": lambda: CouplerPhysics(beat_h=math.nan),
-    "infinite_beat": lambda: CouplerPhysics(beat_v=math.inf),
-    "negative_beat": lambda: CouplerPhysics(beat_v=-8.32),
-    "nan_sensitivity": lambda: PHYS.with_sensitivities("width", math.nan, 0.0),
-    "negative_coupler_length": lambda: CouplerPhysics(coupler_lengths=(("PBS1", -70.72),)),
-    "nan_coupler_length": lambda: CouplerPhysics(coupler_lengths=(("F1", math.nan),)),
-    "notch_conversion_above_one": lambda: NotchAnchor(0.75, V, 7.0),
-    "negative_notch_length": lambda: NotchAnchor(-0.75, V, 0.25),
+    "nan_beat": (lambda: CouplerPhysics(beat_h=math.nan), "beat_h must be a finite number, got nan"),
+    "infinite_beat": (lambda: CouplerPhysics(beat_v=math.inf), "beat_v must be a finite number, got inf"),
+    "negative_beat": (lambda: CouplerPhysics(beat_v=-8.32),
+                      "beat lengths must be finite and positive, got -8.32"),
+    "nan_sensitivity": (lambda: PHYS.with_sensitivities("width", math.nan, 0.0),
+                        "sensitivity H for 'width' must be a finite number, got nan"),
+    "negative_coupler_length": (lambda: CouplerPhysics(coupler_lengths=(("PBS1", -70.72),)),
+                                "coupler length of 'PBS1' must be finite and non-negative, got -70.72"),
+    "nan_coupler_length": (lambda: CouplerPhysics(coupler_lengths=(("F1", math.nan),)),
+                           "coupler length of 'F1' must be a finite number, got nan"),
+    "notch_conversion_above_one": (lambda: NotchAnchor(0.75, V, 7.0), "notch conversion 7.0 outside [0, 1]"),
+    "negative_notch_length": (lambda: NotchAnchor(-0.75, V, 0.25),
+                              "notch length must be finite and non-negative, got -0.75"),
+    # made until values built in Python obeyed the physics file's number rule
+    "beat_true": (lambda: CouplerPhysics(beat_h=True), "beat_h must be a finite number, got True"),
+    "beat_string": (lambda: CouplerPhysics(beat_h="35"), "beat_h must be a finite number, got '35'"),
+    "sensitivity_true": (lambda: PHYS.with_sensitivities("width", True, 0.0),
+                         "sensitivity H for 'width' must be a finite number, got True"),
+    "notch_length_true": (lambda: NotchAnchor(True, V, 0.5),
+                          "notch anchor length_um must be a finite number, got True"),
+    "notch_pol_string": (lambda: NotchAnchor(1.0, "V", 0.5),
+                         "notch anchor input_pol 'V' is not a Polarization (H or V)"),
 }
 
 
-@pytest.mark.parametrize("make", INVALID_PHYSICS.values(), ids=INVALID_PHYSICS.keys())
-def test_physics_construction_rejects_invalid_values(make):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("make, message", INVALID_PHYSICS.values(), ids=INVALID_PHYSICS.keys())
+def test_physics_construction_rejects_invalid_values(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -641,17 +656,21 @@ def test_sweep_of_a_copy_after_its_parent_reads_the_copys_own_couplers():
 
 
 def test_a_coupler_without_a_length_is_read_only_by_the_sweep_that_realizes_it():
-    # FX lacks t_h: the angles ignore it, as it has no length; realizing it fails
+    # FX has no design length: the sweep realizes it as given and never perturbs it
     netlist = default_netlist()
     netlist = dataclasses.replace(
-        netlist, elements=netlist.elements + (gate.spec("FX", "filter", ("C", "F2_LOSS"), t_v=1.0),)
+        netlist,
+        elements=netlist.elements + (gate.spec("FX", "filter", ("C", "F2_LOSS"), t_h=0.8, t_v=1.0),),
     )
     physics = PHYS.with_sensitivities("gap", 0.003, 0.002)
     overrides = synthesize_imperfect_elements(netlist, physics, "gap", 1.5)
     assert sorted(overrides) == ["F1", "F2", "PBS1", "PBS2", "PBS3", "PPBS"]
-    with pytest.raises(NetlistError, match="'FX'.*lacks parameter 't_h'"):
-        tolerance_sweep(netlist, physics, "gap", (-2.0, 2.0), 1.0)
-    assert sorted(synthesize_imperfect_elements(netlist, physics, "gap", 1.5)) == sorted(overrides)
+    rows = tolerance_sweep(netlist, physics, "gap", (-2.0, 2.0), 1.0)
+    assert all("FX" not in [name for name, _, _ in row.element_bars] for row in rows)
+    _assert_rows_equal_their_own_extraction(netlist, physics, "gap", rows, range(len(rows)), math.pi)
+    # a filter that lacks t_h is refused when it is made
+    with pytest.raises(NetlistError, match="^element 'FX' of kind 'filter' lacks parameter 't_h'$"):
+        gate.spec("FX", "filter", ("C", "F2_LOSS"), t_v=1.0)
 
 
 def _assert_rows_equal_their_own_extraction(netlist, physics, dimension, rows, picked, phi):

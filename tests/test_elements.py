@@ -82,7 +82,7 @@ def test_filter_amplitude_range_checked():
         built("filter", ("a", "loss"), t_h=1.0, t_v=-0.1)
     with pytest.raises(NetlistError, match=r"bar amplitude bar_h = 1.5 outside"):
         built("ppbs", bar_h=1.5)
-    with pytest.raises(NetlistError, match=r"bar amplitude bar_v = 'x' outside"):
+    with pytest.raises(NetlistError, match=r"^element 'X' parameter 'bar_v' must be a finite number, got 'x'$"):
         built("ppbs", bar_v="x")
 
 

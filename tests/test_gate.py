@@ -1,6 +1,7 @@
 import cmath
 import collections
 import itertools
+import json
 import math
 import random
 import re
@@ -40,7 +41,7 @@ from fockgate.elements import (
     phase_shift,
     wave_plate,
 )
-from fockgate.io import netlist_from_dict, netlist_to_dict
+from fockgate.io import load_netlist, netlist_from_dict, netlist_to_dict
 from fockgate.gate import (
     BASIS_LABELS,
     COUPLER_KINDS,
@@ -1096,11 +1097,9 @@ def test_netlist_with_a_matrix_parameter_is_hashable():
 
 @pytest.mark.parametrize("key", ["bogus", "t_hh"])
 def test_netlist_rejects_unknown_parameter(key):
-    base = default_netlist()
-    f1 = base.element("F1").with_params(**{key: 0.5})
-    with pytest.raises(NetlistError, match=f"'F1'.*'{key}'"):
-        Netlist(base.ports, tuple(f1 if el.name == "F1" else el for el in base.elements),
-                base.herald, base.encoding)
+    # refused when the spec is made, before any netlist holds it
+    with pytest.raises(NetlistError, match=f"^element 'F1' of kind 'filter' has unknown parameter '{key}'$"):
+        default_netlist().element("F1").with_params(**{key: 0.5})
 
 
 # every parameter each kind accepts, and the element it must build
@@ -1155,32 +1154,114 @@ def test_every_kind_builds_through_a_netlist(kind):
 def test_every_kind_rejects_an_unknown_key_and_a_wrong_port_count(kind):
     params, _ = KIND_CASES[kind]
     arity, _ = ELEMENT_KINDS[kind]
-    with pytest.raises(NetlistError, match="'X'.*unknown parameter 'bogus'"):
-        _with_first_element(spec("X", kind, SPARE_PORTS[: arity or 2], bogus=1.0, **params))
+    # refused when the spec is made, before any netlist or `build_element` sees it
+    with pytest.raises(NetlistError, match=f"^element 'X' of kind '{kind}' has unknown parameter 'bogus'$"):
+        spec("X", kind, SPARE_PORTS[: arity or 2], bogus=1.0, **params)
     if arity is None:  # a dump wires any number of ports
         _with_first_element(spec("X", kind, SPARE_PORTS[:1], **params))
         return
-    with pytest.raises(NetlistError, match=f"'X'.*needs {arity} port"):
-        _with_first_element(spec("X", kind, SPARE_PORTS[: 3 - arity], **params))
+    with pytest.raises(NetlistError, match=f"^element 'X' of kind '{kind}' needs {arity} port"):
+        spec("X", kind, SPARE_PORTS[: 3 - arity], **params)
+
+
+# -- one rule, whichever way in -------------------------------------------------
+
+BAD_VALUES = {"true": True, "string": "x", "nan": math.nan, "inf": math.inf, "list": [0.5],
+              "huge_int": 10**400}
+RULE_CASES = [
+    (kind, key, bad)
+    for kind, (_, rules) in sorted(ELEMENT_KINDS.items())
+    for key in rules
+    for bad in BAD_VALUES
+    if (key, bad) != ("rotated", "true")  # a bool is what a detector's flag takes
+]
+
+
+def _file_params(params):
+    """`params` as a netlist file holds them: a `matrix` as rows of [re, im] pairs."""
+    return {
+        key: [[[complex(c).real, complex(c).imag] for c in row] for row in value] if key == "matrix"
+        else value
+        for key, value in params.items()
+    }
+
+
+def _spec_and_file_errors(kind, params, file_params, tmp_path):
+    """The NetlistError texts of element X of `kind` made in Python and loaded from a file."""
+    arity, _ = ELEMENT_KINDS[kind]
+    ports = SPARE_PORTS[: arity or 2]
+    with pytest.raises(NetlistError) as made:
+        spec("X", kind, ports, **params)
+    data = netlist_to_dict(default_netlist())
+    data["elements"].insert(0, {"name": "X", "kind": kind, "ports": list(ports), "params": file_params})
+    path = tmp_path / "netlist.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(NetlistError) as loaded:
+        load_netlist(path)
+    return str(made.value), str(loaded.value)
+
+
+@pytest.mark.parametrize("kind, key, bad", RULE_CASES, ids=["-".join(case) for case in RULE_CASES])
+def test_a_parameter_rule_is_one_rule_from_python_and_from_a_file(kind, key, bad, tmp_path):
+    value = BAD_VALUES[bad]
+    params = KIND_CASES[kind][0]
+    file_params = _file_params(params)
+    if key == "matrix":  # one bad entry; a file holds it as the real part of its pair
+        params = {**params, key: [[value, 0.0], [0.0, 1.0]]}
+        file_params[key] = [[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    else:
+        params = {**params, key: value}
+        file_params[key] = value
+    made, loaded = _spec_and_file_errors(kind, params, file_params, tmp_path)
+    assert made.startswith(f"element 'X' parameter {key!r} ")
+    assert loaded == made
+
+
+REQUIRED_CASES = [(kind, group) for kind, groups in sorted(gate._REQUIRED.items()) for group in groups]
+
+
+@pytest.mark.parametrize("kind, group", REQUIRED_CASES, ids=[f"{k}-{g[0]}" for k, g in REQUIRED_CASES])
+def test_a_missing_parameter_is_one_rule_from_python_and_from_a_file(kind, group, tmp_path):
+    params = {key: value for key, value in KIND_CASES[kind][0].items() if key not in group}
+    made, loaded = _spec_and_file_errors(kind, params, _file_params(params), tmp_path)
+    assert made == f"element 'X' of kind {kind!r} lacks parameter {group[0]!r}"
+    assert loaded == made
+
+
+HERALD_GAPS = {
+    "count_true": ((("T",), (H, V), True), "herald count must be an integer, got True"),
+    "count_float": ((("T",), (H, V), 1.0), "herald count must be an integer, got 1.0"),
+    "count_negative": ((("T",), (H, V), -1), "herald count must be non-negative"),
+    # a string pol raised a KeyError whose text could not be printed
+    "pols_strings": ((("T",), ("H", "V"), 1),
+                     "herald polarization 'H' is not a Polarization (H or V)"),
+}
+
+
+@pytest.mark.parametrize("fields, message", HERALD_GAPS.values(), ids=HERALD_GAPS.keys())
+def test_a_herald_term_checks_its_count_and_pols_when_it_is_made(fields, message):
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        HeraldTerm(*fields)
 
 
 # a Python spec obeys the netlist file's rules for these two parameters
 PARAMETER_TYPE_CASES = {
     # a non-empty string is true: unchecked, it would rotate the detector
-    "rotated_string": (spec("DET", "detector", ("P",), rotated="no"),
+    "rotated_string": (("DET", "detector", ("P",), {"rotated": "no"}),
                        "element 'DET' parameter 'rotated' must be true or false"),
     # a list would be realized as a matrix
-    "preset_list": (spec("HWP1", "waveplate", ("L",), preset=[[0, 1], [1, 0]]),
-                    "element 'HWP1' parameter 'preset' must be a string, got ((0, 1), (1, 0))"),
+    "preset_list": (("HWP1", "waveplate", ("L",), {"preset": [[0, 1], [1, 0]]}),
+                    "element 'HWP1' parameter 'preset' must be a string, got [[0, 1], [1, 0]]"),
 }
 
 
-@pytest.mark.parametrize("el, message", PARAMETER_TYPE_CASES.values(), ids=PARAMETER_TYPE_CASES.keys())
-def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(el, message):
+@pytest.mark.parametrize("made, message", PARAMETER_TYPE_CASES.values(), ids=PARAMETER_TYPE_CASES.keys())
+def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(made, message):
+    name, kind, ports, params = made
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
-        build_element(el)
+        spec(name, kind, ports, **params)
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
-        extract_gate(default_netlist().with_overrides({el.name: el}), 0.4)
+        default_netlist().element(name).with_params(**params)
 
 
 # -- coupler angles ------------------------------------------------------------------
@@ -1238,7 +1319,7 @@ BAD_COUPLERS = {
     ),
     "filter_angle_not_a_number": (
         lambda: _with_coupler("F1", theta_h="x", theta_v=0.1),
-        "element 'F1': coupling angle theta_h = 'x' is not a number",
+        "element 'F1' parameter 'theta_h' must be a finite number, got 'x'",
     ),
 }
 COUPLER_ENTRY_POINTS = {
@@ -1251,6 +1332,7 @@ COUPLER_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(COUPLER_ENTRY_POINTS))
 @pytest.mark.parametrize("defect", sorted(BAD_COUPLERS))
 def test_a_bad_coupler_raises_one_error_naming_it_on_every_path(defect, entry):
+    # the spec is refused when it is made, so every path meets the same error
     make, message = BAD_COUPLERS[defect]
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         COUPLER_ENTRY_POINTS[entry](make())

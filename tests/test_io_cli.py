@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -10,14 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fockgate
 from fockgate.cli import main, parse_qubit
 from fockgate.gate import NetlistError
 from fockgate.design import CouplerPhysics
-from fockgate.gate import default_netlist, extract_gate
+from fockgate.gate import ELEMENT_KINDS, circuit_matrix, default_netlist, extract_gate, spec
 from fockgate.io import (
     format_number,
     load_netlist,
@@ -58,6 +59,46 @@ def test_netlist_waveplate_matrix_round_trip():
     rebuilt = netlist_from_dict(data)
     res = extract_gate(rebuilt, 0.8)
     assert res.fidelity >= 1 - 1e-9
+
+
+# values of every rule's type, most of them valid for some rule and some for none
+PARAM_VALUES = (
+    st.floats(-0.5, 1.5)
+    | st.integers(-1, 2)
+    | st.sampled_from([math.nan, math.inf, 10**400, True, False, "hwp1", "hadamard", "x", None, [0.5]])
+    | st.lists(st.lists(st.floats(-1.0, 1.0) | st.complex_numbers(max_magnitude=1.0) | st.just(True),
+                        min_size=2, max_size=2), min_size=2, max_size=2)
+)
+
+
+@st.composite
+def kinds_and_params(draw):
+    kind = draw(st.sampled_from(sorted(ELEMENT_KINDS)))
+    keys = sorted(ELEMENT_KINDS[kind][1])
+    drawn = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    return kind, {key: draw(PARAM_VALUES) for key in drawn}
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=kinds_and_params())
+def test_a_netlist_whose_specs_are_made_saves_and_loads_as_itself(drawn, tmp_path_factory):
+    kind, params = drawn
+    arity = ELEMENT_KINDS[kind][0]
+    try:
+        el = spec("X", kind, ("F1_LOSS", "F2_LOSS")[: arity or 2], **params)
+    except NetlistError:
+        assume(False)
+    base = default_netlist()
+    netlist = dataclasses.replace(base, elements=(el,) + base.elements)
+    path = tmp_path_factory.mktemp("round_trip") / "netlist.json"
+    save_netlist(netlist, path)
+    try:
+        circuit_matrix(netlist)
+    except NetlistError as exc:  # made, but its matrix is not unitary: the file fails alike
+        with pytest.raises(NetlistError, match=f"^{re.escape(str(exc))}$"):
+            load_netlist(path)
+    else:
+        assert load_netlist(path) == netlist
 
 
 def test_physics_json_round_trip(tmp_path):
