@@ -2,6 +2,10 @@
 
 Exit statuses: 0 success, 2 configuration/input error, 3 netlist or
 physics validation error, 4 acceptance-check failure in check mode.
+The library checks every input; `main` is the one place that turns an
+error into a status, with its message on stderr: NetlistError and
+PhysicsError exit 3, any other ValueError or an OSError exit 2.
+
 All angles are radians; qubit amplitudes are complex pairs "re,im"
 joined by ':' (alpha:beta).  Outputs are deterministic: identical
 configurations produce byte-identical tables.
@@ -10,7 +14,6 @@ configurations produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from pathlib import Path
@@ -21,7 +24,6 @@ from .design import (
     CouplerPhysics,
     enumerate_v_perfect_lengths,
     solve_coupler_length,
-    sweep_deltas,
     tolerance_sweep,
 )
 from .fock import QUBIT_NORM_TOL
@@ -47,42 +49,18 @@ from .io import (
 )
 
 
-class ConfigError(Exception):
-    """Bad invocation or unreadable input; maps to exit status 2."""
-
-
-def finite_float(text: str) -> float:
-    """A finite float; argparse type for --phi and --step."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"number must be finite, got {text!r}")
-    return value
-
-
 def parse_qubit(text: str) -> tuple[complex, complex]:
-    """Parse 're,im:re,im' into (alpha, beta).
+    """Parse 're,im:re,im' into (alpha, beta); ValueError unless it has that shape and 4 floats.
 
     A pair whose |alpha|^2 + |beta|^2 is within 1e-6 of 1 but not within
     the `fock.QUBIT_NORM_TOL` that `qubit_state` requires (amplitudes
     written to about 8 digits) is divided by its norm; any other pair is
-    returned unchanged.
+    returned unchanged, for `fock.check_qubit` to judge.
     """
-    try:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ValueError("expected two components separated by ':'")
-        amps = []
-        for part in parts:
-            re_s, im_s = part.split(",")
-            amps.append(complex(float(re_s), float(im_s)))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse qubit amplitudes {text!r}: {exc}") from exc
-    if not all(cmath.isfinite(a) for a in amps):
-        raise ConfigError(f"qubit amplitudes must be finite, got {text!r}")
-    alpha, beta = amps
+    parts = [part.split(",") for part in text.split(":")]
+    if len(parts) != 2 or any(len(part) != 2 for part in parts):
+        raise ValueError(f"cannot parse qubit amplitudes {text!r}: expected 're,im:re,im'")
+    alpha, beta = (complex(float(re_s), float(im_s)) for re_s, im_s in parts)
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
     if QUBIT_NORM_TOL < abs(norm_sq - 1.0) <= 1e-6:
         norm = math.sqrt(norm_sq)
@@ -91,25 +69,23 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
 
 
 def parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse range {text!r} (expected LO:HI)") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"range bounds must be finite, got {text!r}")
+    """Parse 'LO:HI' into (lo, hi); the solvers and the sweep check the bounds."""
+    bounds = text.split(":")
+    if len(bounds) != 2:
+        raise ValueError(f"cannot parse range {text!r} (expected LO:HI)")
+    lo, hi = map(float, bounds)
     return lo, hi
 
 
 def _input_file(path: str, kind: str) -> Path:
-    """`path` as a Path; ConfigError naming the `kind` of file unless it is a regular file."""
+    """`path` as a Path; ValueError naming the `kind` of file unless it is a regular file."""
     p = Path(path)
     try:
         readable = p.is_file()
     except OSError:  # e.g. a name too long for the file system
         readable = False
     if not readable:
-        raise ConfigError(f"{kind} file not readable: {path}")
+        raise ValueError(f"{kind} file not readable: {path}")
     return p
 
 
@@ -136,10 +112,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     netlist = _load_netlist(args.netlist)
     target = parse_qubit(args.target)
     control = parse_qubit(args.control)
-    try:
-        state = prepare_input(netlist, target, control, ProgramState(args.phi))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state = prepare_input(netlist, target, control, ProgramState(args.phi))
     branch, prob = run_heralded(netlist, state)
     result = extract_gate(netlist, args.phi)
 
@@ -207,21 +180,16 @@ def cmd_design(args: argparse.Namespace) -> int:
     design = COUPLER_DESIGNS[args.element]
     nominal = design.reference_um
     length_range = parse_range(args.range) if args.range else design.search_range_um
-    try:
-        if args.element == "f2":
-            solutions = enumerate_v_perfect_lengths(physics, length_range, args.count)
-        else:
-            solutions = solve_coupler_length(
-                physics,
-                targets=design.targets,
-                weights=design.weights,
-                length_range=length_range,
-                count=args.count,
-            )
-    except PhysicsError:  # a beat too short for the lengths scanned
-        raise
-    except ValueError as exc:  # a bad count, or a range that is empty, negative or too long to scan
-        raise ConfigError(str(exc)) from exc
+    if args.element == "f2":
+        solutions = enumerate_v_perfect_lengths(physics, length_range, args.count)
+    else:
+        solutions = solve_coupler_length(
+            physics,
+            targets=design.targets,
+            weights=design.weights,
+            length_range=length_range,
+            count=args.count,
+        )
     rows = [
         [rank, sol.length_um, sol.bar_h, sol.bar_v, sol.residual, nominal, sol.length_um - nominal]
         for rank, sol in enumerate(solutions, start=1)
@@ -270,28 +238,9 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     delta_range = parse_range(args.range) if args.range else (-10.0, 10.0)
-    try:
-        sweep_deltas(delta_range, args.step)
-    except ValueError as exc:  # a step that is not positive, HI < LO, or a grid too large
-        raise ConfigError(str(exc)) from exc
     netlist = _load_netlist(args.netlist)
     physics = _load_physics(args.physics)
-    if not physics.configured(args.dimension):
-        print(
-            f"error: sensitivities for dimension {args.dimension!r} are all zero.\n"
-            "Configure 'sensitivities_um_per_nm' in the physics JSON (um of "
-            "beat-length shift per nm of geometry change) before sweeping.",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rows = tolerance_sweep(
-            netlist, physics, args.dimension, delta_range, args.step, phi=args.phi
-        )
-    except NetlistError:
-        raise
-    except ValueError as exc:  # a perturbed beat or angle outside the sensitivity model
-        raise PhysicsError(str(exc)) from exc
+    rows = tolerance_sweep(netlist, physics, args.dimension, delta_range, args.step, phi=args.phi)
     element_names = [name for name, _, _ in rows[0].element_bars]
     header = ["delta_nm"]
     for name in element_names:
@@ -331,7 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     netlist = _load_netlist(args.netlist)
     # imported here: no other command needs the acceptance battery at start-up
     from . import acceptance
@@ -360,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one heralded gate simulation")
-    sim.add_argument("--phi", type=finite_float, required=True, help="program phase (radians)")
+    sim.add_argument("--phi", type=float, required=True, help="program phase (radians)")
     sim.add_argument("--target", required=True, help="target qubit 're,im:re,im'")
     sim.add_argument("--control", required=True, help="control qubit 're,im:re,im'")
     sim.add_argument("--netlist", help="netlist JSON (default: shipped circuit)")
@@ -368,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     tt = sub.add_parser("truth-table", help="extract the heralded 4x4 operator")
-    tt.add_argument("--phi", type=finite_float, required=True)
+    tt.add_argument("--phi", type=float, required=True)
     tt.add_argument("--netlist")
     tt.add_argument("--output", help="write per-input rows CSV")
     tt.set_defaults(func=cmd_truth_table)
@@ -391,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--range",
         help="deviation range LO:HI in nm (default -10:10); give a negative LO as --range=-3:7",
     )
-    sw.add_argument("--step", type=finite_float, default=1.0, help="grid step in nm")
-    sw.add_argument("--phi", type=finite_float, default=math.pi, help="program phase (radians)")
+    sw.add_argument("--step", type=float, default=1.0, help="grid step in nm")
+    sw.add_argument("--phi", type=float, default=math.pi, help="program phase (radians)")
     sw.add_argument("--output", help="write sweep table CSV")
     sw.add_argument("--plot", help="write SVG line plot")
     sw.set_defaults(func=cmd_sweep)
@@ -405,17 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NetlistError, PhysicsError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,7 +161,9 @@ class CouplerPhysics:
 
     beat_h / beat_v are full power-exchange cycle lengths in um, finite and
     positive.  sensitivities[dimension][pol] is the beat-length shift in um
-    per nm of the given geometric deviation; all default to zero.
+    per nm of the given geometric deviation; all default to zero.  Each
+    dimension of DIMENSIONS appears at most once, with a tuple (H, V); an
+    unknown or repeated dimension or another shape raises PhysicsError.
     coupler_lengths are the fabricated lengths by element name, the
     reference lengths of COUPLER_DESIGNS by default.  Each number obeys a
     physics file's rule, a finite int or float but not a bool
@@ -186,7 +188,14 @@ class CouplerPhysics:
         for what, beat in (("beat_h", self.beat_h), ("beat_v", self.beat_v)):
             if not _number(beat, what, PhysicsError) > 0:
                 raise ValueError(f"beat lengths must be finite and positive, got {beat}")
+        dims = [dim for dim, _ in self.sensitivities]
         for dim, pair in self.sensitivities:
+            if dim not in DIMENSIONS:
+                raise PhysicsError(f"unknown sensitivity dimension {dim!r}; expected one of {DIMENSIONS}")
+            if dims.count(dim) > 1:
+                raise PhysicsError(f"sensitivity dimension {dim!r} is given twice")
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise PhysicsError(f"sensitivities for {dim!r} must be a tuple (H, V), got {pair!r}")
             for pol, s in zip("HV", pair):
                 _number(s, f"sensitivity {pol} for {dim!r}", PhysicsError)
         for name, length in self.coupler_lengths:
@@ -270,16 +279,13 @@ def solve_coupler_length(
     Scans a dense grid (step at most GRID_STEP_UM) over `length_range`,
     refines each local minimum by golden-section search to REFINE_TOL_UM,
     and returns the `count` lowest-residual solutions; ties break toward
-    shorter length.  A range that is not `hi > lo >= 0`, a count below 1,
-    a target outside [0, 1] or a range needing more than MAX_SCAN_POINTS
-    scan points raises ValueError; a beat too short for the lengths
-    scanned raises PhysicsError (see `cross_power`).
+    shorter length.  A range refused by `_length_range`, a count by
+    `_check_count`, a target outside [0, 1] or a range needing more than
+    MAX_SCAN_POINTS scan points raises ValueError; a beat too short for the
+    lengths scanned raises PhysicsError (see `cross_power`).
     """
-    lo, hi = length_range
-    if not (hi > lo >= 0):
-        raise ValueError(f"invalid length range [{lo}, {hi}]")
-    if count < 1:
-        raise ValueError(f"solution count must be at least 1, got {count}")
+    lo, hi = _length_range(length_range)
+    _check_count(count)
     for t in targets:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"bar-power target {t} outside [0, 1]")
@@ -327,6 +333,25 @@ def solve_coupler_length(
     return deduped[:count]
 
 
+def _length_range(length_range: tuple[float, float]) -> tuple[float, float]:
+    """(lo, hi) of a solver's length range; ValueError unless both are finite and hi > lo >= 0."""
+    lo, hi = length_range
+    for bound in (lo, hi):
+        if not math.isfinite(bound):
+            raise ValueError(f"length range bound {bound} um is not finite")
+    if not hi > lo >= 0:
+        raise ValueError(f"invalid length range [{lo}, {hi}]")
+    return lo, hi
+
+
+def _check_count(count: int) -> None:
+    """ValueError unless a solver's solution count is an int, not a bool, of at least 1."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"solution count must be an int, got {count!r}")
+    if count < 1:
+        raise ValueError(f"solution count must be at least 1, got {count}")
+
+
 def _golden_section(f, a: float, b: float) -> float:
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
@@ -352,17 +377,15 @@ def enumerate_v_perfect_lengths(
     These are the integer multiples of beat_v inside the range, in
     ascending order, each annotated with its bar_h power (residual is the
     squared H deviation from the 1/3 bar-power goal of COUPLER_DESIGNS["f2"]).
-    With `count`, only the `count` shortest are built.  A count below 1,
-    or a range of MAX_SCAN_POINTS V beats or more, which can hold more
-    than that many candidates, raises ValueError; a V beat so short that
-    hi / beat_v is not finite raises PhysicsError instead, and so does a
-    beat for which `cross_power` does.
+    With `count`, only the `count` shortest are built.  A range or count
+    that `solve_coupler_length` refuses, or a range of MAX_SCAN_POINTS V
+    beats or more, which can hold more than that many candidates, raises
+    ValueError; a V beat so short that hi / beat_v is not finite raises
+    PhysicsError instead, and so does a beat for which `cross_power` does.
     """
-    lo, hi = length_range
-    if not (hi > lo >= 0):
-        raise ValueError(f"invalid length range [{lo}, {hi}]")
-    if count is not None and count < 1:
-        raise ValueError(f"solution count must be at least 1, got {count}")
+    lo, hi = _length_range(length_range)
+    if count is not None:
+        _check_count(count)
     if not math.isfinite(hi / physics.beat_v):  # the beat is at fault, not the range
         raise _short_beat(physics.beat_v, hi)
     if not (hi - lo) / physics.beat_v < MAX_SCAN_POINTS:
@@ -396,7 +419,7 @@ def delta_theta(
     theta(L) = pi L / beat; a beat shift of s * delta changes the angle by
     pi L (1/(beat + s d) - 1/beat) at the fixed fabricated length.  The
     arguments broadcast: floats give a float, arrays an array of drifts.
-    A perturbed beat that is non-positive or not finite raises ValueError
+    A perturbed beat that is non-positive or not finite raises PhysicsError
     naming it and its delta, the first in delta order.  The arithmetic
     trips no numpy warning; a drift too large for a float comes back
     non-finite.
@@ -408,7 +431,7 @@ def delta_theta(
         if bad.any():
             first = tuple(np.argwhere(bad)[0])
             beat = float(shifted[first])
-            raise ValueError(
+            raise PhysicsError(
                 f"perturbed beat length {beat} um at delta "
                 f"{float(np.broadcast_to(deltas, bad.shape)[first])} nm is "
                 f"{'non-positive' if beat <= 0 else 'not finite'}; "
@@ -434,7 +457,7 @@ def perturbed_angles(
     with (theta_h, theta_v) last.  Each deviation is checked: a nonzero one
     needs nonzero sensitivities (ValueError), one beyond 10 nm warns once
     per call, and a perturbed beat or an angle that is non-positive or not
-    finite raises ValueError naming the element and the delta.
+    finite raises PhysicsError naming the element and the delta.
     """
     if dimension not in DIMENSIONS:
         raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
@@ -442,8 +465,8 @@ def perturbed_angles(
     if np.any(deltas != 0.0) and not physics.configured(dimension):
         raise ValueError(
             f"sensitivities for {dimension!r} are all zero; configure "
-            "CouplerPhysics.sensitivities (um per nm) before running a "
-            "nonzero tolerance study"
+            "CouplerPhysics.sensitivities (a physics file's sensitivities_um_per_nm, "
+            "um per nm) before running a nonzero tolerance study"
         )
     widest = float(np.max(np.abs(deltas), initial=0.0))
     if widest > 10.0:
@@ -464,15 +487,15 @@ def perturbed_angles(
     sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
     try:
         drifts = delta_theta(lengths, beats, sensitivities, deltas[..., None, None])
-    except ValueError as exc:  # the beats are shared, so the first coupler meets them first
-        raise ValueError(f"element {names[0]!r}: {exc}") from None
+    except PhysicsError as exc:  # the beats are shared, so the first coupler meets them first
+        raise PhysicsError(f"element {names[0]!r}: {exc}") from None
     angles = np.array([coupler_angles(el) for el, _ in couplers], dtype=float) + drifts
     finite = np.isfinite(angles)
     if not finite.all():
         # the first by element, then polarization, then delta
         k, pol, *at = np.argwhere(~np.moveaxis(finite, (-2, -1), (0, 1)))[0]
         delta = float(deltas[tuple(at)])
-        raise ValueError(
+        raise PhysicsError(
             f"element {names[k]!r}: coupling angle theta_{'hv'[pol]} at delta {delta} nm "
             f"is {angles[(*at, k, pol)]}, not finite"
         )

@@ -177,7 +177,9 @@ class ElementSpec:
     unless its matrix is not unitary.  A list-valued parameter is stored as
     nested tuples, so changing the list it was built from changes neither
     the spec nor a circuit realized from it.  An array, in a list too,
-    raises NetlistError naming the parameter.
+    raises NetlistError naming the parameter.  The ports are stored as a
+    tuple; a string there, which would name one port per character,
+    raises NetlistError.
     """
 
     name: str
@@ -190,6 +192,9 @@ class ElementSpec:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
         arity, rules = ELEMENT_KINDS[self.kind]
         what = f"element {self.name!r} of kind {self.kind!r}"
+        if isinstance(self.ports, str):
+            raise NetlistError(f"{what} ports must be a list of port names, got the string {self.ports!r}")
+        object.__setattr__(self, "ports", tuple(self.ports))
         if arity is not None and len(self.ports) != arity:
             raise NetlistError(f"{what} needs {arity} port(s), got {len(self.ports)}")
         params = tuple((key, _frozen(value, self.name, key)) for key, value in self.params)
@@ -226,15 +231,15 @@ def _frozen(value: Any, name: str, key: str) -> Any:
 
 
 def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSpec:
-    return ElementSpec(name, kind, tuple(ports), tuple(sorted(params.items())))
+    return ElementSpec(name, kind, ports, tuple(sorted(params.items())))
 
 
 @dataclass(frozen=True)
 class HeraldTerm:
     """Exact-count condition: `count` photons total over ports x pols.
 
-    A count that is not a non-negative int, or a pol that is not a
-    Polarization, raises NetlistError when the term is made.
+    Ports given as a string, a count that is not a non-negative int, or a
+    pol that is not a Polarization raise NetlistError when the term is made.
     """
 
     ports: tuple[str, ...]
@@ -242,6 +247,8 @@ class HeraldTerm:
     count: int
 
     def __post_init__(self):
+        if isinstance(self.ports, str):
+            raise NetlistError(f"herald term ports must be a list of port names, got the string {self.ports!r}")
         if isinstance(self.count, bool) or not isinstance(self.count, int):
             raise NetlistError(f"herald count must be an integer, got {self.count!r}")
         if self.count < 0:

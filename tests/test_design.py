@@ -88,6 +88,27 @@ def test_physics_construction_rejects_invalid_values(make, message):
         make()
 
 
+# sensitivity shapes a physics file cannot hold, made in Python
+BAD_SENSITIVITY_SHAPES = {
+    # sensitivity("width", V) ended in "not enough values to unpack"
+    "one_number": ((("width", (0.1,)),), "sensitivities for 'width' must be a tuple (H, V), got (0.1,)"),
+    "three_numbers": ((("gap", (0.1, 0.2, 0.3)),),
+                      "sensitivities for 'gap' must be a tuple (H, V), got (0.1, 0.2, 0.3)"),
+    # save_physics wrote a file that load_physics refused
+    "unknown_dimension": ((("bogus", (0.1, 0.2)),),
+                          "unknown sensitivity dimension 'bogus'; expected one of ('width', 'height', 'gap')"),
+    "dimension_twice": ((("width", (0.1, 0.2)), ("width", (0.0, 0.0))),
+                        "sensitivity dimension 'width' is given twice"),
+}
+
+
+@pytest.mark.parametrize("sensitivities, message", BAD_SENSITIVITY_SHAPES.values(),
+                         ids=BAD_SENSITIVITY_SHAPES.keys())
+def test_physics_refuses_a_sensitivity_of_another_shape(sensitivities, message):
+    with pytest.raises(design.PhysicsError, match=f"^{re.escape(message)}$"):
+        CouplerPhysics(sensitivities=sensitivities)
+
+
 # -- power exchange model --------------------------------------------------------
 
 
@@ -160,7 +181,7 @@ def test_solver_rejects_empty_range():
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (10.0, 10.0))
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 1.5, True])
 def test_solver_rejects_count_below_one(count):
     with pytest.raises(ValueError, match="count"):
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (60.0, 80.0), count=count)
@@ -241,10 +262,22 @@ def test_v_perfect_lengths_stop_at_count(monkeypatch):
     assert len(calls) == 4  # bar_H and bar_V of each kept length
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 1.5, True])
 def test_v_perfect_lengths_reject_count_below_one(count):
     with pytest.raises(ValueError, match="count"):
         enumerate_v_perfect_lengths(PHYS, (0.0, 60.0), count)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda length_range: enumerate_v_perfect_lengths(PHYS, length_range),
+    lambda length_range: solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), length_range),
+], ids=["v_perfect", "solver"])
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_a_length_range_names_a_bound_that_is_not_finite(solve, bound):
+    # (0, inf) blamed the V beat: "beat length 8.32 um is too short ..."
+    with pytest.raises(ValueError, match=rf"^length range bound {bound} um is not finite$") as caught:
+        solve((0.0, bound))
+    assert not isinstance(caught.value, design.PhysicsError)
 
 
 @pytest.mark.parametrize("hi", [PHYS.beat_v * 10**6, 1e308])
@@ -344,14 +377,14 @@ def test_delta_theta_rejects_any_non_positive_beat():
     # only the last delta pushes the V beat (8.32 um) through zero
     deltas = np.arange(-10.0, 11.0)
     delta_theta(70.72, 8.32, -0.9, deltas[:-1])
-    with pytest.raises(ValueError, match="non-positive"):
+    with pytest.raises(design.PhysicsError, match="non-positive"):
         delta_theta(70.72, 8.32, -0.9, deltas)
 
 
 def test_delta_theta_rejects_a_beat_past_the_float_range():
     # 1e308 + 1e308 * 10 overflows to inf; the suite turns any numpy warning into an error
     delta_theta(70.72, 1e308, 1e308, np.array([-0.5, 0.0, 0.5]))
-    with pytest.raises(ValueError, match="inf um at delta 10.0 nm is not finite"):
+    with pytest.raises(design.PhysicsError, match="inf um at delta 10.0 nm is not finite"):
         delta_theta(70.72, 1e308, 1e308, np.array([0.0, 10.0]))
 
 
@@ -359,7 +392,7 @@ def test_perturbed_angles_name_the_element_whose_angle_is_not_finite():
     physics = CouplerPhysics(
         coupler_lengths=(("F2", 83.2), ("PPBS", 1e308))
     ).with_sensitivities("gap", 0.002, 0.0)
-    with pytest.raises(ValueError, match=r"element 'PPBS': coupling angle theta_h at delta -1.0 nm"):
+    with pytest.raises(design.PhysicsError, match=r"element 'PPBS': coupling angle theta_h at delta -1.0 nm"):
         design.perturbed_angles(default_netlist(), physics, "gap", np.array([-1.0, 0.0]))
 
 

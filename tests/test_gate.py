@@ -1235,6 +1235,9 @@ HERALD_GAPS = {
     # a string pol raised a KeyError whose text could not be printed
     "pols_strings": ((("T",), ("H", "V"), 1),
                      "herald polarization 'H' is not a Polarization (H or V)"),
+    # a string named one port per character: "TC" heralded on T and C
+    "ports_string": (("TC", (H, V), 2),
+                     "herald term ports must be a list of port names, got the string 'TC'"),
 }
 
 
@@ -1262,6 +1265,15 @@ def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(made, message
         spec(name, kind, ports, **params)
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         default_netlist().element(name).with_params(**params)
+
+
+@pytest.mark.parametrize("make", [spec, ElementSpec], ids=["spec", "ElementSpec"])
+def test_a_spec_refuses_a_string_for_its_ports_and_keeps_a_list_as_a_tuple(make):
+    # "TL" was wired as the ports T and L, one per character
+    message = "element 'X' of kind 'pbs' ports must be a list of port names, got the string 'TL'"
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        make("X", "pbs", "TL")
+    assert make("X", "pbs", ["T", "L"]).ports == ("T", "L")
 
 
 # -- coupler angles ------------------------------------------------------------------

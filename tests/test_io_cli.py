@@ -369,6 +369,103 @@ def test_oversized_grids_exit_2(argv, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+# the physics file "--physics=NAME" stands for in REFUSED_ARGS
+CLI_PHYSICS = {
+    "sensitive": {"sensitivities_um_per_nm": {"width": {"H": 0.004, "V": 0.004}}},
+    # the V beat (8.32 um) reaches zero within the default -10:10 nm range
+    "beyond_validity": {"sensitivities_um_per_nm": {"width": {"H": 0.004, "V": -0.9}}},
+    "huge_coupler_length": {"coupler_lengths_um": {"PBS1": 1e308},
+                            "sensitivities_um_per_nm": {"width": {"H": 0.004, "V": 0.004}}},
+    "huge_beat_and_sensitivity": {"beat_um": {"H": 1e308},
+                                  "sensitivities_um_per_nm": {"width": {"H": 1e308}}},
+    "tiny_v_beat": {"beat_um": {"V": 5e-324}},
+    "string_beat": {"beat_um": {"H": "35.8"}},
+}
+
+# every refused argument list, with its exit status and its whole stderr line
+REFUSED_ARGS = {
+    # not finite
+    "truth-table --phi inf": (2, "error: program phase phi must be finite, got inf"),
+    "truth-table --phi nan": (2, "error: program phase phi must be finite, got nan"),
+    "simulate --phi nan --target=1,0:0,0 --control=1,0:0,0":
+        (2, "error: program phase phi must be finite, got nan"),
+    "simulate --phi 0 --target=nan,0:0,0 --control=1,0:0,0":
+        (2, "error: qubit amplitudes must be finite, got ((nan+0j), 0j)"),
+    "simulate --phi 0 --target=1,0:0,0 --control=1,0:0,inf":
+        (2, "error: qubit amplitudes must be finite, got ((1+0j), infj)"),
+    "sweep --dimension width --phi nan --physics=sensitive":
+        (2, "error: program phase phi must be finite, got nan"),
+    "sweep --dimension width --step nan --physics=sensitive": (2, "error: step nan nm is not finite"),
+    "sweep --dimension width --range=-inf:10 --physics=sensitive":
+        (2, "error: delta range bound -inf nm is not finite"),
+    "design --element pbs --range 60:nan": (2, "error: length range bound nan um is not finite"),
+    "design --element f2 --range 0:inf": (2, "error: length range bound inf um is not finite"),
+    # unparsable
+    "simulate --phi 0 --target=nope --control=1,0:0,0":
+        (2, "error: cannot parse qubit amplitudes 'nope': expected 're,im:re,im'"),
+    "simulate --phi 0 --target=1,0:x,0 --control=1,0:0,0":
+        (2, "error: could not convert string to float: 'x'"),
+    "design --element pbs --range 60": (2, "error: cannot parse range '60' (expected LO:HI)"),
+    "design --element pbs --range a:80": (2, "error: could not convert string to float: 'a'"),
+    # out of range
+    "sweep --dimension width --step 0 --physics=sensitive": (2, "error: step must be positive, got 0.0"),
+    "sweep --dimension width --step -1 --physics=sensitive": (2, "error: step must be positive, got -1.0"),
+    "sweep --dimension width --range=5:-5 --physics=sensitive": (2, "error: invalid delta range [5.0, -5.0]"),
+    "design --element pbs --range 80:60": (2, "error: invalid length range [80.0, 60.0]"),
+    "design --element pbs --range=-5:60": (2, "error: invalid length range [-5.0, 60.0]"),
+    "design --element f2 --range 90:80": (2, "error: invalid length range [90.0, 80.0]"),
+    "design --element pbs --count 0": (2, "error: solution count must be at least 1, got 0"),
+    "design --element f2 --count=-1": (2, "error: solution count must be at least 1, got -1"),
+    "check --seed -1": (2, "error: --seed must be non-negative, got -1"),
+    # grids too large
+    "design --element pbs --range 0:1e308": (2, "error: length range [0.0, 1e+308] um needs more "
+                                                "than 1000000 scan points at step 0.01 um"),
+    "design --element f2 --range 0:1e308":
+        (2, "error: length range [0.0, 1e+308] um spans 1000000 or more V beats"),
+    "sweep --dimension width --range=-1e300:1e300 --physics=sensitive":
+        (2, "error: a sweep of [-1e+300, 1e+300] nm at step 1.0 nm has more than 10001 points"),
+    "sweep --dimension width --step 0.0019 --physics=sensitive":
+        (2, "error: a sweep of [-10.0, 10.0] nm at step 0.0019 nm has more than 10001 points"),
+    # the model: a nonzero study without sensitivities, or physics past its validity
+    "sweep --dimension width": (
+        2, "error: sensitivities for 'width' are all zero; configure CouplerPhysics.sensitivities "
+           "(a physics file's sensitivities_um_per_nm, um per nm) before running a nonzero "
+           "tolerance study"),
+    "sweep --dimension width --physics=beyond_validity": (
+        3, "validation error: element 'PBS1': perturbed beat length -0.6799999999999997 um at "
+           "delta 10.0 nm is non-positive; sensitivity model out of validity"),
+    "sweep --dimension width --physics=huge_coupler_length": (
+        3, "validation error: element 'PBS1': coupling angle theta_h at delta -10.0 nm is inf, "
+           "not finite"),
+    "sweep --dimension width --physics=huge_beat_and_sensitivity": (
+        3, "validation error: element 'PBS1': perturbed beat length -inf um at delta -10.0 nm is "
+           "non-positive; sensitivity model out of validity"),
+    "design --element f2 --physics=tiny_v_beat": (
+        3, "validation error: beat length 5e-324 um is too short for a coupler length of 90.0 um: "
+           "pi L / beat is not finite"),
+    # files load before the grid is checked
+    "sweep --dimension width --step 0 --physics=string_beat": (
+        3, "validation error: malformed physics document: beat_um.H must be a finite number, "
+           "got '35.8'"),
+}
+
+
+@pytest.mark.parametrize("args, code, message", [(args, *row) for args, row in REFUSED_ARGS.items()],
+                         ids=REFUSED_ARGS.keys())
+def test_refused_arguments_exit_with_their_status_and_message(args, code, message, tmp_path, capsys):
+    argv = []
+    for arg in args.split():
+        if arg.startswith("--physics="):
+            path = tmp_path / "physics.json"
+            path.write_text(json.dumps(CLI_PHYSICS[arg.removeprefix("--physics=")]))
+            arg = f"--physics={path}"
+        argv.append(arg)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def _netlist_json(tmp_path, edit):
     data = netlist_to_dict(default_netlist())
     if getattr(edit, "on_document", False):
@@ -689,6 +786,13 @@ def test_sweep_requires_sensitivities(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "sensitivities" in err
+
+
+def test_a_nominal_sweep_needs_no_sensitivities(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--dimension", "width", "--range=0:0", "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0.0,")
 
 
 def _physics_with_sensitivity(tmp_path):
