@@ -95,21 +95,52 @@ COUPLER_DESIGNS = {
 }
 
 
+# The range rules of physics numbers, by the text that states them.
+_RANGES = {
+    "positive": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+}
+
+
+def _float(value: object, what: str, rule: str | None = None) -> float:
+    """`value` as a float: a number (`gate._number`) within `rule`, or PhysicsError naming `what`."""
+    number = float(_number(value, what, PhysicsError))
+    if rule is not None and not _RANGES[rule](number):
+        raise PhysicsError(f"{what} must be {rule}, got {value!r}")
+    return number
+
+
+def _table(entries: tuple, what: str) -> dict:
+    """(name, value) pairs as a dict, each name a string given once; anything else raises PhysicsError."""
+    table = {}
+    for entry in entries:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise PhysicsError(f"expected a ({what}, value) pair, got {entry!r}")
+        if entry[0] in table:
+            raise PhysicsError(f"{what} {entry[0]!r} is given twice")
+        table[entry[0]] = entry[1]
+    return table
+
+
 @dataclass(frozen=True)
 class NotchAnchor:
-    """One measured notch conversion; its numbers obey a physics file's rule (`gate._number`)."""
+    """One measured notch conversion, checked when it is made.
+
+    `length_um` is non-negative and `conversion`, the power fraction turned
+    to the orthogonal polarization, in [0, 1]; both are stored as floats.
+    A fault raises PhysicsError naming the field.
+    """
 
     length_um: float
     input_pol: Polarization
-    conversion: float  # power fraction converted to the orthogonal polarization
+    conversion: float
 
     def __post_init__(self):
-        if _number(self.length_um, "notch anchor length_um", PhysicsError) < 0:
-            raise ValueError(f"notch length must be finite and non-negative, got {self.length_um}")
         if not isinstance(self.input_pol, Polarization):
             raise PhysicsError(f"notch anchor input_pol {self.input_pol!r} is not a Polarization (H or V)")
-        if not (0.0 <= _number(self.conversion, "notch anchor conversion", PhysicsError) <= 1.0):
-            raise ValueError(f"notch conversion {self.conversion} outside [0, 1]")
+        for field, rule in (("length_um", "non-negative"), ("conversion", "in [0, 1]")):
+            object.__setattr__(self, field, _float(getattr(self, field), f"notch anchor {field}", rule))
 
 
 DEFAULT_NOTCH_ANCHORS = (
@@ -124,10 +155,19 @@ class NotchCalibration:
     """Anchor-exact, piecewise-linear notch-length -> conversion maps.
 
     Interpolation is per input polarization and never extrapolates:
-    the published curves are only trusted at the anchor points.
+    the published curves are only trusted at the anchor points.  The
+    anchors are stored as a tuple; two of one polarization at one length
+    raise PhysicsError when the calibration is made.
     """
 
     anchors: tuple[NotchAnchor, ...] = DEFAULT_NOTCH_ANCHORS
+
+    def __post_init__(self):
+        object.__setattr__(self, "anchors", tuple(self.anchors))
+        points = [(a.input_pol, a.length_um) for a in self.anchors]
+        for pol, length in points:
+            if points.count((pol, length)) > 1:
+                raise PhysicsError(f"two notch anchors for {pol.value} input at {length} um")
 
     def _segment(self, pol: Polarization) -> list[NotchAnchor]:
         pts = sorted(
@@ -135,7 +175,7 @@ class NotchCalibration:
             key=lambda a: a.length_um,
         )
         if not pts:
-            raise ValueError(f"no calibration anchors for input polarization {pol}")
+            raise ValueError(f"no calibration anchors for input polarization {pol.value}")
         return pts
 
     def conversion(self, notch_length_um: float, input_pol: Polarization) -> float:
@@ -148,8 +188,6 @@ class NotchCalibration:
             )
         for a, b in zip(pts, pts[1:]):
             if a.length_um <= notch_length_um <= b.length_um:
-                if b.length_um == a.length_um:
-                    return a.conversion
                 f = (notch_length_um - a.length_um) / (b.length_um - a.length_um)
                 return a.conversion + f * (b.conversion - a.conversion)
         return pts[-1].conversion
@@ -159,87 +197,73 @@ class NotchCalibration:
 class CouplerPhysics:
     """Calibrated coupler behavior: beat lengths, sensitivities, design lengths.
 
-    beat_h / beat_v are full power-exchange cycle lengths in um, finite and
-    positive.  sensitivities[dimension][pol] is the beat-length shift in um
-    per nm of the given geometric deviation; all default to zero.  Each
-    dimension of DIMENSIONS appears at most once, with a tuple (H, V); an
-    unknown or repeated dimension or another shape raises PhysicsError.
-    coupler_lengths are the fabricated lengths by element name, the
-    reference lengths of COUPLER_DESIGNS by default.  Each number obeys a
-    physics file's rule, a finite int or float but not a bool
-    (`gate._number`); one that does not raises PhysicsError naming it.
+    Checked when it is made, in Python or from a file: each number obeys
+    `_float` and is stored as a float, and every fault raises PhysicsError.
+    beat_h / beat_v are full power-exchange cycle lengths in um, positive.
+    sensitivities always holds one (dimension, (H, V)) pair per DIMENSIONS
+    entry, in that order: the beat-length shift in um per nm of that
+    deviation, (0.0, 0.0) for a dimension left out.  coupler_lengths are
+    the non-negative fabricated lengths by element name, sorted by name;
+    by default the reference lengths of COUPLER_DESIGNS.  An unknown
+    dimension, a name given twice or a pair of another shape is refused.
     """
 
     beat_h: float = 35.80
     beat_v: float = 8.32
-    sensitivities: tuple[tuple[str, tuple[float, float]], ...] = tuple(
-        (dim, (0.0, 0.0)) for dim in DIMENSIONS
-    )
+    sensitivities: tuple[tuple[str, tuple[float, float]], ...] = ()
     coupler_lengths: tuple[tuple[str, float], ...] = tuple(
-        sorted(
-            (name, design.reference_um)
-            for design in COUPLER_DESIGNS.values()
-            for name in design.elements
-        )
+        (name, design.reference_um)
+        for design in COUPLER_DESIGNS.values()
+        for name in design.elements
     )
     notch: NotchCalibration = NotchCalibration()
 
     def __post_init__(self):
-        for what, beat in (("beat_h", self.beat_h), ("beat_v", self.beat_v)):
-            if not _number(beat, what, PhysicsError) > 0:
-                raise ValueError(f"beat lengths must be finite and positive, got {beat}")
-        dims = [dim for dim, _ in self.sensitivities]
-        for dim, pair in self.sensitivities:
+        given = _table(self.sensitivities, "sensitivity dimension")
+        for dim, pair in given.items():
             if dim not in DIMENSIONS:
                 raise PhysicsError(f"unknown sensitivity dimension {dim!r}; expected one of {DIMENSIONS}")
-            if dims.count(dim) > 1:
-                raise PhysicsError(f"sensitivity dimension {dim!r} is given twice")
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise PhysicsError(f"sensitivities for {dim!r} must be a tuple (H, V), got {pair!r}")
-            for pol, s in zip("HV", pair):
-                _number(s, f"sensitivity {pol} for {dim!r}", PhysicsError)
-        for name, length in self.coupler_lengths:
-            if _number(length, f"coupler length of {name!r}", PhysicsError) < 0:
-                raise ValueError(
-                    f"coupler length of {name!r} must be finite and non-negative, got {length}"
-                )
+        lengths = _table(self.coupler_lengths, "coupler name")
+        for field in ("beat_h", "beat_v"):
+            object.__setattr__(self, field, _float(getattr(self, field), field, "positive"))
+        object.__setattr__(self, "sensitivities", tuple(
+            (dim, tuple(_float(s, f"sensitivity {pol} for {dim!r}") for pol, s in zip("HV", pair)))
+            for dim, pair in (dict.fromkeys(DIMENSIONS, (0.0, 0.0)) | given).items()
+        ))
+        object.__setattr__(self, "coupler_lengths", tuple(
+            (name, _float(lengths[name], f"coupler length of {name!r}", "non-negative"))
+            for name in sorted(lengths)
+        ))
 
     def sensitivity(self, dimension: str, pol: Polarization) -> float:
-        for dim, (sh, sv) in self.sensitivities:
-            if dim == dimension:
-                return sh if pol is H else sv
-        raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
+        """The beat-length shift per nm of `dimension`; KeyError for one not in DIMENSIONS."""
+        s_h, s_v = dict(self.sensitivities)[dimension]
+        return s_h if pol is H else s_v
 
     def with_sensitivities(self, dimension: str, s_h: float, s_v: float) -> "CouplerPhysics":
-        if dimension not in DIMENSIONS:
-            raise KeyError(f"unknown dimension {dimension!r}")
-        updated = tuple(
-            (dim, (s_h, s_v) if dim == dimension else vals)
-            for dim, vals in self.sensitivities
-        )
-        return replace(self, sensitivities=updated)
+        """A copy with the (H, V) sensitivities of `dimension` replaced, checked as when made."""
+        sensitivities = {**dict(self.sensitivities), dimension: (s_h, s_v)}
+        return replace(self, sensitivities=tuple(sensitivities.items()))
 
     def length_of(self, element_name: str) -> float | None:
-        for name, length in self.coupler_lengths:
-            if name == element_name:
-                return length
-        return None
-
-    def configured(self, dimension: str) -> bool:
-        return any(
-            self.sensitivity(dimension, pol) != 0.0 for pol in (H, V)
-        )
+        return dict(self.coupler_lengths).get(element_name)
 
 
 def cross_power(length_um: float, beat_um: float) -> float:
     """Power fraction transferred to the adjacent waveguide after `length_um`.
 
-    A beat so short against the length that pi L / beat is not finite
+    A length or beat that is not finite raises ValueError naming it; a
+    beat so short against the length that pi L / beat is not finite
     raises PhysicsError naming both.
     """
-    if beat_um <= 0:
-        raise ValueError(f"beat length must be positive, got {beat_um}")
-    if length_um < 0:
+    if not (0 < beat_um < math.inf and 0 <= length_um < math.inf):  # one test on the solvers' hot path
+        for what, value in (("coupler length", length_um), ("beat length", beat_um)):
+            if not math.isfinite(value):
+                raise ValueError(f"{what} {value} um is not finite")
+        if beat_um <= 0:
+            raise ValueError(f"beat length must be positive, got {beat_um}")
         raise ValueError(f"coupler length must be non-negative, got {length_um}")
     phase = math.pi * length_um / beat_um
     if not math.isfinite(phase):
@@ -457,12 +481,12 @@ def perturbed_angles(
     with (theta_h, theta_v) last.  Each deviation is checked: a nonzero one
     needs nonzero sensitivities (ValueError), one beyond 10 nm warns once
     per call, and a perturbed beat or an angle that is non-positive or not
-    finite raises PhysicsError naming the element and the delta.
+    finite raises PhysicsError naming the element and the delta.  A
+    dimension not in DIMENSIONS raises `CouplerPhysics.sensitivity`'s KeyError.
     """
-    if dimension not in DIMENSIONS:
-        raise KeyError(f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}")
+    sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
     deltas = np.asarray(delta_nm, dtype=float)
-    if np.any(deltas != 0.0) and not physics.configured(dimension):
+    if np.any(deltas != 0.0) and not sensitivities.any():
         raise ValueError(
             f"sensitivities for {dimension!r} are all zero; configure "
             "CouplerPhysics.sensitivities (a physics file's sensitivities_um_per_nm, "
@@ -484,7 +508,6 @@ def perturbed_angles(
         return names, np.zeros(deltas.shape + (0, 2))
     lengths = np.array([[length] for _, length in couplers])
     beats = np.array([physics.beat_h, physics.beat_v])
-    sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
     try:
         drifts = delta_theta(lengths, beats, sensitivities, deltas[..., None, None])
     except PhysicsError as exc:  # the beats are shared, so the first coupler meets them first

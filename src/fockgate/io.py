@@ -60,11 +60,11 @@ def format_complex(value: complex) -> str:
 # -- netlist JSON ------------------------------------------------------------
 
 
-def _pol_from_str(s: str) -> Polarization:
+def _pol_from_str(s: str, error: type[ValueError] = NetlistError) -> Polarization:
     try:
         return Polarization(s)
     except ValueError:
-        raise NetlistError(f"unknown polarization {s!r}; expected 'H' or 'V'") from None
+        raise error(f"unknown polarization {s!r}; expected 'H' or 'V'") from None
 
 
 def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -226,58 +226,49 @@ def _object(value: Any, keys: Iterable[str] | None, where: str) -> Mapping[str, 
     return value
 
 
+_POLS = ("H", "V")
+_ANCHOR_KEYS = ("length_um", "input_pol", "conversion")
+
+
 def physics_from_dict(data: Any) -> CouplerPhysics:
     """Physics from the document `physics_to_dict` writes; a key left out keeps its default.
 
-    Objects take only the keys `physics_to_dict` writes, at every level;
-    `coupler_lengths_um` (keyed by element name) and `notch_anchors`, when
-    given, replace the defaults as a whole, and each anchor needs all its
-    keys.  Anything else, and any value `CouplerPhysics` or `NotchAnchor`
-    rejects, raises PhysicsError; so does a number that is not a finite JSON
-    int or float (a string or a bool, say), as in a netlist file.
+    This reads the JSON shape only: objects take only the keys
+    `physics_to_dict` writes (any dimension and element name), a
+    polarization is "H" or "V", `notch_anchors` is a list and each anchor
+    has all its keys; a fault there raises PhysicsError.  The values go as
+    given to `CouplerPhysics` and `NotchAnchor`, which check them as they
+    check values made in Python.  A polarization left out of a
+    sensitivity is 0; `coupler_lengths_um` and `notch_anchors`, when
+    given, replace the defaults as a whole.
     """
-    defaults = physics_to_dict(CouplerPhysics())
-    doc = {**defaults, **_object(data, defaults, "physics document")}
-    beat = {**defaults["beat_um"], **_object(doc["beat_um"], defaults["beat_um"], "beat_um")}
-    sens_defaults = defaults["sensitivities_um_per_nm"]
-    given = _object(doc["sensitivities_um_per_nm"], sens_defaults, "sensitivities_um_per_nm")
-    sens = {
-        dim: {**pols, **_object(given.get(dim, pols), pols, f"sensitivities_um_per_nm.{dim}")}
-        for dim, pols in sens_defaults.items()
-    }
-    lengths = _object(doc["coupler_lengths_um"], None, "coupler_lengths_um")
-    if not isinstance(doc["notch_anchors"], list):
-        raise PhysicsError(f"notch_anchors must be a list, got {doc['notch_anchors']!r}")
-    anchor_keys = defaults["notch_anchors"][0]
-    anchors = [_object(a, anchor_keys, "notch anchor") for a in doc["notch_anchors"]]
+    doc = _object(data, ("beat_um", "coupler_lengths_um", "sensitivities_um_per_nm", "notch_anchors"),
+                  "physics document")
+    beat = _object(doc.get("beat_um", {}), _POLS, "beat_um")
+    sensitivities = _object(doc.get("sensitivities_um_per_nm", {}), None, "sensitivities_um_per_nm")
+    fields = {f"beat_{pol.lower()}": value for pol, value in beat.items()}
+    fields["sensitivities"] = tuple(
+        (dim, tuple(_object(pols, _POLS, f"sensitivities_um_per_nm.{dim}").get(p, 0.0) for p in _POLS))
+        for dim, pols in sensitivities.items()
+    )
+    if "coupler_lengths_um" in doc:
+        lengths = _object(doc["coupler_lengths_um"], None, "coupler_lengths_um")
+        fields["coupler_lengths"] = tuple(lengths.items())
+    if "notch_anchors" in doc:
+        if not isinstance(doc["notch_anchors"], list):
+            raise PhysicsError(f"notch_anchors must be a list, got {doc['notch_anchors']!r}")
+        fields["notch"] = NotchCalibration(tuple(_anchor(a) for a in doc["notch_anchors"]))
+    return CouplerPhysics(**fields)
 
-    def num(value: Any, what: str) -> float:
-        return float(_number(value, what, PhysicsError))
 
-    try:
-        return CouplerPhysics(
-            beat_h=num(beat["H"], "beat_um.H"),
-            beat_v=num(beat["V"], "beat_um.V"),
-            sensitivities=tuple(
-                (dim, tuple(num(pols[p], f"sensitivities_um_per_nm.{dim}.{p}") for p in "HV"))
-                for dim, pols in sens.items()
-            ),
-            coupler_lengths=tuple(
-                sorted((str(k), num(v, f"coupler_lengths_um.{k}")) for k, v in lengths.items())
-            ),
-            notch=NotchCalibration(
-                tuple(
-                    NotchAnchor(
-                        num(a["length_um"], "notch anchor length_um"),
-                        _pol_from_str(a["input_pol"]),
-                        num(a["conversion"], "notch anchor conversion"),
-                    )
-                    for a in anchors
-                )
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PhysicsError(f"malformed physics document: {exc}") from exc
+def _anchor(value: Any) -> NotchAnchor:
+    """A notch anchor from its JSON object, which holds all of `_ANCHOR_KEYS`."""
+    anchor = _object(value, _ANCHOR_KEYS, "notch anchor")
+    for key in _ANCHOR_KEYS:
+        if key not in anchor:
+            raise PhysicsError(f"notch anchor lacks key {key!r}")
+    pol = _pol_from_str(anchor["input_pol"], PhysicsError)
+    return NotchAnchor(anchor["length_um"], pol, anchor["conversion"])
 
 
 def load_physics(path: str | Path) -> CouplerPhysics:

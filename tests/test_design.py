@@ -59,17 +59,17 @@ def test_coupler_designs_name_the_default_couplers_and_their_lengths():
 INVALID_PHYSICS = {
     "nan_beat": (lambda: CouplerPhysics(beat_h=math.nan), "beat_h must be a finite number, got nan"),
     "infinite_beat": (lambda: CouplerPhysics(beat_v=math.inf), "beat_v must be a finite number, got inf"),
-    "negative_beat": (lambda: CouplerPhysics(beat_v=-8.32),
-                      "beat lengths must be finite and positive, got -8.32"),
+    "negative_beat": (lambda: CouplerPhysics(beat_v=-8.32), "beat_v must be positive, got -8.32"),
     "nan_sensitivity": (lambda: PHYS.with_sensitivities("width", math.nan, 0.0),
                         "sensitivity H for 'width' must be a finite number, got nan"),
     "negative_coupler_length": (lambda: CouplerPhysics(coupler_lengths=(("PBS1", -70.72),)),
-                                "coupler length of 'PBS1' must be finite and non-negative, got -70.72"),
+                                "coupler length of 'PBS1' must be non-negative, got -70.72"),
     "nan_coupler_length": (lambda: CouplerPhysics(coupler_lengths=(("F1", math.nan),)),
                            "coupler length of 'F1' must be a finite number, got nan"),
-    "notch_conversion_above_one": (lambda: NotchAnchor(0.75, V, 7.0), "notch conversion 7.0 outside [0, 1]"),
+    "notch_conversion_above_one": (lambda: NotchAnchor(0.75, V, 7.0),
+                                   "notch anchor conversion must be in [0, 1], got 7.0"),
     "negative_notch_length": (lambda: NotchAnchor(-0.75, V, 0.25),
-                              "notch length must be finite and non-negative, got -0.75"),
+                              "notch anchor length_um must be non-negative, got -0.75"),
     # made until values built in Python obeyed the physics file's number rule
     "beat_true": (lambda: CouplerPhysics(beat_h=True), "beat_h must be a finite number, got True"),
     "beat_string": (lambda: CouplerPhysics(beat_h="35"), "beat_h must be a finite number, got '35'"),
@@ -79,12 +79,19 @@ INVALID_PHYSICS = {
                           "notch anchor length_um must be a finite number, got True"),
     "notch_pol_string": (lambda: NotchAnchor(1.0, "V", 0.5),
                          "notch anchor input_pol 'V' is not a Polarization (H or V)"),
+    # a physics file cannot hold these: one name is one key
+    "coupler_length_twice": (lambda: CouplerPhysics(coupler_lengths=(("F1", 12.0), ("F1", 13.0))),
+                             "coupler name 'F1' is given twice"),
+    "coupler_name_not_string": (lambda: CouplerPhysics(coupler_lengths=((1, 12.0),)),
+                                "expected a (coupler name, value) pair, got (1, 12.0)"),
+    "coupler_lengths_dict": (lambda: CouplerPhysics(coupler_lengths={"F1": 12.0}),
+                             "expected a (coupler name, value) pair, got 'F1'"),
 }
 
 
 @pytest.mark.parametrize("make, message", INVALID_PHYSICS.values(), ids=INVALID_PHYSICS.keys())
 def test_physics_construction_rejects_invalid_values(make, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(design.PhysicsError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -107,6 +114,33 @@ BAD_SENSITIVITY_SHAPES = {
 def test_physics_refuses_a_sensitivity_of_another_shape(sensitivities, message):
     with pytest.raises(design.PhysicsError, match=f"^{re.escape(message)}$"):
         CouplerPhysics(sensitivities=sensitivities)
+
+
+def test_with_sensitivities_keeps_every_dimension():
+    # the width-only physics used to drop gap, and sensitivity("gap", H) raised KeyError
+    physics = CouplerPhysics(sensitivities=(("width", (0.1, 0.2)),)).with_sensitivities("gap", 0.3, 0.3)
+    assert physics.sensitivity("gap", H) == 0.3
+    assert physics.sensitivities == (("width", (0.1, 0.2)), ("height", (0.0, 0.0)), ("gap", (0.3, 0.3)))
+    with pytest.raises(design.PhysicsError, match="^unknown sensitivity dimension 'length'"):
+        PHYS.with_sensitivities("length", 0.1, 0.1)
+
+
+def test_physics_stores_a_complete_table_of_floats():
+    physics = CouplerPhysics(
+        beat_h=36, beat_v=8, sensitivities=(("gap", (1, 0)),), coupler_lengths=(("PBS1", 71), ("F1", 12))
+    )
+    assert physics == CouplerPhysics(
+        beat_h=36.0, beat_v=8.0,
+        sensitivities=(("width", (0.0, 0.0)), ("height", (0.0, 0.0)), ("gap", (1.0, 0.0))),
+        coupler_lengths=(("F1", 12.0), ("PBS1", 71.0)),
+    )
+    assert physics.coupler_lengths == (("F1", 12.0), ("PBS1", 71.0))  # sorted by name
+    numbers = [physics.beat_h, physics.beat_v, *(s for _, pair in physics.sensitivities for s in pair),
+               *(length for _, length in physics.coupler_lengths)]
+    assert all(type(x) is float for x in numbers)
+    anchor = NotchAnchor(1, H, 0)
+    assert type(anchor.length_um) is float and type(anchor.conversion) is float
+    assert enumerate_v_perfect_lengths(physics, (0.0, 10.0))[0].length_um.hex() == (8.0).hex()
 
 
 # -- power exchange model --------------------------------------------------------
@@ -135,6 +169,13 @@ def test_cross_power_rejects_bad_beat():
         cross_power(1.0, 0.0)
     with pytest.raises(ValueError):
         cross_power(-1.0, 8.32)
+    # not finite: refused by name, not blamed on the beat
+    with pytest.raises(ValueError, match=r"^coupler length nan um is not finite$"):
+        cross_power(math.nan, 8.32)
+    with pytest.raises(ValueError, match=r"^coupler length inf um is not finite$"):
+        cross_power(math.inf, 8.32)
+    with pytest.raises(ValueError, match=r"^beat length nan um is not finite$"):
+        cross_power(1.0, math.nan)
     # positive and finite, but pi L / beat overflows: a physics error naming both
     with pytest.raises(design.PhysicsError, match=r"beat length 5e-324 um .* 1\.0 um"):
         cross_power(1.0, 5e-324)
@@ -320,6 +361,22 @@ def test_notch_custom_anchor_table():
     assert cal.conversion(1.0, H) == 0.1
     assert abs(cal.conversion(1.5, H) - 0.2) < 1e-15
     assert abs(cal.conversion(2.5, H) - 0.6) < 1e-15
+
+
+@pytest.mark.parametrize("first, second", [(0.1, 0.5), (0.5, 0.1)])
+def test_notch_calibration_refuses_two_anchors_at_one_length(first, second):
+    # conversion(1.0, H) was the first anchor's: 0.1 in one order, 0.5 in the other
+    with pytest.raises(design.PhysicsError, match=r"^two notch anchors for H input at 1\.0 um$"):
+        NotchCalibration((NotchAnchor(1.0, H, first), NotchAnchor(1, H, second), NotchAnchor(2.0, H, 0.9)))
+    cal = NotchCalibration((NotchAnchor(1.0, H, first), NotchAnchor(1.0, V, second)))
+    assert (cal.conversion(1.0, H), cal.conversion(1.0, V)) == (first, second)
+
+
+def test_notch_calibration_without_anchors_names_the_polarization():
+    cal = NotchCalibration([NotchAnchor(1.0, V, 0.5)])
+    assert cal.anchors == (NotchAnchor(1.0, V, 0.5),)
+    with pytest.raises(ValueError, match="^no calibration anchors for input polarization H$"):
+        cal.conversion(1.0, H)
 
 
 # -- imperfect element synthesis --------------------------------------------------------

@@ -11,17 +11,26 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import fockgate
 from fockgate.cli import main, parse_qubit
 from fockgate.gate import NetlistError
-from fockgate.design import CouplerPhysics
+from fockgate.design import (
+    DIMENSIONS,
+    CouplerPhysics,
+    NotchAnchor,
+    NotchCalibration,
+    PhysicsError,
+    enumerate_v_perfect_lengths,
+)
+from fockgate.fock import H, V
 from fockgate.gate import ELEMENT_KINDS, circuit_matrix, default_netlist, extract_gate, spec
 from fockgate.io import (
     format_number,
     load_netlist,
+    load_physics,
     netlist_from_dict,
     netlist_to_dict,
     physics_from_dict,
@@ -115,6 +124,47 @@ def test_physics_json_round_trip(tmp_path):
     }
 
 
+BEATS = st.integers(1, 50) | st.floats(0.5, 50.0)
+SENSITIVITIES = st.integers(-1, 1) | st.floats(-0.01, 0.01)
+LENGTHS = st.integers(0, 100) | st.floats(0.0, 100.0)
+ANCHORS = st.lists(
+    st.tuples(st.integers(0, 5) | st.floats(0.0, 5.0), st.sampled_from([H, V]),
+              st.integers(0, 1) | st.floats(0.0, 1.0)),
+    max_size=4, unique_by=lambda a: (float(a[0]), a[1]),
+)
+
+
+@seed(20231020)
+@settings(max_examples=60, deadline=None)
+@given(
+    beats=st.tuples(BEATS, BEATS),
+    sensitivities=st.dictionaries(st.sampled_from(DIMENSIONS), st.tuples(SENSITIVITIES, SENSITIVITIES)),
+    lengths=st.none() | st.dictionaries(st.sampled_from(["PBS1", "PPBS", "F1", "F2", "X"]), LENGTHS),
+    anchors=st.none() | ANCHORS,
+)
+def test_physics_round_trips_and_computes_alike(beats, sensitivities, lengths, anchors, tmp_path_factory):
+    # a partial sensitivity table loaded as a full one, and an int beat printed as "8", not "8.0"
+    fields = {"beat_h": beats[0], "beat_v": beats[1], "sensitivities": tuple(sensitivities.items())}
+    if lengths is not None:
+        fields["coupler_lengths"] = tuple(lengths.items())
+    if anchors is not None:
+        fields["notch"] = NotchCalibration(tuple(NotchAnchor(*a) for a in anchors))
+    physics = CouplerPhysics(**fields)
+    loaded = physics_from_dict(physics_to_dict(physics))
+    assert loaded == physics
+    path = tmp_path_factory.mktemp("physics") / "physics.json"
+    save_physics(physics, path)
+    assert load_physics(path) == physics
+
+    def lengths_of(p):
+        return [(s.length_um, s.bar_h, s.bar_v, s.residual)
+                for s in enumerate_v_perfect_lengths(p, (0.0, 100.0), count=5)]
+
+    got, want = lengths_of(loaded), lengths_of(physics)
+    assert got == want
+    assert [[format_number(x) for x in row] for row in got] == [[format_number(x) for x in row] for row in want]
+
+
 def test_physics_keys_left_out_keep_their_defaults():
     partial = {"beat_um": {"V": 8.0}, "sensitivities_um_per_nm": {"gap": {"H": 0.002}}}
     expected = CouplerPhysics(beat_v=8.0).with_sensitivities("gap", 0.002, 0.0)
@@ -150,7 +200,66 @@ BAD_PHYSICS = {
         "notch_anchors": [{"length_um": "0.75", "input_pol": "V", "conversion": 0.25}]
     },
     "oversized_int_beat": {"beat_um": {"H": 10**400}},  # too large for a float
+    # the values of INVALID_PHYSICS (test_design.py) that a file can hold; more in PHYSICS_FAULT_TEXTS
+    "infinite_beat": {"beat_um": {"H": math.inf}},
+    "nan_coupler_length": {"coupler_lengths_um": {"F1": math.nan}},
+    "negative_notch_length": {
+        "notch_anchors": [{"length_um": -0.75, "input_pol": "V", "conversion": 0.25}]
+    },
+    "bool_notch_length": {
+        "notch_anchors": [{"length_um": True, "input_pol": "V", "conversion": 0.5}]
+    },
+    "unknown_sensitivity_pol": {"sensitivities_um_per_nm": {"gap": {"HV": 0.1}}},
 }
+
+
+@pytest.mark.parametrize("doc", BAD_PHYSICS.values(), ids=BAD_PHYSICS.keys())
+def test_bad_physics_documents_raise_physics_error(doc):
+    with pytest.raises(PhysicsError):
+        physics_from_dict(doc)
+
+
+# a file's value faults, with the text of the type that checks them: the
+# same text as for the value made in Python
+PHYSICS_FAULT_TEXTS = {
+    "negative_beat": ({"beat_um": {"V": -8.32}}, "beat_v must be positive, got -8.32"),
+    "string_beat": ({"beat_um": {"H": "35.8"}}, "beat_h must be a finite number, got '35.8'"),
+    "nan_sensitivity": ({"sensitivities_um_per_nm": {"width": {"H": math.nan}}},
+                        "sensitivity H for 'width' must be a finite number, got nan"),
+    "unknown_dimension": ({"sensitivities_um_per_nm": {"length": {"H": 0.1}}},
+                          "unknown sensitivity dimension 'length'; expected one of ('width', 'height', 'gap')"),
+    "negative_coupler_length": ({"coupler_lengths_um": {"PBS1": -70.72}},
+                                "coupler length of 'PBS1' must be non-negative, got -70.72"),
+    "notch_conversion_7": (
+        {"notch_anchors": [{"length_um": 0.75, "input_pol": "V", "conversion": 7.0}]},
+        "notch anchor conversion must be in [0, 1], got 7.0"),
+    "unknown_anchor_pol": (
+        {"notch_anchors": [{"length_um": 0.75, "input_pol": "h", "conversion": 0.25}]},
+        "unknown polarization 'h'; expected 'H' or 'V'"),
+    "anchor_lacks_conversion": ({"notch_anchors": [{"length_um": 0.75, "input_pol": "V"}]},
+                                "notch anchor lacks key 'conversion'"),
+    # conversion(1.0, H) was the first anchor's, 0.1 or 0.5 by the order of the file
+    "two_anchors_at_one_length": (
+        {"notch_anchors": [{"length_um": 1.0, "input_pol": "H", "conversion": 0.1},
+                           {"length_um": 1.0, "input_pol": "H", "conversion": 0.5},
+                           {"length_um": 2.0, "input_pol": "H", "conversion": 0.9}]},
+        "two notch anchors for H input at 1.0 um"),
+    "two_anchors_at_one_length_swapped": (
+        {"notch_anchors": [{"length_um": 1.0, "input_pol": "H", "conversion": 0.5},
+                           {"length_um": 1.0, "input_pol": "H", "conversion": 0.1},
+                           {"length_um": 2.0, "input_pol": "H", "conversion": 0.9}]},
+        "two notch anchors for H input at 1.0 um"),
+}
+
+
+@pytest.mark.parametrize("doc, message", PHYSICS_FAULT_TEXTS.values(), ids=PHYSICS_FAULT_TEXTS.keys())
+def test_physics_file_faults_name_the_value(doc, message, tmp_path, capsys):
+    with pytest.raises(PhysicsError, match=f"^{re.escape(message)}$"):
+        physics_from_dict(doc)
+    path = tmp_path / "physics.json"
+    path.write_text(json.dumps(doc))
+    assert main(["design", "--element", "pbs", "--physics", str(path)]) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 # physics files the loader accepts, with a beat too short for pi L / beat to
@@ -445,8 +554,7 @@ REFUSED_ARGS = {
            "pi L / beat is not finite"),
     # files load before the grid is checked
     "sweep --dimension width --step 0 --physics=string_beat": (
-        3, "validation error: malformed physics document: beat_um.H must be a finite number, "
-           "got '35.8'"),
+        3, "validation error: beat_h must be a finite number, got '35.8'"),
 }
 
 

@@ -12,6 +12,9 @@ next to this directory):
   coupler length configured and a sweep of an overridden copy of a
   netlist taken after the netlist itself was swept: every row's delta,
   bars, herald probabilities and fidelity;
+- `tolerance_sweep` of the shipped netlist along each dimension, with the
+  physics of tests/golden/physics.json and of that document with integer
+  beats and coupler lengths added: every row, as above;
 - seeded `prepare_input` + `run_heralded` calls on each case: the
   branch's occupations and amplitudes and the herald probability;
 - `run_heralded` on seeded states that are not basis inputs, which take a
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -127,6 +131,29 @@ def _sweeps(oracle, out: _Hash) -> None:
         _rows(tolerance_sweep(swept, physics, "gap", (-10.0, 10.0), 2.5, 2.2), out)
 
 
+def _physics_file_sweeps(oracle, out: _Hash) -> None:
+    from fockgate.design import DIMENSIONS, tolerance_sweep
+    from fockgate.gate import default_netlist
+    from fockgate.io import load_physics, physics_from_dict
+
+    path = ROOT / "tests" / "golden" / "physics.json"
+    physics = load_physics(path)
+    integral = {
+        **json.loads(path.read_text(encoding="utf-8")),
+        "beat_um": {"H": 36, "V": 8},
+        "coupler_lengths_um": {name: round(length) for name, length in physics.coupler_lengths},
+    }
+    for label, swept in (("golden", physics), ("integer values", physics_from_dict(integral))):
+        for dimension in DIMENSIONS:
+            out.label(f"{label} {dimension}")
+            try:
+                rows = tolerance_sweep(default_netlist(), swept, dimension)
+            except ValueError as exc:
+                out.error(exc)
+                continue
+            _rows(rows, out)
+
+
 def _rows(rows, out: _Hash) -> None:
     for row in rows:
         out.floats([row.delta_nm, *row.herald_probabilities, row.fidelity])
@@ -190,6 +217,7 @@ def _foreign_branches(oracle, out: _Hash) -> None:
 PARTS = (
     ("extract_gate", _gates),
     ("tolerance_sweep", _sweeps),
+    ("tolerance_sweep_physics_file", _physics_file_sweeps),
     ("run_heralded", _branches),
     ("run_heralded_foreign", _foreign_branches),
 )
