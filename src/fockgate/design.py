@@ -18,7 +18,8 @@ at every grid point as one (points, couplers, 2) array.  It then evaluates
 the grid in batches of at most `_SWEEP_BATCH` points, so its memory does
 not grow with the grid: the netlist's elements are realized once, the
 couplers' matrices of a whole batch are filled from their angles in one
-step, and one circuit matrix per point is composed and read out at once.
+step, and the circuit rows the readout needs, per point, are composed and
+read out at once.
 """
 
 from __future__ import annotations
@@ -111,16 +112,27 @@ def _float(value: object, what: str, rule: str | None = None) -> float:
     return number
 
 
-def _table(entries: tuple, what: str) -> dict:
-    """(name, value) pairs as a dict, each name a string given once; anything else raises PhysicsError."""
+def _table(entries: tuple, field: str, what: str) -> dict:
+    """The (name, value) pairs of `field` as a dict, each name a string given once.
+
+    Anything else, an `entries` that is not iterable too, raises PhysicsError.
+    """
     table = {}
-    for entry in entries:
+    for entry in _entries(entries, field, f"({what}, value) pairs"):
         if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
             raise PhysicsError(f"expected a ({what}, value) pair, got {entry!r}")
         if entry[0] in table:
             raise PhysicsError(f"{what} {entry[0]!r} is given twice")
         table[entry[0]] = entry[1]
     return table
+
+
+def _entries(entries: object, field: str, items: str) -> tuple:
+    """`entries` as a tuple, or PhysicsError naming `field` when it is not iterable."""
+    try:
+        return tuple(entries)
+    except TypeError:
+        raise PhysicsError(f"{field} must be a tuple of {items}, got {entries!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,14 +168,18 @@ class NotchCalibration:
 
     Interpolation is per input polarization and never extrapolates:
     the published curves are only trusted at the anchor points.  The
-    anchors are stored as a tuple; two of one polarization at one length
-    raise PhysicsError when the calibration is made.
+    anchors are stored as a tuple; anchors that are not NotchAnchors, or
+    two of one polarization at one length, raise PhysicsError when the
+    calibration is made.
     """
 
     anchors: tuple[NotchAnchor, ...] = DEFAULT_NOTCH_ANCHORS
 
     def __post_init__(self):
-        object.__setattr__(self, "anchors", tuple(self.anchors))
+        object.__setattr__(self, "anchors", _entries(self.anchors, "notch anchors", "NotchAnchors"))
+        for anchor in self.anchors:
+            if not isinstance(anchor, NotchAnchor):
+                raise PhysicsError(f"notch anchors must be NotchAnchors, got {anchor!r}")
         points = [(a.input_pol, a.length_um) for a in self.anchors]
         for pol, length in points:
             if points.count((pol, length)) > 1:
@@ -205,7 +221,8 @@ class CouplerPhysics:
     deviation, (0.0, 0.0) for a dimension left out.  coupler_lengths are
     the non-negative fabricated lengths by element name, sorted by name;
     by default the reference lengths of COUPLER_DESIGNS.  An unknown
-    dimension, a name given twice or a pair of another shape is refused.
+    dimension, a name given twice, a pair of another shape, a table that
+    is not pairs and a notch that is not a NotchCalibration are refused.
     """
 
     beat_h: float = 35.80
@@ -219,13 +236,15 @@ class CouplerPhysics:
     notch: NotchCalibration = NotchCalibration()
 
     def __post_init__(self):
-        given = _table(self.sensitivities, "sensitivity dimension")
+        if not isinstance(self.notch, NotchCalibration):
+            raise PhysicsError(f"notch must be a NotchCalibration, got {self.notch!r}")
+        given = _table(self.sensitivities, "sensitivities", "sensitivity dimension")
         for dim, pair in given.items():
             if dim not in DIMENSIONS:
                 raise PhysicsError(f"unknown sensitivity dimension {dim!r}; expected one of {DIMENSIONS}")
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise PhysicsError(f"sensitivities for {dim!r} must be a tuple (H, V), got {pair!r}")
-        lengths = _table(self.coupler_lengths, "coupler name")
+        lengths = _table(self.coupler_lengths, "coupler_lengths", "coupler name")
         for field in ("beat_h", "beat_v"):
             object.__setattr__(self, field, _float(getattr(self, field), field, "positive"))
         object.__setattr__(self, "sensitivities", tuple(
@@ -246,9 +265,6 @@ class CouplerPhysics:
         """A copy with the (H, V) sensitivities of `dimension` replaced, checked as when made."""
         sensitivities = {**dict(self.sensitivities), dimension: (s_h, s_v)}
         return replace(self, sensitivities=tuple(sensitivities.items()))
-
-    def length_of(self, element_name: str) -> float | None:
-        return dict(self.coupler_lengths).get(element_name)
 
 
 def cross_power(length_um: float, beat_um: float) -> float:
@@ -482,9 +498,9 @@ def perturbed_angles(
     needs nonzero sensitivities (ValueError), one beyond 10 nm warns once
     per call, and a perturbed beat or an angle that is non-positive or not
     finite raises PhysicsError naming the element and the delta.  A
-    dimension not in DIMENSIONS raises `CouplerPhysics.sensitivity`'s KeyError.
+    dimension not in DIMENSIONS raises KeyError naming it.
     """
-    sensitivities = np.array([physics.sensitivity(dimension, pol) for pol in (H, V)])
+    sensitivities = np.array(dict(physics.sensitivities)[dimension])
     deltas = np.asarray(delta_nm, dtype=float)
     if np.any(deltas != 0.0) and not sensitivities.any():
         raise ValueError(
@@ -499,9 +515,10 @@ def perturbed_angles(
             "linear sensitivity model was specified for",
             stacklevel=3,
         )
+    design_lengths = dict(physics.coupler_lengths)
     couplers = [
         (el, length) for el in netlist.elements
-        if el.kind in COUPLER_KINDS and (length := physics.length_of(el.name)) is not None
+        if el.kind in COUPLER_KINDS and (length := design_lengths.get(el.name)) is not None
     ]
     names = tuple(el.name for el, _ in couplers)
     if not couplers:
@@ -623,13 +640,9 @@ def tolerance_sweep(
     order = sorted(range(len(names)), key=names.__getitem__)
     sorted_names = [names[k] for k in order]
     # bit for bit math.cos(theta) ** 2: np.cos matches math.cos, and np.float_power is libm's pow
-    bars = np.float_power(np.cos(angles[:, order]), 2.0).tolist()
+    bars = np.float_power(np.cos(angles[:, order]), 2.0)
     return [
-        SweepRow(
-            delta,
-            tuple((name, bar_h, bar_v) for name, (bar_h, bar_v) in zip(sorted_names, point_bars)),
-            tuple(row_probs),
-            row_fidelity,
-        )
-        for delta, point_bars, row_probs, row_fidelity in zip(deltas, bars, probs, fidelity)
+        SweepRow(delta, tuple(zip(sorted_names, bars_h, bars_v)), tuple(row_probs), row_fidelity)
+        for delta, bars_h, bars_v, row_probs, row_fidelity
+        in zip(deltas, bars[..., 0].tolist(), bars[..., 1].tolist(), probs, fidelity)
     ]

@@ -95,6 +95,12 @@ def _check_isometry(m: np.ndarray, message: str) -> None:
     raise ValueError(message.format(worst[~(worst <= 1e-12)][0]))
 
 
+def isometry_deviation(m: np.ndarray) -> float:
+    """||m m^dag - 1||_F of one square matrix, a bound on the spectral norm of m m^dag - 1."""
+    dev = m @ m.conj().T - np.eye(len(m))
+    return math.sqrt(float((dev.real**2 + dev.imag**2).sum()))
+
+
 def coupler_matrices(
     bar: np.ndarray, cross: np.ndarray, v_reflect: bool | np.ndarray = False
 ) -> np.ndarray:
@@ -107,18 +113,18 @@ def coupler_matrices(
     `v_reflect` (a bool, or bools that broadcast against S) is set, in
     reflection form [[bar, cross], [cross, -bar]].  This is the only fill
     of a coupler's matrix: angles enter as (cos, sin) pairs, nominal
-    couplers as exact ones.  A pair with bar^2 + cross^2 = 1 gives a
+    couplers as exact ones.  The 16 entries of each matrix are filled as
+    one flat row, each of the diagonal, the upper and the lower crossings
+    by one strided assignment.  A pair with bar^2 + cross^2 = 1 gives a
     unitary; nothing is checked here.
     """
     sign = np.ones(np.shape(v_reflect) + (2,))
     sign[..., 1] = np.where(v_reflect, -1.0, 1.0)  # the lower row of a reflection V block
-    m = np.zeros(np.shape(bar)[:-1] + (4, 4), dtype=complex)
-    upper, lower = [0, 1], [2, 3]  # the (aH, aV) and (bH, bV) modes
-    m[..., upper, upper] = bar
-    m[..., upper, lower] = cross
-    m[..., lower, upper] = -cross * sign
-    m[..., lower, lower] = bar * sign
-    return m
+    m = np.zeros(np.shape(bar)[:-1] + (16,), dtype=complex)
+    m[..., 0::5] = np.concatenate((bar, bar * sign), axis=-1)  # the diagonal
+    m[..., 2:8:5] = cross  # from (aH, aV) to (bH, bV)
+    m[..., 8:14:5] = -cross * sign  # from (bH, bV) to (aH, aV)
+    return m.reshape(m.shape[:-1] + (4, 4))
 
 
 def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:
@@ -388,24 +394,22 @@ def compose_circuit_matrix(
     """Product of element matrices, each acting on its own columns of an n_modes-mode circuit.
 
     `matrices` are the elements' matrices in application order (an
-    `ElementMatrix.matrix`, or for a sweep a stack of one element's
-    matrices), and `columns[k]` holds the circuit columns of the modes of
-    element k, in the element's mode order (a netlist resolves them once,
-    see `gate.Netlist.steps`).  In transfer orientation the composite is
+    `ElementMatrix.matrix`, or a stack of one element's matrices), and
+    `columns[k]` holds the circuit columns of the modes of element k, in
+    the element's mode order.  In transfer orientation the composite is
     M1 @ M2 @ ... @ Mk, with each Mi the identity outside its element's
-    columns, multiplied left to right.  An element maps its modes onto
-    themselves, so each step rewrites only those columns.  A column list of
-    the wrong length or outside [0, n_modes) raises ValueError.  Stacked
-    matrices broadcast: the result has shape B + (n, n), with B the common
-    batch shape of the matrices (empty when none is stacked), and every
-    matrix in it is unitary within 1e-12.
+    columns, multiplied left to right.  Stacked matrices broadcast: the
+    result has shape B + (n, n), with B the common batch shape of the
+    matrices (empty when none is stacked).
+
+    Checks, then core: a column list of the wrong length or outside
+    [0, n_modes) raises ValueError, and so does a result that is not
+    unitary within 1e-12; `compose_rows` does the arithmetic.  A netlist
+    places its columns once (`gate.Netlist.steps`) and calls the core
+    itself.
     """
     if len(matrices) != len(columns):
         raise ValueError(f"{len(matrices)} elements but {len(columns)} column lists")
-    batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
-    # the identity of every batch entry: zeros with each diagonal set
-    full = np.zeros(batch + (n_modes, n_modes), dtype=complex)
-    full.reshape(math.prod(batch), n_modes * n_modes)[:, :: n_modes + 1] = 1.0
     for m, idx in zip(matrices, columns):
         k, cols = m.shape[-1], np.asarray(idx).tolist()
         if len(cols) != k or not all(0 <= c < n_modes for c in cols):
@@ -413,15 +417,50 @@ def compose_circuit_matrix(
                 f"columns {cols} do not place the {k} modes of an "
                 f"element in a {n_modes}-mode circuit"
             )
-        # consecutive columns are read and written through a view
-        at = slice(cols[0], cols[0] + k) if cols == list(range(cols[0], cols[0] + k)) else idx
-        block = full[..., at]
-        if m.ndim == 2 and block.ndim > 2:  # one matrix for the whole stack: one product
-            full[..., at] = (block.reshape(-1, k) @ m).reshape(block.shape)
-        else:
-            full[..., at] = block @ m
-    _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
+    full = compose_rows(matrices, [column_placement(idx) for idx in columns], n_modes)
+    check_circuits(full)
     return full
+
+
+def check_circuits(circuits: np.ndarray) -> None:
+    """Raise ValueError unless every circuit matrix of the stack is unitary within 1e-12."""
+    _check_isometry(circuits, "composed circuit matrix is not unitary: {:.3g}")
+
+
+def column_placement(columns: Sequence[int]) -> slice | np.ndarray:
+    """Valid circuit columns as `compose_rows` places them: a slice when consecutive, else as given.
+
+    A slice reads and writes the columns through a view.
+    """
+    cols = np.asarray(columns).tolist()
+    run = range(cols[0], cols[0] + len(cols))
+    return slice(run.start, run.stop) if cols == list(run) else columns
+
+
+def compose_rows(
+    matrices: Sequence[np.ndarray], placements: Sequence[slice | np.ndarray], n_modes: int,
+    rows: Sequence[int] | None = None,
+) -> np.ndarray:
+    """The rows `rows` (all when None) of `compose_circuit_matrix`'s product, unchecked.
+
+    `placements[k]` is the `column_placement` of element k's columns.  The
+    product starts from those rows of the identity, and each step rewrites
+    its element's columns of every row, multiplying the rows by the
+    element's matrix; no row is read for another, so the rows come out as
+    the same rows of the full product, bit for bit.  Result B + (rows, n).
+    """
+    batch = np.broadcast_shapes(*{m.shape[:-2] for m in matrices})
+    rows = range(n_modes) if rows is None else rows
+    # the identity's rows for every batch entry: zeros with each row's diagonal entry set
+    out = np.zeros(batch + (len(rows), n_modes), dtype=complex)
+    out.reshape(math.prod(batch), len(rows) * n_modes)[:, np.arange(len(rows)) * n_modes + rows] = 1.0
+    for m, at in zip(matrices, placements):
+        block = out[..., at]
+        if m.ndim == 2 and block.ndim > 2:  # one matrix for the whole stack: one product
+            out[..., at] = (block.reshape(-1, m.shape[-1]) @ m).reshape(block.shape)
+        else:
+            out[..., at] = block @ m
+    return out
 
 
 def mode_columns(modes: Sequence[Mode], subset: Sequence[Mode]) -> np.ndarray:

@@ -25,9 +25,9 @@ logical readout; from its elements the realized steps (`Netlist.steps`),
 the circuit composed from them and the heralded amplitudes of the 8 basis
 inputs.  A new phase or new qubit amplitudes cost only the linear
 combination and the readout.  `coupler_operators` composes its steps
-with some couplers set by angle arrays, one circuit matrix per point of a
-parameter sweep, and reads the gate off every matrix of that stack at once
-with `heralded_operators`' readout.
+with some couplers set by angle arrays, for each point of a parameter sweep
+the circuit rows that the basis inputs' photons enter, and reads the gate
+off that whole stack at once with `heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -68,8 +68,11 @@ from .elements import (
     WAVEPLATE_PRESETS,
     ElementMatrix,
     apply_element,
-    compose_circuit_matrix,
+    check_circuits,
+    column_placement,
+    compose_rows,
     coupler_matrices,
+    isometry_deviation,
     mode_columns,
     permanents,
     phase_shift,
@@ -266,11 +269,15 @@ class QubitEncoding:
 
 
 class Step(NamedTuple):
-    """One realized element: its spec, the columns of its modes and its read-only matrix."""
+    """One realized element: its spec, its modes' columns, its read-only matrix, and `at`, where it acts.
+
+    `at` is the columns' `column_placement`.
+    """
 
     spec: ElementSpec
     columns: np.ndarray
     matrix: np.ndarray
+    at: slice | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -468,31 +475,57 @@ class Netlist:
         """The elements that act on modes, each realized once, in application order.
 
         A step holds the element's spec, the read-only circuit columns of its
-        modes and a read-only view of its matrix.  An element whose matrix is
-        not unitary raises NetlistError naming it, as `build_matrices` does.
+        modes, a read-only view of its matrix and the columns' placement, so
+        no composition resolves them again.  An element whose matrix is not
+        unitary raises NetlistError naming it, as `build_matrices` does.
         """
         steps = []
         for el, m in self._realized():
             matrix = m.matrix.view()
             matrix.flags.writeable = False
-            steps.append(Step(el, mode_columns(self.modes, m.modes), matrix))
+            columns = mode_columns(self.modes, m.modes)
+            steps.append(Step(el, columns, matrix, column_placement(columns)))
         return tuple(steps)
 
     def compose(self, stacks: Mapping[int, np.ndarray] = MappingProxyType({})) -> np.ndarray:
-        """The circuit matrix of `steps`, composed by `compose_circuit_matrix` in step order.
+        """The circuit matrix of `steps`, composed in step order by `compose_rows`.
 
         `stacks` maps a step index to matrices that take the place of that
         step's own, a stack (N, k, k) for N circuits at once; the composition
         and its association order stay those of the netlist's own circuit.
-        A result that is not unitary within 1e-12 raises NetlistError.
+        The steps' placements were resolved with them, so only the result is
+        checked (`check_circuits`): one that is not unitary within 1e-12
+        raises NetlistError.
         """
-        matrices = [stacks.get(k, step.matrix) for k, step in enumerate(self.steps)]
+        circuits = self._compose_rows(stacks)
         try:
-            return compose_circuit_matrix(
-                matrices, [step.columns for step in self.steps], len(self.modes)
-            )
+            check_circuits(circuits)
         except ValueError as exc:
             raise NetlistError(exc.args[0]) from exc
+        return circuits
+
+    def _compose_rows(self, stacks: Mapping[int, np.ndarray], rows: np.ndarray | None = None) -> np.ndarray:
+        """Rows `rows` (all when None) of the circuits `compose` makes, unchecked."""
+        matrices = [stacks.get(k, step.matrix) for k, step in enumerate(self.steps)]
+        return compose_rows(matrices, [step.at for step in self.steps], len(self.modes), rows)
+
+    @cached_property
+    def _couplers(self) -> dict[str, tuple[int, bool]]:
+        """Each coupler step's index in `steps` and whether it is a pbs, by element name."""
+        return {step.spec.name: (k, step.spec.kind == "pbs")
+                for k, step in enumerate(self.steps) if step.spec.kind in COUPLER_KINDS}
+
+    @cached_property
+    def _row_block(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The circuit rows `basis_gather` reads, ascending, and that gather renumbered to them."""
+        rows, *rest = self.basis_gather
+        block = np.array(sorted(set(rows.flat)))  # np.unique raises the peak RSS by 0.6 MB
+        return block, (np.searchsorted(block, rows), *rest)
+
+    @cached_property
+    def _steps_near_unitary(self) -> bool:
+        """Whether the steps' `isometry_deviation`s sum to at most _NEAR_UNITARY (see there)."""
+        return sum(isometry_deviation(step.matrix) for step in self.steps) <= _NEAR_UNITARY
 
     @cached_property
     def _circuit(self) -> np.ndarray:
@@ -879,6 +912,17 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     return _basis_operators(netlist.readout, netlist._basis_amplitudes, phi)
 
 
+# `coupler_operators` does not check its circuits when the Frobenius norms
+# ||M M^dag - 1||_F of the netlist's steps sum to at most this.  Frobenius
+# bounds the spectral norm, so the product of those steps and finite-angle
+# cos/sin coupler blocks (a few ulps off each) deviates from unitarity in
+# spectral norm by at most prod(1 + deviation) - 1 over its factors, about
+# 1e-13, and the rounding of its products adds orders less (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 3).  No entry of M M^dag - 1
+# exceeds that norm, so no circuit can fail `Netlist.compose`'s 1e-12 check.
+_NEAR_UNITARY = 1e-13
+
+
 def coupler_operators(
     netlist: Netlist, couplers: Sequence[str], thetas: np.ndarray, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -889,21 +933,23 @@ def coupler_operators(
     that is not a coupler step of the netlist or is repeated, or angles of
     another shape, raise ValueError saying so, and N = 0 gives empty
     results.  With no couplers named, every point reads the netlist's own
-    kept basis amplitudes.  Otherwise one
-    `coupler_matrices` call fills their matrices (reflection form for a
-    pbs, as `build_element` builds it).  Their entries are cosines and
-    sines of the angles, so a block is an isometry to within a few ulps
-    exactly when its angles are finite: a non-finite angle raises
-    NetlistError("coupler is not an isometry: deviation nan").  The
-    composed circuits get the full 1e-12 unitarity check of
-    `Netlist.compose`, in which the blocks replace those steps' matrices.
-    Point k equals `heralded_operators` on the netlist whose couplers carry
-    the angles `thetas[k]`, bit for bit.
+    kept basis amplitudes.  Otherwise one `coupler_matrices` call fills
+    their matrices (reflection form for a pbs, as `build_element` builds
+    it).  Their entries are cosines and sines of the angles, so a block is
+    an isometry to within a few ulps exactly when its angles are finite: a
+    non-finite angle raises NetlistError("coupler is not an isometry:
+    deviation nan").  The blocks replace those steps' matrices, and only
+    the circuit rows that the basis gather reads, the input photons' modes,
+    are composed, one (N, rows, modes) block: each row of a product depends
+    on that row alone.  The netlist decides once whether its circuits need
+    the 1e-12 unitarity check (see `_NEAR_UNITARY`); if they do, the full
+    circuits are composed and checked by `Netlist.compose` first.  Point k
+    equals `heralded_operators` on the netlist whose couplers carry the
+    angles `thetas[k]`, bit for bit.
     """
-    index = {step.spec.name: k for k, step in enumerate(netlist.steps)
-             if step.spec.kind in COUPLER_KINDS}
+    slots = netlist._couplers
     for k, name in enumerate(couplers):
-        if name not in index:
+        if name not in slots:
             raise ValueError(f"{name!r} is not a coupler step of the netlist")
         if name in couplers[:k]:
             raise ValueError(f"coupler {name!r} is named twice")
@@ -916,12 +962,15 @@ def coupler_operators(
     if not couplers:  # every point is the netlist's own circuit
         kept = netlist._basis_amplitudes
         return _basis_operators(netlist.readout, np.broadcast_to(kept, (len(thetas),) + kept.shape), phi)
-    slots = [index[name] for name in couplers]
-    reflect = np.array([netlist.steps[k].spec.kind == "pbs" for k in slots])
-    blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), reflect)
-    circuits = netlist.compose({k: blocks[:, c] for c, k in enumerate(slots)})
-    amps = _gathered_transfer(circuits, netlist.basis_gather)
-    return _basis_operators(netlist.readout, amps, phi)
+    steps, reflect = zip(*(slots[name] for name in couplers))
+    blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), np.array(reflect))
+    stacks = {k: blocks[:, c] for c, k in enumerate(steps)}
+    rows, gather = netlist._row_block
+    if netlist._steps_near_unitary:
+        circuits = netlist._compose_rows(stacks, rows)
+    else:
+        circuits = netlist.compose(stacks)[:, rows]
+    return _basis_operators(netlist.readout, _gathered_transfer(circuits, gather), phi)
 
 
 def _basis_operators(

@@ -86,6 +86,16 @@ INVALID_PHYSICS = {
                                 "expected a (coupler name, value) pair, got (1, 12.0)"),
     "coupler_lengths_dict": (lambda: CouplerPhysics(coupler_lengths={"F1": 12.0}),
                              "expected a (coupler name, value) pair, got 'F1'"),
+    # containers of another type: AttributeError or TypeError, at once or when written out
+    "notch_string": (lambda: CouplerPhysics(notch="x"), "notch must be a NotchCalibration, got 'x'"),
+    "notch_anchor_tuple": (lambda: NotchCalibration(((1.0, "H", 0.5),)),
+                           "notch anchors must be NotchAnchors, got (1.0, 'H', 0.5)"),
+    "notch_anchors_none": (lambda: NotchCalibration(None),
+                           "notch anchors must be a tuple of NotchAnchors, got None"),
+    "sensitivities_none": (lambda: CouplerPhysics(sensitivities=None),
+                           "sensitivities must be a tuple of (sensitivity dimension, value) pairs, got None"),
+    "coupler_lengths_none": (lambda: CouplerPhysics(coupler_lengths=None),
+                             "coupler_lengths must be a tuple of (coupler name, value) pairs, got None"),
 }
 
 
@@ -617,6 +627,21 @@ def test_sweep_of_near_unitary_netlist_raises_netlist_error():
         tolerance_sweep(netlist, physics, "width", (-10.0, 10.0), 1.0)
 
 
+def test_sweep_of_a_netlist_outside_the_bound_checks_its_circuits_and_keeps_the_bits():
+    # plates 1e-13 off unitarity: a sweep may not skip the 1e-12 check, which its circuits pass
+    netlist = default_netlist()
+    netlist = netlist.with_overrides({
+        step.spec.name: gate.spec(step.spec.name, "waveplate", step.spec.ports,
+                                  matrix=(step.matrix * (1 + 1e-13)).tolist())
+        for step in netlist.steps if len(step.spec.ports) == 1
+    })
+    assert not netlist._steps_near_unitary
+    assert default_netlist()._steps_near_unitary
+    physics = PHYS.with_sensitivities("gap", 0.005, -0.004)
+    rows = tolerance_sweep(netlist, physics, "gap", (-10.0, 10.0), 2.5, phi=1.7)
+    _assert_rows_equal_their_own_extraction(netlist, physics, "gap", rows, range(len(rows)), 1.7)
+
+
 def test_sweep_without_coupler_lengths_repeats_the_nominal_gate():
     # nothing is perturbed, so one circuit matrix serves every grid point
     physics = CouplerPhysics(coupler_lengths=()).with_sensitivities("width", 0.004, 0.004)
@@ -664,7 +689,7 @@ def _row_bits(row):
 
 def test_two_sweeps_plan_their_structure_once(monkeypatch):
     gathers, occupations, built, composed, copies = [], [], [], [], []
-    read, placed = [], []
+    read, placed, resolved, deviations = [], [], [], []
 
     def spy(log, fn, record=lambda *args: args):
         def wrapper(*args, **kwargs):
@@ -676,12 +701,14 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     monkeypatch.setattr(gate, "_gather", spy(gathers, gate._gather))
     monkeypatch.setattr(Netlist, "input_occupation", spy(occupations, Netlist.input_occupation))
     monkeypatch.setattr(gate, "build_element", spy(built, build_element, lambda el, _: el.name))
-    monkeypatch.setattr(gate, "compose_circuit_matrix", spy(composed, gate.compose_circuit_matrix))
+    monkeypatch.setattr(gate, "compose_rows", spy(composed, gate.compose_rows))
     monkeypatch.setattr(Netlist, "__post_init__", spy(copies, Netlist.__post_init__))
     monkeypatch.setattr(design, "coupler_angles",
                         spy(read, design.coupler_angles, lambda el, _: el.name))
     monkeypatch.setattr(gate, "mode_columns",
                         spy(placed, gate.mode_columns, lambda _, modes, __: modes))
+    monkeypatch.setattr(gate, "column_placement", spy(resolved, gate.column_placement))
+    monkeypatch.setattr(gate, "isometry_deviation", spy(deviations, gate.isometry_deviation))
     netlist = default_netlist()
     readout = netlist.readout
     copies.clear()
@@ -693,12 +720,16 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     assert len(occupations) == 8  # the basis inputs, once
     assert copies == []  # no netlist copy, perturbed or not
     assert len(built) == len(set(built)) <= len(netlist.elements)  # each element at most once
-    assert len(composed) == 2  # one composition per batch of 21 points
+    assert len(composed) == 2  # one composition per batch of 21 points, of the gather's rows
+    assert all(rows is netlist._row_block[0] for *_, rows, _ in composed)
     # each coupler's own angles read once per sweep, not per batch or point
     assert sorted(read) == sorted(2 * ["PBS1", "F1", "PPBS", "F2", "PBS3", "PBS2"])
     assert len(placed) == len(netlist.steps)  # each step's columns resolved once
-    for _, columns, _, _ in composed:  # and passed as they were resolved
-        assert all(at is step.columns for at, step in zip(columns, netlist.steps))
+    assert len(resolved) == len(netlist.steps)  # and placed once
+    for _, placements, *_ in composed:  # and passed as they were placed
+        assert all(at is step.at for at, step in zip(placements, netlist.steps))
+    # the unitarity bound: one deviation per step, computed once across both sweeps
+    assert len(deviations) == len(netlist.steps)
 
 
 @pytest.mark.parametrize("batch", [1, 7])

@@ -16,7 +16,9 @@ from fockgate.elements import (
     PPBS_BARS,
     amplitude_via_permanent,
     apply_element,
+    column_placement,
     compose_circuit_matrix,
+    compose_rows,
     coupler_matrices,
     mode_columns,
     permanent,
@@ -358,6 +360,36 @@ def test_compose_stack_equals_per_slice_composition():
             ppbs,
         ]
         assert np.array_equal(full[k], compose(single, modes))
+
+
+def test_coupler_fill_keeps_every_entry_and_its_sign():
+    # entry by entry, as the fill read before it became three strided assignments
+    rng = np.random.default_rng(3)
+    bar = rng.choice([0.0, -0.0, 0.5, -1.0], size=(7, 3, 2))
+    cross = rng.choice([0.0, -0.0, 0.25, 1.0], size=(7, 3, 2))
+    reflect = np.array([True, False, True])
+    sign = np.ones((3, 2))
+    sign[:, 1] = np.where(reflect, -1.0, 1.0)
+    want = np.zeros((7, 3, 4, 4), dtype=complex)
+    want[..., [0, 1], [0, 1]] = bar
+    want[..., [0, 1], [2, 3]] = cross
+    want[..., [2, 3], [0, 1]] = -cross * sign
+    want[..., [2, 3], [2, 3]] = bar * sign
+    assert coupler_matrices(bar, cross, reflect).tobytes() == want.tobytes()
+
+
+def test_compose_rows_are_those_rows_of_the_full_product():
+    modes = modes_for_ports(["a", "b", "c"])
+    matrices = [coupler_matrices(COS, SIN, True), wave_plate("b", "hadamard").matrix,
+                coupler_matrices(COS[:, ::-1], SIN[:, ::-1])]
+    columns = [mode_columns(modes, modes_for_ports(ports)) for ports in (["a", "b"], ["b"], ["c", "a"])]
+    full = compose_circuit_matrix(matrices, columns, len(modes))
+    placements = [column_placement(idx) for idx in columns]
+    assert placements[0] == slice(0, 4) and placements[2] is columns[2]
+    assert compose_rows(matrices, placements, len(modes)).tobytes() == full.tobytes()
+    for rows in ([4, 0, 3], [5], []):
+        got = compose_rows(matrices, placements, len(modes), np.array(rows, dtype=int))
+        assert got.tobytes() == full[:, rows].tobytes()
 
 
 def test_compose_stack_rejects_one_non_unitary_slice():

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fockgate.fock import (
@@ -18,12 +18,26 @@ from fockgate.fock import (
     tensor,
 )
 from fockgate.elements import (
+    HADAMARD_MATRIX,
+    HWP1_MATRIX,
+    _check_isometry,
     apply_element,
+    coupler_matrices,
     permanent,
     permanents,
     wave_plate,
 )
-from fockgate.gate import build_element, spec
+from fockgate.gate import (
+    COUPLER_KINDS,
+    NetlistError,
+    _basis_operators,
+    _gathered_transfer,
+    build_element,
+    coupler_angles,
+    coupler_operators,
+    default_netlist,
+    spec,
+)
 
 MODES = modes_for_ports(["a", "b"])
 
@@ -113,3 +127,64 @@ def test_batched_permanents_match_permutation_sum(stack):
         # rounding scale: the permanent of |m| bounds every partial sum
         scale = permanent(np.abs(m)).real
         assert abs(value - permanent(m)) <= 1e-12 * scale
+
+
+# Plates that pass the per-element 1e-12 check, scaled off unitarity by up to
+# 4.9e-13 each: near 0 the netlist lets a sweep skip the circuits' check,
+# farther off it does not.
+plate_scale = st.one_of(st.sampled_from((0.0, 4.9e-13, -4.9e-13)), st.floats(-1e-14, 1e-14),
+                        st.floats(-4.9e-13, 4.9e-13))
+PLATES = {"HWP1": ("L", HWP1_MATRIX), "HWP2": ("L", HADAMARD_MATRIX),
+          "HWP3": ("L", HADAMARD_MATRIX), "DET": ("P", HADAMARD_MATRIX)}
+
+
+def _verdict(make):
+    """What `make` returns, or the message of the NetlistError it raises."""
+    try:
+        return make()
+    except NetlistError as exc:
+        return f"NetlistError: {exc}"
+
+
+def _bits(result):
+    return result if isinstance(result, str) else [array.tobytes() for array in result]
+
+
+@seed(20211013)
+@settings(max_examples=80, deadline=None)
+@given(
+    scales=st.tuples(*[plate_scale] * len(PLATES)),
+    couplers=st.sets(st.integers(0, 5), min_size=1),
+    points=st.integers(1, 64),
+    magnitude=st.sampled_from((1.0, 1e3, 1e6)),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_a_sweep_batch_skips_only_the_checks_that_cannot_fail(scales, couplers, points, magnitude, draw):
+    base = default_netlist()
+    netlist = base.with_overrides({
+        name: spec(name, "waveplate", (port,), matrix=(matrix * (1.0 + scale)).tolist())
+        for (name, (port, matrix)), scale in zip(PLATES.items(), scales)
+    })
+    names = tuple(el.name for el in netlist.elements if el.kind in COUPLER_KINDS)
+    names = tuple(names[k] for k in sorted(couplers))
+    rng = np.random.default_rng(draw)
+    thetas = rng.uniform(-magnitude, magnitude, size=(points, len(names), 2))
+    thetas[0] = [coupler_angles(netlist.element(name)) for name in names]  # the netlist's own
+    slot = {step.spec.name: k for k, step in enumerate(netlist.steps)}
+    reflect = np.array([netlist.element(name).kind == "pbs" for name in names])
+    blocks = coupler_matrices(np.cos(thetas), np.sin(thetas), reflect)
+    stacks = {slot[name]: blocks[:, c] for c, name in enumerate(names)}
+    full = _verdict(lambda: netlist.compose(stacks))
+    got = _verdict(lambda: coupler_operators(netlist, names, thetas, 0.7))
+    if netlist._steps_near_unitary:
+        # the skipped check cannot fail, and the row block is those rows of the full product
+        assert not isinstance(full, str)
+        _check_isometry(full, "composed circuit matrix is not unitary: {:.3g}")
+        rows, _ = netlist._row_block
+        assert netlist._compose_rows(stacks, rows).tobytes() == full[:, rows].tobytes()
+    if isinstance(full, str):  # refused: the batch is refused with the same message
+        assert got == full
+        return
+    amps = _gathered_transfer(full, netlist.basis_gather)
+    want = _verdict(lambda: _basis_operators(netlist.readout, amps, 0.7))
+    assert _bits(got) == _bits(want)

@@ -15,6 +15,9 @@ next to this directory):
 - `tolerance_sweep` of the shipped netlist along each dimension, with the
   physics of tests/golden/physics.json and of that document with integer
   beats and coupler lengths added: every row, as above;
+- seeded `tolerance_sweep`s of the shipped netlist with its wave plates and
+  rotated detector scaled by 1 + 1e-13, whose steps are too far from unitary
+  for a sweep to skip the check of its circuits, which pass it: every row;
 - seeded `prepare_input` + `run_heralded` calls on each case: the
   branch's occupations and amplitudes and the herald probability;
 - `run_heralded` on seeded states that are not basis inputs, which take a
@@ -154,6 +157,26 @@ def _physics_file_sweeps(oracle, out: _Hash) -> None:
             _rows(rows, out)
 
 
+def _checked_sweeps(oracle, out: _Hash) -> None:
+    from fockgate.design import DIMENSIONS, CouplerPhysics, tolerance_sweep
+    from fockgate.gate import default_netlist, spec
+
+    netlist = default_netlist()
+    netlist = netlist.with_overrides({
+        step.spec.name: spec(step.spec.name, "waveplate", step.spec.ports,
+                             matrix=(step.matrix * (1 + 1e-13)).tolist())
+        for step in netlist.steps if len(step.spec.ports) == 1
+    })
+    for dimension in DIMENSIONS:
+        rng = random.Random(f"checked-{dimension}")
+        physics = CouplerPhysics().with_sensitivities(
+            dimension, rng.uniform(-0.006, 0.006), rng.uniform(-0.006, 0.006)
+        )
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        out.label(f"{dimension} {physics.sensitivities!r} {phi!r}")
+        _rows(tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 0.25, phi), out)
+
+
 def _rows(rows, out: _Hash) -> None:
     for row in rows:
         out.floats([row.delta_nm, *row.herald_probabilities, row.fidelity])
@@ -218,6 +241,7 @@ PARTS = (
     ("extract_gate", _gates),
     ("tolerance_sweep", _sweeps),
     ("tolerance_sweep_physics_file", _physics_file_sweeps),
+    ("tolerance_sweep_checked", _checked_sweeps),
     ("run_heralded", _branches),
     ("run_heralded_foreign", _foreign_branches),
 )
