@@ -462,16 +462,3 @@ def compose_rows(
             out[..., at] = block @ m
     return out
 
-
-def mode_columns(modes: Sequence[Mode], subset: Sequence[Mode]) -> np.ndarray:
-    """Indices of the modes of `subset` within `modes`, as a read-only array.
-
-    A mode of `subset` that `modes` lacks raises KeyError naming it.
-    """
-    position = {m: i for i, m in enumerate(modes)}
-    missing = [m for m in subset if m not in position]
-    if missing:
-        raise KeyError(f"unresolved port: mode {missing[0]!r} not in circuit mode set")
-    idx = np.array([position[m] for m in subset], dtype=np.intp)
-    idx.flags.writeable = False
-    return idx

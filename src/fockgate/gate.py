@@ -18,16 +18,19 @@ probability 1/48 and the realized operator is diag(1, 1, 1, e^{i phi}).
 
 `extract_gate` and `run_heralded` read heralded amplitudes from
 permanents of the composed circuit matrix (`heralded_transfer`).  A
-netlist is immutable and one circuit, so it derives everything once and
-keeps it: from its ports, herald and encoding the mode order and columns,
-the basis inputs with the gather of their heralded transfer and the
-logical readout; from its elements the realized steps (`Netlist.steps`),
-the circuit composed from them and the heralded amplitudes of the 8 basis
-inputs.  A new phase or new qubit amplitudes cost only the linear
-combination and the readout.  `coupler_operators` composes its steps
-with some couplers set by angle arrays, for each point of a parameter sweep
-the circuit rows that the basis inputs' photons enter, and reads the gate
-off that whole stack at once with `heralded_operators`' readout.
+netlist lays its modes out by one rule, declared port order with H before
+V, and finds the column of a port's mode from that port's index
+(`Netlist.column`).  It is immutable and one circuit, so it derives
+everything once and keeps it: from its ports, herald and encoding the
+mode order, the basis inputs with the gather of their heralded transfer
+and the logical readout; from its elements the realized steps
+(`Netlist.steps`), the circuit composed from them and the heralded
+amplitudes of the 8 basis inputs.  A new phase or new qubit amplitudes
+cost only the linear combination and the readout.  `coupler_operators`
+composes its steps with some couplers set by angle arrays, for each point
+of a parameter sweep the circuit rows that the basis inputs' photons
+enter, and reads the gate off that whole stack at once with
+`heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
 computes the same branches element by element; it is the reference the
 tests and the acceptance checks hold the permanent engine to.
@@ -73,7 +76,6 @@ from .elements import (
     compose_rows,
     coupler_matrices,
     isometry_deviation,
-    mode_columns,
     permanents,
     phase_shift,
     wave_plate,
@@ -160,12 +162,19 @@ _BAR_PARAMS = {
 COUPLER_KINDS = tuple(_BAR_PARAMS)
 
 
+def _check_name(name: Any, what: str) -> None:
+    """Raise NetlistError naming `what` unless `name` is a string."""
+    if not isinstance(name, str):
+        raise NetlistError(f"{what} {name!r} is not a string")
+
+
 @dataclass(frozen=True)
 class PortDecl:
     name: str
     role: str = "internal"
 
     def __post_init__(self):
+        _check_name(self.name, "port name")
         if self.role not in PORT_ROLES:
             raise NetlistError(f"unknown port role {self.role!r} for {self.name!r}")
 
@@ -180,9 +189,10 @@ class ElementSpec:
     unless its matrix is not unitary.  A list-valued parameter is stored as
     nested tuples, so changing the list it was built from changes neither
     the spec nor a circuit realized from it.  An array, in a list too,
-    raises NetlistError naming the parameter.  The ports are stored as a
-    tuple; a string there, which would name one port per character,
-    raises NetlistError.
+    raises NetlistError naming the parameter.  The name and each port are
+    strings, and no port is wired twice.  The ports are stored as a tuple;
+    a string there, which would name one port per character, raises
+    NetlistError.
     """
 
     name: str
@@ -191,6 +201,7 @@ class ElementSpec:
     params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self):
+        _check_name(self.name, "element name")
         if self.kind not in ELEMENT_KINDS:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
         arity, rules = ELEMENT_KINDS[self.kind]
@@ -198,8 +209,12 @@ class ElementSpec:
         if isinstance(self.ports, str):
             raise NetlistError(f"{what} ports must be a list of port names, got the string {self.ports!r}")
         object.__setattr__(self, "ports", tuple(self.ports))
+        for port in self.ports:
+            _check_name(port, f"element {self.name!r} port")
         if arity is not None and len(self.ports) != arity:
             raise NetlistError(f"{what} needs {arity} port(s), got {len(self.ports)}")
+        if len(set(self.ports)) != len(self.ports):
+            raise NetlistError(f"element {self.name!r} wires a port twice")
         params = tuple((key, _frozen(value, self.name, key)) for key, value in self.params)
         for key, value in self.params:
             if key not in rules:
@@ -241,8 +256,8 @@ def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSp
 class HeraldTerm:
     """Exact-count condition: `count` photons total over ports x pols.
 
-    Ports given as a string, a count that is not a non-negative int, or a
-    pol that is not a Polarization raise NetlistError when the term is made.
+    Ports given as a string or naming a non-string, a count that is not a
+    non-negative int, or a pol that is not a Polarization raise NetlistError.
     """
 
     ports: tuple[str, ...]
@@ -252,6 +267,8 @@ class HeraldTerm:
     def __post_init__(self):
         if isinstance(self.ports, str):
             raise NetlistError(f"herald term ports must be a list of port names, got the string {self.ports!r}")
+        for port in self.ports:
+            _check_name(port, "herald term port")
         if isinstance(self.count, bool) or not isinstance(self.count, int):
             raise NetlistError(f"herald count must be an integer, got {self.count!r}")
         if self.count < 0:
@@ -263,19 +280,23 @@ class HeraldTerm:
 
 @dataclass(frozen=True)
 class QubitEncoding:
+    """The ports of the target, control and program photons: three distinct port names."""
+
     target: str
     control: str
     program: str
 
+    def __post_init__(self):
+        for role in ("target", "control", "program"):
+            _check_name(getattr(self, role), f"encoding {role}")
+        if len({self.target, self.control, self.program}) != 3:
+            raise NetlistError("target, control and program ports must be distinct")
+
 
 class Step(NamedTuple):
-    """One realized element: its spec, its modes' columns, its read-only matrix, and `at`, where it acts.
-
-    `at` is the columns' `column_placement`.
-    """
+    """One realized element: its spec, its read-only matrix and `at`, its columns' `column_placement`."""
 
     spec: ElementSpec
-    columns: np.ndarray
     matrix: np.ndarray
     at: slice | np.ndarray
 
@@ -284,20 +305,22 @@ class Step(NamedTuple):
 class Netlist:
     """One validated circuit; it derives its structure and realizes its elements once.
 
-    Everything a netlist derives is computed on first use and kept on the
-    instance, read-only.  From its ports, herald and encoding: `modes`, the
-    canonical mode order (declared port order, H before V) of circuit
-    matrices and states, and `columns`, a read-only view mapping each mode
-    to its index there; `basis_inputs`, the occupations of the 8
-    three-photon basis inputs, row 4 t + 2 c + p for target t, control c
-    and program p (0 = H); `basis_gather`, what `heralded_transfer` gathers
-    for them; and `readout`, the (outputs x 4) 0/1 matrix that reads those
-    outputs as logical |tc>.  From its elements: the `steps` (each element
-    realized once, with its columns), the circuit matrix `compose` makes
-    of them and the (8, outputs) heralded amplitudes of the basis inputs.
-    None of it takes part in equality, hashing or pickling: `replace`,
-    `with_overrides`, `pickle` and `copy` make a new instance that derives
-    its own.
+    Its modes are laid out by one rule, declared port order with H before
+    V: mode (port, pol) is at `column(port, pol)`, twice the port's index
+    plus 1 for V, and every structure below finds its columns so; `Mode`
+    objects appear only in `modes` and the states on them.  Everything a
+    netlist derives is kept on the instance, read-only, and computed on
+    first use, but for the port index that validation reads.  From its
+    ports, herald and encoding: `modes`; `basis_inputs`, the occupations
+    of the 8 three-photon basis inputs, row 4 t + 2 c + p for target t,
+    control c and program p (0 = H); `basis_gather`, what
+    `heralded_transfer` gathers for them; and `readout`, the (outputs x 4)
+    0/1 matrix that reads those outputs as logical |tc>.  From its
+    elements: the `steps` (each element realized and placed once), the
+    circuit matrix `compose` makes of them and the (8, outputs) heralded
+    amplitudes of the basis inputs.  None of it takes part in equality,
+    hashing or pickling: `replace`, `with_overrides`, `pickle` and `copy`
+    make a new instance that derives its own.
     """
 
     ports: tuple[PortDecl, ...]
@@ -318,12 +341,12 @@ class Netlist:
         return modes_for_ports(self.port_names)
 
     @cached_property
-    def _columns(self) -> dict[Mode, int]:
-        return {m: i for i, m in enumerate(self.modes)}
+    def _port_index(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.port_names)}
 
-    @property
-    def columns(self) -> Mapping[Mode, int]:
-        return MappingProxyType(self._columns)
+    def column(self, port: str, pol: Polarization) -> int:
+        """Mode (port, pol)'s index in `modes`; KeyError for an undeclared port, ValueError for a non-pol."""
+        return 2 * self._port_index[port] + (H, V).index(pol)
 
     @property
     def port_names(self) -> tuple[str, ...]:
@@ -336,43 +359,27 @@ class Netlist:
         raise KeyError(f"no element named {name!r}")
 
     def validate(self) -> None:
-        enc = self.encoding
-        named = [("port name", p.name) for p in self.ports]
-        for el in self.elements:
-            named.append(("element name", el.name))
-            named += [(f"element {el.name!r} port", p) for p in el.ports]
-        for i, term in enumerate(self.herald):
-            named += [(f"herald term {i} port", p) for p in term.ports]
-        named += [(f"encoding {role}", getattr(enc, role)) for role in ("target", "control", "program")]
-        for what, name in named:
-            if not isinstance(name, str):
-                raise NetlistError(f"{what} {name!r} is not a string")
-        names = self.port_names
-        if len(set(names)) != len(names):
+        """Raise NetlistError for a fault between parts; each part checked itself when it was made."""
+        declared = self._port_index
+        if len(declared) != len(self.ports):
             raise NetlistError("duplicate port declarations")
         seen = set()
         for el in self.elements:
             if el.name in seen:
                 raise NetlistError(f"duplicate element name {el.name!r}")
             seen.add(el.name)
-            if len(set(el.ports)) != len(el.ports):
-                raise NetlistError(f"element {el.name!r} wires a port twice")
             for p in el.ports:
-                if p not in names:
-                    raise NetlistError(
-                        f"element {el.name!r} wired to undeclared port {p!r}"
-                    )
+                if p not in declared:
+                    raise NetlistError(f"element {el.name!r} wired to undeclared port {p!r}")
         if not self.herald:
             raise NetlistError("herald pattern is empty")
         for term in self.herald:
             for p in term.ports:
-                if p not in names:
+                if p not in declared:
                     raise NetlistError(f"herald references unknown port {p!r}")
         for qport in (self.encoding.target, self.encoding.control, self.encoding.program):
-            if qport not in names:
+            if qport not in declared:
                 raise NetlistError(f"encoding references unknown port {qport!r}")
-        if len({self.encoding.target, self.encoding.control, self.encoding.program}) != 3:
-            raise NetlistError("target, control and program ports must be distinct")
 
     def input_occupation(
         self,
@@ -388,7 +395,7 @@ class Netlist:
         enc = self.encoding
         for port, pol in ((enc.target, target), (enc.control, control), (enc.program, program)):
             if pol is not None:
-                vec[self._columns[Mode(port, pol)]] = 1
+                vec[self.column(port, pol)] = 1
         return tuple(vec)
 
     @cached_property
@@ -414,7 +421,7 @@ class Netlist:
         """The herald terms as exact-count conditions on the columns of `modes`."""
         return HeraldPattern(tuple(
             HeraldCondition(
-                tuple(self._columns[Mode(p, pol)] for p in term.ports for pol in term.pols),
+                tuple(self.column(p, pol) for p in term.ports for pol in term.pols),
                 term.count,
             )
             for term in self.herald
@@ -435,7 +442,7 @@ class Netlist:
         outputs, enc = self.basis_gather[2], self.encoding
 
         def count(port: str, pol: Polarization) -> np.ndarray:
-            return outputs[:, self._columns[Mode(port, pol)]]
+            return outputs[:, self.column(port, pol)]
 
         t_v, c_v = count(enc.target, V), count(enc.control, V)
         ok = (
@@ -474,17 +481,18 @@ class Netlist:
     def steps(self) -> tuple[Step, ...]:
         """The elements that act on modes, each realized once, in application order.
 
-        A step holds the element's spec, the read-only circuit columns of its
-        modes, a read-only view of its matrix and the columns' placement, so
-        no composition resolves them again.  An element whose matrix is not
-        unitary raises NetlistError naming it, as `build_matrices` does.
+        A step holds the element's spec, a read-only view of its matrix and
+        the placement of its modes' columns, read-only, so no composition
+        resolves them again.  An element whose matrix is not unitary raises
+        NetlistError naming it, as `build_matrices` does.
         """
         steps = []
         for el, m in self._realized():
             matrix = m.matrix.view()
             matrix.flags.writeable = False
-            columns = mode_columns(self.modes, m.modes)
-            steps.append(Step(el, columns, matrix, column_placement(columns)))
+            columns = np.array([self.column(mode.port, mode.pol) for mode in m.modes])
+            columns.flags.writeable = False
+            steps.append(Step(el, matrix, column_placement(columns)))
         return tuple(steps)
 
     def compose(self, stacks: Mapping[int, np.ndarray] = MappingProxyType({})) -> np.ndarray:
@@ -702,9 +710,9 @@ def extend_state(state: PureState, netlist: Netlist) -> PureState:
     """
     mapping = []
     for m in state.modes:
-        if m not in netlist.columns:
+        if m.port not in netlist._port_index:
             raise KeyError(f"mode {m!r} is not a mode of the netlist")
-        mapping.append(netlist.columns[m])
+        mapping.append(netlist.column(m.port, m.pol))
     terms = {}
     for vec, amp in state.items():
         new = [0] * len(netlist.modes)

@@ -147,14 +147,7 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
             )
             for el in data["elements"]
         )
-        herald = tuple(
-            HeraldTerm(
-                tuple(_list(t["ports"], f"herald term {i} ports")),
-                tuple(_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols")),
-                t["count"],
-            )
-            for i, t in enumerate(data["herald"])
-        )
+        herald = tuple(_herald_term(i, t) for i, t in enumerate(data["herald"]))
         enc = data["encoding"]
         encoding = QubitEncoding(enc["target"], enc["control"], enc["program"])
         return Netlist(ports, elements, herald, encoding)
@@ -162,6 +155,16 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise NetlistError(f"malformed netlist document: {exc}") from exc
+
+
+def _herald_term(i: int, t: Mapping[str, Any]) -> HeraldTerm:
+    """Herald term `i` of a netlist document; a term has no name, so its faults name its index."""
+    ports = tuple(_list(t["ports"], f"herald term {i} ports"))
+    pols = tuple(_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols"))
+    try:
+        return HeraldTerm(ports, pols, t["count"])
+    except NetlistError as exc:
+        raise NetlistError(exc.args[0].replace("herald term", f"herald term {i}", 1)) from exc
 
 
 def _list(value: Any, what: str) -> list:

@@ -556,6 +556,12 @@ def test_sweep_deltas_end_at_the_last_point_not_above_hi(step, last):
     assert deltas[-1] <= 10.0 < deltas[-1] + step
 
 
+def test_sweep_deltas_refuse_a_last_index_at_the_limit():
+    # (hi - lo) / step plus the slack is exactly 10001.0: a grid of 10002 points
+    with pytest.raises(ValueError, match="more than 10001 points"):
+        sweep_deltas((0.0, MAX_SWEEP_POINTS - 1e-9), 1.0)
+
+
 def test_sweep_deltas_limit_the_grid_size():
     assert len(sweep_deltas((0.0, 10_000.0), 1.0)) == MAX_SWEEP_POINTS
     for delta_range, step in (((0.0, 10_001.0), 1.0), ((-1e300, 1e300), 1.0),
@@ -689,7 +695,7 @@ def _row_bits(row):
 
 def test_two_sweeps_plan_their_structure_once(monkeypatch):
     gathers, occupations, built, composed, copies = [], [], [], [], []
-    read, placed, resolved, deviations = [], [], [], []
+    read, resolved, deviations = [], [], []
 
     def spy(log, fn, record=lambda *args: args):
         def wrapper(*args, **kwargs):
@@ -705,8 +711,6 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     monkeypatch.setattr(Netlist, "__post_init__", spy(copies, Netlist.__post_init__))
     monkeypatch.setattr(design, "coupler_angles",
                         spy(read, design.coupler_angles, lambda el, _: el.name))
-    monkeypatch.setattr(gate, "mode_columns",
-                        spy(placed, gate.mode_columns, lambda _, modes, __: modes))
     monkeypatch.setattr(gate, "column_placement", spy(resolved, gate.column_placement))
     monkeypatch.setattr(gate, "isometry_deviation", spy(deviations, gate.isometry_deviation))
     netlist = default_netlist()
@@ -724,8 +728,7 @@ def test_two_sweeps_plan_their_structure_once(monkeypatch):
     assert all(rows is netlist._row_block[0] for *_, rows, _ in composed)
     # each coupler's own angles read once per sweep, not per batch or point
     assert sorted(read) == sorted(2 * ["PBS1", "F1", "PPBS", "F2", "PBS3", "PBS2"])
-    assert len(placed) == len(netlist.steps)  # each step's columns resolved once
-    assert len(resolved) == len(netlist.steps)  # and placed once
+    assert len(resolved) == len(netlist.steps)  # each step's columns placed once
     for _, placements, *_ in composed:  # and passed as they were placed
         assert all(at is step.at for at, step in zip(placements, netlist.steps))
     # the unitarity bound: one deviation per step, computed once across both sweeps

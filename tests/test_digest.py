@@ -18,7 +18,7 @@ def test_digest_runs_and_is_repeatable():
     )
     lines = [tuple(line.split(" ")) for line in run.stdout.splitlines()]
     assert [name for name, _ in lines] == [
-        "extract_gate", "tolerance_sweep", "tolerance_sweep_physics_file", "tolerance_sweep_checked",
+        "extract_gate", "tolerance_sweep", "tolerance_sweep_physics_file", "tolerance_sweep_checked", "layouts",
         "run_heralded", "run_heralded_foreign", "total",
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in lines)

@@ -10,6 +10,7 @@ from fockgate.fock import (
     HeraldPattern,
     Mode,
     PureState,
+    check_qubit,
     modes_for_ports,
     norm_squared,
     program_state,
@@ -135,6 +136,18 @@ def test_term_iteration_is_stable():
 def test_pruning_drops_tiny_amplitudes():
     state = PureState(M1, {(0,): 1.0, (1,): 1e-15})
     assert len(state) == 1
+
+
+def test_pruning_keeps_5e_14_and_drops_5e_15():
+    # literal values: a test scaled by PRUNE_THRESHOLD moves with it
+    assert len(PureState(M1, {(1,): 5e-14})) == 1
+    assert len(PureState(M1, {(1,): 5e-15})) == 0
+
+
+def test_check_qubit_refuses_a_norm_off_by_1e_10():
+    check_qubit(math.sqrt(1 + 1e-13), 0)
+    with pytest.raises(ValueError, match="deviates"):
+        check_qubit(math.sqrt(1 + 1e-10), 0)
 
 
 def test_qubit_state_rejects_unnormalized():

@@ -36,7 +36,6 @@ from fockgate.elements import (
     _check_isometry,
     compose_circuit_matrix,
     coupler_matrices,
-    mode_columns,
     permanents,
     phase_shift,
     wave_plate,
@@ -119,16 +118,37 @@ def _three_port_netlist(**fields):
     return Netlist(**{**parts, **fields})
 
 
-@pytest.mark.parametrize("field, fields", [
-    ("port name", {"ports": (PortDecl(("a",), "io"), PortDecl("b", "io"), PortDecl("c", "io"))}),
-    ("element name", {"elements": (spec(7, "waveplate", ("a",), preset="hadamard"),)}),
-    ("element 'X' port", {"elements": (spec("X", "waveplate", (b"a",), preset="hadamard"),)}),
-    ("herald term 0 port", {"herald": (HeraldTerm((None,), (H, V), 1),)}),
-    ("encoding control", {"encoding": QubitEncoding("a", 1.0, "c")}),
+@pytest.mark.parametrize("field, make", [
+    ("port name", lambda: PortDecl(("a",), "io")),
+    ("element name", lambda: spec(7, "waveplate", ("a",), preset="hadamard")),
+    ("element 'X' port", lambda: spec("X", "waveplate", (b"a",), preset="hadamard")),
+    ("herald term port", lambda: HeraldTerm((None,), (H, V), 1)),
+    ("encoding control", lambda: QubitEncoding("a", 1.0, "c")),
 ])
-def test_netlist_names_a_name_that_is_not_a_string(field, fields):
-    _three_port_netlist()
+def test_a_part_names_a_name_that_is_not_a_string_when_it_is_made(field, make):
     with pytest.raises(NetlistError, match=f"^{re.escape(field)} .* is not a string$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QubitEncoding("T", "T", "P"), "target, control and program ports must be distinct"),
+    (lambda: spec("X", "pbs", ("a", "a")), "element 'X' wires a port twice"),
+])
+def test_a_part_refuses_a_port_named_twice_when_it_is_made(make, message):
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ports": (PortDecl("a", "io"), PortDecl("a", "loss"), PortDecl("c", "io"))},
+     "duplicate port declarations"),
+    ({"herald": ()}, "herald pattern is empty"),
+    ({"herald": (HeraldTerm(("z",), (H, V), 1),)}, "herald references unknown port 'z'"),
+    ({"encoding": QubitEncoding("a", "b", "z")}, "encoding references unknown port 'z'"),
+])
+def test_a_netlist_checks_that_its_parts_name_declared_ports(fields, message):
+    _three_port_netlist()
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         _three_port_netlist(**fields)
 
 
@@ -152,7 +172,7 @@ def _reordered_netlist():
 @pytest.mark.parametrize("make", [default_netlist, _reordered_netlist], ids=["default", "reordered"])
 def test_columns_index_modes_and_place_the_herald(make):
     nl = make()
-    assert nl.columns == {m: list(nl.modes).index(m) for m in nl.modes}
+    assert all(nl.column(m.port, m.pol) == k for k, m in enumerate(nl.modes))
     constraints = [
         ([Mode(p, pol) for p in term.ports for pol in term.pols], term.count)
         for term in nl.herald
@@ -161,13 +181,26 @@ def test_columns_index_modes_and_place_the_herald(make):
 
 
 def test_reordered_ports_reorder_the_columns():
-    assert _reordered_netlist().columns[Mode("F2_LOSS", H)] == 0
+    assert _reordered_netlist().column("F2_LOSS", H) == 0
+
+
+def test_a_column_needs_a_declared_port_and_a_polarization(netlist):
+    with pytest.raises(KeyError):
+        netlist.column("Z", H)
+    with pytest.raises(ValueError):  # a string is no polarization: it is not placed as H
+        netlist.column("T", "V")
 
 
 def test_with_overrides_keeps_modes_and_columns(netlist):
     tuned = netlist.with_overrides({"F1": netlist.element("F1").with_params(t_h=0.4)})
     assert tuned.modes == netlist.modes
-    assert tuned.columns == netlist.columns
+    assert [tuned.column(m.port, m.pol) for m in tuned.modes] == list(range(len(netlist.modes)))
+
+
+def test_extend_state_refuses_a_mode_on_an_undeclared_port(netlist):
+    state = PureState((Mode("Z", H),), {(1,): 1.0})
+    with pytest.raises(KeyError, match="mode Z:H is not a mode of the netlist"):
+        extend_state(state, netlist)
 
 
 def test_netlists_compare_and_hash_by_their_fields():
@@ -662,7 +695,7 @@ def test_circuit_matrix_is_kept_read_only():
     with pytest.raises(ValueError, match="read-only"):
         unitary[0, 0] = 0.0
     matrices = nl.build_matrices()
-    columns = [mode_columns(nl.modes, m.modes) for m in matrices]
+    columns = [np.array([list(nl.modes).index(mode) for mode in m.modes]) for m in matrices]
     assert np.array_equal(
         unitary, compose_circuit_matrix([m.matrix for m in matrices], columns, len(nl.modes))
     )
@@ -674,7 +707,8 @@ def test_steps_are_realized_once_read_only_and_compose_the_circuit():
     assert nl.steps is steps
     assert [step.spec.name for step in steps] == [el.name for el in nl.elements]
     for step, built in zip(steps, nl.build_matrices()):
-        assert np.array_equal(step.columns, mode_columns(nl.modes, modes_for_ports(step.spec.ports)))
+        columns = [list(nl.modes).index(mode) for mode in modes_for_ports(step.spec.ports)]
+        assert np.arange(len(nl.modes))[step.at].tolist() == columns
         assert np.array_equal(step.matrix, built.matrix)
         with pytest.raises(ValueError, match="read-only"):
             step.matrix[0, 0] = 0.0
@@ -785,6 +819,15 @@ def test_coupler_operators_accept_the_blocks_the_full_check_accepts(kind):
 def _with_herald(herald):
     nl = default_netlist()
     return Netlist(nl.ports, nl.elements, herald, nl.encoding)
+
+
+@pytest.mark.parametrize("program_terms", [(HeraldTerm(("P",), (H, V), 1),), ()], ids=["both_pols", "none"])
+def test_the_detector_mode_is_v_without_a_one_polarization_program_term(program_terms):
+    # the readout then reads the program port's V mode, as on the shipped netlist
+    shipped = default_netlist()
+    nl = _with_herald(shipped.herald[:2] + program_terms)
+    assert nl.detector_pol is V
+    assert extract_gate(nl, 1.0).operator.tobytes() == extract_gate(shipped, 1.0).operator.tobytes()
 
 
 READOUT_HERALDS = {
@@ -942,7 +985,7 @@ def test_overridden_netlist_has_its_own_circuit():
 
 
 def _assert_own_equal_structure(copy, parent):
-    assert copy.modes == parent.modes and copy.columns == parent.columns
+    assert copy.modes == parent.modes and copy._port_index == parent._port_index
     for own, parents in zip(copy.basis_gather + (copy.readout,), parent.basis_gather + (parent.readout,)):
         assert own is not parents
         assert own.dtype == parents.dtype and own.shape == parents.shape
@@ -960,9 +1003,6 @@ def test_a_netlist_derives_its_own_read_only_structure():
     for array in a.basis_gather + (a.readout,):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 2
-    with pytest.raises(TypeError, match="does not support item assignment"):
-        a.columns[a.modes[0]] = 5
-    assert a.columns[a.modes[0]] == 0
 
 
 def test_a_netlist_pickles_and_copies():
@@ -974,13 +1014,15 @@ def test_a_netlist_pickles_and_copies():
     # a netlist that has derived its circuit pickles as its four fields alone
     assert pickle.dumps(nl) == pickle.dumps(default_netlist())
     for clone in (pickle.loads(pickle.dumps(nl)), copy.deepcopy(nl), copy.copy(nl)):
-        assert vars(clone).keys() == {"ports", "elements", "herald", "encoding"}
-        assert clone == nl and clone.modes == nl.modes and clone.columns == nl.columns
+        # its fields and the port index its validation reads, nothing of `nl`'s
+        assert vars(clone).keys() == {"ports", "elements", "herald", "encoding", "_port_index"}
+        assert clone == nl and clone.modes == nl.modes and clone._port_index == nl._port_index
         assert _gate_bits(extract_gate(clone, 0.9)) == before
         # what the clone derives is its own and read-only
         assert circuit_matrix(clone) is not circuit_matrix(nl)
         kept = [circuit_matrix(clone), clone._basis_amplitudes, clone.readout,
-                *clone.basis_gather, *(step.matrix for step in clone.steps)]
+                *clone.basis_gather, *(step.matrix for step in clone.steps),
+                *(step.at for step in clone.steps if isinstance(step.at, np.ndarray))]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 5.0
@@ -994,10 +1036,12 @@ def test_rewired_element_composes_on_its_new_columns():
     })
     _assert_own_equal_structure(rewired, base)
     pbs3 = next(step for step in rewired.steps if step.spec.name == "PBS3")
-    assert pbs3.columns.tolist() == [6, 7, 2, 3]
+    assert pbs3.at.tolist() == [6, 7, 2, 3]
     matrices = rewired.build_matrices()
     independent = compose_circuit_matrix(
-        [m.matrix for m in matrices], [mode_columns(rewired.modes, m.modes) for m in matrices], len(rewired.modes)
+        [m.matrix for m in matrices],
+        [np.array([list(rewired.modes).index(mode) for mode in m.modes]) for m in matrices],
+        len(rewired.modes),
     )
     assert np.array_equal(circuit_matrix(rewired), independent)
     assert not np.allclose(circuit_matrix(rewired), circuit_matrix(base))

@@ -18,6 +18,10 @@ next to this directory):
 - seeded `tolerance_sweep`s of the shipped netlist with its wave plates and
   rotated detector scaled by 1 + 1e-13, whose steps are too far from unitary
   for a sweep to skip the check of its circuits, which pass it: every row;
+- on the shipped netlist with its ports declared in reverse and on a copy
+  rewired with PBS3 on ports (P, L) and HWP1 on port C, whose modes the
+  netlist lays out in other columns: `extract_gate` at `GATE_PHIS` and a
+  seeded 21-point `tolerance_sweep`, as above;
 - seeded `prepare_input` + `run_heralded` calls on each case: the
   branch's occupations and amplitudes and the herald probability;
 - `run_heralded` on seeded states that are not basis inputs, which take a
@@ -84,20 +88,24 @@ class _Hash:
 
 
 def _gates(oracle, out: _Hash) -> None:
-    from fockgate.gate import BASIS_LABELS, extract_gate
-
     for case in sorted(oracle.ENGINE_CASES):
         netlist = oracle.ENGINE_CASES[case]()
         for phi in oracle.GATE_PHIS:
             out.label(f"{case} {phi!r}")
-            try:
-                got = extract_gate(netlist, phi)
-            except ValueError as exc:
-                out.error(exc)
-                continue
-            out.complexes(got.operator)
-            out.floats([got.herald_probability[label] for label in BASIS_LABELS])
-            out.floats([got.fidelity])
+            _gate(netlist, phi, out)
+
+
+def _gate(netlist, phi: float, out: _Hash) -> None:
+    from fockgate.gate import BASIS_LABELS, extract_gate
+
+    try:
+        got = extract_gate(netlist, phi)
+    except ValueError as exc:
+        out.error(exc)
+        return
+    out.complexes(got.operator)
+    out.floats([got.herald_probability[label] for label in BASIS_LABELS])
+    out.floats([got.fidelity])
 
 
 def _sweeps(oracle, out: _Hash) -> None:
@@ -177,6 +185,46 @@ def _checked_sweeps(oracle, out: _Hash) -> None:
         _rows(tolerance_sweep(netlist, physics, dimension, (-10.0, 10.0), 0.25, phi), out)
 
 
+def _reversed_ports():
+    from fockgate.gate import default_netlist
+    from fockgate.io import netlist_from_dict, netlist_to_dict
+
+    data = netlist_to_dict(default_netlist())
+    data["ports"] = data["ports"][::-1]
+    return netlist_from_dict(data)
+
+
+def _rewired():
+    from fockgate.gate import default_netlist, spec
+
+    return default_netlist().with_overrides({
+        "PBS3": spec("PBS3", "pbs", ("P", "L")),
+        "HWP1": spec("HWP1", "waveplate", ("C",), preset="hwp1"),
+    })
+
+
+def _layouts(oracle, out: _Hash) -> None:
+    from fockgate.design import DIMENSIONS, CouplerPhysics, tolerance_sweep
+
+    for case, make in (("reversed ports", _reversed_ports), ("rewired", _rewired)):
+        for phi in oracle.GATE_PHIS:
+            out.label(f"{case} {phi!r}")
+            _gate(make(), phi, out)
+        rng = random.Random(f"layout-{case}")
+        dimension = rng.choice(DIMENSIONS)
+        physics = CouplerPhysics().with_sensitivities(
+            dimension, rng.uniform(-0.006, 0.006), rng.uniform(-0.006, 0.006)
+        )
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        out.label(f"{case} {dimension} {physics.sensitivities!r} {phi!r}")
+        try:
+            rows = tolerance_sweep(make(), physics, dimension, (-10.0, 10.0), 1.0, phi)
+        except ValueError as exc:
+            out.error(exc)
+            continue
+        _rows(rows, out)
+
+
 def _rows(rows, out: _Hash) -> None:
     for row in rows:
         out.floats([row.delta_nm, *row.herald_probabilities, row.fidelity])
@@ -209,13 +257,10 @@ def _branch(result, out: _Hash) -> None:
 
 def _foreign_branches(oracle, out: _Hash) -> None:
     from fockgate.fock import H, V, PureState
-    from fockgate.gate import default_netlist, run_heralded
-    from fockgate.io import netlist_from_dict, netlist_to_dict
+    from fockgate.gate import run_heralded
 
-    reversed_ports = netlist_to_dict(default_netlist())
-    reversed_ports["ports"] = reversed_ports["ports"][::-1]
     makers = {case: oracle.ENGINE_CASES[case] for case in sorted(oracle.ENGINE_CASES)}
-    makers["reversed ports"] = lambda: netlist_from_dict(reversed_ports)
+    makers["reversed ports"] = _reversed_ports
     for case, make in makers.items():
         netlist = make()
         n_modes = len(netlist.modes)
@@ -242,6 +287,7 @@ PARTS = (
     ("tolerance_sweep", _sweeps),
     ("tolerance_sweep_physics_file", _physics_file_sweeps),
     ("tolerance_sweep_checked", _checked_sweeps),
+    ("layouts", _layouts),
     ("run_heralded", _branches),
     ("run_heralded_foreign", _foreign_branches),
 )
