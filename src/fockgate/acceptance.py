@@ -25,6 +25,8 @@ from .fock import (
     project_herald,
 )
 from .elements import (
+    HADAMARD_MATRIX,
+    HWP1_MATRIX,
     amplitude_via_permanent,
     apply_element,
     wave_plate,
@@ -241,8 +243,8 @@ def check_conservation_suite(seed: int = 7) -> CheckResult:
             spec("BS", "beamsplitter", ("a", "b"), t_h=1 / math.sqrt(2), r_h=1 / math.sqrt(2))
         ),
         build_element(spec("PPBS", "ppbs", ("a", "b"))),
-        wave_plate("a", "hadamard"),
-        wave_plate("a", "hwp1"),
+        wave_plate("a", HADAMARD_MATRIX),
+        wave_plate("a", HWP1_MATRIX),
     ]
     ok = True
     details = []
@@ -274,7 +276,7 @@ def check_conservation_suite(seed: int = 7) -> CheckResult:
     details.append(f"partition sum deviation {partition_dev:.2e}")
 
     # Hadamard-form plate is involutive
-    had = wave_plate("a", "hadamard")
+    had = wave_plate("a", HADAMARD_MATRIX)
     state = _random_state(rng, modes, n_photons=2)
     twice = apply_element(apply_element(state, had), had)
     invol_dev = _state_distance(state, twice)

@@ -256,11 +256,6 @@ class CouplerPhysics:
             for name in sorted(lengths)
         ))
 
-    def sensitivity(self, dimension: str, pol: Polarization) -> float:
-        """The beat-length shift per nm of `dimension`; KeyError for one not in DIMENSIONS."""
-        s_h, s_v = dict(self.sensitivities)[dimension]
-        return s_h if pol is H else s_v
-
     def with_sensitivities(self, dimension: str, s_h: float, s_v: float) -> "CouplerPhysics":
         """A copy with the (H, V) sensitivities of `dimension` replaced, checked as when made."""
         sensitivities = {**dict(self.sensitivities), dimension: (s_h, s_v)}

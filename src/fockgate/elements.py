@@ -127,22 +127,14 @@ def coupler_matrices(
     return m.reshape(m.shape[:-1] + (4, 4))
 
 
-def wave_plate(port: str, matrix: np.ndarray | str) -> ElementMatrix:
-    """2x2 unitary on the (H, V) modes of one port.
+def wave_plate(port: str, matrix: np.ndarray | Sequence[Sequence[complex]]) -> ElementMatrix:
+    """2x2 unitary `matrix` on the (H, V) modes of one port.
 
-    `matrix` may be a preset name ('hwp1', 'hadamard') or an explicit
-    2x2 array in transfer orientation (rows H, V in; columns H, V out).
+    The matrix is in transfer orientation (rows H, V in; columns H, V
+    out), such as a value of WAVEPLATE_PRESETS; `ElementMatrix` refuses
+    one of another shape or one that is not unitary.
     """
-    if isinstance(matrix, str):
-        try:
-            m = WAVEPLATE_PRESETS[matrix]
-        except KeyError:
-            raise ValueError(f"unknown wave plate preset {matrix!r}") from None
-    else:
-        m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"wave plate matrix must be 2x2, got {m.shape}")
-    return ElementMatrix(modes_for_ports((port,)), m)
+    return ElementMatrix(modes_for_ports((port,)), matrix)
 
 
 def phase_shift(port: str, phase_h: float = 0.0, phase_v: float = 0.0) -> ElementMatrix:
@@ -211,7 +203,7 @@ def apply_element(state: PureState, element: ElementMatrix) -> PureState:
             total = coeff * math.sqrt(_prod_fact(out_vec[j] for j in idx))
             terms[out_vec] = terms.get(out_vec, 0.0) + total
     kept = {k: v for k, v in terms.items() if abs(v) >= PRUNE_THRESHOLD}
-    return PureState(new_modes, kept, subnormalized=state.subnormalized)
+    return PureState(new_modes, kept)
 
 
 def _prod_fact(ns: Iterable[int]) -> float:

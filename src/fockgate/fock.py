@@ -37,10 +37,17 @@ V = Polarization.V
 
 @dataclass(frozen=True, order=True)
 class Mode:
-    """A single optical mode: a named spatial port carrying one polarization."""
+    """A single optical mode: a named spatial port carrying one polarization.
+
+    A `pol` that is not a Polarization raises ValueError naming it.
+    """
 
     port: str
     pol: Polarization
+
+    def __post_init__(self):
+        if not isinstance(self.pol, Polarization):
+            raise ValueError(f"mode polarization {self.pol!r} is not a Polarization (H or V)")
 
     def __repr__(self) -> str:
         return f"{self.port}:{self.pol.value}"
@@ -63,9 +70,8 @@ class PureState:
 
     Amplitudes below PRUNE_THRESHOLD are dropped at construction, so a
     zero state has no stored terms; a NaN or infinite amplitude raises
-    ValueError.  `subnormalized` flags states whose
-    squared norm is intentionally below one (heralded branches); such
-    states are never silently renormalized.
+    ValueError.  A state is never renormalized: a heralded branch keeps
+    its squared norm, the herald probability.
 
     Checks, then core: the constructor refuses an occupation vector whose
     length is not the number of modes or that holds a negative count (it
@@ -78,14 +84,9 @@ class PureState:
     constructor builds, bit for bit.
     """
 
-    __slots__ = ("modes", "_terms", "subnormalized")
+    __slots__ = ("modes", "_terms")
 
-    def __init__(
-        self,
-        modes: Sequence[Mode],
-        terms: Mapping[FockVector, complex],
-        subnormalized: bool = False,
-    ):
+    def __init__(self, modes: Sequence[Mode], terms: Mapping[FockVector, complex]):
         modes = tuple(modes)
         n = len(modes)
         for vec in terms:
@@ -96,23 +97,16 @@ class PureState:
                 )
             if min(vec, default=0) < 0:
                 raise ValueError(f"negative occupation in {vec}")
-        self._fill(modes, terms, subnormalized)
+        self._fill(modes, terms)
 
     @classmethod
-    def _from_valid(
-        cls,
-        modes: tuple[Mode, ...],
-        terms: Mapping[FockVector, complex],
-        subnormalized: bool = False,
-    ) -> "PureState":
+    def _from_valid(cls, modes: tuple[Mode, ...], terms: Mapping[FockVector, complex]) -> "PureState":
         """The constructor's state, without its occupation checks; `modes` is a tuple."""
         state = cls.__new__(cls)
-        state._fill(modes, terms, subnormalized)
+        state._fill(modes, terms)
         return state
 
-    def _fill(
-        self, modes: tuple[Mode, ...], terms: Mapping[FockVector, complex], subnormalized: bool
-    ) -> None:
+    def _fill(self, modes: tuple[Mode, ...], terms: Mapping[FockVector, complex]) -> None:
         kept: dict[FockVector, complex] = {}
         for vec, amp in terms.items():
             if not cmath.isfinite(amp):
@@ -122,7 +116,6 @@ class PureState:
         self.modes = modes
         # canonical order: lexicographic over occupation vectors
         self._terms = dict(sorted(kept.items()))
-        self.subnormalized = subnormalized
 
     @classmethod
     def vacuum(cls, modes: Sequence[Mode]) -> "PureState":
@@ -166,9 +159,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     for va, ca in a.items():
         for vb, cb in b.items():
             terms[va + vb] = ca * cb
-    return PureState(
-        modes, terms, subnormalized=a.subnormalized or b.subnormalized
-    )
+    return PureState(modes, terms)
 
 
 @dataclass(frozen=True)
@@ -221,7 +212,7 @@ def project_herald(state: PureState, pattern: HeraldPattern) -> tuple[PureState,
                 raise KeyError(f"herald references mode index {i} outside state")
     kept = {vec: amp for vec, amp in state.items() if pattern.satisfied(vec)}
     prob = sum(abs(a) ** 2 for a in kept.values())
-    return PureState(state.modes, kept, subnormalized=True), prob
+    return PureState(state.modes, kept), prob
 
 
 def qubit_state(modes: Sequence[Mode], port: str, alpha: complex, beta: complex) -> PureState:

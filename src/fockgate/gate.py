@@ -168,6 +168,19 @@ def _check_name(name: Any, what: str) -> None:
         raise NetlistError(f"{what} {name!r} is not a string")
 
 
+def _as_tuple(values: Any, what: str, items: str) -> tuple:
+    """`values` as a tuple; NetlistError naming `what` for a value that is not iterable.
+
+    A string, which would give one item per character, is refused too.
+    """
+    if isinstance(values, str):
+        raise NetlistError(f"{what} must be a list of {items}, got the string {values!r}")
+    try:
+        return tuple(values)
+    except TypeError:
+        raise NetlistError(f"{what} must be a list of {items}, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class PortDecl:
     name: str
@@ -186,13 +199,15 @@ class ElementSpec:
     Checked when it is made, from a file or in Python, against its kind in
     ELEMENT_KINDS and `_REQUIRED`: a fault raises NetlistError naming the
     element and the parameter, so a spec that is made always realizes
-    unless its matrix is not unitary.  A list-valued parameter is stored as
-    nested tuples, so changing the list it was built from changes neither
-    the spec nor a circuit realized from it.  An array, in a list too,
-    raises NetlistError naming the parameter.  The name and each port are
-    strings, and no port is wired twice.  The ports are stored as a tuple;
-    a string there, which would name one port per character, raises
-    NetlistError.
+    unless its matrix is not unitary.  The params are (key, value) pairs,
+    each key given once, and are stored as a tuple sorted by key, so specs
+    made from the same pairs in any order are equal.  A list-valued
+    parameter is stored as nested tuples, so changing the list it was
+    built from changes neither the spec nor a circuit realized from it.
+    An array, in a list too, raises NetlistError naming the parameter.
+    The name and each port are strings, and no port is wired twice.  The
+    ports are stored as a tuple; a string there, which would name one port
+    per character, raises NetlistError.
     """
 
     name: str
@@ -206,34 +221,35 @@ class ElementSpec:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
         arity, rules = ELEMENT_KINDS[self.kind]
         what = f"element {self.name!r} of kind {self.kind!r}"
-        if isinstance(self.ports, str):
-            raise NetlistError(f"{what} ports must be a list of port names, got the string {self.ports!r}")
-        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "ports", _as_tuple(self.ports, f"{what} ports", "port names"))
         for port in self.ports:
             _check_name(port, f"element {self.name!r} port")
         if arity is not None and len(self.ports) != arity:
             raise NetlistError(f"{what} needs {arity} port(s), got {len(self.ports)}")
         if len(set(self.ports)) != len(self.ports):
             raise NetlistError(f"element {self.name!r} wires a port twice")
-        params = tuple((key, _frozen(value, self.name, key)) for key, value in self.params)
-        for key, value in self.params:
+        params = {}
+        for pair in _as_tuple(self.params, f"{what} params", "(key, value) pairs"):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)):
+                raise NetlistError(f"{what} params must be (key, value) pairs, got {pair!r}")
+            key, value = pair
+            if key in params:
+                raise NetlistError(f"element {self.name!r} parameter {key!r} is given twice")
+            params[key] = _frozen(value, self.name, key)
             if key not in rules:
                 raise NetlistError(f"{what} has unknown parameter {key!r}")
             _check_param(self.name, key, rules[key], value)
-        keys = {key for key, _ in params}
         for group in _REQUIRED.get(self.kind, ()):
-            if keys.isdisjoint(group):
+            if params.keys().isdisjoint(group):
                 raise NetlistError(f"{what} lacks parameter {group[0]!r}")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", tuple(sorted(params.items(), key=lambda pair: pair[0])))
 
     @property
     def param_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
     def with_params(self, **updates: Any) -> "ElementSpec":
-        merged = dict(self.params)
-        merged.update(updates)
-        return replace(self, params=tuple(sorted(merged.items())))
+        return replace(self, params=(self.param_dict | updates).items())
 
 
 def _frozen(value: Any, name: str, key: str) -> Any:
@@ -249,15 +265,17 @@ def _frozen(value: Any, name: str, key: str) -> Any:
 
 
 def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSpec:
-    return ElementSpec(name, kind, ports, tuple(sorted(params.items())))
+    return ElementSpec(name, kind, ports, params.items())
 
 
 @dataclass(frozen=True)
 class HeraldTerm:
     """Exact-count condition: `count` photons total over ports x pols.
 
-    Ports given as a string or naming a non-string, a count that is not a
-    non-negative int, or a pol that is not a Polarization raise NetlistError.
+    The ports and pols are stored as tuples.  Ports given as a string or
+    naming a non-string, a count that is not a non-negative int, a pol that
+    is not a Polarization, or a port or pol given twice, which would count
+    its photons twice, raise NetlistError.
     """
 
     ports: tuple[str, ...]
@@ -265,8 +283,8 @@ class HeraldTerm:
     count: int
 
     def __post_init__(self):
-        if isinstance(self.ports, str):
-            raise NetlistError(f"herald term ports must be a list of port names, got the string {self.ports!r}")
+        object.__setattr__(self, "ports", _as_tuple(self.ports, "herald term ports", "port names"))
+        object.__setattr__(self, "pols", _as_tuple(self.pols, "herald term pols", "polarizations"))
         for port in self.ports:
             _check_name(port, "herald term port")
         if isinstance(self.count, bool) or not isinstance(self.count, int):
@@ -276,6 +294,10 @@ class HeraldTerm:
         for pol in self.pols:
             if not isinstance(pol, Polarization):
                 raise NetlistError(f"herald polarization {pol!r} is not a Polarization (H or V)")
+        for what, names in (("port", self.ports), ("polarization", [pol.value for pol in self.pols])):
+            for k, name in enumerate(names):
+                if name in names[:k]:
+                    raise NetlistError(f"herald term {what} {name!r} is given twice")
 
 
 @dataclass(frozen=True)
@@ -321,6 +343,12 @@ class Netlist:
     amplitudes of the basis inputs.  None of it takes part in equality,
     hashing or pickling: `replace`, `with_overrides`, `pickle` and `copy`
     make a new instance that derives its own.
+
+    Its ports, elements and herald are stored as tuples, so a netlist made
+    from lists equals and hashes as one made from tuples, and changing the
+    lists afterwards changes nothing it holds or derives.  A field that is
+    not a list of its part type (PortDecl, ElementSpec, HeraldTerm;
+    QubitEncoding for the encoding) raises NetlistError naming the field.
     """
 
     ports: tuple[PortDecl, ...]
@@ -329,6 +357,15 @@ class Netlist:
     encoding: QubitEncoding
 
     def __post_init__(self):
+        for field, part in (("ports", PortDecl), ("elements", ElementSpec), ("herald", HeraldTerm)):
+            what, items = f"netlist {field}", f"{part.__name__}s"
+            values = _as_tuple(getattr(self, field), what, items)
+            for value in values:
+                if not isinstance(value, part):
+                    raise NetlistError(f"{what} must be a list of {items}, got {value!r}")
+            object.__setattr__(self, field, values)
+        if not isinstance(self.encoding, QubitEncoding):
+            raise NetlistError(f"netlist encoding must be a QubitEncoding, got {self.encoding!r}")
         self.validate()
 
     def __reduce__(self):
@@ -621,8 +658,7 @@ def build_element(el: ElementSpec) -> ElementMatrix | None:
                 raise ValueError(f"{pol} amplitudes violate t^2 + r^2 = 1: t={t}, r={r}")
         return _filled(el.ports, bars, crosses, False)
     if el.kind == "waveplate":
-        matrix = np.asarray(p["matrix"], dtype=complex) if "matrix" in p else p["preset"]
-        return wave_plate(el.ports[0], matrix)
+        return wave_plate(el.ports[0], p["matrix"] if "matrix" in p else WAVEPLATE_PRESETS[p["preset"]])
     if el.kind == "phaseshift":
         return phase_shift(
             el.ports[0], phase_h=p.get("phase_h", 0.0), phase_v=p.get("phase_v", 0.0)
@@ -719,7 +755,7 @@ def extend_state(state: PureState, netlist: Netlist) -> PureState:
         for src, dst in enumerate(mapping):
             new[dst] = vec[src]
         terms[tuple(new)] = amp
-    return PureState(netlist.modes, terms, subnormalized=state.subnormalized)
+    return PureState(netlist.modes, terms)
 
 
 def run_elements(netlist: Netlist, state: PureState) -> PureState:
@@ -761,7 +797,7 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
         branch_amps = np.array(amps) @ transfer
         terms.update(zip(map(tuple, outputs.tolist()), branch_amps.tolist()))
     # the outputs are occupations the gather enumerated on `netlist.modes`
-    branch = PureState._from_valid(netlist.modes, terms, subnormalized=True)
+    branch = PureState._from_valid(netlist.modes, terms)
     return branch, norm_squared(branch)
 
 

@@ -135,19 +135,17 @@ def netlist_to_dict(netlist: Netlist) -> dict[str, Any]:
 
 def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
     try:
-        ports = tuple(
-            PortDecl(p["name"], p.get("role", "internal")) for p in data["ports"]
-        )
-        elements = tuple(
+        ports = [PortDecl(p["name"], p.get("role", "internal")) for p in data["ports"]]
+        elements = [
             ElementSpec(
                 el["name"],
                 el["kind"],
-                tuple(_list(el["ports"], f"element {el['name']!r} ports")),
-                tuple(sorted(_params_from_json(el["name"], el.get("params", {})).items())),
+                _list(el["ports"], f"element {el['name']!r} ports"),
+                _params_from_json(el["name"], el.get("params", {})).items(),
             )
             for el in data["elements"]
-        )
-        herald = tuple(_herald_term(i, t) for i, t in enumerate(data["herald"]))
+        ]
+        herald = [_herald_term(i, t) for i, t in enumerate(data["herald"])]
         enc = data["encoding"]
         encoding = QubitEncoding(enc["target"], enc["control"], enc["program"])
         return Netlist(ports, elements, herald, encoding)
@@ -159,8 +157,8 @@ def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
 
 def _herald_term(i: int, t: Mapping[str, Any]) -> HeraldTerm:
     """Herald term `i` of a netlist document; a term has no name, so its faults name its index."""
-    ports = tuple(_list(t["ports"], f"herald term {i} ports"))
-    pols = tuple(_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols"))
+    ports = _list(t["ports"], f"herald term {i} ports")
+    pols = [_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols")]
     try:
         return HeraldTerm(ports, pols, t["count"])
     except NetlistError as exc:
@@ -182,14 +180,31 @@ def load_netlist(path: str | Path) -> Netlist:
     the circuit matrix, which the netlist then keeps, makes a matrix that
     is not unitary fail here too, with NetlistError, before any work.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetlistError(f"netlist file {path} is not valid JSON: {exc}") from exc
-    netlist = netlist_from_dict(data)
+    netlist = netlist_from_dict(_read_json(path, "netlist", NetlistError))
     circuit_matrix(netlist)
     return netlist
+
+
+def _read_json(path: str | Path, what: str, error: type[ValueError]) -> Any:
+    """The JSON document in the file at `path`.
+
+    A file that is not valid JSON, or an object in it that gives a key
+    twice, which `json.loads` alone would resolve silently to the last
+    value, raises `error` naming the `what` file and the key.
+    """
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{what} file {path} gives the key {key!r} twice in one object")
+            obj[key] = value
+        return obj
+
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:
@@ -275,12 +290,7 @@ def _anchor(value: Any) -> NotchAnchor:
 
 
 def load_physics(path: str | Path) -> CouplerPhysics:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PhysicsError(f"physics file {path} is not valid JSON: {exc}") from exc
-    return physics_from_dict(data)
+    return physics_from_dict(_read_json(path, "physics", PhysicsError))
 
 
 def save_physics(physics: CouplerPhysics, path: str | Path) -> None:

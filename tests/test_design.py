@@ -127,9 +127,9 @@ def test_physics_refuses_a_sensitivity_of_another_shape(sensitivities, message):
 
 
 def test_with_sensitivities_keeps_every_dimension():
-    # the width-only physics used to drop gap, and sensitivity("gap", H) raised KeyError
+    # the width-only physics used to drop gap, and reading the gap's H sensitivity raised KeyError
     physics = CouplerPhysics(sensitivities=(("width", (0.1, 0.2)),)).with_sensitivities("gap", 0.3, 0.3)
-    assert physics.sensitivity("gap", H) == 0.3
+    assert dict(physics.sensitivities)["gap"][0] == 0.3
     assert physics.sensitivities == (("width", (0.1, 0.2)), ("height", (0.0, 0.0)), ("gap", (0.3, 0.3)))
     with pytest.raises(design.PhysicsError, match="^unknown sensitivity dimension 'length'"):
         PHYS.with_sensitivities("length", 0.1, 0.1)
@@ -230,6 +230,12 @@ def test_f1_solution_matches_analytic():
 def test_solver_rejects_empty_range():
     with pytest.raises(ValueError):
         solve_coupler_length(PHYS, (1.0, 0.0), (1.0, 1.0), (10.0, 10.0))
+
+
+@pytest.mark.parametrize("targets, bad", [((1.5, 0.0), 1.5), ((1.0, -0.1), -0.1)])
+def test_solver_refuses_a_bar_power_target_outside_0_1(targets, bad):
+    with pytest.raises(ValueError, match=rf"^bar-power target {bad} outside \[0, 1\]$"):
+        solve_coupler_length(PHYS, targets, (1.0, 1.0), (60.0, 80.0))
 
 
 @pytest.mark.parametrize("count", [0, -1, 1.5, True])

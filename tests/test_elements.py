@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_full_transmission_filter_is_identity_plus_unreachable_loss():
 
 
 def test_hadamard_involution():
-    had = wave_plate("a", "hadamard")
+    had = wave_plate("a", HADAMARD_MATRIX)
     state = PureState(
         modes_for_ports(["a"]), {(1, 0): 0.6, (0, 1): 0.8j}
     )
@@ -249,9 +250,22 @@ def test_amplitude_via_permanent_rejects_mismatched_totals():
         amplitude_via_permanent(np.eye(2), (1, 0), (1, 1))
 
 
+def test_amplitude_via_permanent_refuses_more_than_four_photons():
+    with pytest.raises(ValueError, match=r"^permanent oracle limited to <= 4 photons$"):
+        amplitude_via_permanent(np.eye(2), (3, 2), (3, 2))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,)])
+def test_permanents_refuse_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=r"^permanent requires a square matrix$"):
+        permanent(np.ones(shape))
+    with pytest.raises(ValueError, match=rf"^permanents requires \(\.\.\., n, n\) matrices, got {re.escape(str(shape))}$"):
+        permanents(np.ones(shape))
+
+
 def test_sequential_matches_permanent_on_small_circuit():
     elements = [
-        wave_plate("a", "hadamard"),
+        wave_plate("a", HADAMARD_MATRIX),
         built("ppbs"),
         built("beamsplitter", t_h=0.6, r_h=0.8),
     ]
@@ -336,7 +350,7 @@ def test_stacked_element_with_one_bad_slice_rejected():
 
 def test_compose_stack_equals_per_slice_composition():
     modes = modes_for_ports(["a", "b", "c"])
-    plate, ppbs = wave_plate("b", "hadamard"), built("ppbs", ("a", "c"))
+    plate, ppbs = wave_plate("b", HADAMARD_MATRIX), built("ppbs", ("a", "c"))
     matrices = [coupler_matrices(COS, SIN, True), plate.matrix,
                 coupler_matrices(COS[:, ::-1], SIN[:, ::-1]), ppbs.matrix]
     columns = [columns_of(modes, modes_for_ports(ports))
@@ -371,7 +385,7 @@ def test_coupler_fill_keeps_every_entry_and_its_sign():
 
 def test_compose_rows_are_those_rows_of_the_full_product():
     modes = modes_for_ports(["a", "b", "c"])
-    matrices = [coupler_matrices(COS, SIN, True), wave_plate("b", "hadamard").matrix,
+    matrices = [coupler_matrices(COS, SIN, True), wave_plate("b", HADAMARD_MATRIX).matrix,
                 coupler_matrices(COS[:, ::-1], SIN[:, ::-1])]
     columns = [columns_of(modes, modes_for_ports(ports)) for ports in (["a", "b"], ["b"], ["c", "a"])]
     full = compose_circuit_matrix(matrices, columns, len(modes))
@@ -396,7 +410,7 @@ def test_compose_stack_rejects_one_non_unitary_slice():
 def test_compose_an_empty_stack_gives_no_circuit():
     empty = coupler_matrices(np.zeros((0, 2)), np.zeros((0, 2)), True)
     assert empty.shape == (0, 4, 4)
-    plate = wave_plate("a", "hadamard")
+    plate = wave_plate("a", HADAMARD_MATRIX)
     columns = [columns_of(AB, AB), columns_of(AB, plate.modes)]
     assert compose_circuit_matrix([empty, plate.matrix], columns, 4).shape == (0, 4, 4)
 
@@ -417,7 +431,7 @@ def test_norm_preserved_by_lossless_elements():
     for el in (
         built("beamsplitter", t_h=R2, r_h=R2),
         built("ppbs"),
-        wave_plate("a", "hwp1"),
+        wave_plate("a", HWP1_MATRIX),
         built("pbs"),
     ):
         out = apply_element(state, el)

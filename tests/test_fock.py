@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_tensor_rejects_overlapping_modes():
         tensor(a, b)
 
 
+def test_tensor_names_the_first_mode_of_a_port_both_factors_hold():
+    # both modes of port m overlap, so naming the first compares their polarizations
+    a = PureState(modes_for_ports(["m"]), {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="^mode sets overlap: m:H appears in both factors$"):
+        tensor(a, a)
+
+
+@pytest.mark.parametrize("pol", ["V", None, 1])
+def test_a_mode_refuses_a_polarization_that_is_not_one(pol):
+    # Mode("T", "V") was made, and its repr raised AttributeError
+    message = f"mode polarization {pol!r} is not a Polarization (H or V)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Mode("T", pol)
+
+
 def test_tensor_associative():
     c_modes = (Mode("p", V),)
     a = PureState(M1, {(0,): 0.6, (1,): 0.8})
@@ -87,7 +103,7 @@ def test_project_herald_splits_superposition():
     assert abs(prob - 0.5) < 1e-15
     assert abs(branch.amplitude((1, 0)) - 1 / math.sqrt(2)) < 1e-15
     assert branch.amplitude((0, 1)) == 0
-    assert branch.subnormalized
+    assert norm_squared(branch) == prob  # the branch is not renormalized
 
 
 def test_project_herald_no_match():
@@ -103,6 +119,12 @@ def test_project_herald_unknown_mode_rejected():
     modes = (Mode("a", H),)
     with pytest.raises(KeyError):
         HeraldPattern.on_modes(modes, [([Mode("zz", V)], 1)])
+
+
+def test_project_herald_refuses_a_mode_index_outside_the_state():
+    pattern = HeraldPattern.on_modes(modes_for_ports(["a"]), [([Mode("a", V)], 1)])
+    with pytest.raises(KeyError, match="herald references mode index 1 outside state"):
+        project_herald(PureState((Mode("a", H),), {(1,): 1.0}), pattern)
 
 
 def test_always_true_pattern_is_identity():
@@ -216,11 +238,9 @@ def test_pure_state_core_builds_the_constructors_state(seed):
     rng = random.Random(seed)
     modes = modes_for_ports(["a", "b", "c"][: rng.randint(1, 3)])
     terms = _random_terms(rng, len(modes))
-    subnormalized = rng.random() < 0.5
-    public = PureState(modes, terms, subnormalized=subnormalized)
-    core = PureState._from_valid(modes, terms, subnormalized=subnormalized)
+    public = PureState(modes, terms)
+    core = PureState._from_valid(modes, terms)
     assert core.modes == public.modes == modes
-    assert core.subnormalized is public.subnormalized is subnormalized
     # same terms in the same order, each amplitude the same complex bit for bit
     got, want = list(core.items()), list(public.items())
     assert [vec for vec, _ in got] == [vec for vec, _ in want] == sorted(

@@ -133,6 +133,8 @@ def test_a_part_names_a_name_that_is_not_a_string_when_it_is_made(field, make):
 @pytest.mark.parametrize("make, message", [
     (lambda: QubitEncoding("T", "T", "P"), "target, control and program ports must be distinct"),
     (lambda: spec("X", "pbs", ("a", "a")), "element 'X' wires a port twice"),
+    # its photons were counted twice
+    (lambda: HeraldTerm(("T", "C", "T"), (H,), 1), "herald term port 'T' is given twice"),
 ])
 def test_a_part_refuses_a_port_named_twice_when_it_is_made(make, message):
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
@@ -148,6 +150,22 @@ def test_a_part_refuses_a_port_named_twice_when_it_is_made(make, message):
 ])
 def test_a_netlist_checks_that_its_parts_name_declared_ports(fields, message):
     _three_port_netlist()
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        _three_port_netlist(**fields)
+
+
+NETLIST_FORM_FAULTS = {
+    # raised AttributeError: 'str' object has no attribute 'name'
+    "port_names": ({"ports": ("a", "b", "c")}, "netlist ports must be a list of PortDecls, got 'a'"),
+    "elements_number": ({"elements": 5}, "netlist elements must be a list of ElementSpecs, got 5"),
+    "herald_string": ({"herald": "a"}, "netlist herald must be a list of HeraldTerms, got the string 'a'"),
+    "encoding_names": ({"encoding": ("a", "b", "c")},
+                       "netlist encoding must be a QubitEncoding, got ('a', 'b', 'c')"),
+}
+
+
+@pytest.mark.parametrize("fields, message", NETLIST_FORM_FAULTS.values(), ids=NETLIST_FORM_FAULTS.keys())
+def test_a_netlist_names_a_field_that_does_not_hold_its_part_type(fields, message):
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         _three_port_netlist(**fields)
 
@@ -206,6 +224,37 @@ def test_extend_state_refuses_a_mode_on_an_undeclared_port(netlist):
 def test_netlists_compare_and_hash_by_their_fields():
     a, b = default_netlist(), default_netlist()
     assert a == b and hash(a) == hash(b)
+
+
+def test_a_netlist_made_from_lists_is_the_netlist_and_keeps_no_list():
+    nl = default_netlist()
+    ports, elements, herald = list(nl.ports), list(nl.elements), list(nl.herald)
+    made = Netlist(ports, elements, herald, nl.encoding)
+    assert made == nl and hash(made) == hash(nl)
+    assert netlist_from_dict(netlist_to_dict(made)) == made
+    kept = extract_gate(made, 1.0)
+    # the kept gate went stale: p00 stayed 0.0208 where a fresh netlist gave 0.00083,
+    # and an element on an undeclared port got past `validate`
+    elements[1] = nl.element("F1").with_params(t_h=0.1)
+    elements.append(spec("X", "pbs", ("T", "NOWHERE")))
+    ports.pop()
+    herald.pop()
+    assert (made.ports, made.elements, made.herald) == (nl.ports, nl.elements, nl.herald)
+    made.validate()
+    assert _gate_bits(extract_gate(made, 1.0)) == _gate_bits(kept) == _gate_bits(extract_gate(nl, 1.0))
+
+
+def test_a_spec_made_from_unsorted_pairs_is_the_spec_made_by_spec():
+    ports, pairs = ["T", "F1_LOSS"], [("t_v", 0.5), ("t_h", 0.5)]
+    made = ElementSpec("F1", "filter", ports, pairs)
+    nominal = default_netlist().element("F1")
+    assert made == spec("F1", "filter", ("T", "F1_LOSS"), t_h=0.5, t_v=0.5) == nominal
+    assert hash(made) == hash(nominal) and made.params == (("t_h", 0.5), ("t_v", 0.5))
+    ports.reverse()
+    pairs.append(("theta_h", 0.3))
+    assert made == nominal
+    netlist = default_netlist().with_overrides({"F1": made})
+    assert netlist_from_dict(netlist_to_dict(netlist)) == netlist == default_netlist()
 
 
 def test_with_overrides_unknown_name_rejected(netlist):
@@ -316,7 +365,6 @@ def test_prepare_input_equals_tensor_product_bit_for_bit(make, seed):
         want = _tensor_product_input(nl, target, control, phi)
         assert got.modes == want.modes == nl.modes
         assert _bits(got) == _bits(want)
-        assert got.subnormalized is want.subnormalized is False
 
 
 # -- heralded behavior ----------------------------------------------------------
@@ -539,7 +587,8 @@ def test_fidelity_core_equals_process_fidelity(seed):
         assert single == process_fidelity(ops[k], ideals[k]) == stacked[k]
 
 
-@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 1e-170, 1e-200, 1e-300, 5e-324])
+# 2^290 lies below 2^300: a scale exponent of 300 would use it as given, and its norms would overflow
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 2.0**290, 1e-170, 1e-200, 1e-300, 5e-324])
 def test_process_fidelity_does_not_depend_on_an_operators_scale(scale):
     assert process_fidelity(np.eye(4) * scale, np.eye(4)) == 1.0
     assert process_fidelity(np.eye(4), np.eye(4) * scale) == 1.0
@@ -787,6 +836,13 @@ def test_heralded_transfer_needs_an_input(netlist):
         heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), np.zeros((0, 12), int))
 
 
+def test_heralded_transfer_needs_inputs_of_one_photon_number(netlist):
+    inputs = np.zeros((2, 12), int)
+    inputs[0, 0], inputs[1, :2] = 1, 1
+    with pytest.raises(ValueError, match="^heralded transfer inputs must hold the same photon number$"):
+        heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), inputs)
+
+
 def _verdict(check):
     try:
         check()
@@ -929,7 +985,7 @@ def _fresh_branch(netlist, state):
         vecs, amps = zip(*group)
         outputs, transfer = heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), vecs)
         terms.update(zip(map(tuple, outputs.tolist()), (np.array(amps) @ transfer).tolist()))
-    return PureState(netlist.modes, terms, subnormalized=True)
+    return PureState(netlist.modes, terms)
 
 
 def test_run_heralded_mixed_photon_numbers_match_a_fresh_transfer():
@@ -1282,6 +1338,9 @@ HERALD_GAPS = {
     # a string named one port per character: "TC" heralded on T and C
     "ports_string": (("TC", (H, V), 2),
                      "herald term ports must be a list of port names, got the string 'TC'"),
+    "ports_number": ((5, (H, V), 1), "herald term ports must be a list of port names, got 5"),
+    # its V photon was counted twice: only |00> and |01> heralded, with p = 0.0208
+    "pol_twice": ((("T",), (H, V, V), 1), "herald term polarization 'V' is given twice"),
 }
 
 
@@ -1309,6 +1368,24 @@ def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(made, message
         spec(name, kind, ports, **params)
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         default_netlist().element(name).with_params(**params)
+
+
+PARAMS_FORM_FAULTS = {
+    # a dict gives its keys; it raised ValueError: too many values to unpack
+    "dict": ({"t_h": 0.5, "t_v": 0.5}, "element 'F1' of kind 'filter' params must be (key, value) pairs, got 't_h'"),
+    "number_key": (((1, 0.5),), "element 'F1' of kind 'filter' params must be (key, value) pairs, got (1, 0.5)"),
+    "triple": ((("t_h", 0.5, 0.5),),
+               "element 'F1' of kind 'filter' params must be (key, value) pairs, got ('t_h', 0.5, 0.5)"),
+    "number": (0.5, "element 'F1' of kind 'filter' params must be a list of (key, value) pairs, got 0.5"),
+    # the last one won: t_h 0.5, then 0.9, gave 0.9
+    "key_twice": ((("t_h", 0.5), ("t_v", 0.5), ("t_h", 0.9)), "element 'F1' parameter 't_h' is given twice"),
+}
+
+
+@pytest.mark.parametrize("params, message", PARAMS_FORM_FAULTS.values(), ids=PARAMS_FORM_FAULTS.keys())
+def test_a_spec_refuses_params_that_are_not_pairs_of_distinct_keys(params, message):
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        ElementSpec("F1", "filter", ("T", "F1_LOSS"), params)
 
 
 @pytest.mark.parametrize("make", [spec, ElementSpec], ids=["spec", "ElementSpec"])

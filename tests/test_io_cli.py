@@ -400,6 +400,37 @@ def test_unreadable_input_file_exits_2(kind, path, capsys):
     assert captured.out == ""
 
 
+def _default_netlist_text():
+    return json.dumps(netlist_to_dict(default_netlist()))
+
+
+# file texts that are no JSON document, or give a key twice in one object, with the end of the message
+BAD_JSON_TEXTS = {
+    "netlist_truncated": ("netlist", lambda: _default_netlist_text()[:-1], "is not valid JSON: Expecting"),
+    "physics_truncated": ("physics", lambda: '{"beat_um": ', "is not valid JSON: Expecting value"),
+    # the last t_h won, 0.1 in place of 0.5
+    "netlist_key_twice": (
+        "netlist",
+        lambda: _default_netlist_text().replace('"t_h": 0.5, "t_v": 0.5', '"t_h": 0.5, "t_v": 0.5, "t_h": 0.1', 1),
+        "gives the key 't_h' twice in one object",
+    ),
+    # the last H won: L = 62.4 um ranked first, not 70.72
+    "physics_key_twice": (
+        "physics", lambda: '{"beat_um": {"H": 35.8, "H": 1e9, "V": 8.32}}', "gives the key 'H' twice in one object",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, text, message", BAD_JSON_TEXTS.values(), ids=BAD_JSON_TEXTS.keys())
+def test_a_file_that_is_not_one_json_document_exits_3(kind, text, message, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text())
+    assert main(FILE_FLAG_ARGS[kind] + [str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"validation error: {kind} file {path} {message}")
+    assert captured.out == ""
+
+
 def test_simulate_bad_amplitudes_exit_2(capsys):
     code = main(["simulate", "--phi", "0", "--target", "nope", "--control", "1,0:0,0"])
     assert code == 2
@@ -733,6 +764,12 @@ UNREALIZABLE_NETLISTS = {
     "encoding_program_number": (
         _named(("encoding", "program"), 3), ["check"], "encoding program 3 is not a string",
     ),
+    "params_list": (_named(("elements", 2, "params"), [0.5]), ["truth-table", "--phi", "0"],
+                    "element 'HWP1' parameters must be an object, got [0.5]"),
+    "unknown_kind": (_named(("elements", 0, "kind"), "laser"), ["truth-table", "--phi", "0"],
+                     "unknown element kind 'laser' (PBS1)"),
+    "unknown_role": (_named(("ports", 0, "role"), "mirror"), ["truth-table", "--phi", "0"],
+                     "unknown port role 'mirror' for 'T'"),
 }
 
 
@@ -784,6 +821,8 @@ def test_invalid_netlist_contents_exit_3(tmp_path, capsys):
         # strings would split into the ports "T" and the pols "H", "V"
         ("ports", "T", "herald term 0 ports must be a list"),
         ("pols", "HV", "herald term 0 pols must be a list"),
+        # its V photon was counted twice
+        ("pols", ["H", "V", "V"], "herald term 0 polarization 'V' is given twice"),
     ):
         data = netlist_to_dict(default_netlist())
         data["herald"][0][key] = value

@@ -185,6 +185,18 @@ def test_extract_gate_matches_fock_engine_moved_f2(moved_f2_netlist, phi):
     _assert_engines_agree(moved_f2_netlist, phi)
 
 
+def test_both_engines_keep_a_heralded_amplitude_of_6e_14():
+    # F1 passes 2e-13 of the target's H amplitude: |d00| = |d01| = 4e-13 / sqrt(48) = 5.77e-14,
+    # above PRUNE_THRESHOLD (1e-14), so p00 = p01 = 3.33e-27, not 0
+    base = default_netlist()
+    netlist = base.with_overrides({"F1": base.element("F1").with_params(t_h=2e-13)})
+    _assert_engines_agree(netlist, 1.0)
+    got = extract_gate(netlist, 1.0)
+    for k, label in enumerate(("00", "01")):
+        assert math.isclose(abs(got.operator[k, k]), 4e-13 / math.sqrt(48), rel_tol=1e-12)
+        assert math.isclose(got.herald_probability[label], 16e-26 / 48, rel_tol=1e-12)
+
+
 # -- run_heralded against the sequential Fock engine ----------------------------
 
 
