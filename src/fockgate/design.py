@@ -35,8 +35,11 @@ from .gate import (
     COUPLER_KINDS,
     ElementSpec,
     Netlist,
+    _as_tuple,
     _fidelity,
     _number,
+    _once,
+    _pairs,
     coupler_angles,
     coupler_operators,
     extract_gate,  # perfbench traces and restores design.extract_gate by name
@@ -112,29 +115,6 @@ def _float(value: object, what: str, rule: str | None = None) -> float:
     return number
 
 
-def _table(entries: tuple, field: str, what: str) -> dict:
-    """The (name, value) pairs of `field` as a dict, each name a string given once.
-
-    Anything else, an `entries` that is not iterable too, raises PhysicsError.
-    """
-    table = {}
-    for entry in _entries(entries, field, f"({what}, value) pairs"):
-        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise PhysicsError(f"expected a ({what}, value) pair, got {entry!r}")
-        if entry[0] in table:
-            raise PhysicsError(f"{what} {entry[0]!r} is given twice")
-        table[entry[0]] = entry[1]
-    return table
-
-
-def _entries(entries: object, field: str, items: str) -> tuple:
-    """`entries` as a tuple, or PhysicsError naming `field` when it is not iterable."""
-    try:
-        return tuple(entries)
-    except TypeError:
-        raise PhysicsError(f"{field} must be a tuple of {items}, got {entries!r}") from None
-
-
 @dataclass(frozen=True)
 class NotchAnchor:
     """One measured notch conversion, checked when it is made.
@@ -168,22 +148,18 @@ class NotchCalibration:
 
     Interpolation is per input polarization and never extrapolates:
     the published curves are only trusted at the anchor points.  The
-    anchors are stored as a tuple; anchors that are not NotchAnchors, or
-    two of one polarization at one length, raise PhysicsError when the
-    calibration is made.
+    anchors, a list or tuple of NotchAnchors, are stored as a tuple; any
+    other value, or two anchors of one polarization at one length, raise
+    PhysicsError naming it when the calibration is made.
     """
 
     anchors: tuple[NotchAnchor, ...] = DEFAULT_NOTCH_ANCHORS
 
     def __post_init__(self):
-        object.__setattr__(self, "anchors", _entries(self.anchors, "notch anchors", "NotchAnchors"))
-        for anchor in self.anchors:
-            if not isinstance(anchor, NotchAnchor):
-                raise PhysicsError(f"notch anchors must be NotchAnchors, got {anchor!r}")
-        points = [(a.input_pol, a.length_um) for a in self.anchors]
-        for pol, length in points:
-            if points.count((pol, length)) > 1:
-                raise PhysicsError(f"two notch anchors for {pol.value} input at {length} um")
+        anchors = _as_tuple(self.anchors, "notch anchors", "NotchAnchors", PhysicsError, NotchAnchor)
+        object.__setattr__(self, "anchors", anchors)
+        _once([(a.input_pol.value, a.length_um) for a in anchors],
+              "notch anchor (input_pol, length_um)", PhysicsError)
 
     def _segment(self, pol: Polarization) -> list[NotchAnchor]:
         pts = sorted(
@@ -220,9 +196,10 @@ class CouplerPhysics:
     entry, in that order: the beat-length shift in um per nm of that
     deviation, (0.0, 0.0) for a dimension left out.  coupler_lengths are
     the non-negative fabricated lengths by element name, sorted by name;
-    by default the reference lengths of COUPLER_DESIGNS.  An unknown
-    dimension, a name given twice, a pair of another shape, a table that
-    is not pairs and a notch that is not a NotchCalibration are refused.
+    by default the reference lengths of COUPLER_DESIGNS.  Both tables are
+    lists or tuples of (str, value) pairs (`gate._pairs`); any other table,
+    an unknown dimension, a name given twice, a pair of another shape and
+    a notch that is not a NotchCalibration are refused.
     """
 
     beat_h: float = 35.80
@@ -238,13 +215,13 @@ class CouplerPhysics:
     def __post_init__(self):
         if not isinstance(self.notch, NotchCalibration):
             raise PhysicsError(f"notch must be a NotchCalibration, got {self.notch!r}")
-        given = _table(self.sensitivities, "sensitivities", "sensitivity dimension")
+        given = _pairs(self.sensitivities, "sensitivities", "sensitivity dimension", PhysicsError)
         for dim, pair in given.items():
             if dim not in DIMENSIONS:
                 raise PhysicsError(f"unknown sensitivity dimension {dim!r}; expected one of {DIMENSIONS}")
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise PhysicsError(f"sensitivities for {dim!r} must be a tuple (H, V), got {pair!r}")
-        lengths = _table(self.coupler_lengths, "coupler_lengths", "coupler name")
+        lengths = _pairs(self.coupler_lengths, "coupler_lengths", "coupler name", PhysicsError)
         for field in ("beat_h", "beat_v"):
             object.__setattr__(self, field, _float(getattr(self, field), field, "positive"))
         object.__setattr__(self, "sensitivities", tuple(

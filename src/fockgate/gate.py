@@ -168,17 +168,43 @@ def _check_name(name: Any, what: str) -> None:
         raise NetlistError(f"{what} {name!r} is not a string")
 
 
-def _as_tuple(values: Any, what: str, items: str) -> tuple:
-    """`values` as a tuple; NetlistError naming `what` for a value that is not iterable.
+def _as_tuple(
+    values: Any, what: str, items: str, error: type[ValueError] = NetlistError, part: type | None = None
+) -> tuple:
+    """`values` as a tuple if it is a list or a tuple, of `part`s when given; the one list rule.
 
-    A string, which would give one item per character, is refused too.
+    Anything else raises `error` naming `what`: a string would give one
+    item per character, a set its items in hash order, a mapping its keys.
     """
-    if isinstance(values, str):
-        raise NetlistError(f"{what} must be a list of {items}, got the string {values!r}")
-    try:
-        return tuple(values)
-    except TypeError:
-        raise NetlistError(f"{what} must be a list of {items}, got {values!r}") from None
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list of {items}, got {values!r}")
+    if part is not None:
+        for value in values:
+            if not isinstance(value, part):
+                raise error(f"{what} must be a list of {items}, got {value!r}")
+    return tuple(values)
+
+
+def _pairs(entries: Any, what: str, key: str, error: type[ValueError] = NetlistError) -> dict:
+    """The list `entries` of (str, value) pairs as a dict, or `error` naming `what` or a `key` given twice."""
+    entries = _as_tuple(entries, what, "(key, value) pairs", error)
+    for entry in entries:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise error(f"{what} must be a list of (key, value) pairs, got {entry!r}")
+    table = dict(entries)
+    if len(table) != len(entries):
+        _once([k for k, _ in entries], key, error)
+    return table
+
+
+def _once(items: Sequence, what: str, error: type[ValueError] = NetlistError) -> None:
+    """Raise `error` naming the first of the hashable `items` that repeats one before it."""
+    if len(set(items)) != len(items):
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise error(f"{what} {item!r} is given twice")
+            seen.add(item)
 
 
 @dataclass(frozen=True)
@@ -199,15 +225,14 @@ class ElementSpec:
     Checked when it is made, from a file or in Python, against its kind in
     ELEMENT_KINDS and `_REQUIRED`: a fault raises NetlistError naming the
     element and the parameter, so a spec that is made always realizes
-    unless its matrix is not unitary.  The params are (key, value) pairs,
-    each key given once, and are stored as a tuple sorted by key, so specs
-    made from the same pairs in any order are equal.  A list-valued
-    parameter is stored as nested tuples, so changing the list it was
-    built from changes neither the spec nor a circuit realized from it.
-    An array, in a list too, raises NetlistError naming the parameter.
-    The name and each port are strings, and no port is wired twice.  The
-    ports are stored as a tuple; a string there, which would name one port
-    per character, raises NetlistError.
+    unless its matrix is not unitary.  The ports, stored as a tuple, and
+    the params are each a list or a tuple (`_as_tuple`).  The params are
+    (str, value) pairs, each key given once (`_pairs`), stored sorted by
+    key, so specs made from the same pairs in any order are equal.  A
+    list-valued parameter is stored as nested tuples, so changing the list
+    it was built from changes neither the spec nor a circuit realized from
+    it.  An array, in a list too, raises NetlistError naming the parameter.
+    The name and each port are strings, and no port is wired twice.
     """
 
     name: str
@@ -220,21 +245,17 @@ class ElementSpec:
         if self.kind not in ELEMENT_KINDS:
             raise NetlistError(f"unknown element kind {self.kind!r} ({self.name})")
         arity, rules = ELEMENT_KINDS[self.kind]
-        what = f"element {self.name!r} of kind {self.kind!r}"
+        named = f"element {self.name!r}"
+        what = f"{named} of kind {self.kind!r}"
         object.__setattr__(self, "ports", _as_tuple(self.ports, f"{what} ports", "port names"))
-        for port in self.ports:
-            _check_name(port, f"element {self.name!r} port")
+        port = f"{named} port"
+        for p in self.ports:
+            _check_name(p, port)
         if arity is not None and len(self.ports) != arity:
             raise NetlistError(f"{what} needs {arity} port(s), got {len(self.ports)}")
-        if len(set(self.ports)) != len(self.ports):
-            raise NetlistError(f"element {self.name!r} wires a port twice")
-        params = {}
-        for pair in _as_tuple(self.params, f"{what} params", "(key, value) pairs"):
-            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)):
-                raise NetlistError(f"{what} params must be (key, value) pairs, got {pair!r}")
-            key, value = pair
-            if key in params:
-                raise NetlistError(f"element {self.name!r} parameter {key!r} is given twice")
+        _once(self.ports, port)
+        params = _pairs(self.params, f"{what} params", f"{named} parameter")
+        for key, value in params.items():
             params[key] = _frozen(value, self.name, key)
             if key not in rules:
                 raise NetlistError(f"{what} has unknown parameter {key!r}")
@@ -249,7 +270,7 @@ class ElementSpec:
         return dict(self.params)
 
     def with_params(self, **updates: Any) -> "ElementSpec":
-        return replace(self, params=(self.param_dict | updates).items())
+        return replace(self, params=tuple((self.param_dict | updates).items()))
 
 
 def _frozen(value: Any, name: str, key: str) -> Any:
@@ -265,17 +286,18 @@ def _frozen(value: Any, name: str, key: str) -> Any:
 
 
 def spec(name: str, kind: str, ports: Sequence[str], **params: Any) -> ElementSpec:
-    return ElementSpec(name, kind, ports, params.items())
+    return ElementSpec(name, kind, ports, tuple(params.items()))
 
 
 @dataclass(frozen=True)
 class HeraldTerm:
     """Exact-count condition: `count` photons total over ports x pols.
 
-    The ports and pols are stored as tuples.  Ports given as a string or
-    naming a non-string, a count that is not a non-negative int, a pol that
-    is not a Polarization, or a port or pol given twice, which would count
-    its photons twice, raise NetlistError.
+    The ports and pols are each a list or a tuple (`_as_tuple`), stored as
+    tuples.  A port that is not a string, a count that is not a
+    non-negative int, a pol that is not a Polarization, or a port or pol
+    given twice, which would count its photons twice, raise NetlistError
+    whose text starts "herald term" (a file's reader adds the index).
     """
 
     ports: tuple[str, ...]
@@ -288,21 +310,19 @@ class HeraldTerm:
         for port in self.ports:
             _check_name(port, "herald term port")
         if isinstance(self.count, bool) or not isinstance(self.count, int):
-            raise NetlistError(f"herald count must be an integer, got {self.count!r}")
+            raise NetlistError(f"herald term count must be an integer, got {self.count!r}")
         if self.count < 0:
-            raise NetlistError("herald count must be non-negative")
+            raise NetlistError(f"herald term count must be non-negative, got {self.count}")
         for pol in self.pols:
             if not isinstance(pol, Polarization):
-                raise NetlistError(f"herald polarization {pol!r} is not a Polarization (H or V)")
-        for what, names in (("port", self.ports), ("polarization", [pol.value for pol in self.pols])):
-            for k, name in enumerate(names):
-                if name in names[:k]:
-                    raise NetlistError(f"herald term {what} {name!r} is given twice")
+                raise NetlistError(f"herald term polarization {pol!r} is not a Polarization (H or V)")
+        _once(self.ports, "herald term port")
+        _once([pol.value for pol in self.pols], "herald term polarization")
 
 
 @dataclass(frozen=True)
 class QubitEncoding:
-    """The ports of the target, control and program photons: three distinct port names."""
+    """The ports of the target, control and program photons: three port names, none given twice."""
 
     target: str
     control: str
@@ -311,8 +331,7 @@ class QubitEncoding:
     def __post_init__(self):
         for role in ("target", "control", "program"):
             _check_name(getattr(self, role), f"encoding {role}")
-        if len({self.target, self.control, self.program}) != 3:
-            raise NetlistError("target, control and program ports must be distinct")
+        _once((self.target, self.control, self.program), "encoding port")
 
 
 class Step(NamedTuple):
@@ -347,8 +366,9 @@ class Netlist:
     Its ports, elements and herald are stored as tuples, so a netlist made
     from lists equals and hashes as one made from tuples, and changing the
     lists afterwards changes nothing it holds or derives.  A field that is
-    not a list of its part type (PortDecl, ElementSpec, HeraldTerm;
-    QubitEncoding for the encoding) raises NetlistError naming the field.
+    not a list or tuple of its part type (PortDecl, ElementSpec,
+    HeraldTerm; QubitEncoding for the encoding) raises NetlistError naming
+    the field, and a port or element name given twice names the name.
     """
 
     ports: tuple[PortDecl, ...]
@@ -358,11 +378,7 @@ class Netlist:
 
     def __post_init__(self):
         for field, part in (("ports", PortDecl), ("elements", ElementSpec), ("herald", HeraldTerm)):
-            what, items = f"netlist {field}", f"{part.__name__}s"
-            values = _as_tuple(getattr(self, field), what, items)
-            for value in values:
-                if not isinstance(value, part):
-                    raise NetlistError(f"{what} must be a list of {items}, got {value!r}")
+            values = _as_tuple(getattr(self, field), f"netlist {field}", f"{part.__name__}s", part=part)
             object.__setattr__(self, field, values)
         if not isinstance(self.encoding, QubitEncoding):
             raise NetlistError(f"netlist encoding must be a QubitEncoding, got {self.encoding!r}")
@@ -397,14 +413,10 @@ class Netlist:
 
     def validate(self) -> None:
         """Raise NetlistError for a fault between parts; each part checked itself when it was made."""
+        _once([p.name for p in self.ports], "netlist port")
+        _once([el.name for el in self.elements], "netlist element name")
         declared = self._port_index
-        if len(declared) != len(self.ports):
-            raise NetlistError("duplicate port declarations")
-        seen = set()
         for el in self.elements:
-            if el.name in seen:
-                raise NetlistError(f"duplicate element name {el.name!r}")
-            seen.add(el.name)
             for p in el.ports:
                 if p not in declared:
                     raise NetlistError(f"element {el.name!r} wired to undeclared port {p!r}")
@@ -777,8 +789,8 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     transfer.  Amplitudes below PRUNE_THRESHOLD
     are dropped.  Returns the sub-normalized heralded branch and the herald
     probability, its squared norm.  `run_elements` followed by
-    `project_herald` computes the same branch independently and is the
-    reference for this one.
+    `project_herald` computes the same branch from the same element
+    matrices and is the reference for this one.
     """
     if state.modes != netlist.modes:
         state = extend_state(state, netlist)
@@ -992,11 +1004,10 @@ def coupler_operators(
     angles `thetas[k]`, bit for bit.
     """
     slots = netlist._couplers
-    for k, name in enumerate(couplers):
+    for name in couplers:
         if name not in slots:
             raise ValueError(f"{name!r} is not a coupler step of the netlist")
-        if name in couplers[:k]:
-            raise ValueError(f"coupler {name!r} is named twice")
+    _once(couplers, "coupler", ValueError)
     if np.ndim(thetas) != 3 or np.shape(thetas)[1:] != (len(couplers), 2):
         raise ValueError(
             f"coupler angles of shape {np.shape(thetas)} are not (points, {len(couplers)}, 2)"
@@ -1071,8 +1082,8 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     fidelity against diag(1, 1, 1, e^{i phi}); only the first call on a
     netlist computes permanents.  The sequential Fock engine
     (`prepare_input`, `run_elements`, `project_herald`,
-    `heralded_output_amplitudes`) computes the same map independently and
-    is the reference for this one.
+    `heralded_output_amplitudes`) computes the same map from the same
+    element matrices and is the reference for this one.
     """
     op, probs = heralded_operators(netlist, phi)
     # `heralded_operators` refused a non-finite or zero operator

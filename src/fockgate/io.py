@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import H, V, Polarization
+from .fock import Polarization
 from .design import (
     CouplerPhysics,
     NotchAnchor,
@@ -30,7 +30,9 @@ from .gate import (
     NetlistError,
     PortDecl,
     QubitEncoding,
+    _as_tuple,
     _number,
+    _pairs,
     circuit_matrix,
 )
 
@@ -60,11 +62,28 @@ def format_complex(value: complex) -> str:
 # -- netlist JSON ------------------------------------------------------------
 
 
-def _pol_from_str(s: str, error: type[ValueError] = NetlistError) -> Polarization:
-    try:
-        return Polarization(s)
-    except ValueError:
-        raise error(f"unknown polarization {s!r}; expected 'H' or 'V'") from None
+def _object(value: Any, where: str, keys: Sequence[str] | None, required: Sequence[str] = (),
+            error: type[ValueError] = NetlistError) -> dict[str, Any]:
+    """`value` if it is a JSON object (a dict) whose keys are among `keys` (any when None).
+
+    The one object rule of the netlist and physics files: the object also
+    holds each of `required`, and a fault raises `error` naming `where`.
+    """
+    if not isinstance(value, dict):
+        raise error(f"{where} must be an object, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise error(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in value:
+            raise error(f"{where} lacks key {key!r}")
+    return value
+
+
+def _pol(value: Any) -> Any:
+    """A file's "H" or "V" as its Polarization; any other value as it is, for its part to refuse."""
+    return Polarization(value) if value in ("H", "V") else value
 
 
 def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -78,15 +97,14 @@ def _params_to_json(params: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _params_from_json(name: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Element parameters from JSON, a `matrix` of [re, im] pairs as complex numbers.
+def _params_from_json(name: str, params: Any) -> tuple[tuple[str, Any], ...]:
+    """Element parameters from a JSON object as (key, value) pairs, a `matrix` as complex numbers.
 
     `ElementSpec` checks every parameter against its kind's rules.
     """
-    if not isinstance(params, Mapping):
-        raise NetlistError(f"element {name!r} parameters must be an object, got {params!r}")
-    return {key: _matrix_from_json(name, value) if key == "matrix" else value
-            for key, value in params.items()}
+    params = _object(params, f"element {name!r} parameters", None)
+    return tuple((key, _matrix_from_json(name, value) if key == "matrix" else value)
+                 for key, value in params.items())
 
 
 def _matrix_from_json(name: str, value: Any) -> list[list[complex]]:
@@ -133,43 +151,48 @@ def netlist_to_dict(netlist: Netlist) -> dict[str, Any]:
     }
 
 
-def netlist_from_dict(data: Mapping[str, Any]) -> Netlist:
-    try:
-        ports = [PortDecl(p["name"], p.get("role", "internal")) for p in data["ports"]]
-        elements = [
-            ElementSpec(
-                el["name"],
-                el["kind"],
-                _list(el["ports"], f"element {el['name']!r} ports"),
-                _params_from_json(el["name"], el.get("params", {})).items(),
-            )
-            for el in data["elements"]
-        ]
-        herald = [_herald_term(i, t) for i, t in enumerate(data["herald"])]
-        enc = data["encoding"]
-        encoding = QubitEncoding(enc["target"], enc["control"], enc["program"])
-        return Netlist(ports, elements, herald, encoding)
-    except NetlistError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetlistError(f"malformed netlist document: {exc}") from exc
+def netlist_from_dict(data: Any) -> Netlist:
+    """The netlist of the document `netlist_to_dict` writes.
+
+    Each object takes only the keys `netlist_to_dict` writes and needs all
+    of them but a port's `role` and an element's `params` (`_object`); a
+    port, an element or a herald term is named by its index from 0.  The
+    values go as given to the parts, which check them, with the text they
+    give in Python; every fault raises NetlistError.
+    """
+    keys, encoding = ("ports", "elements", "herald", "encoding"), ("target", "control", "program")
+    doc = _object(data, "netlist document", keys, keys)
+    ports, elements, herald = (  # each with the text `Netlist` gives
+        _as_tuple(doc[field], f"netlist {field}", f"{part.__name__}s")
+        for field, part in (("ports", PortDecl), ("elements", ElementSpec), ("herald", HeraldTerm))
+    )
+    return Netlist(
+        [PortDecl(**_object(p, f"port {k}", ("name", "role"), ("name",))) for k, p in enumerate(ports)],
+        [_element(k, el) for k, el in enumerate(elements)],
+        [_herald_term(i, t) for i, t in enumerate(herald)],
+        QubitEncoding(**_object(doc["encoding"], "netlist encoding", encoding, encoding)),
+    )
 
 
-def _herald_term(i: int, t: Mapping[str, Any]) -> HeraldTerm:
-    """Herald term `i` of a netlist document; a term has no name, so its faults name its index."""
-    ports = _list(t["ports"], f"herald term {i} ports")
-    pols = [_pol_from_str(p) for p in _list(t["pols"], f"herald term {i} pols")]
+def _element(k: int, value: Any) -> ElementSpec:
+    """Element `k` of a netlist document; `params` left out is no parameters."""
+    el = _object(value, f"element {k}", ("name", "kind", "ports", "params"), ("name", "kind", "ports"))
+    params = _params_from_json(el["name"], el.get("params", {}))
+    return ElementSpec(el["name"], el["kind"], el["ports"], params)
+
+
+def _herald_term(i: int, value: Any) -> HeraldTerm:
+    """Herald term `i` of a netlist document; a term has no name, so its faults name its index.
+
+    Every `HeraldTerm` text starts "herald term", and the index goes after those words.
+    """
+    keys = ("ports", "pols", "count")
+    t = _object(value, f"herald term {i}", keys, keys)
     try:
-        return HeraldTerm(ports, pols, t["count"])
+        pols = [_pol(p) for p in t["pols"]] if isinstance(t["pols"], (list, tuple)) else t["pols"]
+        return HeraldTerm(t["ports"], pols, t["count"])
     except NetlistError as exc:
         raise NetlistError(exc.args[0].replace("herald term", f"herald term {i}", 1)) from exc
-
-
-def _list(value: Any, what: str) -> list:
-    """`value` if it is a JSON list; a string would split into characters."""
-    if not isinstance(value, list):
-        raise NetlistError(f"{what} must be a list, got {value!r}")
-    return value
 
 
 def load_netlist(path: str | Path) -> Netlist:
@@ -190,21 +213,15 @@ def _read_json(path: str | Path, what: str, error: type[ValueError]) -> Any:
 
     A file that is not valid JSON, or an object in it that gives a key
     twice, which `json.loads` alone would resolve silently to the last
-    value, raises `error` naming the `what` file and the key.
+    value, raises `error` naming the `what` file and the key (`gate._pairs`).
     """
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise error(f"{what} file {path} gives the key {key!r} twice in one object")
-            obj[key] = value
-        return obj
-
+    where = f"{what} file {path}"
+    key = f"{where} key"
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=lambda pairs: _pairs(pairs, where, key, error))
     except json.JSONDecodeError as exc:
-        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise error(f"{where} is not valid JSON: {exc}") from exc
 
 
 def save_netlist(netlist: Netlist, path: str | Path) -> None:
@@ -234,59 +251,47 @@ def physics_to_dict(physics: CouplerPhysics) -> dict[str, Any]:
     }
 
 
-def _object(value: Any, keys: Iterable[str] | None, where: str) -> Mapping[str, Any]:
-    """`value` as a JSON object whose keys are among `keys` (any key when None)."""
-    if not isinstance(value, Mapping):
-        raise PhysicsError(f"{where} must be an object, got {value!r}")
-    unknown = [key for key in value if keys is not None and key not in keys]
-    if unknown:
-        raise PhysicsError(f"unknown key {unknown[0]!r} in {where}")
-    return value
-
-
 _POLS = ("H", "V")
+_PHYSICS_KEYS = ("beat_um", "coupler_lengths_um", "sensitivities_um_per_nm", "notch_anchors")
 _ANCHOR_KEYS = ("length_um", "input_pol", "conversion")
 
 
 def physics_from_dict(data: Any) -> CouplerPhysics:
     """Physics from the document `physics_to_dict` writes; a key left out keeps its default.
 
-    This reads the JSON shape only: objects take only the keys
-    `physics_to_dict` writes (any dimension and element name), a
-    polarization is "H" or "V", `notch_anchors` is a list and each anchor
-    has all its keys; a fault there raises PhysicsError.  The values go as
-    given to `CouplerPhysics` and `NotchAnchor`, which check them as they
-    check values made in Python.  A polarization left out of a
+    This reads the JSON shape only, each object through `_object`: objects
+    take only the keys `physics_to_dict` writes (any dimension and element
+    name), `notch_anchors` is a list and each anchor holds all its keys; a
+    fault there raises PhysicsError.  The values go as given to
+    `CouplerPhysics` and `NotchAnchor`, which check them as they check
+    values made in Python, with the same text; a polarization "H" or "V"
+    is made a Polarization first.  A polarization left out of a
     sensitivity is 0; `coupler_lengths_um` and `notch_anchors`, when
     given, replace the defaults as a whole.
     """
-    doc = _object(data, ("beat_um", "coupler_lengths_um", "sensitivities_um_per_nm", "notch_anchors"),
-                  "physics document")
-    beat = _object(doc.get("beat_um", {}), _POLS, "beat_um")
-    sensitivities = _object(doc.get("sensitivities_um_per_nm", {}), None, "sensitivities_um_per_nm")
+    doc = _object(data, "physics document", _PHYSICS_KEYS, error=PhysicsError)
+    beat = _object(doc.get("beat_um", {}), "beat_um", _POLS, error=PhysicsError)
+    sensitivities = _object(doc.get("sensitivities_um_per_nm", {}), "sensitivities_um_per_nm", None,
+                            error=PhysicsError)
     fields = {f"beat_{pol.lower()}": value for pol, value in beat.items()}
     fields["sensitivities"] = tuple(
-        (dim, tuple(_object(pols, _POLS, f"sensitivities_um_per_nm.{dim}").get(p, 0.0) for p in _POLS))
+        (dim, tuple(_object(pols, f"sensitivities_um_per_nm.{dim}", _POLS, error=PhysicsError).get(p, 0.0)
+                    for p in _POLS))
         for dim, pols in sensitivities.items()
     )
     if "coupler_lengths_um" in doc:
-        lengths = _object(doc["coupler_lengths_um"], None, "coupler_lengths_um")
+        lengths = _object(doc["coupler_lengths_um"], "coupler_lengths_um", None, error=PhysicsError)
         fields["coupler_lengths"] = tuple(lengths.items())
     if "notch_anchors" in doc:
-        if not isinstance(doc["notch_anchors"], list):
-            raise PhysicsError(f"notch_anchors must be a list, got {doc['notch_anchors']!r}")
-        fields["notch"] = NotchCalibration(tuple(_anchor(a) for a in doc["notch_anchors"]))
+        anchors = _as_tuple(doc["notch_anchors"], "notch anchors", "NotchAnchors", PhysicsError)
+        fields["notch"] = NotchCalibration(tuple(_anchor(a) for a in anchors))
     return CouplerPhysics(**fields)
 
 
 def _anchor(value: Any) -> NotchAnchor:
     """A notch anchor from its JSON object, which holds all of `_ANCHOR_KEYS`."""
-    anchor = _object(value, _ANCHOR_KEYS, "notch anchor")
-    for key in _ANCHOR_KEYS:
-        if key not in anchor:
-            raise PhysicsError(f"notch anchor lacks key {key!r}")
-    pol = _pol_from_str(anchor["input_pol"], PhysicsError)
-    return NotchAnchor(anchor["length_um"], pol, anchor["conversion"])
+    anchor = _object(value, "notch anchor", _ANCHOR_KEYS, _ANCHOR_KEYS, PhysicsError)
+    return NotchAnchor(anchor["length_um"], _pol(anchor["input_pol"]), anchor["conversion"])
 
 
 def load_physics(path: str | Path) -> CouplerPhysics:

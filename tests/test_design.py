@@ -83,19 +83,25 @@ INVALID_PHYSICS = {
     "coupler_length_twice": (lambda: CouplerPhysics(coupler_lengths=(("F1", 12.0), ("F1", 13.0))),
                              "coupler name 'F1' is given twice"),
     "coupler_name_not_string": (lambda: CouplerPhysics(coupler_lengths=((1, 12.0),)),
-                                "expected a (coupler name, value) pair, got (1, 12.0)"),
+                                "coupler_lengths must be a list of (key, value) pairs, got (1, 12.0)"),
     "coupler_lengths_dict": (lambda: CouplerPhysics(coupler_lengths={"F1": 12.0}),
-                             "expected a (coupler name, value) pair, got 'F1'"),
+                             "coupler_lengths must be a list of (key, value) pairs, got {'F1': 12.0}"),
     # containers of another type: AttributeError or TypeError, at once or when written out
     "notch_string": (lambda: CouplerPhysics(notch="x"), "notch must be a NotchCalibration, got 'x'"),
     "notch_anchor_tuple": (lambda: NotchCalibration(((1.0, "H", 0.5),)),
-                           "notch anchors must be NotchAnchors, got (1.0, 'H', 0.5)"),
+                           "notch anchors must be a list of NotchAnchors, got (1.0, 'H', 0.5)"),
+    # a dict gave its keys and a set its items in hash order
+    "notch_anchors_dict": (lambda: NotchCalibration(dict.fromkeys(design.DEFAULT_NOTCH_ANCHORS[:1], 0.5)),
+                           f"notch anchors must be a list of NotchAnchors, got "
+                           f"{dict.fromkeys(design.DEFAULT_NOTCH_ANCHORS[:1], 0.5)!r}"),
+    "sensitivities_set": (lambda: CouplerPhysics(sensitivities={("width", (0.1, 0.2))}),
+                          "sensitivities must be a list of (key, value) pairs, got {('width', (0.1, 0.2))}"),
     "notch_anchors_none": (lambda: NotchCalibration(None),
-                           "notch anchors must be a tuple of NotchAnchors, got None"),
+                           "notch anchors must be a list of NotchAnchors, got None"),
     "sensitivities_none": (lambda: CouplerPhysics(sensitivities=None),
-                           "sensitivities must be a tuple of (sensitivity dimension, value) pairs, got None"),
+                           "sensitivities must be a list of (key, value) pairs, got None"),
     "coupler_lengths_none": (lambda: CouplerPhysics(coupler_lengths=None),
-                             "coupler_lengths must be a tuple of (coupler name, value) pairs, got None"),
+                             "coupler_lengths must be a list of (key, value) pairs, got None"),
 }
 
 
@@ -382,7 +388,8 @@ def test_notch_custom_anchor_table():
 @pytest.mark.parametrize("first, second", [(0.1, 0.5), (0.5, 0.1)])
 def test_notch_calibration_refuses_two_anchors_at_one_length(first, second):
     # conversion(1.0, H) was the first anchor's: 0.1 in one order, 0.5 in the other
-    with pytest.raises(design.PhysicsError, match=r"^two notch anchors for H input at 1\.0 um$"):
+    message = "notch anchor (input_pol, length_um) ('H', 1.0) is given twice"
+    with pytest.raises(design.PhysicsError, match=f"^{re.escape(message)}$"):
         NotchCalibration((NotchAnchor(1.0, H, first), NotchAnchor(1, H, second), NotchAnchor(2.0, H, 0.9)))
     cal = NotchCalibration((NotchAnchor(1.0, H, first), NotchAnchor(1.0, V, second)))
     assert (cal.conversion(1.0, H), cal.conversion(1.0, V)) == (first, second)

@@ -107,12 +107,16 @@ def test_netlist_rejects_unknown_port():
         )
 
 
+_PORTS = (PortDecl("a", "io"), PortDecl("b", "io"), PortDecl("c", "io"))
+_TERM = HeraldTerm(("a",), (H, V), 1)
+
+
 def _three_port_netlist(**fields):
     """A netlist on ports a, b, c (target, control, program) with `fields` in place of its own."""
     parts = {
-        "ports": (PortDecl("a", "io"), PortDecl("b", "io"), PortDecl("c", "io")),
+        "ports": _PORTS,
         "elements": (spec("X", "waveplate", ("a",), preset="hadamard"),),
-        "herald": (HeraldTerm(("a",), (H, V), 1),),
+        "herald": (_TERM,),
         "encoding": QubitEncoding("a", "b", "c"),
     }
     return Netlist(**{**parts, **fields})
@@ -131,8 +135,8 @@ def test_a_part_names_a_name_that_is_not_a_string_when_it_is_made(field, make):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: QubitEncoding("T", "T", "P"), "target, control and program ports must be distinct"),
-    (lambda: spec("X", "pbs", ("a", "a")), "element 'X' wires a port twice"),
+    (lambda: QubitEncoding("T", "T", "P"), "encoding port 'T' is given twice"),
+    (lambda: spec("X", "pbs", ("a", "a")), "element 'X' port 'a' is given twice"),
     # its photons were counted twice
     (lambda: HeraldTerm(("T", "C", "T"), (H,), 1), "herald term port 'T' is given twice"),
 ])
@@ -143,7 +147,7 @@ def test_a_part_refuses_a_port_named_twice_when_it_is_made(make, message):
 
 @pytest.mark.parametrize("fields, message", [
     ({"ports": (PortDecl("a", "io"), PortDecl("a", "loss"), PortDecl("c", "io"))},
-     "duplicate port declarations"),
+     "netlist port 'a' is given twice"),
     ({"herald": ()}, "herald pattern is empty"),
     ({"herald": (HeraldTerm(("z",), (H, V), 1),)}, "herald references unknown port 'z'"),
     ({"encoding": QubitEncoding("a", "b", "z")}, "encoding references unknown port 'z'"),
@@ -158,7 +162,11 @@ NETLIST_FORM_FAULTS = {
     # raised AttributeError: 'str' object has no attribute 'name'
     "port_names": ({"ports": ("a", "b", "c")}, "netlist ports must be a list of PortDecls, got 'a'"),
     "elements_number": ({"elements": 5}, "netlist elements must be a list of ElementSpecs, got 5"),
-    "herald_string": ({"herald": "a"}, "netlist herald must be a list of HeraldTerms, got the string 'a'"),
+    # a dict of parts gave its keys: the netlist equalled the one made from them
+    "ports_dict": ({"ports": dict.fromkeys(_PORTS, 0)},
+                   f"netlist ports must be a list of PortDecls, got {dict.fromkeys(_PORTS, 0)!r}"),
+    "herald_set": ({"herald": {_TERM}}, f"netlist herald must be a list of HeraldTerms, got {({_TERM})!r}"),
+    "herald_string": ({"herald": "a"}, "netlist herald must be a list of HeraldTerms, got 'a'"),
     "encoding_names": ({"encoding": ("a", "b", "c")},
                        "netlist encoding must be a QubitEncoding, got ('a', 'b', 'c')"),
 }
@@ -171,7 +179,7 @@ def test_a_netlist_names_a_field_that_does_not_hold_its_part_type(fields, messag
 
 
 def test_netlist_rejects_duplicate_elements():
-    with pytest.raises(NetlistError, match="duplicate"):
+    with pytest.raises(NetlistError, match="^netlist element name 'X' is given twice$"):
         Netlist(
             (PortDecl("a", "io"), PortDecl("b", "io"), PortDecl("c", "io")),
             (spec("X", "waveplate", ("a",), preset="hadamard"),
@@ -800,7 +808,7 @@ def test_coupler_operators_name_a_step_that_is_not_a_coupler(netlist, name):
 def test_coupler_operators_refuse_a_coupler_named_twice(netlist):
     # else the later angles would silently take the place of the earlier ones
     names, angles = _gap_angles(netlist, [0.0, 1.0])
-    with pytest.raises(ValueError, match="^coupler 'PBS1' is named twice$"):
+    with pytest.raises(ValueError, match="^coupler 'PBS1' is given twice$"):
         gate.coupler_operators(netlist, names[:-1] + ("PBS1",), angles, 0.4)
 
 
@@ -1329,16 +1337,20 @@ def test_a_missing_parameter_is_one_rule_from_python_and_from_a_file(kind, group
 
 
 HERALD_GAPS = {
-    "count_true": ((("T",), (H, V), True), "herald count must be an integer, got True"),
-    "count_float": ((("T",), (H, V), 1.0), "herald count must be an integer, got 1.0"),
-    "count_negative": ((("T",), (H, V), -1), "herald count must be non-negative"),
+    "count_true": ((("T",), (H, V), True), "herald term count must be an integer, got True"),
+    "count_float": ((("T",), (H, V), 1.0), "herald term count must be an integer, got 1.0"),
+    "count_negative": ((("T",), (H, V), -1), "herald term count must be non-negative, got -1"),
     # a string pol raised a KeyError whose text could not be printed
     "pols_strings": ((("T",), ("H", "V"), 1),
-                     "herald polarization 'H' is not a Polarization (H or V)"),
+                     "herald term polarization 'H' is not a Polarization (H or V)"),
     # a string named one port per character: "TC" heralded on T and C
     "ports_string": (("TC", (H, V), 2),
-                     "herald term ports must be a list of port names, got the string 'TC'"),
+                     "herald term ports must be a list of port names, got 'TC'"),
     "ports_number": ((5, (H, V), 1), "herald term ports must be a list of port names, got 5"),
+    # a dict gave its keys and a set its items in hash order
+    "ports_dict": (({"T": 1}, (H, V), 1), "herald term ports must be a list of port names, got {'T': 1}"),
+    "pols_set": ((("T",), {V}, 1),
+                 "herald term pols must be a list of polarizations, got {<Polarization.V: 'V'>}"),
     # its V photon was counted twice: only |00> and |01> heralded, with p = 0.0208
     "pol_twice": ((("T",), (H, V, V), 1), "herald term polarization 'V' is given twice"),
 }
@@ -1370,13 +1382,15 @@ def test_a_python_spec_obeys_the_file_rules_for_rotated_and_preset(made, message
         default_netlist().element(name).with_params(**params)
 
 
+_NOT_PAIRS = "element 'F1' of kind 'filter' params must be a list of (key, value) pairs, got "
 PARAMS_FORM_FAULTS = {
     # a dict gives its keys; it raised ValueError: too many values to unpack
-    "dict": ({"t_h": 0.5, "t_v": 0.5}, "element 'F1' of kind 'filter' params must be (key, value) pairs, got 't_h'"),
-    "number_key": (((1, 0.5),), "element 'F1' of kind 'filter' params must be (key, value) pairs, got (1, 0.5)"),
-    "triple": ((("t_h", 0.5, 0.5),),
-               "element 'F1' of kind 'filter' params must be (key, value) pairs, got ('t_h', 0.5, 0.5)"),
-    "number": (0.5, "element 'F1' of kind 'filter' params must be a list of (key, value) pairs, got 0.5"),
+    "dict": ({"t_h": 0.5, "t_v": 0.5}, _NOT_PAIRS + "{'t_h': 0.5, 't_v': 0.5}"),
+    "number_key": (((1, 0.5),), _NOT_PAIRS + "(1, 0.5)"),
+    "triple": ((("t_h", 0.5, 0.5),), _NOT_PAIRS + "('t_h', 0.5, 0.5)"),
+    "number": (0.5, _NOT_PAIRS + "0.5"),
+    "set": ({("t_h", 0.5)}, _NOT_PAIRS + "{('t_h', 0.5)}"),
+    "none": (None, _NOT_PAIRS + "None"),
     # the last one won: t_h 0.5, then 0.9, gave 0.9
     "key_twice": ((("t_h", 0.5), ("t_v", 0.5), ("t_h", 0.9)), "element 'F1' parameter 't_h' is given twice"),
 }
@@ -1391,7 +1405,7 @@ def test_a_spec_refuses_params_that_are_not_pairs_of_distinct_keys(params, messa
 @pytest.mark.parametrize("make", [spec, ElementSpec], ids=["spec", "ElementSpec"])
 def test_a_spec_refuses_a_string_for_its_ports_and_keeps_a_list_as_a_tuple(make):
     # "TL" was wired as the ports T and L, one per character
-    message = "element 'X' of kind 'pbs' ports must be a list of port names, got the string 'TL'"
+    message = "element 'X' of kind 'pbs' ports must be a list of port names, got 'TL'"
     with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
         make("X", "pbs", "TL")
     assert make("X", "pbs", ["T", "L"]).ports == ("T", "L")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -26,7 +27,18 @@ from fockgate.design import (
     enumerate_v_perfect_lengths,
 )
 from fockgate.fock import H, V
-from fockgate.gate import ELEMENT_KINDS, circuit_matrix, default_netlist, extract_gate, spec
+from fockgate.gate import (
+    ELEMENT_KINDS,
+    ElementSpec,
+    HeraldTerm,
+    PortDecl,
+    QubitEncoding,
+    circuit_matrix,
+    coupler_operators,
+    default_netlist,
+    extract_gate,
+    spec,
+)
 from fockgate.io import (
     format_number,
     load_netlist,
@@ -235,7 +247,7 @@ PHYSICS_FAULT_TEXTS = {
         "notch anchor conversion must be in [0, 1], got 7.0"),
     "unknown_anchor_pol": (
         {"notch_anchors": [{"length_um": 0.75, "input_pol": "h", "conversion": 0.25}]},
-        "unknown polarization 'h'; expected 'H' or 'V'"),
+        "notch anchor input_pol 'h' is not a Polarization (H or V)"),
     "anchor_lacks_conversion": ({"notch_anchors": [{"length_um": 0.75, "input_pol": "V"}]},
                                 "notch anchor lacks key 'conversion'"),
     # conversion(1.0, H) was the first anchor's, 0.1 or 0.5 by the order of the file
@@ -243,12 +255,12 @@ PHYSICS_FAULT_TEXTS = {
         {"notch_anchors": [{"length_um": 1.0, "input_pol": "H", "conversion": 0.1},
                            {"length_um": 1.0, "input_pol": "H", "conversion": 0.5},
                            {"length_um": 2.0, "input_pol": "H", "conversion": 0.9}]},
-        "two notch anchors for H input at 1.0 um"),
+        "notch anchor (input_pol, length_um) ('H', 1.0) is given twice"),
     "two_anchors_at_one_length_swapped": (
         {"notch_anchors": [{"length_um": 1.0, "input_pol": "H", "conversion": 0.5},
                            {"length_um": 1.0, "input_pol": "H", "conversion": 0.1},
                            {"length_um": 2.0, "input_pol": "H", "conversion": 0.9}]},
-        "two notch anchors for H input at 1.0 um"),
+        "notch anchor (input_pol, length_um) ('H', 1.0) is given twice"),
 }
 
 
@@ -412,11 +424,11 @@ BAD_JSON_TEXTS = {
     "netlist_key_twice": (
         "netlist",
         lambda: _default_netlist_text().replace('"t_h": 0.5, "t_v": 0.5', '"t_h": 0.5, "t_v": 0.5, "t_h": 0.1', 1),
-        "gives the key 't_h' twice in one object",
+        "key 't_h' is given twice",
     ),
     # the last H won: L = 62.4 um ranked first, not 70.72
     "physics_key_twice": (
-        "physics", lambda: '{"beat_um": {"H": 35.8, "H": 1e9, "V": 8.32}}', "gives the key 'H' twice in one object",
+        "physics", lambda: '{"beat_um": {"H": 35.8, "H": 1e9, "V": 8.32}}', "key 'H' is given twice",
     ),
 }
 
@@ -694,6 +706,16 @@ def _named(path, name):
     return edit
 
 
+def _key_renamed(path, key, name):
+    """A document edit that renames `key` of the object where `path` leads to `name`."""
+    @_on_document
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[name] = data.pop(key)
+    return edit
+
+
 def _near_unitary_hadamards(el):
     # each plate passes the per-element 1e-12 check on its own, but
     # perturbed circuits built from both are not unitary within 1e-12
@@ -711,7 +733,8 @@ UNREALIZABLE_NETLISTS = {
     "t_h_oversized_int": (_f1_t_h_oversized_int, ["truth-table", "--phi", "0"], "'F1'"),
     "theta_h_list": (_f1_theta_h_list, ["truth-table", "--phi", "0"], "'theta_h'"),
     "rotated_string": (_det_rotated_string, ["truth-table", "--phi", "0"], "'rotated'"),
-    "ports_string": (_pbs1_ports_string, ["truth-table", "--phi", "0"], "'PBS1' ports must be a list"),
+    "ports_string": (_pbs1_ports_string, ["truth-table", "--phi", "0"],
+                     "'PBS1' of kind 'pbs' ports must be a list"),
     "near_unitary_hadamards": (_near_unitary_hadamards, ["check"], "not unitary"),
     "unknown_key_bogus": (_f1_bogus_key, ["truth-table", "--phi", "0"], "'bogus'"),
     "unknown_key_t_hh": (_f1_typo_t_hh, ["truth-table", "--phi", "0"], "'t_hh'"),
@@ -770,6 +793,11 @@ UNREALIZABLE_NETLISTS = {
                      "unknown element kind 'laser' (PBS1)"),
     "unknown_role": (_named(("ports", 0, "role"), "mirror"), ["truth-table", "--phi", "0"],
                      "unknown port role 'mirror' for 'T'"),
+    # a misspelt key was ignored: the PPBS kept its default bars, and truth-table exited 0 with fidelity 1.0
+    "params_misspelt": (_key_renamed(("elements", 3), "params", "parms"), ["truth-table", "--phi", "0"],
+                        "validation error: unknown key 'parms' in element 3\n"),
+    "role_misspelt": (_key_renamed(("ports", 0), "role", "rol"), ["truth-table", "--phi", "0"],
+                      "validation error: unknown key 'rol' in port 0\n"),
 }
 
 
@@ -785,6 +813,15 @@ def test_unrealizable_netlist_exits_3(edit, argv, message, tmp_path, capsys):
     assert code == 3
     assert err.startswith("validation error:")
     assert message in err
+
+
+@pytest.mark.parametrize("doc", [[], "netlist", 5, None], ids=["list", "string", "number", "null"])
+def test_a_netlist_document_that_is_not_an_object_exits_3(doc, tmp_path, capsys):
+    # a list gave "malformed netlist document: list indices must be integers or slices, not str"
+    path = tmp_path / "netlist.json"
+    path.write_text(json.dumps(doc))
+    assert main(["truth-table", "--phi", "0", "--netlist", str(path)]) == 3
+    assert capsys.readouterr().err == f"validation error: netlist document must be an object, got {doc!r}\n"
 
 
 def test_unrealizable_netlist_fails_on_load(tmp_path):
@@ -815,26 +852,40 @@ def test_element_arity_checked_on_load(tmp_path, capsys):
     assert "needs 2 port(s), got 1" in err
 
 
-def test_invalid_netlist_contents_exit_3(tmp_path, capsys):
-    for key, value, message in (
-        ("ports", ["GHOST"], "GHOST"),
-        # strings would split into the ports "T" and the pols "H", "V"
-        ("ports", "T", "herald term 0 ports must be a list"),
-        ("pols", "HV", "herald term 0 pols must be a list"),
-        # its V photon was counted twice
-        ("pols", ["H", "V", "V"], "herald term 0 polarization 'V' is given twice"),
-    ):
-        data = netlist_to_dict(default_netlist())
-        data["herald"][0][key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        code = main(
-            ["simulate", "--phi", "0", "--target", "1,0:0,0",
-             "--control", "1,0:0,0", "--netlist", str(path)]
-        )
-        err = capsys.readouterr().err
-        assert code == 3
-        assert message in err
+HERALD_FILE_FAULTS = {
+    "ghost_port": (0, "ports", ["GHOST"], "herald references unknown port 'GHOST'"),
+    # strings would split into the ports "T" and the pols "H", "V"
+    "ports_string_0": (0, "ports", "T", "herald term 0 ports must be a list of port names, got 'T'"),
+    "pols_string_0": (0, "pols", "HV", "herald term 0 pols must be a list of polarizations, got 'HV'"),
+    # its V photon was counted twice
+    "pol_twice_0": (0, "pols", ["H", "V", "V"], "herald term 0 polarization 'V' is given twice"),
+    # one row per HERALD_GAPS case (test_gate.py), in term 2: the count and
+    # polarization faults did not name the term
+    "count_true": (2, "count", True, "herald term 2 count must be an integer, got True"),
+    "count_float": (2, "count", 1.5, "herald term 2 count must be an integer, got 1.5"),
+    "count_negative": (2, "count", -1, "herald term 2 count must be non-negative, got -1"),
+    "pols_strings": (2, "pols", ["X"], "herald term 2 polarization 'X' is not a Polarization (H or V)"),
+    # a file holds no set: an object in its place
+    "pols_set": (2, "pols", {"V": 1}, "herald term 2 pols must be a list of polarizations, got {'V': 1}"),
+    "ports_string": (2, "ports", "TC", "herald term 2 ports must be a list of port names, got 'TC'"),
+    "ports_dict": (2, "ports", {"P": 1}, "herald term 2 ports must be a list of port names, got {'P': 1}"),
+    "ports_number": (2, "ports", 5, "herald term 2 ports must be a list of port names, got 5"),
+    "pol_twice": (2, "pols", ["V", "V"], "herald term 2 polarization 'V' is given twice"),
+}
+
+
+@pytest.mark.parametrize("term, key, value, message", HERALD_FILE_FAULTS.values(), ids=HERALD_FILE_FAULTS.keys())
+def test_invalid_netlist_contents_exit_3(term, key, value, message, tmp_path, capsys):
+    data = netlist_to_dict(default_netlist())
+    data["herald"][term][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(
+        ["simulate", "--phi", "0", "--target", "1,0:0,0",
+         "--control", "1,0:0,0", "--netlist", str(path)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def _herald_two_at_t(data):
@@ -1229,3 +1280,193 @@ def test_mutated_files_exit_0_2_or_3(physics, netlist, tmp_path_factory):
         ["truth-table", "--phi", "0.5", "--netlist", str(netlist_path)],
     ):
         assert _run_quietly(argv) in (0, 2, 3), argv
+
+
+# -- one rule per input: lists, values given once, JSON objects ---------------------
+
+SHIPPED_DOCUMENTS = {
+    "netlist": netlist_to_dict(default_netlist()),
+    "physics": physics_to_dict(CouplerPhysics()),
+}
+DOCUMENT_RUNS = {
+    "netlist": ["truth-table", "--phi", "0", "--netlist"],
+    "physics": ["design", "--element", "pbs", "--physics"],
+}
+
+
+def _run_document(kind, doc, tmp_path, capsys):
+    """The exit code and stderr of a command that loads `doc` as a `kind` file."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    code = main(DOCUMENT_RUNS[kind] + [str(path)])
+    return code, capsys.readouterr().err
+
+
+def _edited(kind, edit):
+    doc = copy.deepcopy(SHIPPED_DOCUMENTS[kind])
+    edit(doc)
+    return doc
+
+
+def _set_at(*path):
+    """An edit that puts its value where the keys and indices of `path` lead."""
+    def edit(doc, value):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+_NETLIST = default_netlist()
+
+# Every list field of the parts: the field as messages name it, the part
+# made from a value, the items the field lists and, where a file holds the
+# field as a JSON list, the file, the edit that sets it and the field as the
+# file's message names it.
+LIST_FIELDS = {
+    "element_ports": ("element 'PBS1' of kind 'pbs' ports", lambda v: spec("PBS1", "pbs", v), "port names",
+                      ("netlist", _set_at("elements", 0, "ports"), "element 'PBS1' of kind 'pbs' ports")),
+    # a file holds params as an object (`test_unrealizable_netlist_exits_3`)
+    "element_params": ("element 'F1' of kind 'filter' params",
+                       lambda v: ElementSpec("F1", "filter", ("T", "F1_LOSS"), v), "(key, value) pairs", None),
+    "herald_ports": ("herald term ports", lambda v: HeraldTerm(v, (H, V), 1), "port names",
+                     ("netlist", _set_at("herald", 2, "ports"), "herald term 2 ports")),
+    "herald_pols": ("herald term pols", lambda v: HeraldTerm(("T",), v, 1), "polarizations",
+                    ("netlist", _set_at("herald", 2, "pols"), "herald term 2 pols")),
+    "netlist_ports": ("netlist ports", lambda v: dataclasses.replace(_NETLIST, ports=v), "PortDecls",
+                      ("netlist", _set_at("ports"), "netlist ports")),
+    "netlist_elements": ("netlist elements", lambda v: dataclasses.replace(_NETLIST, elements=v), "ElementSpecs",
+                         ("netlist", _set_at("elements"), "netlist elements")),
+    "netlist_herald": ("netlist herald", lambda v: dataclasses.replace(_NETLIST, herald=v), "HeraldTerms",
+                       ("netlist", _set_at("herald"), "netlist herald")),
+    # a file holds these two as objects (`BAD_PHYSICS`)
+    "sensitivities": ("sensitivities", lambda v: CouplerPhysics(sensitivities=v), "(key, value) pairs", None),
+    "coupler_lengths": ("coupler_lengths", lambda v: CouplerPhysics(coupler_lengths=v),
+                        "(key, value) pairs", None),
+    "notch_anchors": ("notch anchors", NotchCalibration, "NotchAnchors",
+                      ("physics", _set_at("notch_anchors"), "notch anchors")),
+}
+# a string gave one item per character, a set its items in hash order and a dict its keys
+NOT_LISTS = {"string": "TL", "dict": {"T": "L"}, "set": {"T", "L"}, "number": 5, "none": None}
+
+
+@pytest.mark.parametrize("bad", NOT_LISTS)
+@pytest.mark.parametrize("field", LIST_FIELDS)
+def test_a_list_field_takes_only_a_list_or_a_tuple(field, bad, tmp_path, capsys):
+    named, make, items, file = LIST_FIELDS[field]
+    value = NOT_LISTS[bad]
+    message = f"{named} must be a list of {items}, got {value!r}"
+    with pytest.raises((NetlistError, PhysicsError), match=f"^{re.escape(message)}$"):
+        make(value)
+    if file is None or bad == "set":  # a file holds no set
+        return
+    kind, edit, file_named = file
+    code, err = _run_document(kind, _edited(kind, lambda doc: edit(doc, value)), tmp_path, capsys)
+    assert code == 3
+    assert err == f"validation error: {message.replace(named, file_named, 1)}\n"
+
+
+def _element_renamed(k, name):
+    elements = list(_NETLIST.elements)
+    elements[k] = dataclasses.replace(elements[k], name=name)
+    return elements
+
+
+_ANCHORS_AT_ONE_LENGTH = (NotchAnchor(1.0, H, 0.1), NotchAnchor(1, H, 0.5))
+
+# Every value that may be given only once: the part made with it twice, the
+# message, and where a file can give it twice, the file, its edit and its
+# message (None: the same).  A key given twice in one object of a file is
+# refused by the JSON reader (`BAD_JSON_TEXTS`).
+ONCE_CASES = {
+    "element_port": (lambda: spec("PBS1", "pbs", ("T", "T")), "element 'PBS1' port 'T' is given twice",
+                     ("netlist", lambda d: _set_at("elements", 0, "ports")(d, ["T", "T"]), None)),
+    "element_parameter": (
+        lambda: ElementSpec("F1", "filter", ("T", "F1_LOSS"), (("t_h", 0.5), ("t_v", 0.5), ("t_h", 0.9))),
+        "element 'F1' parameter 't_h' is given twice", None),
+    "herald_port": (lambda: HeraldTerm(("P", "P"), (V,), 1), "herald term port 'P' is given twice",
+                    ("netlist", lambda d: _set_at("herald", 2, "ports")(d, ["P", "P"]),
+                     "herald term 2 port 'P' is given twice")),
+    "herald_pol": (lambda: HeraldTerm(("P",), (V, V), 1), "herald term polarization 'V' is given twice",
+                   ("netlist", lambda d: _set_at("herald", 2, "pols")(d, ["V", "V"]),
+                    "herald term 2 polarization 'V' is given twice")),
+    "netlist_port": (lambda: dataclasses.replace(_NETLIST, ports=_NETLIST.ports + (PortDecl("T"),)),
+                     "netlist port 'T' is given twice",
+                     ("netlist", lambda d: d["ports"].append({"name": "T"}), None)),
+    "element_name": (lambda: dataclasses.replace(_NETLIST, elements=_element_renamed(1, "PBS1")),
+                     "netlist element name 'PBS1' is given twice",
+                     ("netlist", lambda d: _set_at("elements", 1, "name")(d, "PBS1"), None)),
+    "encoding_port": (lambda: QubitEncoding("T", "T", "P"), "encoding port 'T' is given twice",
+                      ("netlist", lambda d: _set_at("encoding", "control")(d, "T"), None)),
+    "notch_anchor": (lambda: NotchCalibration(_ANCHORS_AT_ONE_LENGTH),
+                     "notch anchor (input_pol, length_um) ('H', 1.0) is given twice",
+                     ("physics", lambda d: _set_at("notch_anchors")(d, [
+                         {"length_um": a.length_um, "input_pol": "H", "conversion": a.conversion}
+                         for a in _ANCHORS_AT_ONE_LENGTH]), None)),
+    "sensitivity_dimension": (
+        lambda: CouplerPhysics(sensitivities=(("width", (0.1, 0.2)), ("width", (0.0, 0.0)))),
+        "sensitivity dimension 'width' is given twice", None),
+    "coupler_name": (lambda: CouplerPhysics(coupler_lengths=(("F1", 12.0), ("F1", 13.0))),
+                     "coupler name 'F1' is given twice", None),
+    "swept_coupler": (lambda: coupler_operators(_NETLIST, ("PBS1", "PBS1"), np.zeros((1, 2, 2)), 0.0),
+                      "coupler 'PBS1' is given twice", None),
+}
+
+
+@pytest.mark.parametrize("make, message, file", ONCE_CASES.values(), ids=ONCE_CASES.keys())
+def test_a_value_given_twice_is_named(make, message, file, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+    if file is not None:
+        kind, edit, file_message = file
+        code, err = _run_document(kind, _edited(kind, edit), tmp_path, capsys)
+        assert code == 3
+        assert err == f"validation error: {file_message or message}\n"
+
+
+# The keys each object of a file must hold, by the object's path without
+# list indices; any other key may be left out.
+REQUIRED_KEYS = {
+    ("netlist", ()): ("ports", "elements", "herald", "encoding"),
+    ("netlist", ("ports",)): ("name",),
+    ("netlist", ("elements",)): ("name", "kind", "ports"),
+    ("netlist", ("herald",)): ("ports", "pols", "count"),
+    ("netlist", ("encoding",)): ("target", "control", "program"),
+    ("physics", ("notch_anchors",)): ("length_um", "input_pol", "conversion"),
+}
+KEY_PATHS = [(kind, path) for kind, doc in SHIPPED_DOCUMENTS.items()
+             for path, _ in _locations(doc) if isinstance(path[-1], str)]
+
+
+@pytest.mark.parametrize("edit", ["rename", "drop"])
+@pytest.mark.parametrize("kind, path", KEY_PATHS,
+                         ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, path in KEY_PATHS])
+def test_every_key_of_a_shipped_document_obeys_the_object_rule(kind, path, edit, tmp_path, capsys):
+    key = path[-1]
+
+    def edited(doc):
+        for step in path[:-1]:
+            doc = doc[step]
+        value = doc.pop(key)
+        if edit == "rename":
+            doc[f"{key}_x"] = value
+
+    code, err = _run_document(kind, _edited(kind, edited), tmp_path, capsys)
+    assert "malformed" not in err and "Traceback" not in err
+    parent = (kind, tuple(step for step in path[:-1] if isinstance(step, str)))
+    if edit == "rename" and parent == ("physics", ("coupler_lengths_um",)):
+        # a coupler length is keyed by an element name, and any name is taken
+        assert code == 0
+    elif edit == "rename":
+        assert code == 3
+        assert f"'{key}_x'" in err
+    elif key in REQUIRED_KEYS.get(parent, ()):
+        assert code == 3
+        assert f"lacks key {key!r}" in err
+    else:  # the key takes its default: a port's role, an element's params, a physics value
+        assert "lacks key" not in err and "unknown key" not in err
+        if path in (("ports", 0, "role"), ("elements", 0, "params")):
+            assert code == 0
+        elif code != 0:  # a parameter the element's kind needs, named
+            assert code == 3
+            assert "lacks parameter" in err and (key == "params" or repr(key) in err)
