@@ -32,6 +32,7 @@ from .elements import (
     wave_plate,
 )
 from .gate import (
+    COUPLER_KINDS,
     ElementSpec,
     Netlist,
     build_element,
@@ -210,7 +211,10 @@ def check_notch_calibration() -> CheckResult:
 def check_tolerance_machinery(netlist: Netlist | None = None) -> CheckResult:
     """Criterion 7: nominal at delta 0; fidelity non-increasing in |delta|."""
     nl = netlist or default_netlist()
-    phys = CouplerPhysics().with_sensitivities("width", 0.004, 0.004)
+    # the shipped lengths of this netlist's couplers: a length that names none is refused
+    couplers = {el.name for el in nl.elements if el.kind in COUPLER_KINDS}
+    lengths = tuple(pair for pair in CouplerPhysics().coupler_lengths if pair[0] in couplers)
+    phys = CouplerPhysics(coupler_lengths=lengths).with_sensitivities("width", 0.004, 0.004)
     rows = tolerance_sweep(nl, phys, "width", (-10.0, 10.0), 1.0, phi=math.pi)
     ok = len(rows) == 21
     center = next(r for r in rows if r.delta_nm == 0.0)

@@ -462,7 +462,10 @@ def perturbed_angles(
     """Coupling angles of the netlist's couplers under a geometry deviation of `delta_nm` nm.
 
     The couplers are the pbs, ppbs and filter elements with a configured
-    design length, named in netlist order.  Each gets its own angles
+    design length, named in netlist order; a length configured for a name
+    that is no such element of the netlist raises PhysicsError naming it and
+    listing the netlist's couplers, so a misspelt name is never left
+    unperturbed without a word.  Each gets its own angles
     (`gate.coupler_angles`) plus the `delta_theta` drift at its fixed
     fabricated length, so at delta = 0 the angles are the elements' own.
     Returns the names and the angles, of shape delta.shape + (couplers, 2)
@@ -480,6 +483,14 @@ def perturbed_angles(
             "CouplerPhysics.sensitivities (a physics file's sensitivities_um_per_nm, "
             "um per nm) before running a nonzero tolerance study"
         )
+    design_lengths = dict(physics.coupler_lengths)
+    known = [el.name for el in netlist.elements if el.kind in COUPLER_KINDS]
+    unknown = [name for name in design_lengths if name not in known]
+    if unknown:
+        raise PhysicsError(
+            f"coupler length {unknown[0]!r} names no pbs, ppbs or filter of the netlist "
+            f"(its couplers: {', '.join(known) or 'none'})"
+        )
     widest = float(np.max(np.abs(deltas), initial=0.0))
     if widest > 10.0:
         warnings.warn(
@@ -487,7 +498,6 @@ def perturbed_angles(
             "linear sensitivity model was specified for",
             stacklevel=3,
         )
-    design_lengths = dict(physics.coupler_lengths)
     couplers = [
         (el, length) for el in netlist.elements
         if el.kind in COUPLER_KINDS and (length := design_lengths.get(el.name)) is not None

@@ -51,6 +51,7 @@ HWP1_MATRIX = np.array(
 HADAMARD_MATRIX = np.array(
     [[1, 1], [1, -1]], dtype=complex
 ) / math.sqrt(2.0)
+HWP1_MATRIX.flags.writeable = HADAMARD_MATRIX.flags.writeable = False
 
 # (bar_h, bar_v) of the default PPBS: unit H and 1/sqrt3 V, whose
 # two-V-photon coincidence amplitude is t^2 - r^2 = -1/3.
@@ -64,20 +65,23 @@ WAVEPLATE_PRESETS = {
 
 @dataclass(frozen=True)
 class ElementMatrix:
-    """Unitary on its modes.
+    """Unitary on its modes; an immutable value.
 
     matrix is one (len(modes), len(modes)) matrix in transfer orientation,
-    mapping the modes onto themselves, with rows orthonormal within 1e-12.
+    mapping the modes onto themselves, with rows orthonormal within 1e-12:
+    the element's own read-only copy of the array it was given, so neither a
+    later write into that array nor one into `matrix` (ValueError) changes it.
     """
 
     modes: tuple[Mode, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (len(self.modes),) * 2:
             raise ValueError(f"matrix shape {m.shape} does not match {len(self.modes)} modes")
         _check_isometry(m, "element is not an isometry: deviation {:.3g}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 

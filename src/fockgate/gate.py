@@ -23,17 +23,18 @@ V, and finds the column of a port's mode from that port's index
 (`Netlist.column`).  It is immutable and one circuit, so it derives
 everything once and keeps it: from its ports, herald and encoding the
 mode order, the basis inputs with the gather of their heralded transfer
-and the logical readout; from its elements the realized steps
-(`Netlist.steps`), the circuit composed from them and the heralded
-amplitudes of the 8 basis inputs.  A new phase or new qubit amplitudes
-cost only the linear combination and the readout.  `coupler_operators`
-composes its steps with some couplers set by angle arrays, for each point
-of a parameter sweep the circuit rows that the basis inputs' photons
-enter, and reads the gate off that whole stack at once with
-`heralded_operators`' readout.
+and the logical readout; from its elements the steps (`Netlist.steps`,
+its one realization, each element read-only), the circuit composed from
+them and the heralded amplitudes of the 8 basis inputs.  A new phase or
+new qubit amplitudes cost only the linear combination and the readout.
+`coupler_operators` composes its steps with some couplers set by angle
+arrays, for each point of a parameter sweep the circuit rows that the
+basis inputs' photons enter, and reads the gate off that whole stack at
+once with `heralded_operators`' readout.
 The sequential Fock engine, `run_elements` followed by `project_herald`,
-computes the same branches element by element; it is the reference the
-tests and the acceptance checks hold the permanent engine to.
+computes the same branches element by element from the same steps; it is
+the reference the tests and the acceptance checks hold the permanent
+engine to.
 """
 
 from __future__ import annotations
@@ -335,10 +336,10 @@ class QubitEncoding:
 
 
 class Step(NamedTuple):
-    """One realized element: its spec, its read-only matrix and `at`, its columns' `column_placement`."""
+    """One realized element: its spec, its read-only `element` and `at`, its columns' `column_placement`."""
 
     spec: ElementSpec
-    matrix: np.ndarray
+    element: ElementMatrix
     at: slice | np.ndarray
 
 
@@ -357,9 +358,9 @@ class Netlist:
     control c and program p (0 = H); `basis_gather`, what
     `heralded_transfer` gathers for them; and `readout`, the (outputs x 4)
     0/1 matrix that reads those outputs as logical |tc>.  From its
-    elements: the `steps` (each element realized and placed once), the
-    circuit matrix `compose` makes of them and the (8, outputs) heralded
-    amplitudes of the basis inputs.  None of it takes part in equality,
+    elements: the `steps`, its one realization (each element realized,
+    read-only, and placed once), the circuit matrix `compose` makes of them
+    and the (8, outputs) heralded amplitudes of the basis inputs.  None of it takes part in equality,
     hashing or pickling: `replace`, `with_overrides`, `pickle` and `copy`
     make a new instance that derives its own.
 
@@ -506,42 +507,25 @@ class Netlist:
 
     # -- realization -------------------------------------------------------
 
-    def build_matrices(self) -> list[ElementMatrix]:
-        """Element matrices in application order (detector basis rotation included).
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """The netlist's one realization: the elements that act on modes, in application order.
 
-        Every spec was checked when it was made, so only an element whose
-        matrix is not unitary raises NetlistError naming it.
+        A step holds the spec, its `build_element` value (read-only) and the
+        read-only placement of its modes' columns, which no composition or
+        Fock run resolves again.  Only an element whose matrix is not unitary
+        raises NetlistError, naming it (every spec checked itself when made).
         """
-        return [m for _, m in self._realized()]
-
-    def _realized(self) -> list[tuple[ElementSpec, ElementMatrix]]:
-        """Each element that acts on modes with its matrix, as `build_matrices` reports them."""
-        out = []
+        steps = []
         for el in self.elements:
             try:
                 m = build_element(el)
             except ValueError as exc:  # not unitary
                 raise NetlistError(f"element {el.name!r}: {exc}") from exc
             if m is not None:
-                out.append((el, m))
-        return out
-
-    @cached_property
-    def steps(self) -> tuple[Step, ...]:
-        """The elements that act on modes, each realized once, in application order.
-
-        A step holds the element's spec, a read-only view of its matrix and
-        the placement of its modes' columns, read-only, so no composition
-        resolves them again.  An element whose matrix is not unitary raises
-        NetlistError naming it, as `build_matrices` does.
-        """
-        steps = []
-        for el, m in self._realized():
-            matrix = m.matrix.view()
-            matrix.flags.writeable = False
-            columns = np.array([self.column(mode.port, mode.pol) for mode in m.modes])
-            columns.flags.writeable = False
-            steps.append(Step(el, matrix, column_placement(columns)))
+                columns = np.array([self.column(mode.port, mode.pol) for mode in m.modes])
+                columns.flags.writeable = False
+                steps.append(Step(el, m, column_placement(columns)))
         return tuple(steps)
 
     def compose(self, stacks: Mapping[int, np.ndarray] = MappingProxyType({})) -> np.ndarray:
@@ -563,7 +547,7 @@ class Netlist:
 
     def _compose_rows(self, stacks: Mapping[int, np.ndarray], rows: np.ndarray | None = None) -> np.ndarray:
         """Rows `rows` (all when None) of the circuits `compose` makes, unchecked."""
-        matrices = [stacks.get(k, step.matrix) for k, step in enumerate(self.steps)]
+        matrices = [stacks.get(k, step.element.matrix) for k, step in enumerate(self.steps)]
         return compose_rows(matrices, [step.at for step in self.steps], len(self.modes), rows)
 
     @cached_property
@@ -577,12 +561,14 @@ class Netlist:
         """The circuit rows `basis_gather` reads, ascending, and that gather renumbered to them."""
         rows, *rest = self.basis_gather
         block = np.array(sorted(set(rows.flat)))  # np.unique raises the peak RSS by 0.6 MB
-        return block, (np.searchsorted(block, rows), *rest)
+        renumbered = np.searchsorted(block, rows)
+        block.flags.writeable = renumbered.flags.writeable = False
+        return block, (renumbered, *rest)
 
     @cached_property
     def _steps_near_unitary(self) -> bool:
         """Whether the steps' `isometry_deviation`s sum to at most _NEAR_UNITARY (see there)."""
-        return sum(isometry_deviation(step.matrix) for step in self.steps) <= _NEAR_UNITARY
+        return sum(isometry_deviation(step.element.matrix) for step in self.steps) <= _NEAR_UNITARY
 
     @cached_property
     def _circuit(self) -> np.ndarray:
@@ -771,8 +757,13 @@ def extend_state(state: PureState, netlist: Netlist) -> PureState:
 
 
 def run_elements(netlist: Netlist, state: PureState) -> PureState:
-    for el in netlist.build_matrices():
-        state = apply_element(state, el)
+    """`state` sent through `netlist.steps` in order, each by `apply_element`.
+
+    The sequential Fock reference: it reads the realized elements the
+    circuit is composed from, never the circuit or its kept amplitudes.
+    """
+    for step in netlist.steps:
+        state = apply_element(state, step.element)
     return state
 
 

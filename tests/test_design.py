@@ -650,9 +650,9 @@ def test_sweep_of_a_netlist_outside_the_bound_checks_its_circuits_and_keeps_the_
     # plates 1e-13 off unitarity: a sweep may not skip the 1e-12 check, which its circuits pass
     netlist = default_netlist()
     netlist = netlist.with_overrides({
-        step.spec.name: gate.spec(step.spec.name, "waveplate", step.spec.ports,
-                                  matrix=(step.matrix * (1 + 1e-13)).tolist())
-        for step in netlist.steps if len(step.spec.ports) == 1
+        el.name: gate.spec(el.name, "waveplate", el.ports,
+                           matrix=(gate.build_element(el).matrix * (1 + 1e-13)).tolist())
+        for el in netlist.elements if len(el.ports) == 1
     })
     assert not netlist._steps_near_unitary
     assert default_netlist()._steps_near_unitary
@@ -823,6 +823,38 @@ def _assert_rows_equal_their_own_extraction(netlist, physics, dimension, rows, p
             (name, math.cos(p["theta_h"]) ** 2, math.cos(p["theta_v"]) ** 2)
             for name, p in sorted(angles.items())
         )
+
+
+def test_a_refused_write_into_a_realized_plate_leaves_swept_and_fresh_netlists_alone():
+    # such a write once reached the preset that every HWP1 step held: a new sweep of a
+    # swept netlist read p10 = p11 = 0.006944 and F = 0.933 at delta 0, without an error
+    netlist = default_netlist()
+    physics = PHYS.with_sensitivities("width", 0.004, 0.004)
+    before = [_row_bits(r) for r in tolerance_sweep(netlist, physics, "width", phi=math.pi)]
+    extract_gate(netlist, math.pi)
+    with pytest.raises(ValueError, match="read-only"):
+        build_element(gate.spec("X", "waveplate", ("a",), preset="hwp1")).matrix[1, 1] = 0.5
+    rows = tolerance_sweep(netlist, physics, "width", phi=math.pi)
+    assert [_row_bits(r) for r in rows] == before
+    assert rows[10].delta_nm == 0.0
+    _assert_rows_equal_their_own_extraction(netlist, physics, "width", rows, [10], math.pi)
+    for nl in (netlist, default_netlist()):
+        result = extract_gate(nl, math.pi)
+        assert result.fidelity >= 1 - 1e-12
+        assert all(abs(p - 1 / 48) <= 1e-12 for p in result.herald_probability.values())
+
+
+@pytest.mark.parametrize("old, new", [("PBS1", "PBS_1"), ("F2", "HWP1")])
+def test_a_length_that_names_no_coupler_of_the_netlist_is_refused(old, new):
+    # a misspelt name once left its coupler at its nominal angles without a word
+    lengths = tuple((new if name == old else name, um) for name, um in PHYS.coupler_lengths)
+    physics = CouplerPhysics(coupler_lengths=lengths).with_sensitivities("width", 0.004, 0.004)
+    message = (f"coupler length {new!r} names no pbs, ppbs or filter of the netlist "
+               "(its couplers: PBS1, F1, PPBS, F2, PBS3, PBS2)")
+    for sweep in (lambda: tolerance_sweep(default_netlist(), physics, "width"),
+                  lambda: synthesize_imperfect_elements(default_netlist(), physics, "width", 0.0)):
+        with pytest.raises(design.PhysicsError, match=f"^{re.escape(message)}$"):
+            sweep()
 
 
 def test_sweep_batch_edges_equal_extract_gate_bit_for_bit():

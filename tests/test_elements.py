@@ -136,6 +136,30 @@ def test_hwp1_pinned_action_on_v():
     assert abs(HWP1_MATRIX[0, 1] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("make", [lambda m: wave_plate("a", m),
+                                  lambda m: ElementMatrix(modes_for_ports(["a"]), m)],
+                         ids=["wave_plate", "ElementMatrix"])
+def test_an_element_keeps_its_own_copy_of_the_callers_array(make):
+    given = HADAMARD_MATRIX.copy()
+    el = make(given)
+    given[1, 1] = 0.5
+    assert el.matrix.tobytes() == HADAMARD_MATRIX.tobytes()
+    assert not np.shares_memory(el.matrix, given)
+
+
+@pytest.mark.parametrize("array", [
+    lambda: built("waveplate", ("a",), preset="hwp1").matrix,
+    lambda: built("pbs").matrix,
+    lambda: wave_plate("a", [[0, 1], [1, 0]]).matrix,
+    lambda: HWP1_MATRIX,
+    lambda: HADAMARD_MATRIX,
+], ids=["preset plate", "pbs", "plate from lists", "HWP1_MATRIX", "HADAMARD_MATRIX"])
+def test_a_realized_matrix_and_the_presets_refuse_a_write(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array()[1, 1] = 0.5
+    assert built("waveplate", ("a",), preset="hwp1").matrix[1, 1] == math.sqrt(3) / 2
+
+
 def test_rotator_from_conversion_matches_presets():
     quarter = rotator_from_conversion("a", 0.25, input_pol=V)
     assert np.allclose(quarter.matrix, HWP1_MATRIX)

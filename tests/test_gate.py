@@ -751,10 +751,10 @@ def test_circuit_matrix_is_kept_read_only():
     assert circuit_matrix(nl) is unitary
     with pytest.raises(ValueError, match="read-only"):
         unitary[0, 0] = 0.0
-    matrices = nl.build_matrices()
-    columns = [np.array([list(nl.modes).index(mode) for mode in m.modes]) for m in matrices]
+    elements = [step.element for step in nl.steps]
+    columns = [np.array([list(nl.modes).index(mode) for mode in m.modes]) for m in elements]
     assert np.array_equal(
-        unitary, compose_circuit_matrix([m.matrix for m in matrices], columns, len(nl.modes))
+        unitary, compose_circuit_matrix([m.matrix for m in elements], columns, len(nl.modes))
     )
 
 
@@ -763,12 +763,14 @@ def test_steps_are_realized_once_read_only_and_compose_the_circuit():
     steps = nl.steps
     assert nl.steps is steps
     assert [step.spec.name for step in steps] == [el.name for el in nl.elements]
-    for step, built in zip(steps, nl.build_matrices()):
+    for step in steps:
+        built = build_element(step.spec)
         columns = [list(nl.modes).index(mode) for mode in modes_for_ports(step.spec.ports)]
         assert np.arange(len(nl.modes))[step.at].tolist() == columns
-        assert np.array_equal(step.matrix, built.matrix)
+        assert step.element.modes == built.modes
+        assert np.array_equal(step.element.matrix, built.matrix)
         with pytest.raises(ValueError, match="read-only"):
-            step.matrix[0, 0] = 0.0
+            step.element.matrix[0, 0] = 0.0
     assert np.array_equal(nl.compose(), circuit_matrix(nl))
 
 
@@ -1085,7 +1087,8 @@ def test_a_netlist_pickles_and_copies():
         # what the clone derives is its own and read-only
         assert circuit_matrix(clone) is not circuit_matrix(nl)
         kept = [circuit_matrix(clone), clone._basis_amplitudes, clone.readout,
-                *clone.basis_gather, *(step.matrix for step in clone.steps),
+                *clone.basis_gather, clone._row_block[0], clone._row_block[1][0],
+                *(step.element.matrix for step in clone.steps),
                 *(step.at for step in clone.steps if isinstance(step.at, np.ndarray))]
         for array in kept:
             with pytest.raises(ValueError, match="read-only"):
@@ -1101,10 +1104,10 @@ def test_rewired_element_composes_on_its_new_columns():
     _assert_own_equal_structure(rewired, base)
     pbs3 = next(step for step in rewired.steps if step.spec.name == "PBS3")
     assert pbs3.at.tolist() == [6, 7, 2, 3]
-    matrices = rewired.build_matrices()
+    elements = [step.element for step in rewired.steps]
     independent = compose_circuit_matrix(
-        [m.matrix for m in matrices],
-        [np.array([list(rewired.modes).index(mode) for mode in m.modes]) for m in matrices],
+        [m.matrix for m in elements],
+        [np.array([list(rewired.modes).index(mode) for mode in m.modes]) for m in elements],
         len(rewired.modes),
     )
     assert np.array_equal(circuit_matrix(rewired), independent)
@@ -1141,20 +1144,21 @@ def test_extract_gate_from_threads_equals_serial():
     assert [results[w] for w in range(4)] == [expected] * 4
 
 
-def test_oracle_check_builds_its_own_elements(monkeypatch):
+def test_oracle_check_reads_the_realized_steps(monkeypatch):
     nl = default_netlist()
-    circuit_matrix(nl)  # the permanent side is kept on the netlist
+    circuit_matrix(nl)  # the permanent side composes the steps and keeps its circuit
     calls = []
-    original = Netlist.build_matrices
+    original = gate.build_element
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting(el):
+        calls.append(el)
+        return original(el)
 
-    monkeypatch.setattr(Netlist, "build_matrices", counting)
+    monkeypatch.setattr(gate, "build_element", counting)
     name, ok, _ = acceptance.check_oracle_equivalence(nl)
     assert ok
-    assert len(calls) == 27 and all(c is nl for c in calls)  # one per run_elements
+    assert calls == []  # the 27 Fock runs apply the steps the circuit was composed from
+    assert "_basis_amplitudes" not in vars(nl)  # nor read the kept amplitudes
 
 
 # -- element parameters ------------------------------------------------------------
@@ -1248,10 +1252,10 @@ def test_every_kind_builds_through_a_netlist(kind):
     params, make = KIND_CASES[kind]
     arity, _ = ELEMENT_KINDS[kind]
     nl = _with_first_element(spec("X", kind, SPARE_PORTS[: arity or 2], **params))
-    built = nl.build_matrices()
+    built = [step.element for step in nl.steps]
     expected = make(*SPARE_PORTS)
     if expected is None:
-        assert len(built) == len(default_netlist().build_matrices())
+        assert len(built) == len(default_netlist().steps)
     else:
         assert built[0].modes == expected.modes
         assert np.max(np.abs(built[0].matrix - expected.matrix)) < 1e-15

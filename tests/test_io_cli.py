@@ -1159,6 +1159,35 @@ def test_check_fails_cphase_correctness_when_00_never_heralds(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_sweep_with_a_length_that_names_no_coupler_exits_3(tmp_path, capsys):
+    # the physics file's PBS1 renamed PBS_1: once exit 0, with no PBS1 columns
+    data = physics_to_dict(CouplerPhysics().with_sensitivities("width", 0.004, 0.004))
+    data["coupler_lengths_um"]["PBS_1"] = data["coupler_lengths_um"].pop("PBS1")
+    path = tmp_path / "physics.json"
+    path.write_text(json.dumps(data))
+    code = main(["sweep", "--dimension", "width", "--step", "10", "--physics", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        "validation error: coupler length 'PBS_1' names no pbs, ppbs or filter of the "
+        "netlist (its couplers: PBS1, F1, PPBS, F2, PBS3, PBS2)\n"
+    )
+    assert captured.out == ""
+
+
+def test_check_of_a_netlist_with_a_renamed_coupler_sweeps_the_couplers_it_has(tmp_path, capsys):
+    # criterion 7 sweeps with the shipped lengths of the couplers the netlist has
+    data = netlist_to_dict(default_netlist())
+    for el in data["elements"]:
+        if el["name"] == "PBS1":
+            el["name"] = "PBS_1"
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--netlist", str(path)]) == 0
+    renamed = re.sub(r"runtime [0-9.]+s", "runtime <masked>", capsys.readouterr().out)
+    assert renamed == _check_output(7, capsys)
+
+
 def test_check_fails_on_detuned_netlist(tmp_path, capsys):
     data = netlist_to_dict(default_netlist())
     for el in data["elements"]:

@@ -167,13 +167,13 @@ def _physics_file_sweeps(oracle, out: _Hash) -> None:
 
 def _checked_sweeps(oracle, out: _Hash) -> None:
     from fockgate.design import DIMENSIONS, CouplerPhysics, tolerance_sweep
-    from fockgate.gate import default_netlist, spec
+    from fockgate.gate import build_element, default_netlist, spec
 
     netlist = default_netlist()
     netlist = netlist.with_overrides({
-        step.spec.name: spec(step.spec.name, "waveplate", step.spec.ports,
-                             matrix=(step.matrix * (1 + 1e-13)).tolist())
-        for step in netlist.steps if len(step.spec.ports) == 1
+        el.name: spec(el.name, "waveplate", el.ports,
+                      matrix=(build_element(el).matrix * (1 + 1e-13)).tolist())
+        for el in netlist.elements if len(el.ports) == 1
     })
     for dimension in DIMENSIONS:
         rng = random.Random(f"checked-{dimension}")
