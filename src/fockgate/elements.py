@@ -71,6 +71,7 @@ class ElementMatrix:
     mapping the modes onto themselves, with rows orthonormal within 1e-12:
     the element's own read-only copy of the array it was given, so neither a
     later write into that array nor one into `matrix` (ValueError) changes it.
+    A pickle or a copy is made as the element was, so it is read-only too.
     """
 
     modes: tuple[Mode, ...]
@@ -83,6 +84,9 @@ class ElementMatrix:
         _check_isometry(m, "element is not an isometry: deviation {:.3g}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):
+        return (ElementMatrix, (self.modes, self.matrix))
 
 
 def _check_isometry(m: np.ndarray, message: str) -> None:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -151,9 +153,12 @@ def test_an_element_keeps_its_own_copy_of_the_callers_array(make):
     lambda: built("waveplate", ("a",), preset="hwp1").matrix,
     lambda: built("pbs").matrix,
     lambda: wave_plate("a", [[0, 1], [1, 0]]).matrix,
+    lambda: copy.deepcopy(built("pbs")).matrix,
+    lambda: pickle.loads(pickle.dumps(built("pbs"))).matrix,
     lambda: HWP1_MATRIX,
     lambda: HADAMARD_MATRIX,
-], ids=["preset plate", "pbs", "plate from lists", "HWP1_MATRIX", "HADAMARD_MATRIX"])
+], ids=["preset plate", "pbs", "plate from lists", "deep copy", "pickle", "HWP1_MATRIX",
+        "HADAMARD_MATRIX"])
 def test_a_realized_matrix_and_the_presets_refuse_a_write(array):
     with pytest.raises(ValueError, match="read-only"):
         array()[1, 1] = 0.5
