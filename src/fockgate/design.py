@@ -498,10 +498,9 @@ def perturbed_angles(
             "linear sensitivity model was specified for",
             stacklevel=3,
         )
-    couplers = [
-        (el, length) for el in netlist.elements
-        if el.kind in COUPLER_KINDS and (length := design_lengths.get(el.name)) is not None
-    ]
+    # every configured length names a coupler, so these are the couplers with one
+    couplers = [(el, design_lengths[el.name]) for el in netlist.elements
+                if el.name in design_lengths]
     names = tuple(el.name for el, _ in couplers)
     if not couplers:
         return names, np.zeros(deltas.shape + (0, 2))

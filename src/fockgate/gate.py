@@ -360,9 +360,10 @@ class Netlist:
     0/1 matrix that reads those outputs as logical |tc>.  From its
     elements: the `steps`, its one realization (each element realized,
     read-only, and placed once), the circuit matrix `compose` makes of them
-    and the (8, outputs) heralded amplitudes of the basis inputs.  None of it takes part in equality,
-    hashing or pickling: `replace`, `with_overrides`, `pickle` and `copy`
-    make a new instance that derives its own.
+    and the (8, outputs) heralded amplitudes of the basis inputs.  None of
+    it takes part in equality, hashing or pickling: `replace`,
+    `with_overrides`, `pickle` and `copy` make a new instance that derives
+    its own.
 
     Its ports, elements and herald are stored as tuples, so a netlist made
     from lists equals and hashes as one made from tuples, and changing the
