@@ -5,31 +5,24 @@ over multi-mode Fock states (heralded, programmable phase), and carries
 the coupled-mode design arithmetic for its integrated realization:
 coupler-length solving, notch-rotator calibration, and fabrication
 tolerance sweeps that feed imperfect devices back into the simulator.
+
+The package root exports what the commands and the netlist and physics
+file formats use.  The reference the engine is tested against is the
+module `fockgate.reference`.
 """
 
 from .fock import (
     H,
     V,
-    HeraldCondition,
-    HeraldPattern,
     Mode,
     Polarization,
     PureState,
     modes_for_ports,
     norm_squared,
-    program_state,
-    project_herald,
-    qubit_state,
-    tensor,
 )
 from .elements import (
     ElementMatrix,
-    amplitude_via_permanent,
-    apply_element,
-    compose_circuit_matrix,
-    permanent,
     phase_shift,
-    rotator_from_conversion,
     wave_plate,
 )
 from .gate import (
@@ -60,7 +53,6 @@ from .design import (
     cross_power,
     enumerate_v_perfect_lengths,
     solve_coupler_length,
-    synthesize_imperfect_elements,
     tolerance_sweep,
 )
 

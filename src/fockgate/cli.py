@@ -53,7 +53,7 @@ def parse_qubit(text: str) -> tuple[complex, complex]:
     """Parse 're,im:re,im' into (alpha, beta); ValueError unless it has that shape and 4 floats.
 
     A pair whose |alpha|^2 + |beta|^2 is within 1e-6 of 1 but not within
-    the `fock.QUBIT_NORM_TOL` that `qubit_state` requires (amplitudes
+    the `fock.QUBIT_NORM_TOL` that `fock.check_qubit` applies (amplitudes
     written to about 8 digits) is divided by its norm; any other pair is
     returned unchanged, for `fock.check_qubit` to judge.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -91,20 +92,20 @@ class CouplerDesign:
 # The reference designs of the default netlist's couplers.  The V-preserving
 # filter f2 is not solved but enumerated at whole V beats, with its residual
 # the squared miss of the H bar-power target.
-COUPLER_DESIGNS = {
+COUPLER_DESIGNS = MappingProxyType({
     "pbs": CouplerDesign(("PBS1", "PBS2", "PBS3"), (1.0, 0.0), (1.0, 1e6), (60.0, 80.0), 70.72),
     "ppbs": CouplerDesign(("PPBS",), (1.0, 1.0 / 3.0), (1.0, 1.0), (30.0, 40.0), 35.90),
     "f1": CouplerDesign(("F1",), (0.25, 0.0), (1.0, 0.0), (5.0, 20.0), 12.00),
     "f2": CouplerDesign(("F2",), (1.0 / 3.0, 1.0), (1.0, 0.0), (80.0, 90.0), 83.20),
-}
+})
 
 
 # The range rules of physics numbers, by the text that states them.
-_RANGES = {
+_RANGES = MappingProxyType({
     "positive": lambda x: x > 0,
     "non-negative": lambda x: x >= 0,
     "in [0, 1]": lambda x: 0 <= x <= 1,
-}
+})
 
 
 def _float(value: object, what: str, rule: str | None = None) -> float:

@@ -32,12 +32,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Sequence
 
 import numpy as np
 
-from .fock import V, Mode, Polarization, PureState, FockVector, PRUNE_THRESHOLD, modes_for_ports
+from .fock import V, Mode, Polarization, modes_for_ports
+# perfbench/tracer.py reads and wraps these two names here (ROADMAP item 1a)
+from .reference import amplitude_via_permanent, apply_element
 
 SQ3 = math.sqrt(3.0)
 
@@ -57,10 +59,10 @@ HWP1_MATRIX.flags.writeable = HADAMARD_MATRIX.flags.writeable = False
 # two-V-photon coincidence amplitude is t^2 - r^2 = -1/3.
 PPBS_BARS = (1.0, 1.0 / SQ3)
 
-WAVEPLATE_PRESETS = {
+WAVEPLATE_PRESETS = MappingProxyType({
     "hwp1": HWP1_MATRIX,
     "hadamard": HADAMARD_MATRIX,
-}
+})
 
 
 @dataclass(frozen=True)
@@ -175,123 +177,6 @@ def rotator_from_conversion(
     return wave_plate(port, w)
 
 
-def apply_element(state: PureState, element: ElementMatrix) -> PureState:
-    """Apply the exact bosonic substitution a_i -> sum_j M[i,j] a_j on the element's modes.
-
-    Element modes not yet present in the state are appended in vacuum
-    (this is how filter loss modes enter).  The expansion is the exact
-    multinomial one; photon number is conserved term by term and norm is
-    preserved for unitary elements.
-    """
-    new_modes = list(state.modes)
-    position = {m: i for i, m in enumerate(new_modes)}
-    for m in element.modes:
-        if m not in position:
-            position[m] = len(new_modes)
-            new_modes.append(m)
-    idx = [position[m] for m in element.modes]
-    pad = len(new_modes) - len(state.modes)
-
-    rows = element.matrix.tolist()  # read once, as Python numbers
-    terms: dict[FockVector, complex] = {}
-    for orig_vec, amp in state.items():
-        vec = orig_vec + (0,) * pad
-        base = list(vec)
-        ns = []
-        for i in idx:
-            ns.append(base[i])
-            base[i] = 0
-        prefactor = amp / math.sqrt(_prod_fact(ns))
-        expansions: list[tuple[FockVector, complex]] = [(tuple(base), prefactor)]
-        for row, n in zip(rows, ns):
-            if n == 0:
-                continue
-            expansions = _expand_power(expansions, row, idx, n)
-        for out_vec, coeff in expansions:
-            total = coeff * math.sqrt(_prod_fact(out_vec[j] for j in idx))
-            terms[out_vec] = terms.get(out_vec, 0.0) + total
-    kept = {k: v for k, v in terms.items() if abs(v) >= PRUNE_THRESHOLD}
-    return PureState(new_modes, kept)
-
-
-def _prod_fact(ns: Iterable[int]) -> float:
-    p = 1
-    for n in ns:
-        p *= math.factorial(n)
-    return float(p)
-
-
-def _expand_power(
-    expansions: list[tuple[FockVector, complex]],
-    row: Sequence[complex],
-    out_idx: Sequence[int],
-    n: int,
-) -> list[tuple[FockVector, complex]]:
-    """Multiply expansion terms by (sum_j row[j] a_out,j)^n via the multinomial.
-
-    `row` holds the element row as Python numbers.
-    """
-    results: dict[FockVector, complex] = {}
-    k = len(out_idx)
-    for split, weight in _weighted_compositions(n, k):
-        for j, c in enumerate(split):
-            if c:
-                weight *= row[j] ** c
-        if weight == 0:
-            continue
-        for vec, amp in expansions:
-            new = list(vec)
-            for j, c in enumerate(split):
-                new[out_idx[j]] += c
-            key = tuple(new)
-            results[key] = results.get(key, 0.0) + amp * weight
-    return list(results.items())
-
-
-@lru_cache(maxsize=256)
-def _weighted_compositions(n: int, k: int) -> tuple[tuple[tuple[int, ...], complex], ...]:
-    """`_compositions(n, k)` in its order, each with its multinomial coefficient as a complex."""
-    return tuple((split, complex(_multinomial(n, split))) for split in _compositions(n, k))
-
-
-def _compositions(n: int, k: int):
-    """All ways to write n as an ordered sum of k non-negative integers."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _multinomial(n: int, split: Sequence[int]) -> int:
-    num = math.factorial(n)
-    for c in split:
-        num //= math.factorial(c)
-    return num
-
-
-def permanent(matrix: np.ndarray) -> complex:
-    """Permanent by direct permutation sum; intended for n <= 4."""
-    m = np.asarray(matrix)
-    n = m.shape[0] if m.ndim else 0
-    if m.shape != (n, n):
-        raise ValueError("permanent requires a square matrix")
-    return _permutation_sum(m.tolist(), range(n))
-
-
-def _permutation_sum(rows: Sequence[Sequence[complex]], cols: Sequence[int]) -> complex:
-    """Permanent of the matrix rows[i][cols[k]], by summing over the orderings of `cols`.
-
-    The entries are Python numbers, so no numpy arithmetic runs; a
-    repeated column index repeats that column.
-    """
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(cols):
-        total += math.prod(map(getitem, rows, perm))
-    return total
-
-
 def permanents(matrices: np.ndarray) -> np.ndarray:
     """Permanents of a stack of n x n matrices, shape (..., n, n) -> (...).
 
@@ -306,7 +191,7 @@ def permanents(matrices: np.ndarray) -> np.ndarray:
     1.  Every partial sum is a sum of products of entries, so the rounding
     error stays relative to perm(|A|), which the signed sums of Glynn's
     and Ryser's formulas do not guarantee.  It shares no code with
-    `permanent`, which stays the permutation-sum reference.
+    `reference.permanent`, the permutation-sum reference.
     """
     a = np.asarray(matrices)
     n = a.shape[-1] if a.ndim >= 2 else -1
@@ -341,51 +226,6 @@ def _minor_tables(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         tables.append(pair)
         position = {s: i for i, s in enumerate(subsets)}
     return tuple(tables)
-
-
-def amplitude_via_permanent(
-    unitary: np.ndarray | Sequence[Sequence[complex]],
-    input_vec: FockVector,
-    output_vec: FockVector,
-) -> complex:
-    """Transition amplitude through a full mode matrix, via the permanent.
-
-    With the transfer convention a_in,i -> sum_j U[i,j] a_out,j the
-    amplitude from occupations n to occupations m is
-    perm(U[rows repeated n_i times, cols repeated m_j times]) divided by
-    sqrt(prod n_i! prod m_j!).  Serves as an independent oracle against
-    sequential apply_element; photon totals must match and be <= 4.
-    `unitary` is an (n, n) array or its rows as lists of Python numbers
-    (`unitary.tolist()`), which a caller evaluating many amplitudes of
-    one circuit converts once.
-    """
-    n_in = sum(input_vec)
-    n_out = sum(output_vec)
-    if n_in != n_out:
-        raise ValueError(f"photon totals differ: input {n_in} vs output {n_out}")
-    if n_in > 4:
-        raise ValueError("permanent oracle limited to <= 4 photons")
-    rows, in_fact = _photon_modes(input_vec)
-    cols, out_fact = _photon_modes(output_vec)
-    if isinstance(unitary, np.ndarray):
-        picked = unitary[rows].tolist()  # the rows used, as Python numbers
-    else:
-        picked = [unitary[i] for i in rows]
-    return _permutation_sum(picked, cols) / math.sqrt(in_fact * out_fact)
-
-
-def _photon_modes(vec: FockVector) -> tuple[list[int], int]:
-    """The mode of each photon of `vec` (mode i repeated vec[i] times) and prod_i vec[i]!.
-
-    Only the occupied modes are visited.
-    """
-    modes: list[int] = []
-    fact = 1
-    for i in itertools.compress(range(len(vec)), vec):
-        n = vec[i]
-        modes += [i] * n
-        fact *= math.factorial(n)
-    return modes, fact
 
 
 def compose_circuit_matrix(

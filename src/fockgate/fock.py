@@ -144,30 +144,20 @@ def norm_squared(state: PureState) -> float:
     return sum(abs(a) ** 2 for _, a in state.items())
 
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product of states on disjoint mode sets.
-
-    The result lives on the concatenated (a then b) mode list; amplitudes
-    multiply term by term.
-    """
-    shared = set(a.modes) & set(b.modes)
-    if shared:
-        name = sorted(shared)[0]
-        raise ValueError(f"mode sets overlap: {name!r} appears in both factors")
-    modes = a.modes + b.modes
-    terms: dict[FockVector, complex] = {}
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            terms[va + vb] = ca * cb
-    return PureState(modes, terms)
-
-
 @dataclass(frozen=True)
 class HeraldCondition:
-    """Exact photon-count constraint on a subset of modes."""
+    """Exact photon-count constraint on a subset of modes.
+
+    A negative mode index, which would count a mode from the end, raises
+    ValueError when the condition is made.
+    """
 
     mode_indices: tuple[int, ...]
     count: int
+
+    def __post_init__(self):
+        if min(self.mode_indices, default=0) < 0:
+            raise ValueError(f"herald mode index {min(self.mode_indices)} is negative")
 
     def satisfied(self, vec: FockVector) -> bool:
         return sum(vec[i] for i in self.mode_indices) == self.count
@@ -181,6 +171,13 @@ class HeraldPattern:
 
     def satisfied(self, vec: FockVector) -> bool:
         return all(c.satisfied(vec) for c in self.conditions)
+
+    def check_modes(self, n_modes: int) -> None:
+        """Raise KeyError for a mode index that a state on `n_modes` modes does not have."""
+        for cond in self.conditions:
+            for i in cond.mode_indices:
+                if i >= n_modes:
+                    raise KeyError(f"herald references mode index {i} outside state")
 
     @classmethod
     def on_modes(
@@ -204,36 +201,13 @@ def project_herald(state: PureState, pattern: HeraldPattern) -> tuple[PureState,
     """Project onto the terms satisfying `pattern`.
 
     Returns the sub-normalized surviving branch and its squared norm
-    (the herald probability).  The branch is NOT renormalized.
+    (the herald probability).  The branch is NOT renormalized.  A mode
+    index outside the state raises KeyError (`HeraldPattern.check_modes`).
     """
-    for cond in pattern.conditions:
-        for i in cond.mode_indices:
-            if i >= len(state.modes):
-                raise KeyError(f"herald references mode index {i} outside state")
+    pattern.check_modes(len(state.modes))
     kept = {vec: amp for vec, amp in state.items() if pattern.satisfied(vec)}
     prob = sum(abs(a) ** 2 for a in kept.values())
     return PureState(state.modes, kept), prob
-
-
-def qubit_state(modes: Sequence[Mode], port: str, alpha: complex, beta: complex) -> PureState:
-    """Single polarization-encoded photon alpha|H> + beta|V> on `port`.
-
-    The amplitudes must pass `check_qubit`.
-    """
-    check_qubit(alpha, beta)
-    mh, mv = Mode(port, H), Mode(port, V)
-    ih, iv = list(modes).index(mh), list(modes).index(mv)
-    terms: dict[FockVector, complex] = {}
-    base = [0] * len(modes)
-    if abs(alpha) > 0:
-        vh = list(base)
-        vh[ih] = 1
-        terms[tuple(vh)] = alpha
-    if abs(beta) > 0:
-        vv = list(base)
-        vv[iv] = 1
-        terms[tuple(vv)] = beta
-    return PureState(modes, terms)
 
 
 def check_qubit(alpha: complex, beta: complex) -> None:
@@ -263,8 +237,3 @@ def program_amplitudes(phi: float) -> tuple[float, complex]:
     """
     check_phase(phi)
     return 1 / math.sqrt(2), complex(math.cos(phi), math.sin(phi)) / math.sqrt(2)
-
-
-def program_state(modes: Sequence[Mode], port: str, phi: float) -> PureState:
-    """Program photon (|H> + e^{i phi}|V>)/sqrt(2) on `port`."""
-    return qubit_state(modes, port, *program_amplitudes(phi))

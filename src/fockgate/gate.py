@@ -31,10 +31,10 @@ new qubit amplitudes cost only the linear combination and the readout.
 arrays, for each point of a parameter sweep the circuit rows that the
 basis inputs' photons enter, and reads the gate off that whole stack at
 once with `heralded_operators`' readout.
-The sequential Fock engine, `run_elements` followed by `project_herald`,
-computes the same branches element by element from the same steps; it is
-the reference the tests and the acceptance checks hold the permanent
-engine to.
+The module `reference` holds what the tests and the acceptance checks
+hold this engine to: the sequential Fock engine, `reference.run_elements`
+followed by `fock.project_herald`, which computes the same branches
+element by element from the same steps, and the permutation-sum oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .elements import (
     SQ3,
     WAVEPLATE_PRESETS,
     ElementMatrix,
-    apply_element,
     check_circuits,
     column_placement,
     compose_rows,
@@ -81,6 +80,8 @@ from .elements import (
     phase_shift,
     wave_plate,
 )
+# perfbench/tracer.py reads and wraps these two names here (ROADMAP item 1a)
+from .reference import heralded_output_amplitudes, run_elements
 
 
 class NetlistError(ValueError):
@@ -103,24 +104,26 @@ def _number(value: Any, what: str, error: type[ValueError] = NetlistError) -> in
 
 # Element kinds: the number of ports each wires (a dump takes any number)
 # and the rule of each parameter it accepts (see `_check_param`); any other
-# key is refused.
-ELEMENT_KINDS = {
-    "pbs": (2, {"theta_h": "number", "theta_v": "number"}),
-    "ppbs": (2, {"bar_h": "bar", "bar_v": "bar", "theta_h": "number", "theta_v": "number"}),
-    "beamsplitter": (2, {"t_h": "number", "r_h": "number", "t_v": "number", "r_v": "number"}),
-    "filter": (2, {"t_h": "bar", "t_v": "bar", "theta_h": "number", "theta_v": "number"}),
-    "waveplate": (1, {"preset": "preset", "matrix": "matrix"}),
-    "phaseshift": (1, {"phase_h": "number", "phase_v": "number"}),
-    "detector": (1, {"rotated": "bool"}),
-    "dump": (None, {}),
-}
+# key is refused.  The table and each kind's rules are read-only.
+ELEMENT_KINDS = MappingProxyType({
+    kind: (arity, MappingProxyType(rules)) for kind, (arity, rules) in {
+        "pbs": (2, {"theta_h": "number", "theta_v": "number"}),
+        "ppbs": (2, {"bar_h": "bar", "bar_v": "bar", "theta_h": "number", "theta_v": "number"}),
+        "beamsplitter": (2, {"t_h": "number", "r_h": "number", "t_v": "number", "r_v": "number"}),
+        "filter": (2, {"t_h": "bar", "t_v": "bar", "theta_h": "number", "theta_v": "number"}),
+        "waveplate": (1, {"preset": "preset", "matrix": "matrix"}),
+        "phaseshift": (1, {"phase_h": "number", "phase_v": "number"}),
+        "detector": (1, {"rotated": "bool"}),
+        "dump": (None, {}),
+    }.items()
+})
 
 # The keys a kind needs: one of each group, the first named when all are missing.
-_REQUIRED = {
+_REQUIRED = MappingProxyType({
     "beamsplitter": (("t_h",), ("r_h",)),
     "filter": (("t_h", "theta_h"), ("t_v", "theta_v")),
     "waveplate": (("preset", "matrix"),),
-}
+})
 
 
 def _check_param(name: str, key: str, rule: str, value: Any) -> None:
@@ -155,11 +158,11 @@ def _check_param(name: str, key: str, rule: str, value: Any) -> None:
 # bar-amplitude parameter of each kind per polarization, with its default
 # (None: the spec sets it, see `_REQUIRED`).  A PBS has none: its bars are
 # those of the routing PBS, H passing and V crossing.
-_BAR_PARAMS = {
+_BAR_PARAMS = MappingProxyType({
     "pbs": ((None, 1.0), (None, 0.0)),
     "ppbs": (("bar_h", PPBS_BARS[0]), ("bar_v", PPBS_BARS[1])),
     "filter": (("t_h", None), ("t_v", None)),
-}
+})
 COUPLER_KINDS = tuple(_BAR_PARAMS)
 
 
@@ -487,9 +490,10 @@ class Netlist:
 
     @cached_property
     def readout(self) -> np.ndarray:
-        # as in `heralded_output_amplitudes`: an output reads as |tc> when it
-        # holds exactly one photon on the target port (t = its polarization),
-        # exactly one on the control port and one in the detector mode
+        # as in `reference.heralded_output_amplitudes`: an output reads as
+        # |tc> when it holds exactly one photon on the target port (t = its
+        # polarization), exactly one on the control port and one in the
+        # detector mode
         outputs, enc = self.basis_gather[2], self.encoding
 
         def count(port: str, pol: Polarization) -> np.ndarray:
@@ -718,13 +722,14 @@ def prepare_input(
     target and control are (alpha, beta) with |alpha|^2 + |beta|^2 = 1;
     the program photon is (|H> + e^{i phi}|V>)/sqrt(2).  A phase that is
     not finite raises ValueError naming phi; then each photon's amplitudes
-    must pass `fock.check_qubit`, checked target first.  The
-    state lives on `netlist.modes` and its terms are the netlist's basis
-    inputs.  An amplitude is target x control x program, multiplied in that
-    order as `tensor` multiplies the states `qubit_state` and
-    `program_state` build, which keep an amplitude as a complex and drop it
-    below PRUNE_THRESHOLD.  Its occupations are those basis inputs, so
-    the state comes from `PureState`'s core, which checks the amplitudes.
+    must pass `fock.check_qubit`, checked target first.  The state lives on
+    `netlist.modes` and its terms are the netlist's basis inputs.  An
+    amplitude is target x control x program, multiplied in that order as
+    `reference.tensor` multiplies the states `reference.qubit_state` and
+    `reference.program_state` build, which keep an amplitude as a complex
+    and drop it below PRUNE_THRESHOLD.  Its occupations are those basis
+    inputs, so the state comes from `PureState`'s core, which checks the
+    amplitudes.
     """
     kept = []
     for alpha, beta in (target, control, program_amplitudes(program.phi)):
@@ -757,17 +762,6 @@ def extend_state(state: PureState, netlist: Netlist) -> PureState:
     return PureState(netlist.modes, terms)
 
 
-def run_elements(netlist: Netlist, state: PureState) -> PureState:
-    """`state` sent through `netlist.steps` in order, each by `apply_element`.
-
-    The sequential Fock reference: it reads the realized elements the
-    circuit is composed from, never the circuit or its kept amplitudes.
-    """
-    for step in netlist.steps:
-        state = apply_element(state, step.element)
-    return state
-
-
 def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     """Heralded branch of `state` sent through the netlist, from permanents.
 
@@ -780,8 +774,8 @@ def run_heralded(netlist: Netlist, state: PureState) -> tuple[PureState, float]:
     the netlist's kept basis amplitudes; any other group gets a fresh
     transfer.  Amplitudes below PRUNE_THRESHOLD
     are dropped.  Returns the sub-normalized heralded branch and the herald
-    probability, its squared norm.  `run_elements` followed by
-    `project_herald` computes the same branch from the same element
+    probability, its squared norm.  `reference.run_elements` followed by
+    `fock.project_herald` computes the same branch from the same element
     matrices and is the reference for this one.
     """
     if state.modes != netlist.modes:
@@ -813,7 +807,9 @@ def heralded_transfer(
     `unitary` is one circuit matrix (n_modes, n_modes) or a stack of them
     (..., n_modes, n_modes).  `inputs` has one row of occupation numbers
     per input, over the modes of `unitary`, and every row holds the same
-    number n of photons; no input at all raises ValueError.  Returns the
+    number n of photons; no input at all raises ValueError, and a herald
+    mode index outside `unitary`'s modes KeyError, as `fock.project_herald`
+    raises for a state (`HeraldPattern.check_modes`).  Returns the
     accepted n-photon output occupations, one row each in ascending
     lexicographic order (the order `PureState` keeps its terms in), and the
     (..., inputs, outputs) amplitude array.  The amplitude from n to m is
@@ -833,6 +829,7 @@ def _gather(
     sorted modes (outputs, n) and occupations (outputs, n_modes), ascending,
     and the norms sqrt(prod n_i! prod m_j!) (inputs, outputs).
     """
+    pattern.check_modes(n_modes)
     inputs = np.asarray(inputs, dtype=int)
     if not len(inputs):
         raise ValueError("heralded transfer needs at least one input")
@@ -895,43 +892,6 @@ class GateResult:
         return float(np.max(np.abs(off)))
 
 
-def heralded_output_amplitudes(
-    netlist: Netlist, branch: PureState
-) -> np.ndarray:
-    """Amplitudes of the four logical outputs in a heralded branch.
-
-    The heralded branch of a three-photon run has exactly one photon on
-    the target port, one on the control port and one in the detector
-    mode; the logical output is read from the two output polarizations.
-    """
-    enc = netlist.encoding
-    modes = list(branch.modes)
-    det_pol = netlist.detector_pol
-    idx = {
-        "tH": modes.index(Mode(enc.target, H)),
-        "tV": modes.index(Mode(enc.target, V)),
-        "cH": modes.index(Mode(enc.control, H)),
-        "cV": modes.index(Mode(enc.control, V)),
-        "det": modes.index(Mode(enc.program, det_pol)),
-    }
-    out = np.zeros(4, dtype=complex)
-    for vec, amp in branch.items():
-        t_pol = None
-        c_pol = None
-        if vec[idx["tH"]] == 1 and vec[idx["tV"]] == 0:
-            t_pol = 0
-        elif vec[idx["tV"]] == 1 and vec[idx["tH"]] == 0:
-            t_pol = 1
-        if vec[idx["cH"]] == 1 and vec[idx["cV"]] == 0:
-            c_pol = 0
-        elif vec[idx["cV"]] == 1 and vec[idx["cH"]] == 0:
-            c_pol = 1
-        if t_pol is None or c_pol is None or vec[idx["det"]] != 1:
-            continue
-        out[2 * t_pol + c_pol] += amp
-    return out
-
-
 def _filled(
     ports: tuple[str, ...], bars: Sequence[float], crosses: Sequence[float], v_reflect: bool
 ) -> ElementMatrix:
@@ -951,9 +911,10 @@ def heralded_operators(netlist: Netlist, phi: float) -> tuple[np.ndarray, np.nda
     ValueError naming phi.  Amplitudes below PRUNE_THRESHOLD are dropped, a
     non-finite amplitude raises ValueError, and each herald probability is
     the squared norm of its column, summed in the heralded branch's term
-    order.  The logical outputs are read with `heralded_output_amplitudes`'s
-    rule, here as one (outputs x 4) 0/1 matrix.  An operator that is zero,
-    because no basis input heralds a logical output, raises NetlistError.
+    order.  The logical outputs are read with the rule of
+    `reference.heralded_output_amplitudes`, here as one (outputs x 4) 0/1
+    matrix.  An operator that is zero, because no basis input heralds a
+    logical output, raises NetlistError.
     Returns the operator (4, 4), columns ordered |00>, |01>, |10>, |11>, and
     the probabilities (4,) in the same order.
     """
@@ -1073,9 +1034,9 @@ def extract_gate(netlist: Netlist, phi: float) -> GateResult:
     `heralded_operators` of the netlist's circuit, plus the process
     fidelity against diag(1, 1, 1, e^{i phi}); only the first call on a
     netlist computes permanents.  The sequential Fock engine
-    (`prepare_input`, `run_elements`, `project_herald`,
-    `heralded_output_amplitudes`) computes the same map from the same
-    element matrices and is the reference for this one.
+    (`prepare_input`, then `reference.run_elements`, `fock.project_herald`
+    and `reference.heralded_output_amplitudes`) computes the same map from
+    the same element matrices and is the reference for this one.
     """
     op, probs = heralded_operators(netlist, phi)
     # `heralded_operators` refused a non-finite or zero operator

@@ -46,6 +46,22 @@ def test_by_name_import_of_extract_gate_kept():
     assert design.extract_gate is gate.extract_gate
 
 
+@pytest.mark.parametrize("module, name", [
+    ("elements", "apply_element"),
+    ("elements", "amplitude_via_permanent"),
+    ("gate", "run_elements"),
+    ("gate", "heralded_output_amplitudes"),
+    ("acceptance", "run_elements"),
+])
+def test_harness_names_are_the_reference_itself(module, name):
+    # the tracer and perfbench/selftest.py read these names where they were
+    # defined before `fockgate.reference` held them; each must stay the
+    # reference's own object, not a second copy of it
+    from fockgate import reference
+
+    assert getattr(importlib.import_module(f"fockgate.{module}"), name) is getattr(reference, name)
+
+
 @pytest.fixture(scope="module")
 def workloads():
     """perfbench/workloads.py, which imports its sibling `checks` by name."""

@@ -12,24 +12,26 @@ from fockgate.elements import (
     HADAMARD_MATRIX,
     ElementMatrix,
     HWP1_MATRIX,
-    _compositions,
     _minor_tables,
-    _multinomial,
-    _weighted_compositions,
     PPBS_BARS,
-    amplitude_via_permanent,
-    apply_element,
     column_placement,
     compose_circuit_matrix,
     compose_rows,
     coupler_matrices,
-    permanent,
     permanents,
     phase_shift,
     rotator_from_conversion,
     wave_plate,
 )
 from fockgate.gate import NetlistError, build_element, spec
+from fockgate.reference import (
+    _compositions,
+    _multinomial,
+    _weighted_compositions,
+    amplitude_via_permanent,
+    apply_element,
+    permanent,
+)
 
 AB = modes_for_ports(["a", "b"])
 R2 = 1 / math.sqrt(2)

@@ -14,11 +14,9 @@ from fockgate.fock import (
     check_qubit,
     modes_for_ports,
     norm_squared,
-    program_state,
     project_herald,
-    qubit_state,
-    tensor,
 )
+from fockgate.reference import program_state, qubit_state, tensor
 
 M1 = (Mode("m", H),)
 N1 = (Mode("n", H),)

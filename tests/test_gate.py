@@ -21,14 +21,13 @@ from fockgate.design import (
 from fockgate.fock import (
     H,
     V,
+    HeraldCondition,
     HeraldPattern,
     Mode,
     PureState,
     modes_for_ports,
     norm_squared,
-    program_state,
-    qubit_state,
-    tensor,
+    project_herald,
 )
 from fockgate.elements import (
     HADAMARD_MATRIX,
@@ -59,7 +58,6 @@ from fockgate.gate import (
     extend_state,
     extract_gate,
     heralded_operators,
-    heralded_output_amplitudes,
     heralded_transfer,
     ideal_cphase,
     prepare_input,
@@ -67,6 +65,7 @@ from fockgate.gate import (
     run_heralded,
     spec,
 )
+from fockgate.reference import heralded_output_amplitudes, program_state, qubit_state, tensor
 
 A48 = 1 / math.sqrt(48.0)  # heralded amplitude of every basis path
 PHIS = (0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -851,6 +850,23 @@ def test_heralded_transfer_needs_inputs_of_one_photon_number(netlist):
     inputs[0, 0], inputs[1, :2] = 1, 1
     with pytest.raises(ValueError, match="^heralded transfer inputs must hold the same photon number$"):
         heralded_transfer(circuit_matrix(netlist), netlist.herald_pattern(), inputs)
+
+
+@pytest.mark.parametrize("index, error, message", [
+    (-1, ValueError, "herald mode index -1 is negative"),
+    (4, KeyError, "herald references mode index 4 outside state"),
+])
+@pytest.mark.parametrize("engine", ["project_herald", "heralded_transfer"])
+def test_both_engines_refuse_a_herald_mode_index_outside_the_state(index, error, message, engine):
+    # a negative index would count a mode from the end; one past the modes
+    # would count nothing: both engines refuse both, with one exception class
+    vec = (1, 0, 0, 0)
+    with pytest.raises(error, match=message):
+        pattern = HeraldPattern((HeraldCondition((index,), 1),))
+        if engine == "project_herald":
+            project_herald(PureState(modes_for_ports(["a", "b"]), {vec: 1.0}), pattern)
+        else:
+            heralded_transfer(np.eye(4, dtype=complex), pattern, [vec])
 
 
 def _verdict(check):

@@ -20,12 +20,8 @@ from fockgate.fock import (
     Mode,
     PureState,
     modes_for_ports,
-    program_state,
     project_herald,
-    qubit_state,
-    tensor,
 )
-from fockgate.elements import amplitude_via_permanent
 from fockgate.gate import (
     BASIS_LABELS,
     ElementSpec,
@@ -35,13 +31,19 @@ from fockgate.gate import (
     circuit_matrix,
     default_netlist,
     extract_gate,
-    heralded_output_amplitudes,
     ideal_cphase,
     prepare_input,
     process_fidelity,
-    run_elements,
     run_heralded,
     spec,
+)
+from fockgate.reference import (
+    amplitude_via_permanent,
+    heralded_output_amplitudes,
+    program_state,
+    qubit_state,
+    run_elements,
+    tensor,
 )
 
 

@@ -15,15 +15,12 @@ from fockgate.fock import (
     modes_for_ports,
     norm_squared,
     project_herald,
-    tensor,
 )
 from fockgate.elements import (
     HADAMARD_MATRIX,
     HWP1_MATRIX,
     _check_isometry,
-    apply_element,
     coupler_matrices,
-    permanent,
     permanents,
     wave_plate,
 )
@@ -38,6 +35,7 @@ from fockgate.gate import (
     default_netlist,
     spec,
 )
+from fockgate.reference import apply_element, permanent, tensor
 
 MODES = modes_for_ports(["a", "b"])
 
